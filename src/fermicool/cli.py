@@ -150,11 +150,12 @@ def _resolve_mu(args, system) -> float:
         except ValueError as exc:
             raise ArgumentSemanticsError(str(exc)) from None
     try:
-        return float(args.mu)
+        mu = float(args.mu)
     except ValueError:
-        raise ArgumentSemanticsError(
-            f"--mu expects 'auto' or a number, got {args.mu!r}"
-        ) from None
+        mu = math.nan
+    if not math.isfinite(mu):
+        raise ArgumentSemanticsError(f"--mu expects 'auto' or a finite number, got {args.mu!r}")
+    return mu
 
 
 def _build_request(args, need_config=True) -> RunRequest:
@@ -165,20 +166,23 @@ def _build_request(args, need_config=True) -> RunRequest:
     else:
         mu = _resolve_mu(args, system)
         ensemble = GrandCanonical(mu)
+    if not math.isfinite(args.nonlinear):
+        raise ArgumentSemanticsError(f"--nonlinear expects a finite coupling, got {args.nonlinear}")
     model = HamiltonianModel(system, coupling_u=args.nonlinear)
     config = None
     if need_config:
         try:
             probe = SolverConfig(scheme=args.scheme, beta_final=args.beta,
                                  delta_beta=args.dbeta)
-            record_every = args.record_every or max(1, probe.n_steps // 100)
+            record_every = args.record_every
+            if record_every is None:
+                record_every = max(1, probe.n_steps // 100)
             config = SolverConfig(
                 scheme=args.scheme,
                 beta_final=args.beta,
                 delta_beta=args.dbeta,
                 record_every=record_every,
                 positivity_tol=args.positivity_tol,
-                hermiticity_tol=args.hermiticity_tol,
             )
         except ValueError as exc:
             raise ArgumentSemanticsError(str(exc)) from None
@@ -234,12 +238,11 @@ def cmd_run(args) -> int:
     diag = traj.diagnostics
     _write_csv(
         paths["diag"],
-        ["beta", "min_eig", "hermiticity_defect", "trace", "commutator_norm"],
+        ["beta", "min_eig", "trace", "commutator_norm"],
         [
-            (_fmt(b), _fmt(m), _fmt(h), _fmt(t), _fmt(c))
-            for b, m, h, t, c in zip(
-                traj.betas, diag.min_eigenvalue, diag.hermiticity_defect,
-                diag.trace, diag.commutator_norm,
+            (_fmt(b), _fmt(m), _fmt(t), _fmt(c))
+            for b, m, t, c in zip(
+                traj.betas, diag.min_eigenvalue, diag.trace, diag.commutator_norm,
             )
         ],
     )
@@ -260,7 +263,6 @@ def cmd_run(args) -> int:
         ("mu_used", _fmt(req.mu_value) if isinstance(req.ensemble, GrandCanonical) else "canonical"),
         ("max_abs_error", _fmt(float(np.abs(occ_run - occ_exact).max()))),
         ("positivity_violations", str(len(traj.positivity_violations))),
-        ("hermiticity_violations", str(len(traj.hermiticity_violations))),
         ("scf_iterations", str(scf_iters) if scf_iters is not None else "n/a"),
         ("aitken", str(req.use_aitken)),
         ("elapsed_seconds", f"{time.time() - started:.3f}"),
@@ -364,7 +366,6 @@ def _add_common(parser: argparse.ArgumentParser, with_solver: bool) -> None:
         parser.add_argument("--record-every", type=int, default=None, metavar="K",
                             help="record every K steps (default: about 100 records per run)")
         parser.add_argument("--positivity-tol", type=float, default=1e-10)
-        parser.add_argument("--hermiticity-tol", type=float, default=1e-10)
         parser.add_argument("--refresh-per-stage", action="store_true",
                             help="rebuild a nonlinear Hamiltonian inside each RK4 stage")
 

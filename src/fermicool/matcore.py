@@ -55,11 +55,16 @@ class HermitianMatrix:
     """A real symmetric matrix, symmetrized at construction and then frozen.
 
     The stored array is (M + M^T)/2 of the input and is marked read-only,
-    so instances are safe to share between threads.
+    so instances are safe to share between threads.  Non-finite entries are
+    rejected with ValueError.
     """
 
     def __init__(self, entries):
-        a = symmetrize(_as_square(entries, "HermitianMatrix"))
+        a = _as_square(entries, "HermitianMatrix")
+        if not np.isfinite(a).all():
+            i, j = np.argwhere(~np.isfinite(a))[0]
+            raise ValueError(f"HermitianMatrix entry ({i}, {j}) is not finite")
+        a = symmetrize(a)
         a.flags.writeable = False
         self._mat = a
 
@@ -83,9 +88,9 @@ class HermitianMatrix:
 class OverlapMatrix:
     """Symmetric positive-definite overlap metric of a (possibly non-orthonormal) basis.
 
-    Positive definiteness is checked at construction; the inverse and the
-    inverse square root are computed lazily from the cached eigendecomposition
-    and are exactly symmetric by construction.
+    Positive definiteness is checked at construction; the inverse, the square
+    root and the inverse square root are computed lazily from the cached
+    eigendecomposition and are exactly symmetric by construction.
     """
 
     def __init__(self, entries):
@@ -119,6 +124,13 @@ class OverlapMatrix:
     @cached_property
     def inv_sqrt(self) -> np.ndarray:
         x = (self._eigvecs / np.sqrt(self._eigvals)) @ self._eigvecs.T
+        x = symmetrize(x)
+        x.flags.writeable = False
+        return x
+
+    @cached_property
+    def sqrt(self) -> np.ndarray:
+        x = (self._eigvecs * np.sqrt(self._eigvals)) @ self._eigvecs.T
         x = symmetrize(x)
         x.flags.writeable = False
         return x

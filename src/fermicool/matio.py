@@ -2,10 +2,10 @@
 
 Format: the first non-comment line holds two positive integers ``R C``;
 the following R non-comment lines each hold C whitespace-separated decimal
-floats (scientific notation accepted).  Lines starting with ``#`` are
-comments, blank lines are ignored, encoding is UTF-8.  Values are written
-with 17 significant digits so a write/read round trip reproduces doubles
-exactly.
+floats (scientific notation accepted; NaN and infinities are rejected).
+Lines starting with ``#`` are comments, blank lines are ignored, encoding is
+UTF-8.  Values are written with 17 significant digits so a write/read round
+trip reproduces doubles exactly.
 """
 
 from __future__ import annotations
@@ -66,6 +66,12 @@ def read_matrix(path) -> np.ndarray:
                 out[i, j] = float(tok)
             except ValueError:
                 raise MatrixParseError(path, no, f"non-numeric token {tok!r}") from None
+    bad = ~np.isfinite(out)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise MatrixParseError(
+            path, body[i][0], f"non-finite value {float(out[i, j])} in row {i + 1}"
+        )
     return out
 
 

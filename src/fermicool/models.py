@@ -145,9 +145,9 @@ def effective_hamiltonian(model: HamiltonianModel, p, normalization: float = 1.0
     delta = pm - 0.5 * normalization * system.s.mat
     n = system.dim
     phi = (float(delta.sum()) - float(np.trace(delta))) / n
-    stagger = np.zeros((n, n))
-    np.fill_diagonal(stagger, [(-1.0) ** i for i in range(n)])
-    return HermitianMatrix(system.h_core.mat + model.coupling_u * (delta + phi * stagger))
+    stagger = 1.0 - 2.0 * (np.arange(n) % 2)  # diagonal of J: +1, -1, ...
+    delta.flat[:: n + 1] += phi * stagger
+    return HermitianMatrix(system.h_core.mat + model.coupling_u * delta)
 
 
 def build_huckel(n: int, alpha: float, gamma: float) -> SystemSpec:

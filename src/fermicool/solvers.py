@@ -1,8 +1,8 @@
 """Cooling integrators for finite-temperature density matrices.
 
-The continuous flows integrated here all have the symmetrized generator form
+Every flow integrated here has the symmetrized generator form
 
-    dP/dbeta = B(P) P + P B(P)^T,
+    dP/dbeta = B P + P B^T,    B = -1/2 (H S^-1 - sigma)(1 - P S^-1 / N),
 
 which makes congruence ("Kraus") stepping natural:
 
@@ -10,24 +10,25 @@ which makes congruence ("Kraus") stepping natural:
 * second order:  P' = A P A^T with A = 1 + db B + (db^2 / 2)(B^2 + B'),
 
 where B' is the total beta-derivative of B along the flow.  Both updates are
-congruences of a positive semidefinite matrix and therefore preserve
-positivity exactly, for any step size.  A Taylor expansion (worked out in
-docs/second_order_scheme.md) shows the single congruence by A matches the
-exact flow through second order; appending a further congruence term of size
-O(db) would inject an uncompensated O(db^2) error, so none is used.
+congruences and preserve positive semidefiniteness exactly, for any step
+size; docs/second_order_scheme.md derives A and shows why a single
+congruence is used.  Classic RK4 is provided as well; it has no congruence
+structure, so the smallest eigenvalue is monitored at every recorded step.
 
-Classic RK4 is provided as well.  It does not have the congruence structure,
-so the integrator monitors the smallest eigenvalue at every recorded step and
-reports violations instead of clipping.
+Canonical flows use the trace-preserving scalar sigma = Tr[X S^-1 H] / Tr[X],
+X = P (1 - S^-1 P / N), which makes d Tr[P] / dbeta = 0 identically, and
+track mu(beta) through d mu/dbeta = (sigma - mu)/beta from
+mu(0) = Tr[H]/Tr[S].  Grand canonical flows are the same flow with sigma
+frozen at mu, N = 1 and sigma' = 0, so one kernel, :func:`_flow`, serves
+both ensembles.
 
-Grand canonical flows use a fixed chemical potential.  Canonical flows
-replace it by the trace-preserving scalar
-
-    sigma(P) = Tr[X S^-1 H + H S^-1 X^T] / Tr[X + X^T],
-    X = P (1 - S^-1 P / N),
-
-chosen so that d Tr[P] / dbeta = 0 identically, and track mu(beta) through
-d mu/dbeta = (sigma - mu)/beta from mu(0) = Tr[H]/Tr[S].
+:func:`cool` integrates in the symmetric-orthogonalization (Loewdin) frame
+Q = S^-1/2 P S^-1/2, G = S^-1/2 H S^-1/2.  There the flow keeps its form
+with S^-1 replaced by the identity, a congruence of P is a congruence of Q,
+and Tr[P] = Tr[S Q], so the step loop holds no product with S^-1.  The
+public S-frame functions (:func:`step_kraus1`, :func:`step_kraus2`,
+:func:`grand_rhs`, :func:`canonical_rhs`) call the same kernel with H S^-1
+and P S^-1 in place of G and Q.
 """
 
 from __future__ import annotations
@@ -37,16 +38,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DegenerateTraceError,
-    DimensionMismatchError,
-    SolverAbortError,
-)
+from .errors import DegenerateTraceError, DimensionMismatchError, SolverAbortError
 from .matcore import HermitianMatrix, OverlapMatrix, symmetrize
 from .models import (
     Canonical,
     Ensemble,
-    GrandCanonical,
     HamiltonianModel,
     canonical_normalization,
     check_canonical_feasible,
@@ -73,7 +69,6 @@ class SolverConfig:
     delta_beta: float
     record_every: int = 1
     positivity_tol: float = 1e-10
-    hermiticity_tol: float = 1e-10
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -128,7 +123,6 @@ class TrajectoryDiagnostics:
     """Per-recorded-step health indicators, aligned with ``Trajectory.betas``."""
 
     min_eigenvalue: np.ndarray
-    hermiticity_defect: np.ndarray
     trace: np.ndarray
     commutator_norm: np.ndarray
     h_refresh_defect: np.ndarray
@@ -146,7 +140,6 @@ class Trajectory:
     delta_beta: float
     beta_final: float
     positivity_violations: list = field(default_factory=list)
-    hermiticity_violations: list = field(default_factory=list)
 
     @property
     def final_density(self) -> HermitianMatrix:
@@ -155,6 +148,66 @@ class Trajectory:
     @property
     def final_mu(self):
         return None if self.mu_trace is None else float(self.mu_trace[-1])
+
+
+def _flow(p, f, m, norm, delta_beta, scheme, mu=None, w=None, t=None):
+    """The congruence kernel: one step, or the derivative, of dP/dbeta = B P + P B^T.
+
+    B = (F M / N - F) / 2 for the symmetric state ``p``, occupation operator
+    ``m`` and Hamiltonian operator ``f``: (Q, Q, G) in the Loewdin frame,
+    (P, P S^-1, H S^-1) in the S frame.  Grand canonical runs pass ``mu``
+    with ``f`` already shifted by it and N = 1.  Canonical runs (``mu`` None)
+    subtract sigma = Tr[W F X] / Tr[W X], X = P - M P / N, whose trace
+    weight ``w`` is S in the frame and None (the identity) in the S frame;
+    every weighted trace is an O(n^2) inner product.  ``t`` maps a state
+    rate to the M rate: None in the frame, S^-1 in the S frame.
+
+    Returns (out, sigma, sigma', B, A): ``out`` is A P A^T (unsymmetrized)
+    for "kraus1"/"kraus2" and dP/dbeta for "rk4", where A is None.  The flow
+    derivative sigma' is computed for kraus2 only and is 0 otherwise.
+    """
+    n = p.shape[0]
+    fm = f @ m
+    sigma, sdot = mu, 0.0
+    if mu is None:
+        wp = p if w is None else w @ p
+        den = float(np.trace(wp) - np.vdot(m, wp) / norm)
+        if abs(2.0 * den) < TRACE_DEGENERACY_TOL:
+            raise DegenerateTraceError(
+                f"Tr[X + X^T] = {2.0 * den:.3e} is degenerate; the state is fully "
+                f"occupied or empty and the trace constraint cannot be enforced"
+            )
+        sigma = float(np.vdot(f, wp) - np.vdot(fm, wp) / norm) / den
+        f = f.copy()
+        f.flat[:: n + 1] -= sigma
+        fm = fm - sigma * m
+    b = 0.5 * (fm / norm - f)
+    if scheme == "kraus1":
+        a = delta_beta * b
+        a.flat[:: n + 1] += 1.0
+        return (a @ p) @ a.T, sigma, sdot, b, a
+    bp = b @ p
+    pd = bp + bp.T
+    if scheme == "rk4":
+        return pd, sigma, sdot, b, None
+    fmd = f @ (pd if t is None else pd @ t)
+    if mu is None:
+        # d sigma/dbeta = Tr[W (F - sigma) Xdot] / Tr[W X],
+        # Xdot = Pdot - (Mdot P + M Pdot) / N
+        wpd = pd if w is None else w @ pd
+        sdot = float(np.vdot(f, wpd) - (np.vdot(fmd, wp) + np.vdot(fm, wpd)) / norm) / den
+    # A = 1 + d B + (d^2/2)(B^2 + B') with
+    # B' = (sigma'/2)(1 - M/N) + (F - sigma) Mdot / (2N), built in place so
+    # that few n x n temporaries are alive at once
+    a = b @ b
+    a += fmd / (2.0 * norm)
+    if mu is None:
+        a -= (0.5 * sdot / norm) * m
+        a.flat[:: n + 1] += 0.5 * sdot
+    a *= 0.5 * delta_beta**2
+    a += delta_beta * b
+    a.flat[:: n + 1] += 1.0
+    return (a @ p) @ a.T, sigma, sdot, b, a
 
 
 def _inverse_of(s, s_inv):
@@ -171,6 +224,17 @@ def _check_dims(*mats):
         raise DimensionMismatchError(f"matrix dimensions differ: {sorted(dims)}")
 
 
+def _s_frame(p, h, s, s_inv, mu=0.0):
+    """Validated S-frame kernel operands: P, F = H S^-1 - mu, M = P S^-1, S^-1."""
+    p = np.asarray(p, dtype=float)
+    h = np.asarray(h, dtype=float)
+    _check_dims(p, h, np.asarray(s, dtype=float))
+    si = _inverse_of(s, s_inv)
+    f = h @ si
+    f.flat[:: p.shape[0] + 1] -= mu
+    return p, f, p @ si, si
+
+
 def grand_rhs(p, h, s, mu, s_inv=None) -> np.ndarray:
     """Symmetrized grand canonical cooling derivative.
 
@@ -178,15 +242,8 @@ def grand_rhs(p, h, s, mu, s_inv=None) -> np.ndarray:
     The second term is the transpose of the first for symmetric P, H, S, so
     the result is symmetric by construction.
     """
-    p = np.asarray(p, dtype=float)
-    h = np.asarray(h, dtype=float)
-    s = np.asarray(s, dtype=float)
-    _check_dims(p, h, s)
-    si = _inverse_of(s, s_inv)
-    n = p.shape[0]
-    f = si @ h - mu * np.eye(n)
-    flow = p @ (np.eye(n) - si @ p) @ f
-    return -0.5 * (flow + flow.T)
+    p, f, m, _ = _s_frame(p, h, s, s_inv, mu)
+    return _flow(p, f, m, 1.0, 0.0, "rk4", mu=mu)[0]
 
 
 def canonical_rhs(p, h, s, normalization, s_inv=None):
@@ -204,25 +261,10 @@ def canonical_rhs(p, h, s, normalization, s_inv=None):
     DegenerateTraceError
         When |Tr[X + X^T]| < 1e-14 (state fully occupied or empty).
     """
-    p = np.asarray(p, dtype=float)
-    h = np.asarray(h, dtype=float)
-    s = np.asarray(s, dtype=float)
-    _check_dims(p, h, s)
-    si = _inverse_of(s, s_inv)
-    n = p.shape[0]
-    x = p - (p @ si @ p) / normalization
-    den = 2.0 * float(np.trace(x))
-    if abs(den) < TRACE_DEGENERACY_TOL:
-        raise DegenerateTraceError(
-            f"Tr[X + X^T] = {den:.3e} is degenerate; the state is fully "
-            f"occupied or empty and the trace constraint cannot be enforced"
-        )
-    t1 = si @ h
-    num = 2.0 * float(np.trace(x @ t1))
-    scalar = num / den
-    flow = x @ (t1 - scalar * np.eye(n))
-    rhs = -0.5 * (flow + flow.T)
-    return rhs, CanonicalWorkspace(fluct=x, lagrange_scalar=scalar)
+    p, f, m, _ = _s_frame(p, h, s, s_inv)
+    rhs, sigma, _, _, _ = _flow(p, f, m, normalization, 0.0, "rk4")
+    fluct = p - (m @ p) / normalization
+    return rhs, CanonicalWorkspace(fluct=fluct, lagrange_scalar=sigma)
 
 
 def mu_rhs(mu, beta, workspace: CanonicalWorkspace) -> float:
@@ -240,26 +282,15 @@ def bloch_rhs(rho, h) -> np.ndarray:
     return -0.5 * (h @ rho + rho @ h)
 
 
-def _grand_generator(p, h, si, mu, delta_beta):
-    n = p.shape[0]
-    f = h @ si - mu * np.eye(n)
-    return -0.5 * delta_beta * (f @ (np.eye(n) - p @ si)), f
-
-
 def step_kraus1(p, h, s, mu, delta_beta, s_inv=None):
     """First-order positivity-preserving step P' = (1 + K) P (1 + K)^T.
 
     K = -(delta_beta / 2)(H S^-1 - mu)(1 - P S^-1).  The update is a
     congruence, so positive semidefiniteness of P is preserved exactly.
     """
-    p = np.asarray(p, dtype=float)
-    h = np.asarray(h, dtype=float)
-    s = np.asarray(s, dtype=float)
-    _check_dims(p, h, s)
-    si = _inverse_of(s, s_inv)
-    k, _ = _grand_generator(p, h, si, mu, delta_beta)
-    a1 = np.eye(p.shape[0]) + k
-    return symmetrize(a1 @ p @ a1.T), KrausStepOperators(generator=k)
+    p, f, m, _ = _s_frame(p, h, s, s_inv, mu)
+    out, _, _, b, _ = _flow(p, f, m, 1.0, delta_beta, "kraus1", mu=mu)
+    return symmetrize(out), KrausStepOperators(generator=delta_beta * b)
 
 
 def step_kraus2(p, h, s, mu, delta_beta, s_inv=None):
@@ -270,19 +301,9 @@ def step_kraus2(p, h, s, mu, delta_beta, s_inv=None):
     reproduces the flow through O(delta_beta^2); see the module docstring and
     docs/second_order_scheme.md for the expansion.
     """
-    p = np.asarray(p, dtype=float)
-    h = np.asarray(h, dtype=float)
-    s = np.asarray(s, dtype=float)
-    _check_dims(p, h, s)
-    si = _inverse_of(s, s_inv)
-    n = p.shape[0]
-    k, f = _grand_generator(p, h, si, mu, delta_beta)
-    a = (
-        np.eye(n)
-        + k @ (np.eye(n) + 0.5 * k)
-        + 0.25 * delta_beta * f @ (p @ k.T + k @ p) @ si
-    )
-    return symmetrize(a @ p @ a.T), KrausStepOperators(generator=k, propagator=a)
+    p, f, m, si = _s_frame(p, h, s, s_inv, mu)
+    out, _, _, b, a = _flow(p, f, m, 1.0, delta_beta, "kraus2", mu=mu, t=si)
+    return symmetrize(out), KrausStepOperators(generator=delta_beta * b, propagator=a)
 
 
 def step_rk4(y, rhs: Callable, delta_beta):
@@ -310,38 +331,6 @@ def commutator_defect(h, h_next, delta_beta) -> float:
     return float(np.linalg.norm(comm, "fro"))
 
 
-def _scalar_rate(p, pdot, t1, si, norm, x, scalar):
-    # d/dbeta of the lagrange scalar along the flow: differentiate the trace
-    # ratio with Xdot = Pdot - (Pdot S^-1 P + P S^-1 Pdot)/N.
-    xdot = pdot - (pdot @ si @ p + p @ si @ pdot) / norm
-    trx = float(np.trace(x))
-    return (float(np.trace(xdot @ t1)) - scalar * float(np.trace(xdot))) / trx
-
-
-def _step_kraus_canonical(p, h, s_mat, si, norm, delta_beta, second_order):
-    """Congruence step for the canonical flow.
-
-    The trace-preserving scalar replaces the chemical potential and the
-    fluctuation factor carries the canonical normalization:
-    B = -1/2 (H S^-1 - sigma)(1 - P S^-1 / N).  Returns the new density, the
-    scalar, and its flow derivative (second order only).
-    """
-    n = p.shape[0]
-    eye = np.eye(n)
-    pdot, ws = canonical_rhs(p, h, s_mat, norm, s_inv=si)
-    scalar = ws.lagrange_scalar
-    g = h @ si - scalar * eye
-    b = -0.5 * (g @ (eye - (p @ si) / norm))
-    if not second_order:
-        a = eye + delta_beta * b
-        return symmetrize(a @ p @ a.T), scalar, None
-    t1 = si @ h
-    sdot = _scalar_rate(p, pdot, t1, si, norm, ws.fluct, scalar)
-    bdot = 0.5 * sdot * (eye - (p @ si) / norm) + (g @ pdot @ si) / (2.0 * norm)
-    a = eye + delta_beta * b + 0.5 * delta_beta**2 * (b @ b + bdot)
-    return symmetrize(a @ p @ a.T), scalar, sdot
-
-
 def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig,
          refresh_per_stage: bool = False) -> Trajectory:
     """Integrate the cooling flow from beta = 0 to ``config.beta_final``.
@@ -351,16 +340,17 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig,
     integrate mu alongside P (RK4 treats the pair as one state vector; the
     congruence schemes accumulate beta mu = integral of the lagrange scalar).
 
-    For density-dependent models the Hamiltonian is rebuilt from the current
-    density at the start of every step and held fixed across the step's
-    stages; ``refresh_per_stage`` switches RK4 to rebuilding inside each stage
-    instead (experimental).
+    The state is Q = S^-1/2 P S^-1/2 from Q(0) = (N/2) 1, stepped against
+    G = S^-1/2 H S^-1/2 (for S = 1 the frame is P itself); G - mu is formed
+    once for linear models.  Density-dependent models rebuild H from
+    P = S^1/2 Q S^1/2 at the start of every step and hold it across the
+    step's stages; ``refresh_per_stage`` makes RK4 rebuild it inside each
+    stage instead (experimental).
 
-    Recorded every ``config.record_every`` steps (plus beta = 0 and the final
-    step): the density, mu, the smallest eigenvalue of P, the max-abs
-    hermiticity defect of the raw update, Tr[P], the commutator norm
-    ||[S^-1 P, S^-1 H]||_F, and the Hamiltonian refresh defect
-    ||[H, dH/dbeta]||_F.
+    Recorded every ``config.record_every`` steps, at beta = 0 (from the exact
+    initial P) and at the final step: the density, mu, the smallest
+    eigenvalue of P, Tr[P], the commutator norm ||[S^-1 P, S^-1 H]||_F, and
+    the Hamiltonian refresh defect ||[H, dH/dbeta]||_F of the step's refresh.
 
     Raises
     ------
@@ -371,118 +361,127 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig,
     """
     system = model.system
     s_mat = system.s.mat
-    si = system.s.inverse
     n = system.dim
+    nn = n * n
     n_steps = config.n_steps
     db = config.snapped_delta_beta
     canonical = isinstance(ensemble, Canonical)
-    second_order = config.scheme == "kraus2"
+    scheme = config.scheme
 
     if canonical:
         check_canonical_feasible(ensemble.n_electrons, s_mat)
         norm = canonical_normalization(ensemble.n_electrons, s_mat)
-        p = 0.5 * norm * s_mat
         mu = float(np.trace(system.h_core.mat)) / float(np.trace(s_mat))
         beta_mu = 0.0  # running integral of the lagrange scalar, equals beta * mu
+        kernel_mu = None
     else:
         norm = 1.0
-        p = 0.5 * s_mat
-        mu = float(ensemble.mu)
+        mu = kernel_mu = float(ensemble.mu)
 
+    # no frame change when S is exactly the identity
+    frame = np.count_nonzero(s_mat) != n or not (np.diagonal(s_mat) == 1.0).all()
+    w, x, y = (s_mat, system.s.inv_sqrt, system.s.sqrt) if frame else (None, None, None)
+
+    def from_frame(q_now):  # P = S^1/2 Q S^1/2
+        return y @ q_now @ y if frame else q_now
+
+    def frame_operator(h):
+        # G = S^-1/2 H S^-1/2 and the kernel's F: G, or G - mu for grand runs
+        if frame:
+            h = x @ h @ x
+            h = 0.5 * (h + h.T)
+        if canonical:
+            return h, h
+        f_now = h.copy()
+        f_now.flat[:: n + 1] -= mu
+        return h, f_now
+
+    p = 0.5 * norm * s_mat  # P of the current state; None once stale
+    q = np.eye(n) * (0.5 * norm)
     h_eff = effective_hamiltonian(model, p, norm).mat
+    g, f = frame_operator(h_eff)
+    stage_refresh = refresh_per_stage and not model.is_linear
 
     betas, densities, mus = [], [], []
-    d_mineig, d_herm, d_trace, d_comm, d_refresh = [], [], [], [], []
-    pos_viol, herm_viol = [], []
+    d_mineig, d_trace, d_comm, d_refresh = [], [], [], []
+    pos_viol = []
 
-    def record(beta, p_now, h_now, herm_defect, refresh_defect, mu_now):
+    def record(beta, p_now, refresh_defect):
+        density = HermitianMatrix(p_now)
+        eigmin = float(np.linalg.eigvalsh(density.mat)[0])
+        qg = q @ g
+        comm = qg - qg.T  # [Q, G] = S^1/2 [S^-1 P, S^-1 H] S^-1/2
         betas.append(beta)
-        densities.append(HermitianMatrix(p_now))
-        mus.append(mu_now)
-        eigmin = float(np.linalg.eigvalsh(p_now)[0])
-        q = si @ p_now
-        t = si @ h_now
-        comm = float(np.linalg.norm(q @ t - t @ q, "fro"))
+        densities.append(density)
+        mus.append(mu)
         d_mineig.append(eigmin)
-        d_herm.append(herm_defect)
-        d_trace.append(float(np.trace(p_now)))
-        d_comm.append(comm)
+        d_trace.append(float(np.trace(density.mat)))
+        d_comm.append(float(np.linalg.norm(x @ comm @ y if frame else comm, "fro")))
         d_refresh.append(refresh_defect)
         if eigmin < -config.positivity_tol:
             pos_viol.append((beta, eigmin))
-        if herm_defect > config.hermiticity_tol:
-            herm_viol.append((beta, herm_defect))
 
-    record(0.0, p, h_eff, 0.0, 0.0, mu)
+    record(0.0, p, 0.0)
 
-    def grand_rk4_rhs(q):
-        if refresh_per_stage and not model.is_linear:
-            h_stage = effective_hamiltonian(model, symmetrize(q), norm).mat
-            return grand_rhs(q, h_stage, s_mat, mu, s_inv=si)
-        return grand_rhs(q, h_eff, s_mat, mu, s_inv=si)
+    def stage_flow(q_stage):
+        f_stage = f
+        # a non-finite stage keeps f; the check after the step aborts the run
+        if stage_refresh and np.isfinite(q_stage).all():
+            h_stage = effective_hamiltonian(model, from_frame(q_stage), norm).mat
+            f_stage = frame_operator(h_stage)[1]
+        return _flow(q_stage, f_stage, q_stage, norm, 0.0, "rk4", mu=kernel_mu, w=w)
 
-    def canonical_rk4_rhs(y):
-        # packed autonomous state [vec(P), mu, beta]
-        q = y[: n * n].reshape(n, n)
-        mu_y = y[n * n]
-        beta_y = y[n * n + 1]
-        if refresh_per_stage and not model.is_linear:
-            h_stage = effective_hamiltonian(model, symmetrize(q), norm).mat
-        else:
-            h_stage = h_eff
-        dq, ws = canonical_rhs(q, h_stage, s_mat, norm, s_inv=si)
-        if beta_y > 0.0:
-            dmu = mu_rhs(mu_y, beta_y, ws)
-        else:
-            # limiting slope at beta = 0: half the scalar's flow derivative
-            t1 = si @ h_stage
-            dmu = 0.5 * _scalar_rate(q, dq, t1, si, norm, ws.fluct, ws.lagrange_scalar)
+    def packed_rhs(state):
+        # canonical RK4 steps the autonomous state [vec(Q), mu, beta]
+        q_stage = state[:nn].reshape(n, n)
+        mu_y, beta_y = state[nn], state[nn + 1]
+        dq, sigma, _, _, _ = stage_flow(q_stage)
+        # at beta = 0 the slope's limit is sigma'/2, and sigma' = 0 there
+        # because Xdot = Qdot - (Qdot Q + Q Qdot)/N vanishes at Q = (N/2) 1
+        dmu = (sigma - mu_y) / beta_y if beta_y > 0.0 else 0.0
         return np.concatenate([dq.ravel(), [dmu, 1.0]])
 
-    for i in range(n_steps):
-        beta_i = config.beta_final * i / n_steps
-        beta_next = config.beta_final * (i + 1) / n_steps
+    # non-finite values are detected and turned into SolverAbortError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            beta_i = config.beta_final * i / n_steps
+            beta_next = config.beta_final * (i + 1) / n_steps
+            recording = (i + 1) % config.record_every == 0 or i + 1 == n_steps
 
-        refresh_defect = 0.0
-        if not model.is_linear:
-            h_new = effective_hamiltonian(model, p, norm).mat
-            if i > 0:
-                refresh_defect = commutator_defect(h_eff, h_new, db)
-            h_eff = h_new
+            refresh_defect = 0.0
+            if not model.is_linear and i > 0:
+                if p is None:
+                    p = from_frame(q)
+                h_new = effective_hamiltonian(model, p, norm).mat
+                if recording:
+                    refresh_defect = commutator_defect(h_eff, h_new, db)
+                h_eff = h_new
+                g, f = frame_operator(h_eff)
 
-        # non-finite values are detected and turned into SolverAbortError below
-        with np.errstate(over="ignore", invalid="ignore"):
-            if config.scheme == "rk4":
+            if scheme != "rk4":
+                q_raw, sigma, sdot, _, _ = _flow(q, f, q, norm, db, scheme, mu=kernel_mu, w=w)
                 if canonical:
-                    y = np.concatenate([p.ravel(), [mu, beta_i]])
-                    y = step_rk4(y, canonical_rk4_rhs, db)
-                    p_raw = y[: n * n].reshape(n, n)
-                    mu = float(y[n * n])
-                else:
-                    p_raw = step_rk4(p, grand_rk4_rhs, db)
+                    # d(beta mu)/dbeta equals the scalar exactly; integrate it
+                    # at the scheme's own order (Euler / trapezoid-by-Taylor).
+                    beta_mu += db * (sigma + 0.5 * db * sdot)
+                    mu = beta_mu / beta_next
             elif canonical:
-                p_raw, scalar, sdot = _step_kraus_canonical(
-                    p, h_eff, s_mat, si, norm, db, second_order
-                )
-                # d(beta mu)/dbeta equals the scalar exactly; integrate it at
-                # the scheme's own order (Euler / trapezoid-by-Taylor).
-                beta_mu += db * scalar if sdot is None else db * (scalar + 0.5 * db * sdot)
-                mu = beta_mu / beta_next
+                state = step_rk4(np.concatenate([q.ravel(), [mu, beta_i]]), packed_rhs, db)
+                q_raw = state[:nn].reshape(n, n)
+                mu = float(state[nn])
             else:
-                step = step_kraus2 if second_order else step_kraus1
-                p_raw, _ops = step(p, h_eff, s_mat, mu, db, s_inv=si)
+                q_raw = step_rk4(q, lambda q_stage: stage_flow(q_stage)[0], db)
 
-            if not np.all(np.isfinite(p_raw)) or (canonical and not np.isfinite(mu)):
+            if not np.isfinite(q_raw).all() or not np.isfinite(mu):
                 raise SolverAbortError(beta_i)
-            herm_defect = float(np.abs(p_raw - p_raw.T).max())
-            p = symmetrize(p_raw)
-
-        if (i + 1) % config.record_every == 0 or i + 1 == n_steps:
-            record(beta_next, p, h_eff, herm_defect, refresh_defect, mu)
+            q = 0.5 * (q_raw + q_raw.T)
+            p = None
+            if recording:
+                p = from_frame(q)
+                record(beta_next, p, refresh_defect)
 
     diagnostics = TrajectoryDiagnostics(
         min_eigenvalue=np.array(d_mineig),
-        hermiticity_defect=np.array(d_herm),
         trace=np.array(d_trace),
         commutator_norm=np.array(d_comm),
         h_refresh_defect=np.array(d_refresh),
@@ -492,9 +491,8 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig,
         densities=densities,
         mu_trace=np.array(mus) if canonical else None,
         diagnostics=diagnostics,
-        scheme=config.scheme,
+        scheme=scheme,
         delta_beta=db,
         beta_final=config.beta_final,
         positivity_violations=pos_viol,
-        hermiticity_violations=herm_viol,
     )

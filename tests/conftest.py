@@ -3,6 +3,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # Derandomized and bounded: the property tests draw the same examples on
+    # every run and keep the suite deterministic.
+    settings.register_profile("fermicool", derandomize=True, max_examples=40,
+                              deadline=None, database=None)
+    settings.load_profile("fermicool")
+
 
 @pytest.fixture
 def rng():

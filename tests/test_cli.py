@@ -33,7 +33,7 @@ class TestRun:
         errs = [float(r[3]) for r in rows[1:]]
         assert max(errs) < 1e-8
         diag = read_csv(tmp_path / "run.diag.csv")
-        assert diag[0] == ["beta", "min_eig", "hermiticity_defect", "trace", "commutator_norm"]
+        assert diag[0] == ["beta", "min_eig", "trace", "commutator_norm"]
         assert float(diag[1][0]) == 0.0
         assert float(diag[-1][0]) == 5.0
         assert (tmp_path / "run.meta").exists()
@@ -47,7 +47,7 @@ class TestRun:
         ])
         assert code == 0
         diag = read_csv(tmp_path / "c.diag.csv")
-        traces = [float(r[3]) for r in diag[1:]]
+        traces = [float(r[2]) for r in diag[1:]]
         assert max(abs(t - 4.0) for t in traces) < 1e-6
         mu_rows = read_csv(tmp_path / "c.mu.csv")
         assert mu_rows[0] == ["beta", "mu_integrated", "mu_oracle"]
@@ -212,3 +212,51 @@ class TestExitCodes:
         ])
         assert code == 2
         assert "error[argument]" in capsys.readouterr().err
+
+    def test_record_every_zero_is_argument_error(self, tmp_path, capsys):
+        code = main([
+            "run", "--huckel", "6", "0", "1", "--grand", "--scheme", "rk4",
+            "--beta", "1", "--dbeta", "0.1", "--record-every", "0",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+        assert "record_every" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--mu", "nan"), ("--nonlinear", "inf")])
+    def test_non_finite_number_is_argument_error(self, tmp_path, capsys, flag, value):
+        code = main([
+            "run", "--huckel", "6", "0", "1", "--grand", "--scheme", "rk4",
+            "--beta", "1", "--dbeta", "0.1", flag, value, "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error[argument]" in err and flag in err
+
+
+class TestNonFiniteInput:
+    """NaN or infinity in a matrix file is a parse error naming its line."""
+
+    def run_files(self, tmp_path, h_text, s_text):
+        h, s = tmp_path / "h.mat", tmp_path / "s.mat"
+        h.write_text(h_text)
+        s.write_text(s_text)
+        return main([
+            "run", "--files", str(h), str(s), "--grand", "--mu", "0",
+            "--scheme", "rk4", "--beta", "1", "--dbeta", "0.1",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+
+    @pytest.mark.parametrize("h_text,s_text,where", [
+        ("2 2\n0 0\n0 1\n", "2 2\n1 0\nnan 1\n", "s.mat:3:"),
+        ("2 2\n0 inf\n0 1\n", "2 2\n1 0\n0 1\n", "h.mat:2:"),
+    ])
+    def test_exit_3_without_traceback_or_warning(self, tmp_path, capfd, recwarn,
+                                                 h_text, s_text, where):
+        with np.errstate(all="warn"):
+            code = self.run_files(tmp_path, h_text, s_text)
+        err = capfd.readouterr().err
+        assert code == 3
+        assert "error[parse]" in err and where in err and "non-finite" in err
+        assert "Traceback" not in err and "Warning" not in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

@@ -38,6 +38,11 @@ class TestHermitianMatrix:
         with pytest.raises(DimensionMismatchError):
             HermitianMatrix(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match=r"\(1, 0\)"):
+            HermitianMatrix([[1.0, 0.0], [bad, 1.0]])
+
 
 class TestOverlapMatrix:
     def test_rejects_indefinite_naming_eigenvalue(self):
@@ -45,6 +50,16 @@ class TestOverlapMatrix:
             OverlapMatrix(np.diag([1.0, -0.1]))
         assert err.value.eigenvalue == pytest.approx(-0.1)
         assert "-0.1" in str(err.value)
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="not finite"):
+            OverlapMatrix(np.diag([1.0, np.nan]))
+
+    def test_sqrt(self, rng):
+        s = OverlapMatrix(random_spd(rng, 5))
+        np.testing.assert_allclose(s.sqrt @ s.sqrt, s.mat, atol=1e-12)
+        np.testing.assert_allclose(s.sqrt @ s.inv_sqrt, np.eye(5), atol=1e-12)
+        assert np.array_equal(s.sqrt, s.sqrt.T)
 
     def test_cached_inverse(self, rng):
         s = OverlapMatrix(random_spd(rng, 7))

@@ -46,6 +46,15 @@ def test_non_numeric_token_reports_line(tmp_path):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e999"])
+def test_non_finite_value_reports_line(tmp_path, token):
+    p = tmp_path / "m.mat"
+    p.write_text(f"# c\n2 2\n1 0\n0 {token}\n")
+    with pytest.raises(MatrixParseError, match="non-finite") as err:
+        read_matrix(p)
+    assert err.value.line == 4
+
+
 def test_missing_rows(tmp_path):
     p = tmp_path / "m.mat"
     p.write_text("3 2\n1 0\n0 1\n")

@@ -109,6 +109,21 @@ class TestEffectiveHamiltonian:
         with pytest.raises(Exception):
             effective_hamiltonian(HamiltonianModel(system), np.eye(3))
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 60])
+    def test_matches_loop_reference_bit_for_bit(self, rng, n):
+        # the stagger J = diag(+1, -1, ...) written out with a Python loop
+        system = SystemSpec(HermitianMatrix(random_symmetric(rng, n)),
+                            OverlapMatrix(random_spd(rng, n)))
+        u, norm = -0.3, 0.7
+        p = random_symmetric(rng, n)
+        delta = p - 0.5 * norm * system.s.mat
+        phi = (float(delta.sum()) - float(np.trace(delta))) / n
+        stagger = np.zeros((n, n))
+        np.fill_diagonal(stagger, [(-1.0) ** i for i in range(n)])
+        reference = HermitianMatrix(system.h_core.mat + u * (delta + phi * stagger))
+        h = effective_hamiltonian(HamiltonianModel(system, coupling_u=u), p, norm)
+        np.testing.assert_array_equal(h.mat, reference.mat)
+
 
 class TestExactGrandFd:
     def test_beta_zero_is_half_overlap(self, rng):

@@ -21,6 +21,7 @@ from fermicool import (
     commutator_defect,
     cool,
     default_chemical_potential,
+    effective_hamiltonian,
     exact_canonical_fd,
     exact_gibbs,
     exact_grand_fd,
@@ -408,14 +409,53 @@ class TestCool:
             cool(HamiltonianModel(system), Canonical(4.0),
                  SolverConfig("rk4", 1.0, 0.1))
 
-    def test_hermiticity_stays_tiny(self, rng):
+    def test_recorded_densities_exactly_symmetric(self, rng):
         s = OverlapMatrix(random_spd(rng, 5))
         system = SystemSpec(HermitianMatrix(random_symmetric(rng, 5)), s)
         for scheme in ("kraus1", "kraus2", "rk4"):
-            traj = cool(HamiltonianModel(system), GrandCanonical(0.0),
-                        SolverConfig(scheme, 1.0, 0.01, record_every=1))
-            assert traj.diagnostics.hermiticity_defect.max() <= 1e-11
-            assert not traj.hermiticity_violations
+            for ensemble in (GrandCanonical(0.0), Canonical(2.0)):
+                traj = cool(HamiltonianModel(system, coupling_u=0.1), ensemble,
+                            SolverConfig(scheme, 1.0, 0.01, record_every=7))
+                for density in traj.densities:
+                    assert np.array_equal(density.mat, density.mat.T)
+
+    def test_diagnostics_match_direct_formulas(self, rng):
+        # cool() records from the frame state; recompute in the S frame.  The
+        # model is nonlinear so that [S^-1 P, S^-1 H] is not zero by symmetry;
+        # step k uses the Hamiltonian of the density recorded at step k - 1.
+        s = OverlapMatrix(random_spd(rng, 6))
+        system = SystemSpec(HermitianMatrix(random_symmetric(rng, 6)), s)
+        model = HamiltonianModel(system, coupling_u=0.3)
+        for ensemble, norm in ((GrandCanonical(0.1), 1.0),
+                               (Canonical(2.5), canonical_normalization(2.5, s.mat))):
+            traj = cool(model, ensemble, SolverConfig("kraus2", 1.0, 0.05, record_every=1))
+            diag = traj.diagnostics
+            for k, density in enumerate(traj.densities):
+                p = density.mat
+                assert diag.trace[k] == pytest.approx(np.trace(p), rel=1e-14, abs=0)
+                assert diag.min_eigenvalue[k] == pytest.approx(np.linalg.eigvalsh(p)[0],
+                                                               rel=1e-10, abs=0)
+                if k == 0:
+                    continue
+                h = effective_hamiltonian(model, traj.densities[k - 1].mat, norm).mat
+                si_p, si_h = s.inverse @ p, s.inverse @ h
+                comm = np.linalg.norm(si_p @ si_h - si_h @ si_p, "fro")
+                assert diag.commutator_norm[k] == pytest.approx(comm, rel=1e-9, abs=1e-13)
+            assert diag.commutator_norm[-1] > 1e-4
+
+    def test_refresh_defect_independent_of_record_interval(self):
+        # the defect is computed only at recording steps, from the same pair
+        # of Hamiltonians a per-step evaluation would use
+        system = build_huckel(8, 0.569, 0.066)
+        model = HamiltonianModel(system, coupling_u=0.1)
+        for ensemble in (GrandCanonical(default_chemical_potential(system)), Canonical(3.0)):
+            dense = cool(model, ensemble, SolverConfig("kraus2", 1.0, 0.01, record_every=1))
+            sparse = cool(model, ensemble, SolverConfig("kraus2", 1.0, 0.01, record_every=9))
+            idx = np.searchsorted(dense.betas, sparse.betas)
+            np.testing.assert_array_equal(dense.betas[idx], sparse.betas)
+            np.testing.assert_array_equal(dense.diagnostics.h_refresh_defect[idx],
+                                          sparse.diagnostics.h_refresh_defect)
+            assert sparse.diagnostics.h_refresh_defect[1:].min() > 0.0
 
     def test_grand_kraus1_is_first_order(self):
         system = build_huckel(6, 0.0, 1.0)
