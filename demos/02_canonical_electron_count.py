@@ -2,7 +2,7 @@
 
 The trace constraint is built into the flow, so Tr[P] stays at the electron
 count without any projection step.  The chemical potential is integrated
-alongside the density and checked against an independent bisection at a few
+alongside the density and checked against the exact mu oracle at a few
 temperatures.
 """
 
@@ -27,7 +27,7 @@ print(f"half-filled 50-site ring, {n_electrons:g} electrons")
 print(f"max |Tr[P] - {n_electrons:g}| over the run: "
       f"{np.abs(traj.diagnostics.trace - n_electrons).max():.3e}")
 
-print("\nbeta      mu integrated     mu bisection      difference")
+print("\nbeta      mu integrated     mu oracle         difference")
 for beta, mu_int in zip(traj.betas, traj.mu_trace):
     _, mu_oracle = exact_canonical_fd(system, n_electrons, float(beta))
     print(f"{beta:7.1f}   {mu_int:.12f}   {mu_oracle:.12f}   {abs(mu_int - mu_oracle):.2e}")

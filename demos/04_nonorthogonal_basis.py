@@ -46,7 +46,7 @@ p_exact, mu_exact = exact_canonical_fd(system, ne, 3.0)
 occ_c = occupation_spectrum(traj_c.final_density, system.s)
 print(f"canonical ({ne:g} electrons): max error "
       f"{np.abs(occ_c - occupation_spectrum(p_exact, system.s)).max():.3e}, "
-      f"mu {traj_c.final_mu:.8f} vs bisection {mu_exact:.8f}")
+      f"mu {traj_c.final_mu:.8f} vs mu oracle {mu_exact:.8f}")
 
 print("\nindex   occupation (canonical)")
 for i, v in enumerate(occ_c):

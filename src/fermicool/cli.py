@@ -168,6 +168,12 @@ def _build_request(args, need_config=True) -> RunRequest:
         ensemble = GrandCanonical(mu)
     if not math.isfinite(args.nonlinear):
         raise ArgumentSemanticsError(f"--nonlinear expects a finite coupling, got {args.nonlinear}")
+    if not (math.isfinite(args.scf_tol) and args.scf_tol > 0.0):
+        raise ArgumentSemanticsError(
+            f"--scf-tol expects a finite positive tolerance, got {args.scf_tol}"
+        )
+    if args.scf_max_iter < 1:
+        raise ArgumentSemanticsError(f"--scf-max-iter must be at least 1, got {args.scf_max_iter}")
     model = HamiltonianModel(system, coupling_u=args.nonlinear)
     config = None
     if need_config:
@@ -201,21 +207,53 @@ def _build_request(args, need_config=True) -> RunRequest:
     )
 
 
-def _oracle_state(req: RunRequest, beta: float):
+def _oracle_state(req: RunRequest, beta: float, start=None):
     """Exact reference state, self-consistent when the model is nonlinear.
 
-    Returns (density matrix, mu, scf iterations or None).
+    ``start`` is the SCF start density (None: the cold start); linear models
+    ignore it.  Returns (density matrix, mu, scf iterations or None).
     """
     if not req.model.is_linear:
         res = scf_fixed_point(
             req.model, req.ensemble, beta,
             tol=req.scf_tol, max_iter=req.scf_max_iter, use_aitken=req.use_aitken,
+            start=start,
         )
         return res.density, res.mu, res.iterations
     if isinstance(req.ensemble, Canonical):
         p, mu = exact_canonical_fd(req.system, req.ensemble.n_electrons, beta)
         return p, mu, None
     return exact_grand_fd(req.system, req.ensemble.mu, beta), req.ensemble.mu, None
+
+
+def _secant_start(fixed_points, beta: float):
+    """SCF start at ``beta``: the linear extrapolation in beta of the last two
+    fixed points ``(beta_i, P_i)``, the last one alone, or None (cold start)."""
+    if not fixed_points:
+        return None
+    b1, p1 = fixed_points[-1]
+    if len(fixed_points) == 1:
+        return p1
+    b0, p0 = fixed_points[-2]
+    return p1 + ((beta - b1) / (b1 - b0)) * (p1 - p0)
+
+
+def _mu_trace(req: RunRequest, betas, mu_integrated):
+    """Rows of the mu CSV and the total SCF iterations (None for linear models).
+
+    The oracle walks the record betas in order; a nonlinear model continues
+    its SCF from the secant extrapolation of the previous two fixed points,
+    which are the only ones kept.
+    """
+    rows, fixed_points, total = [], [], 0
+    for beta, mu_int in zip(betas, mu_integrated):
+        beta = float(beta)
+        p, mu_oracle, iters = _oracle_state(req, beta, _secant_start(fixed_points, beta))
+        rows.append((_fmt(beta), _fmt(mu_int), _fmt(mu_oracle)))
+        if iters is not None:
+            fixed_points = [*fixed_points[-1:], (beta, p.mat)]
+            total += iters
+    return rows, None if req.model.is_linear else total
 
 
 def cmd_run(args) -> int:
@@ -247,11 +285,9 @@ def cmd_run(args) -> int:
         ],
     )
 
+    trace_iters = None
     if req.emit_mu_trace and traj.mu_trace is not None:
-        mu_rows = []
-        for beta, mu_int in zip(traj.betas, traj.mu_trace):
-            _, mu_oracle, _ = _oracle_state(req, float(beta))
-            mu_rows.append((_fmt(beta), _fmt(mu_int), _fmt(mu_oracle)))
+        mu_rows, trace_iters = _mu_trace(req, traj.betas, traj.mu_trace)
         _write_csv(paths["mu"], ["beta", "mu_integrated", "mu_oracle"], mu_rows)
 
     meta = [
@@ -264,6 +300,7 @@ def cmd_run(args) -> int:
         ("max_abs_error", _fmt(float(np.abs(occ_run - occ_exact).max()))),
         ("positivity_violations", str(len(traj.positivity_violations))),
         ("scf_iterations", str(scf_iters) if scf_iters is not None else "n/a"),
+        ("mu_trace_scf_iterations", str(trace_iters) if trace_iters is not None else "n/a"),
         ("aitken", str(req.use_aitken)),
         ("elapsed_seconds", f"{time.time() - started:.3f}"),
     ]

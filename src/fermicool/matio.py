@@ -4,8 +4,8 @@ Format: the first non-comment line holds two positive integers ``R C``;
 the following R non-comment lines each hold C whitespace-separated decimal
 floats (scientific notation accepted; NaN and infinities are rejected).
 Lines starting with ``#`` are comments, blank lines are ignored, encoding is
-UTF-8.  Values are written with 17 significant digits so a write/read round
-trip reproduces doubles exactly.
+UTF-8 (undecodable bytes are a parse error).  Values are written with 17
+significant digits so a write/read round trip reproduces doubles exactly.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ def read_matrix(path) -> np.ndarray:
             lines = fh.readlines()
     except OSError as exc:
         raise MatrixParseError(path, 0, f"cannot read file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        line = exc.object[: exc.start].count(b"\n") + 1
+        raise MatrixParseError(path, line, f"not UTF-8 text: {exc.reason}") from None
 
     data_lines = [
         (no, line.strip())
@@ -54,18 +57,20 @@ def read_matrix(path) -> np.ndarray:
             f"expected {rows} data rows, found {len(body)}",
         )
 
-    out = np.empty((rows, cols), dtype=float)
+    values = []
     for i, (no, line) in enumerate(body):
         tokens = line.split()
         if len(tokens) != cols:
             raise MatrixParseError(
                 path, no, f"expected {cols} values in row {i + 1}, found {len(tokens)}"
             )
-        for j, tok in enumerate(tokens):
+        for tok in tokens:
             try:
-                out[i, j] = float(tok)
+                values.append(float(tok))
             except ValueError:
                 raise MatrixParseError(path, no, f"non-numeric token {tok!r}") from None
+    # allocated only once every row has been checked against the header
+    out = np.array(values, dtype=float).reshape(rows, cols)
     bad = ~np.isfinite(out)
     if bad.any():
         i, j = np.argwhere(bad)[0]

@@ -6,17 +6,22 @@ cooling integrators in :mod:`fermicool.solvers` are validated:
 * grand canonical, ``P(beta) = S / (1 + exp[beta (S^-1 H - mu)])``
 * canonical, ``P(beta) = N S / (1 + exp[beta (S^-1 H - mu(beta))])`` with the
   normalization ``N = 2 Ne / Tr[S]`` fixing ``Tr[P(0)] = Ne`` and ``mu(beta)``
-  solved by bisection so the trace stays at ``Ne``
+  solved by a safeguarded Newton search so the trace stays at ``Ne``
 * the unnormalized Gibbs state ``exp(-beta H)``
 
 For density-dependent Hamiltonians ``H = H_core + H_exc(P)`` the exact state
 is the fixed point of ``P -> FermiDirac(H(P))``, found by :func:`scf_fixed_point`.
+
+A system decomposes its pencil ``(H_core, S)`` once (:attr:`SystemSpec.pencil`);
+every oracle evaluated at the core Hamiltonian reuses that decomposition.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -58,6 +63,11 @@ class SystemSpec:
     @property
     def dim(self) -> int:
         return self.h_core.dim
+
+    @cached_property
+    def pencil(self) -> EigenPair:
+        """Generalized eigendecomposition of (h_core, s), computed on first use."""
+        return generalized_eigh(self.h_core, self.s)
 
 
 @dataclass(frozen=True)
@@ -210,7 +220,7 @@ def default_chemical_potential(system: SystemSpec, use_pencil: bool = False) -> 
     if system.dim < 2:
         raise ValueError("need at least two levels to take a mid-spectrum average")
     if use_pencil:
-        vals = generalized_eigh(system.h_core, system.s).values
+        vals = system.pencil.values
     else:
         vals = np.linalg.eigvalsh(system.h_core.mat)
     mid = system.dim // 2
@@ -222,37 +232,42 @@ def occupation_spectrum(p, s) -> np.ndarray:
     return generalized_eigh(p, s).values
 
 
-def _fd_matrix(system: SystemSpec, eig: EigenPair, beta: float, mu: float,
-               normalization: float) -> np.ndarray:
+def _fd_matrix(eig: EigenPair, beta: float, mu: float, normalization: float) -> np.ndarray:
     # P = N (S V) f (S V)^T with f = fermi(beta (lambda - mu)); symmetric PSD
-    # by construction.
+    # by construction.  S V is the transpose of the cached inverse V^T S.
     occ = normalization * fermi(beta * (eig.values - mu))
-    w = system.s.mat @ eig.vectors
+    w = eig.inv.T
     return (w * occ) @ w.T
+
+
+def _pencil_of(system: SystemSpec, h_override) -> EigenPair:
+    if h_override is None or h_override is system.h_core:
+        return system.pencil
+    return generalized_eigh(h_override, system.s)
 
 
 def exact_grand_fd(system: SystemSpec, mu: float, beta: float,
                    h_override=None) -> HermitianMatrix:
     """Exact grand canonical Fermi-Dirac density matrix at inverse temperature beta.
 
-    Computed through the eigendecomposition of the pencil (H, S).  At beta = 0
-    this is S / 2 exactly.  ``h_override`` substitutes a different Hamiltonian
-    (used by the self-consistent loop) while keeping the system's overlap.
+    Computed through the eigendecomposition of the pencil (H, S), which is the
+    system's cached :attr:`~SystemSpec.pencil` unless ``h_override`` substitutes
+    a different Hamiltonian (used by the self-consistent loop) while keeping
+    the system's overlap.  At beta = 0 this is S / 2 exactly.
     """
     if beta == 0.0:
         return HermitianMatrix(0.5 * system.s.mat)
-    h = system.h_core if h_override is None else h_override
-    eig = generalized_eigh(h, system.s)
-    return HermitianMatrix(_fd_matrix(system, eig, beta, mu, 1.0))
+    return HermitianMatrix(_fd_matrix(_pencil_of(system, h_override), beta, mu, 1.0))
 
 
 def exact_canonical_fd(system: SystemSpec, n_electrons: float, beta: float,
                        h_override=None, mu_tol: float = 1e-10):
     """Exact canonical Fermi-Dirac density matrix and its chemical potential.
 
-    Solves mu(beta) so that Tr[P] = n_electrons within ``mu_tol``.  At beta = 0
-    the state is (N/2) S exactly and the reported mu is the analytic limit
-    Tr[H] / Tr[S].
+    Solves mu(beta) so that Tr[P] = n_electrons within ``mu_tol``.  The pencil
+    is the system's cached :attr:`~SystemSpec.pencil` unless ``h_override``
+    is given.  At beta = 0 the state is (N/2) S exactly and the reported mu is
+    the analytic limit Tr[H] / Tr[S].
 
     Returns
     -------
@@ -261,13 +276,13 @@ def exact_canonical_fd(system: SystemSpec, n_electrons: float, beta: float,
     """
     check_canonical_feasible(n_electrons, system.s.mat)
     norm = canonical_normalization(n_electrons, system.s.mat)
-    h = system.h_core if h_override is None else h_override
     if beta == 0.0:
+        h = system.h_core if h_override is None else h_override
         mu0 = float(np.trace(np.asarray(h, dtype=float))) / float(np.trace(system.s.mat))
         return HermitianMatrix(0.5 * norm * system.s.mat), mu0
-    eig = generalized_eigh(h, system.s)
+    eig = _pencil_of(system, h_override)
     res = find_mu_for_occupation(eig, system.s.mat, beta, n_electrons, norm, tol=mu_tol)
-    return HermitianMatrix(_fd_matrix(system, eig, beta, res.mu, norm)), res.mu
+    return HermitianMatrix(_fd_matrix(eig, beta, res.mu, norm)), res.mu
 
 
 def exact_gibbs(h, beta: float) -> HermitianMatrix:
@@ -292,11 +307,14 @@ def scf_fixed_point(
     tol: float = 1e-10,
     max_iter: int = 200,
     use_aitken: bool = True,
+    start=None,
 ) -> ScfResult:
     """Fixed point of P -> ExactFermiDirac(H(P)) for density-dependent Hamiltonians.
 
-    Starts from the infinite-temperature value (S/2 grand canonical, N S/2
-    canonical) and iterates until the max-abs change of P drops below ``tol``.
+    Starts from ``start`` when given, an n x n density such as an estimate
+    extrapolated from fixed points at nearby beta, and otherwise from the
+    infinite-temperature value (S/2 grand canonical, N S/2 canonical).  It
+    iterates until the max-abs change of P drops below ``tol``.
     With ``use_aitken`` every third iterate is replaced by the entrywise Aitken
     extrapolation of the last three (Steffensen cadence), which removes the
     linear convergence mode.
@@ -306,17 +324,31 @@ def scf_fixed_point(
 
     Raises
     ------
+    ValueError
+        When ``tol`` is not finite and positive, ``max_iter`` is below 1, or
+        ``start`` does not match the system dimension.
     ScfConvergenceError
         When ``max_iter`` is exhausted, or when the residual has not decreased
         for ten consecutive iterations (oscillation).
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"SCF tolerance must be finite and positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"SCF iteration limit must be at least 1, got {max_iter}")
     system = model.system
     if isinstance(ensemble, Canonical):
         check_canonical_feasible(ensemble.n_electrons, system.s.mat)
         norm = canonical_normalization(ensemble.n_electrons, system.s.mat)
     else:
         norm = 1.0
-    p = 0.5 * norm * system.s.mat
+    if start is None:
+        p = 0.5 * norm * system.s.mat
+    else:
+        p = np.asarray(start, dtype=float)
+        if p.shape != (system.dim, system.dim):
+            raise ValueError(
+                f"start density has shape {p.shape}, system dimension is {system.dim}"
+            )
 
     def fd_step(current):
         h_eff = effective_hamiltonian(model, current, norm)

@@ -33,6 +33,7 @@ and P S^-1 in place of G and Q.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -61,7 +62,9 @@ class SolverConfig:
 
     ``delta_beta`` is snapped to divide ``beta_final`` exactly
     (``n_steps = round(beta_final / delta_beta)``); the snapped value is
-    recorded in the resulting trajectory.
+    recorded in the resulting trajectory.  ``positivity_tol`` is the finite,
+    non-negative amount by which the smallest recorded eigenvalue may fall
+    below zero before the step is counted as a positivity violation.
     """
 
     scheme: str
@@ -83,6 +86,10 @@ class SolverConfig:
             )
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        if not (math.isfinite(self.positivity_tol) and self.positivity_tol >= 0):
+            raise ValueError(
+                f"positivity_tol must be finite and non-negative, got {self.positivity_tol}"
+            )
 
     @property
     def n_steps(self) -> int:

@@ -79,6 +79,25 @@ class TestRun:
         assert max(float(r[3]) for r in rows[1:]) < 1e-4
 
 
+    def test_mu_trace_matches_cold_start_scf(self, tmp_path, data_dir):
+        # the trace continues each SCF from the previous fixed points; every
+        # mu_oracle must still be the cold-start answer
+        from fermicool import Canonical, HamiltonianModel, load_system, scf_fixed_point
+
+        h, s = data_dir / "sample_hcore.mat", data_dir / "sample_overlap.mat"
+        out = tmp_path / "m.csv"
+        assert main([
+            "run", "--files", str(h), str(s), "--canonical", "4", "--nonlinear", "0.05",
+            "--scheme", "kraus2", "--beta", "3", "--dbeta", "0.03", "--out", str(out),
+        ]) == 0
+        rows = read_csv(tmp_path / "m.mu.csv")[1:]
+        assert len(rows) == 101
+        model = HamiltonianModel(load_system(h, s), coupling_u=0.05)
+        for beta, _, mu_oracle in rows:
+            cold = scf_fixed_point(model, Canonical(4.0), float(beta))
+            assert abs(float(mu_oracle) - cold.mu) <= 1e-9
+
+
 class TestOracle:
     def test_two_level_grand(self, tmp_path):
         h = write_two_level(tmp_path)
@@ -114,6 +133,17 @@ class TestOracle:
         assert "scf converged" in capsys.readouterr().out
         meta = (tmp_path / "o.meta").read_text()
         assert "scf_iterations" in meta
+        # a canonical run totals the SCF iterations of its mu trace
+        run = tmp_path / "r.csv"
+        assert main([
+            "run", "--huckel", "6", "0.569", "0.066", "--canonical", "3",
+            "--nonlinear", "0.1", "--scheme", "rk4", "--beta", "1", "--dbeta", "0.05",
+            "--out", str(run),
+        ]) == 0
+        records = len(read_csv(tmp_path / "r.mu.csv")) - 1
+        lines = dict(line.split(": ", 1) for line in
+                     (tmp_path / "r.meta").read_text().splitlines())
+        assert int(lines["mu_trace_scf_iterations"]) >= records == 21
 
     def test_aitken_toggle_same_spectra(self, tmp_path):
         base = [
@@ -222,6 +252,31 @@ class TestExitCodes:
         assert code == 2
         assert "record_every" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_positivity_tol_must_be_finite_non_negative(self, tmp_path, capsys, data_dir,
+                                                       value):
+        code = main([
+            "run", "--files", str(data_dir / "sample_hcore.mat"),
+            str(data_dir / "sample_overlap.mat"), "--canonical", "4", "--beta", "1",
+            "--dbeta", "0.1", "--positivity-tol", value, "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+        assert "positivity_tol" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--scf-tol", "nan"), ("--scf-tol", "0"), ("--scf-tol", "-1"),
+        ("--scf-max-iter", "0"), ("--scf-max-iter", "-3"),
+    ])
+    def test_scf_controls_are_argument_errors(self, tmp_path, capsys, flag, value):
+        code = main([
+            "oracle", "--huckel", "6", "0.569", "0.066", "--grand", "--nonlinear", "0.05",
+            "--beta", "1", flag, value, "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error[argument]" in err and flag in err and "Traceback" not in err
 
     @pytest.mark.parametrize("flag,value", [("--mu", "nan"), ("--nonlinear", "inf")])
     def test_non_finite_number_is_argument_error(self, tmp_path, capsys, flag, value):

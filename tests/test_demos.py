@@ -1,0 +1,25 @@
+"""Smoke test of the demos that call the exact canonical and SCF oracles."""
+
+import contextlib
+import io
+import runpy
+import warnings
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+@pytest.mark.parametrize("name", [
+    "02_canonical_electron_count.py",
+    "04_nonorthogonal_basis.py",
+    "05_nonlinear_scf_aitken.py",
+])
+def test_demo_runs_cleanly(name):
+    out = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out):
+        warnings.simplefilter("always")
+        runpy.run_path(str(DEMOS / name), run_name="__main__")
+    assert out.getvalue()
+    assert [str(w.message) for w in caught] == []

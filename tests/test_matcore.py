@@ -201,6 +201,14 @@ class TestFindMu:
         res = find_mu_for_occupation(eig, system.s.mat, beta=300.0, target_ne=25.0)
         assert res.mu == pytest.approx(0.569, abs=1e-6)
 
+    def test_newton_steps_converge_in_few_iterations(self):
+        # bisection needs about 35 halvings of this bracket to reach 1e-10
+        system = build_huckel(50, 0.569, 0.066)
+        eig = generalized_eigh(system.h_core, system.s)
+        res = find_mu_for_occupation(eig, system.s.mat, beta=300.0, target_ne=20.0)
+        assert res.iterations <= 8
+        assert abs(occupation(eig, system.s.mat, 300.0, res.mu) - 20.0) < 1e-10
+
     def test_occupation_monotone_in_mu(self, rng):
         for _ in range(4):
             dim = int(rng.integers(3, 9))

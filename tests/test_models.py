@@ -226,6 +226,29 @@ class TestDefaultChemicalPotential:
         assert pencil == pytest.approx(0.5 * (mid[3] + mid[4]), abs=1e-12)
 
 
+class TestCachedPencil:
+    def test_decomposed_once_and_reused(self, rng):
+        system = SystemSpec(HermitianMatrix(random_symmetric(rng, 6)),
+                            OverlapMatrix(random_spd(rng, 6)))
+        assert system.pencil is system.pencil
+        fresh = generalized_eigh(system.h_core, system.s)
+        np.testing.assert_array_equal(system.pencil.values, fresh.values)
+
+    def test_oracles_match_a_fresh_decomposition(self, rng):
+        system = SystemSpec(HermitianMatrix(random_symmetric(rng, 6)),
+                            OverlapMatrix(random_spd(rng, 6)))
+        # an equal but distinct Hamiltonian forces a new decomposition
+        h_copy = HermitianMatrix(system.h_core.mat.copy())
+        for beta in (0.5, 4.0):
+            np.testing.assert_allclose(
+                exact_grand_fd(system, 0.1, beta).mat,
+                exact_grand_fd(system, 0.1, beta, h_override=h_copy).mat, atol=1e-13)
+            p, mu = exact_canonical_fd(system, 2.5, beta)
+            p_ref, mu_ref = exact_canonical_fd(system, 2.5, beta, h_override=h_copy)
+            np.testing.assert_allclose(p.mat, p_ref.mat, atol=1e-13)
+            assert mu == pytest.approx(mu_ref, abs=1e-12)
+
+
 class TestScfFixedPoint:
     def test_zero_coupling_single_iteration(self):
         system = build_huckel(6, 0.569, 0.066)
@@ -260,6 +283,29 @@ class TestScfFixedPoint:
         model = HamiltonianModel(system, coupling_u=0.1)
         res = scf_fixed_point(model, Canonical(4.0), 2.0, tol=1e-11)
         assert np.trace(res.density.mat) == pytest.approx(4.0, abs=1e-8)
+
+    def test_start_at_fixed_point_converges_at_once(self):
+        system = build_huckel(8, 0.3, 0.2)
+        model = HamiltonianModel(system, coupling_u=0.1)
+        cold = scf_fixed_point(model, Canonical(4.0), 2.0, tol=1e-12)
+        warm = scf_fixed_point(model, Canonical(4.0), 2.0, tol=1e-12, start=cold.density)
+        assert warm.iterations == 1 < cold.iterations
+        assert np.abs(warm.density.mat - cold.density.mat).max() < 1e-11
+        assert warm.mu == pytest.approx(cold.mu, abs=1e-10)
+
+    def test_start_shape_checked(self):
+        model = HamiltonianModel(build_huckel(6, 0.569, 0.066), coupling_u=0.1)
+        with pytest.raises(ValueError, match="start density"):
+            scf_fixed_point(model, GrandCanonical(0.5), 1.0, start=np.eye(5))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": float("nan")}, {"tol": 0.0}, {"tol": -1.0}, {"tol": float("inf")},
+        {"max_iter": 0}, {"max_iter": -3},
+    ])
+    def test_rejects_meaningless_controls(self, kwargs):
+        model = HamiltonianModel(build_huckel(6, 0.569, 0.066), coupling_u=0.1)
+        with pytest.raises(ValueError, match="SCF"):
+            scf_fixed_point(model, GrandCanonical(0.5), 1.0, **kwargs)
 
     def test_non_convergence_reports_residual(self):
         system = build_huckel(6, 0.569, 0.066)

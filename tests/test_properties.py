@@ -1,32 +1,46 @@
-"""Property tests of the congruence kernel over generated systems.
+"""Property tests of the congruence kernel, the mu search and the matrix files.
 
-The reference below is the S-frame integrator written out literally: every
-step multiplies by S^-1, rebuilds H S^-1 - mu, and treats the grand and the
-canonical ensembles with separate formulas.  ``cool`` integrates in the
+The first reference below is the S-frame integrator written out literally:
+every step multiplies by S^-1, rebuilds H S^-1 - mu, and treats the grand and
+the canonical ensembles with separate formulas.  ``cool`` integrates in the
 Loewdin frame with one shared kernel, so agreement with this reference
 guards the frame change and the grand-as-canonical reduction.
+
+The second is the plain bisection for mu over the same bracket, against
+which the safeguarded Newton search must agree on every failure.
 """
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from fermicool import (  # noqa: E402
+    BracketError,
     Canonical,
     GrandCanonical,
     HamiltonianModel,
     HermitianMatrix,
+    InfeasibleEnsembleError,
+    MatrixParseError,
+    MuConvergenceError,
     OverlapMatrix,
     SolverConfig,
     SystemSpec,
     canonical_normalization,
     cool,
     effective_hamiltonian,
+    find_mu_for_occupation,
+    generalized_eigh,
+    occupation,
+    read_matrix,
     step_kraus1,
     step_kraus2,
     step_rk4,
+    write_matrix,
 )
 from conftest import random_spd, random_symmetric  # noqa: E402
 
@@ -189,3 +203,99 @@ def test_canonical_rk4_conserves_trace_per_step(system, coupling, n_steps, db, f
                 SolverConfig("rk4", n_steps * db, db, record_every=1))
     assert len(traj.diagnostics.trace) == n_steps + 1
     assert np.abs(np.diff(traj.diagnostics.trace)).max() <= 1e-12 * ne
+
+
+# --- mu search ---------------------------------------------------------------
+
+MU_TOL = 1e-10
+
+
+def ref_bracket(values, beta):
+    margin = 10.0 / max(beta, 1.0)
+    return float(values.min()) - margin, float(values.max()) + margin
+
+
+def ref_occupation(eig, s, beta, mu, norm):
+    w = ((s @ eig.vectors) ** 2).sum(axis=0)
+    return norm * float(np.dot(w, expit(-beta * (eig.values - mu))))
+
+
+def ref_bisect_mu(eig, s, beta, target, norm, tol=MU_TOL, max_iter=200):
+    """The bisection search for mu, written out literally.  It evaluates the
+    occupation with the library, so both searches see the same rounding at
+    the bracket ends."""
+    if not 0.0 < target < norm * float(np.trace(s)):
+        raise InfeasibleEnsembleError("target outside (0, N Tr[S])")
+    lo, hi = ref_bracket(eig.values, beta)
+    if not occupation(eig, s, beta, lo, norm) <= target <= occupation(eig, s, beta, hi, norm):
+        raise BracketError("bracket does not straddle the target")
+    residual = np.inf
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        value = occupation(eig, s, beta, mid, norm)
+        residual = abs(value - target)
+        if residual < tol:
+            return mid
+        lo, hi = (lo, mid) if value > target else (mid, hi)
+    raise MuConvergenceError(residual, max_iter)
+
+
+@given(system=systems(), log_beta=st.floats(-3.0, 3.0), norm=st.floats(0.2, 1.9),
+       fill=st.floats(-0.1, 1.1))
+def test_mu_search_converges_inside_bracket(system, log_beta, norm, fill):
+    # fill in [0, 1] puts the target inside the range the bracket attains;
+    # the draws outside it must fail as the bisection fails
+    beta = 10.0 ** log_beta
+    s = system.s.mat
+    eig = generalized_eigh(system.h_core, system.s)
+    lo, hi = ref_bracket(eig.values, beta)
+    occ_lo = ref_occupation(eig, s, beta, lo, norm)
+    occ_hi = ref_occupation(eig, s, beta, hi, norm)
+    target = occ_lo + fill * (occ_hi - occ_lo)
+    try:
+        ref_bisect_mu(eig, s, beta, target, norm)
+    except (InfeasibleEnsembleError, BracketError, MuConvergenceError) as exc:
+        with pytest.raises(type(exc)):
+            find_mu_for_occupation(eig, s, beta, target, norm)
+        return
+    res = find_mu_for_occupation(eig, s, beta, target, norm)
+    assert lo <= res.mu <= hi
+    assert res.residual < MU_TOL
+    # the residual seen by an independent evaluation, up to its rounding
+    assert abs(ref_occupation(eig, s, beta, res.mu, norm) - target) < MU_TOL + 1e-13 * occ_hi
+
+
+# --- matrix files ------------------------------------------------------------
+
+@given(m=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_write_read_round_trip_is_bit_exact(tmp_path_factory, m):
+    path = tmp_path_factory.mktemp("round_trip") / "m.mat"
+    write_matrix(path, m, comment="generated")
+    back = read_matrix(path)
+    assert back.shape == m.shape
+    assert back.tobytes() == m.tobytes()  # bit for bit, so -0.0 stays -0.0
+
+
+_TOKENS = st.sampled_from(["1", "-0", "2.5e-3", "nan", "-inf", "1e999", "x", "1,2",
+                           "#", "0x10", "1_0", "", " ", "\t", "\r", "\x00", "\u00e9"])
+_HEADERS = st.tuples(st.integers(-2, 4), st.sampled_from([-1, 0, 1, 2, 3, 10 ** 12])).map(
+    lambda rc: f"{rc[0]} {rc[1]}")
+_LINES = st.lists(_TOKENS, max_size=5).map(" ".join)
+_MATRIX_TEXT = st.one_of(
+    st.text(),
+    st.tuples(_HEADERS, st.lists(_LINES, max_size=5)).map(
+        lambda hl: "\n".join([hl[0], *hl[1]]) + "\n"),
+)
+
+
+@given(content=st.one_of(_MATRIX_TEXT.map(lambda t: t.encode("utf-8", "surrogatepass")),
+                         st.binary()))
+def test_read_matrix_raises_only_parse_errors(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("garbage") / "g.mat"
+    path.write_bytes(content)
+    try:
+        m = read_matrix(path)
+    except MatrixParseError:
+        return
+    assert m.ndim == 2 and np.isfinite(m).all()

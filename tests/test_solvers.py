@@ -66,6 +66,15 @@ class TestSolverConfig:
         cfg = SolverConfig("kraus1", beta_final=0.5, delta_beta=0.5)
         assert cfg.n_steps == 1
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    def test_rejects_meaningless_positivity_tol(self, tol):
+        # nan made every eigenvalue pass, a negative value flagged positive ones
+        with pytest.raises(ValueError, match="positivity_tol"):
+            SolverConfig("rk4", beta_final=1.0, delta_beta=0.1, positivity_tol=tol)
+
+    def test_zero_positivity_tol_allowed(self):
+        assert SolverConfig("rk4", 1.0, 0.1, positivity_tol=0.0).positivity_tol == 0.0
+
 
 class TestGrandRhs:
     def test_initial_value_closed_form(self, rng):
