@@ -166,6 +166,10 @@ def _build_request(args, need_config=True) -> RunRequest:
     else:
         mu = _resolve_mu(args, system)
         ensemble = GrandCanonical(mu)
+    if not (math.isfinite(args.beta) and args.beta >= 0.0):
+        raise ArgumentSemanticsError(
+            f"--beta expects a finite non-negative inverse temperature, got {args.beta}"
+        )
     if not math.isfinite(args.nonlinear):
         raise ArgumentSemanticsError(f"--nonlinear expects a finite coupling, got {args.nonlinear}")
     if not (math.isfinite(args.scf_tol) and args.scf_tol > 0.0):
@@ -226,32 +230,38 @@ def _oracle_state(req: RunRequest, beta: float, start=None):
     return exact_grand_fd(req.system, req.ensemble.mu, beta), req.ensemble.mu, None
 
 
-def _secant_start(fixed_points, beta: float):
-    """SCF start at ``beta``: the linear extrapolation in beta of the last two
-    fixed points ``(beta_i, P_i)``, the last one alone, or None (cold start)."""
+def _continuation_start(fixed_points, beta: float):
+    """SCF start at ``beta``: the Lagrange polynomial in beta through the kept
+    fixed points ``(beta_i, P_i)``, or None (cold start) when there are none.
+
+    With three points this is the quadratic extrapolation, with two the
+    secant, and with one the last fixed point itself.
+    """
     if not fixed_points:
         return None
-    b1, p1 = fixed_points[-1]
-    if len(fixed_points) == 1:
-        return p1
-    b0, p0 = fixed_points[-2]
-    return p1 + ((beta - b1) / (b1 - b0)) * (p1 - p0)
+    start = 0.0
+    for i, (b_i, p_i) in enumerate(fixed_points):
+        weight = math.prod((beta - b_j) / (b_i - b_j)
+                           for j, (b_j, _) in enumerate(fixed_points) if j != i)
+        start = start + weight * p_i
+    return start
 
 
 def _mu_trace(req: RunRequest, betas, mu_integrated):
     """Rows of the mu CSV and the total SCF iterations (None for linear models).
 
     The oracle walks the record betas in order; a nonlinear model continues
-    its SCF from the secant extrapolation of the previous two fixed points,
-    which are the only ones kept.
+    its SCF from the quadratic extrapolation in beta of the previous three
+    fixed points, which are the only ones kept (see
+    :func:`_continuation_start`).
     """
     rows, fixed_points, total = [], [], 0
     for beta, mu_int in zip(betas, mu_integrated):
         beta = float(beta)
-        p, mu_oracle, iters = _oracle_state(req, beta, _secant_start(fixed_points, beta))
+        p, mu_oracle, iters = _oracle_state(req, beta, _continuation_start(fixed_points, beta))
         rows.append((_fmt(beta), _fmt(mu_int), _fmt(mu_oracle)))
         if iters is not None:
-            fixed_points = [*fixed_points[-1:], (beta, p.mat)]
+            fixed_points = [*fixed_points[-2:], (beta, p.mat)]
             total += iters
     return rows, None if req.model.is_linear else total
 
@@ -338,23 +348,30 @@ def cmd_oracle(args) -> int:
 
 def cmd_convergence(args) -> int:
     req = _build_request(args, need_config=False)
+    beta = args.beta
+    if beta == 0.0:
+        raise ArgumentSemanticsError("--beta must be positive to integrate a flow, got 0")
     dbetas = list(args.dbeta_list)
     if len(dbetas) < 3:
         raise ArgumentSemanticsError("--dbeta-list needs at least 3 entries")
+    configs = []
+    for db in dbetas:
+        try:
+            configs.append(SolverConfig(scheme=args.scheme, beta_final=beta, delta_beta=db))
+        except ValueError as exc:
+            raise ArgumentSemanticsError(f"--dbeta-list entry {db}: {exc}") from None
     for a, b in zip(dbetas, dbetas[1:]):
         if not math.isclose(a / b, 2.0, rel_tol=1e-9):
             raise ArgumentSemanticsError(
                 f"--dbeta-list must halve at each entry, got {a} -> {b}"
             )
     paths = _out_paths(req.output_path)
-    beta = args.beta
 
     oracle_p, _, _ = _oracle_state(req, beta)
     occ_exact = occupation_spectrum(oracle_p, req.system.s)
 
     errors = []
-    for db in dbetas:
-        config = SolverConfig(scheme=args.scheme, beta_final=beta, delta_beta=db)
+    for config in configs:
         traj = cool(req.model, req.ensemble, config)
         occ = occupation_spectrum(traj.final_density, req.system.s)
         errors.append(float(np.abs(occ - occ_exact).max()))

@@ -6,7 +6,9 @@ cooling integrators in :mod:`fermicool.solvers` are validated:
 * grand canonical, ``P(beta) = S / (1 + exp[beta (S^-1 H - mu)])``
 * canonical, ``P(beta) = N S / (1 + exp[beta (S^-1 H - mu(beta))])`` with the
   normalization ``N = 2 Ne / Tr[S]`` fixing ``Tr[P(0)] = Ne`` and ``mu(beta)``
-  solved by a safeguarded Newton search so the trace stays at ``Ne``
+  solved by a safeguarded Newton search so the trace stays at ``Ne``; the
+  search can start from a guess, which the SCF loop takes from its previous
+  iterate
 * the unnormalized Gibbs state ``exp(-beta H)``
 
 For density-dependent Hamiltonians ``H = H_core + H_exc(P)`` the exact state
@@ -261,13 +263,16 @@ def exact_grand_fd(system: SystemSpec, mu: float, beta: float,
 
 
 def exact_canonical_fd(system: SystemSpec, n_electrons: float, beta: float,
-                       h_override=None, mu_tol: float = 1e-10):
+                       h_override=None, mu_tol: float = 1e-10, mu_guess=None):
     """Exact canonical Fermi-Dirac density matrix and its chemical potential.
 
     Solves mu(beta) so that Tr[P] = n_electrons within ``mu_tol``.  The pencil
     is the system's cached :attr:`~SystemSpec.pencil` unless ``h_override``
-    is given.  At beta = 0 the state is (N/2) S exactly and the reported mu is
-    the analytic limit Tr[H] / Tr[S].
+    is given.  ``mu_guess``, such as the mu of a nearby Hamiltonian, is where
+    the mu search starts when it lies inside the search bracket (see
+    :func:`~fermicool.matcore.find_mu_for_occupation`); it changes the
+    iteration count, not the tolerance met.  At beta = 0 the state is
+    (N/2) S exactly and the reported mu is the analytic limit Tr[H] / Tr[S].
 
     Returns
     -------
@@ -281,7 +286,8 @@ def exact_canonical_fd(system: SystemSpec, n_electrons: float, beta: float,
         mu0 = float(np.trace(np.asarray(h, dtype=float))) / float(np.trace(system.s.mat))
         return HermitianMatrix(0.5 * norm * system.s.mat), mu0
     eig = _pencil_of(system, h_override)
-    res = find_mu_for_occupation(eig, system.s.mat, beta, n_electrons, norm, tol=mu_tol)
+    res = find_mu_for_occupation(eig, system.s.mat, beta, n_electrons, norm, tol=mu_tol,
+                                 guess=mu_guess)
     return HermitianMatrix(_fd_matrix(eig, beta, res.mu, norm)), res.mu
 
 
@@ -319,6 +325,9 @@ def scf_fixed_point(
     extrapolation of the last three (Steffensen cadence), which removes the
     linear convergence mode.
 
+    In the canonical ensemble each iteration's mu search starts from the
+    previous iteration's mu; the first one starts from the bracket midpoint.
+
     Linear models (coupling_u == 0) are their own fixed point after a single
     evaluation and are accepted trivially with ``iterations = 1``.
 
@@ -350,10 +359,11 @@ def scf_fixed_point(
                 f"start density has shape {p.shape}, system dimension is {system.dim}"
             )
 
-    def fd_step(current):
+    def fd_step(current, mu_guess=None):
         h_eff = effective_hamiltonian(model, current, norm)
         if isinstance(ensemble, Canonical):
-            nxt, mu = exact_canonical_fd(system, ensemble.n_electrons, beta, h_override=h_eff)
+            nxt, mu = exact_canonical_fd(system, ensemble.n_electrons, beta,
+                                         h_override=h_eff, mu_guess=mu_guess)
             return nxt.mat, mu
         nxt = exact_grand_fd(system, ensemble.mu, beta, h_override=h_eff)
         return nxt.mat, ensemble.mu
@@ -366,9 +376,9 @@ def scf_fixed_point(
     prev_residual = np.inf
     stalled = 0
     residual = np.inf
-    mu = float("nan")
+    mu = None
     for it in range(1, max_iter + 1):
-        p_new, mu = fd_step(p)
+        p_new, mu = fd_step(p, mu)
         residual = float(np.abs(p_new - p).max())
         if residual < tol:
             return ScfResult(HermitianMatrix(p_new), mu, it)

@@ -76,8 +76,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        if not self.beta_final > 0:
-            raise ValueError(f"beta_final must be positive, got {self.beta_final}")
+        if not (math.isfinite(self.beta_final) and self.beta_final > 0):
+            raise ValueError(f"beta_final must be finite and positive, got {self.beta_final}")
         if not self.delta_beta > 0:
             raise ValueError(f"delta_beta must be positive, got {self.delta_beta}")
         if self.delta_beta > self.beta_final:

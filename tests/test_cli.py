@@ -92,10 +92,59 @@ class TestRun:
         ]) == 0
         rows = read_csv(tmp_path / "m.mu.csv")[1:]
         assert len(rows) == 101
+        # the continued trace's work, a count that repeats exactly: 603 SCF
+        # iterations with the secant start and a cold mu search, 419 now
+        meta = dict(line.split(": ", 1) for line in (tmp_path / "m.meta").read_text().splitlines())
+        assert 101 <= int(meta["mu_trace_scf_iterations"]) <= 450
         model = HamiltonianModel(load_system(h, s), coupling_u=0.05)
         for beta, _, mu_oracle in rows:
             cold = scf_fixed_point(model, Canonical(4.0), float(beta))
             assert abs(float(mu_oracle) - cold.mu) <= 1e-9
+
+
+    def test_subnormal_entries_do_not_change_outputs(self, tmp_path):
+        # the Gaussian tails of a 60-site chain hold subnormal entries;
+        # the run on the file with them zeroed writes the same bytes
+        from fermicool import write_matrix
+
+        i = np.arange(60)
+        d2 = (i[:, None] - i[None, :]) ** 2.0
+        h = -0.35 * np.exp(-0.4 * d2)
+        h[i, i] = -1.2 + 0.05 * i
+        s = np.exp(-0.5 * d2)
+        tiny = np.finfo(float).tiny
+        outputs = []
+        for label, flush in (("raw", False), ("flushed", True)):
+            paths = []
+            for name, m in (("h", h), ("s", s)):
+                if flush:
+                    m = np.where(np.abs(m) < tiny, 0.0, m)
+                paths.append(tmp_path / f"{name}_{label}.mat")
+                write_matrix(paths[-1], m)
+            out = tmp_path / f"{label}.csv"
+            assert main([
+                "run", "--files", *map(str, paths), "--canonical", "15",
+                "--nonlinear", "0.05", "--scheme", "kraus2", "--beta", "1", "--dbeta", "0.05",
+                "--record-every", "5", "--out", str(out),
+            ]) == 0
+            outputs.append([(tmp_path / f"{label}{ext}").read_bytes()
+                            for ext in (".csv", ".mu.csv", ".diag.csv")])
+        assert ((s != 0) & (np.abs(s) < tiny)).any()
+        assert outputs[0] == outputs[1]
+
+
+def test_continuation_start_extrapolates_by_lagrange(rng):
+    from fermicool.cli import _continuation_start
+
+    a, b, c = (rng.normal(size=(3, 3)) for _ in range(3))
+    points = [(x, a + x * b + x * x * c) for x in (0.1, 0.2, 0.35)]
+    # exact on a quadratic from three points, on a line from two
+    np.testing.assert_allclose(_continuation_start(points, 0.5), a + 0.5 * b + 0.25 * c,
+                               atol=1e-12)
+    np.testing.assert_allclose(_continuation_start([(0.1, a + 0.1 * b), (0.2, a + 0.2 * b)], 0.5),
+                               a + 0.5 * b, atol=1e-12)
+    np.testing.assert_array_equal(_continuation_start(points[:1], 0.5), points[0][1])
+    assert _continuation_start([], 0.5) is None
 
 
 class TestOracle:
@@ -277,6 +326,26 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "error[argument]" in err and flag in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["oracle", "--grand", "--beta", "-1"], "--beta"),
+        (["oracle", "--canonical", "3", "--beta", "-1"], "--beta"),
+        (["oracle", "--grand", "--beta", "nan"], "--beta"),
+        (["run", "--grand", "--beta", "inf", "--dbeta", "0.1"], "--beta"),
+        (["convergence", "--grand", "--scheme", "rk4", "--beta", "1",
+          "--dbeta-list", "2", "1", "0.5"], "--dbeta-list"),
+        (["convergence", "--grand", "--scheme", "rk4", "--beta", "-1",
+          "--dbeta-list", "0.4", "0.2", "0.1"], "--beta"),
+        (["convergence", "--grand", "--scheme", "rk4", "--beta", "1",
+          "--dbeta-list", "0.4", "0.2", "0"], "--dbeta-list"),
+    ])
+    def test_beta_and_step_list_are_argument_errors(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "x.csv"
+        code = main([argv[0], "--huckel", "6", "0", "1", *argv[1:], "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error[argument]" in err and flag in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--mu", "nan"), ("--nonlinear", "inf")])
     def test_non_finite_number_is_argument_error(self, tmp_path, capsys, flag, value):

@@ -44,6 +44,22 @@ class TestHermitianMatrix:
             HermitianMatrix([[1.0, 0.0], [bad, 1.0]])
 
 
+    def test_chain_recipe_holds_no_subnormal_entry(self):
+        # the Gaussian tails of a 60-site chain fall below the smallest
+        # normal double, e.g. exp(-0.5 * 38**2) ~ 3e-314
+        i = np.arange(60)
+        d2 = (i[:, None] - i[None, :]) ** 2.0
+        h, s = -0.35 * np.exp(-0.4 * d2), np.exp(-0.5 * d2)
+        tiny = np.finfo(float).tiny
+        assert ((h != 0) & (np.abs(h) < tiny)).sum() > 0
+        assert ((s != 0) & (np.abs(s) < tiny)).sum() > 0
+        for m in (HermitianMatrix(h).mat, OverlapMatrix(s).mat):
+            assert not ((m != 0) & (np.abs(m) < tiny)).any()
+        # what is dropped is exactly the subnormal tail
+        normal = np.abs(s) >= tiny
+        assert np.array_equal(OverlapMatrix(s).mat[normal], s[normal])
+
+
 class TestOverlapMatrix:
     def test_rejects_indefinite_naming_eigenvalue(self):
         with pytest.raises(NotPositiveDefiniteError) as err:
@@ -208,6 +224,32 @@ class TestFindMu:
         res = find_mu_for_occupation(eig, system.s.mat, beta=300.0, target_ne=20.0)
         assert res.iterations <= 8
         assert abs(occupation(eig, system.s.mat, 300.0, res.mu) - 20.0) < 1e-10
+
+    def test_guess_near_root_saves_iterations(self):
+        system = build_huckel(50, 0.569, 0.066)
+        eig = generalized_eigh(system.h_core, system.s)
+        cold = find_mu_for_occupation(eig, system.s.mat, beta=300.0, target_ne=20.0)
+        warm = find_mu_for_occupation(eig, system.s.mat, beta=300.0, target_ne=20.0,
+                                      guess=cold.mu + 1e-6)
+        assert warm.iterations < cold.iterations
+        assert abs(occupation(eig, system.s.mat, 300.0, warm.mu) - 20.0) < 1e-10
+
+    def test_underflowed_slope_raises_no_warning(self, recwarn):
+        # at the midpoint 0.72 the slope is beta e^-720, a subnormal, and the
+        # Newton step overflows; a numpy target used to make that a warning
+        eig = generalized_eigh(np.diag([0.0, 1.44]), np.eye(2))
+        res = find_mu_for_occupation(eig, np.eye(2), beta=1000.0, target_ne=np.float64(0.5))
+        assert res.residual < 1e-10
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("guess", [math.nan, math.inf, -math.inf, -100.0, 100.0])
+    def test_guess_outside_bracket_starts_at_midpoint(self, guess):
+        system = build_huckel(50, 0.569, 0.066)
+        eig = generalized_eigh(system.h_core, system.s)
+        cold = find_mu_for_occupation(eig, system.s.mat, beta=300.0, target_ne=20.0)
+        res = find_mu_for_occupation(eig, system.s.mat, beta=300.0, target_ne=20.0,
+                                     guess=guess)
+        assert res == cold
 
     def test_occupation_monotone_in_mu(self, rng):
         for _ in range(4):

@@ -189,6 +189,15 @@ class TestExactCanonicalFd:
         with pytest.raises(InfeasibleEnsembleError):
             exact_canonical_fd(system, float(np.trace(s.mat)), 2.0)
 
+    def test_mu_guess_moves_only_the_search_start(self, data_dir):
+        system = load_system(data_dir / "sample_hcore.mat", data_dir / "sample_overlap.mat")
+        p, mu = exact_canonical_fd(system, 4.0, 3.0)
+        for guess in (mu + 1e-3, mu - 0.5, float("nan"), 1e9):
+            p_g, mu_g = exact_canonical_fd(system, 4.0, 3.0, mu_guess=guess)
+            assert mu_g == pytest.approx(mu, abs=1e-9)
+            assert np.trace(p_g.mat) == pytest.approx(4.0, abs=1e-10)
+            np.testing.assert_allclose(p_g.mat, p.mat, atol=1e-9)
+
     def test_trace_pinned_over_beta_sweep(self, rng):
         s = OverlapMatrix(random_spd(rng, 6))
         system = SystemSpec(HermitianMatrix(random_symmetric(rng, 6)), s)
@@ -292,6 +301,24 @@ class TestScfFixedPoint:
         assert warm.iterations == 1 < cold.iterations
         assert np.abs(warm.density.mat - cold.density.mat).max() < 1e-11
         assert warm.mu == pytest.approx(cold.mu, abs=1e-10)
+
+    def test_each_mu_search_starts_at_the_previous_mu(self, monkeypatch):
+        from fermicool import models
+
+        searches = []
+        search = models.find_mu_for_occupation
+
+        def spy(*args, guess=None, **kwargs):
+            res = search(*args, guess=guess, **kwargs)
+            searches.append((guess, res.mu))
+            return res
+
+        monkeypatch.setattr(models, "find_mu_for_occupation", spy)
+        model = HamiltonianModel(build_huckel(8, 0.3, 0.2), coupling_u=0.1)
+        res = scf_fixed_point(model, Canonical(4.0), 2.0, tol=1e-12)
+        assert len(searches) == res.iterations > 2
+        assert searches[0][0] is None
+        assert [g for g, _ in searches[1:]] == [mu for _, mu in searches[:-1]]
 
     def test_start_shape_checked(self):
         model = HamiltonianModel(build_huckel(6, 0.569, 0.066), coupling_u=0.1)

@@ -1,4 +1,5 @@
-"""Property tests of the congruence kernel, the mu search and the matrix files.
+"""Property tests of the congruence kernel, the mu search, the matrix files,
+the input matrices and the command line.
 
 The first reference below is the S-frame integrator written out literally:
 every step multiplies by S^-1, rebuilds H S^-1 - mu, and treats the grand and
@@ -10,12 +11,17 @@ The second is the plain bisection for mu over the same bracket, against
 which the safeguarded Newton search must agree on every failure.
 """
 
+import contextlib
+import io
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import assume, given, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from fermicool import (  # noqa: E402
@@ -42,6 +48,7 @@ from fermicool import (  # noqa: E402
     step_rk4,
     write_matrix,
 )
+from fermicool.cli import main  # noqa: E402
 from conftest import random_spd, random_symmetric  # noqa: E402
 
 #: Largest relative gap between cool() and the S-frame reference, fixed
@@ -265,6 +272,60 @@ def test_mu_search_converges_inside_bracket(system, log_beta, norm, fill):
     assert abs(ref_occupation(eig, s, beta, res.mu, norm) - target) < MU_TOL + 1e-13 * occ_hi
 
 
+@given(system=systems(), log_beta=st.floats(-3.0, 3.0), norm=st.floats(0.2, 1.9),
+       fill=st.floats(-0.1, 1.1),
+       where=st.one_of(st.floats(-0.5, 1.5), st.sampled_from([math.nan, math.inf, -math.inf])))
+def test_mu_search_from_any_guess(system, log_beta, norm, fill, where):
+    # where in (0, 1) puts the guess inside the bracket, outside it beyond
+    # the bracket ends; NaN and the infinities are passed as the guess itself
+    beta = 10.0 ** log_beta
+    s = system.s.mat
+    eig = generalized_eigh(system.h_core, system.s)
+    lo, hi = ref_bracket(eig.values, beta)
+    occ_lo = ref_occupation(eig, s, beta, lo, norm)
+    occ_hi = ref_occupation(eig, s, beta, hi, norm)
+    target = occ_lo + fill * (occ_hi - occ_lo)
+    guess = lo + where * (hi - lo) if math.isfinite(where) else where
+    try:
+        cold = find_mu_for_occupation(eig, s, beta, target, norm)
+    except (InfeasibleEnsembleError, BracketError, MuConvergenceError) as exc:
+        with pytest.raises(type(exc)):
+            find_mu_for_occupation(eig, s, beta, target, norm, guess=guess)
+        return
+    res = find_mu_for_occupation(eig, s, beta, target, norm, guess=guess)
+    assert lo <= res.mu <= hi
+    assert res.residual < MU_TOL
+    assert abs(ref_occupation(eig, s, beta, res.mu, norm) - target) < MU_TOL + 1e-13 * occ_hi
+    # a guess near the root costs no more than starting from the midpoint,
+    # except where the midpoint is itself the root (one evaluation)
+    for near in (cold.mu - 1e-6, cold.mu + 1e-6):
+        warm = find_mu_for_occupation(eig, s, beta, target, norm, guess=near)
+        assert warm.residual < MU_TOL
+        if lo < cold.mu - 1e-6 and cold.mu + 1e-6 < hi:
+            # near a bracket end the Newton iterate toward the root can leave
+            # the open bracket, and the search bisects the 1e-6 interval
+            assert warm.iterations <= max(cold.iterations, 2)
+
+
+# --- input matrices ------------------------------------------------------------
+
+TINY = np.finfo(float).tiny
+_SUBNORMAL = st.floats(-TINY, TINY, exclude_min=True, exclude_max=True)
+
+
+@given(m=st.integers(1, 12).flatmap(lambda n: arrays(
+           np.float64, (n, n), elements=st.one_of(st.floats(-1e3, 1e3), _SUBNORMAL))),
+       symmetric=st.booleans())
+def test_hermitian_matrix_zeroes_exactly_the_subnormal_entries(m, symmetric):
+    if symmetric:
+        m = np.triu(m) + np.triu(m, 1).T
+    ref = 0.5 * (m + m.T)
+    out = HermitianMatrix(m).mat
+    subnormal = (ref != 0.0) & (np.abs(ref) < TINY)
+    assert (out[subnormal] == 0.0).all()
+    assert out[~subnormal].tobytes() == ref[~subnormal].tobytes()  # -0.0 stays -0.0
+
+
 # --- matrix files ------------------------------------------------------------
 
 @given(m=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
@@ -299,3 +360,88 @@ def test_read_matrix_raises_only_parse_errors(tmp_path_factory, content):
     except MatrixParseError:
         return
     assert m.ndim == 2 and np.isfinite(m).all()
+
+
+# --- command line ------------------------------------------------------------
+
+EXIT_CODES = {0, 2, 3, 4, 5, 6}
+
+#: A value a user would pass for each numeric flag; the other kinds drawn are
+#: NaN, the infinities, its negative, zero and 1e-300.  --beta 1 with
+#: --dbeta 0.1 is ten steps.
+_ORDINARY = {"--beta": "1", "--dbeta": "0.1", "--record-every": "3", "--mu": "0.5",
+             "--nonlinear": "0.05", "--scf-tol": "1e-10", "--scf-max-iter": "50",
+             "--positivity-tol": "1e-10", "--canonical": "3"}
+
+
+def _values(flag):
+    # the ordinary value about half of the time, so that calls get past the
+    # argument checks into the solvers
+    return st.one_of(st.just(_ORDINARY[flag]),
+                     st.sampled_from(["nan", "inf", "-inf", "-" + _ORDINARY[flag], "0",
+                                      "1e-300", _ORDINARY[flag]]))
+
+
+def _optional(flag):
+    return st.one_of(st.none(), _values(flag))
+
+
+def run_cli(argv):
+    """Exit code and stderr of an in-process CLI call; any exception or
+    warning that escapes ``main`` fails the test."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the value
+            code = exc.code
+    assert [str(w.message) for w in caught] == []
+    return code, err.getvalue()
+
+
+@given(command=st.sampled_from(["run", "oracle", "convergence"]),
+       beta=_values("--beta"), dbeta=_values("--dbeta"),
+       canonical=_optional("--canonical"), mu=_optional("--mu"),
+       nonlinear=_optional("--nonlinear"), scf_tol=_optional("--scf-tol"),
+       scf_max_iter=_optional("--scf-max-iter"), record_every=_optional("--record-every"),
+       positivity_tol=_optional("--positivity-tol"))
+def test_cli_on_malformed_arguments(tmp_path_factory, command, beta, dbeta, canonical, mu,
+                                    nonlinear, scf_tol, scf_max_iter, record_every,
+                                    positivity_tol):
+    # a valid call integrates at most 200 steps
+    b, db = float(beta), float(dbeta)
+    assume(not (math.isfinite(b) and b > 0 and db > 0 and b / db > 200))
+    argv = [command, "--huckel", "6", "0.569", "0.066", "--beta", beta]
+    argv += ["--grand"] if canonical is None else ["--canonical", canonical]
+    for flag, value in (("--mu", mu), ("--nonlinear", nonlinear), ("--scf-tol", scf_tol),
+                        ("--scf-max-iter", scf_max_iter)):
+        if value is not None:
+            argv += [flag, value]
+    if command == "run":
+        argv += ["--scheme", "kraus2", "--dbeta", dbeta]
+        for flag, value in (("--record-every", record_every),
+                            ("--positivity-tol", positivity_tol)):
+            if value is not None:
+                argv += [flag, value]
+    elif command == "convergence":
+        argv += ["--scheme", "kraus1", "--dbeta-list", dbeta, repr(db / 2), repr(db / 4)]
+    argv += ["--out", str(tmp_path_factory.mktemp("cli") / "x.csv")]
+    code, err = run_cli(argv)
+    assert code in EXIT_CODES
+    assert "Traceback" not in err
+
+
+@given(text=_MATRIX_TEXT)
+def test_cli_on_arbitrary_matrix_text(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("cli_files") / "h.mat"
+    path.write_text(text, encoding="utf-8", errors="surrogatepass")
+    code, err = run_cli(["oracle", "--files", str(path), "--grand", "--beta", "1",
+                         "--out", str(path.with_suffix(".csv"))])
+    try:
+        read_matrix(path)
+    except MatrixParseError:
+        assert code == 3 and "error[parse]" in err
+    else:
+        assert code in EXIT_CODES
+    assert "Traceback" not in err
