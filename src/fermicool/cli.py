@@ -91,7 +91,6 @@ class RunRequest:
     scf_tol: float
     scf_max_iter: int
     use_aitken: bool
-    refresh_per_stage: bool
     emit_mu_trace: bool
 
 
@@ -184,9 +183,13 @@ def _build_request(args, need_config=True) -> RunRequest:
         try:
             probe = SolverConfig(scheme=args.scheme, beta_final=args.beta,
                                  delta_beta=args.dbeta)
-            record_every = args.record_every
-            if record_every is None:
-                record_every = max(1, probe.n_steps // 100)
+        except ValueError as exc:
+            raise ArgumentSemanticsError(
+                f"--beta {args.beta} with --dbeta {args.dbeta}: {exc}") from None
+        record_every = args.record_every
+        if record_every is None:
+            record_every = max(1, probe.n_steps // 100)
+        try:
             config = SolverConfig(
                 scheme=args.scheme,
                 beta_final=args.beta,
@@ -206,7 +209,6 @@ def _build_request(args, need_config=True) -> RunRequest:
         scf_tol=args.scf_tol,
         scf_max_iter=args.scf_max_iter,
         use_aitken=args.aitken,
-        refresh_per_stage=getattr(args, "refresh_per_stage", False),
         emit_mu_trace=args.canonical is not None,
     )
 
@@ -271,8 +273,7 @@ def cmd_run(args) -> int:
     paths = _out_paths(req.output_path)
     started = time.time()
 
-    traj = cool(req.model, req.ensemble, req.config,
-                refresh_per_stage=req.refresh_per_stage)
+    traj = cool(req.model, req.ensemble, req.config)
     oracle_p, oracle_mu, scf_iters = _oracle_state(req, req.config.beta_final)
 
     occ_run = occupation_spectrum(traj.final_density, req.system.s)
@@ -420,8 +421,6 @@ def _add_common(parser: argparse.ArgumentParser, with_solver: bool) -> None:
         parser.add_argument("--record-every", type=int, default=None, metavar="K",
                             help="record every K steps (default: about 100 records per run)")
         parser.add_argument("--positivity-tol", type=float, default=1e-10)
-        parser.add_argument("--refresh-per-stage", action="store_true",
-                            help="rebuild a nonlinear Hamiltonian inside each RK4 stage")
 
 
 def build_parser() -> argparse.ArgumentParser:

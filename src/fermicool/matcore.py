@@ -160,22 +160,17 @@ class EigenPair:
 
     ``vectors[:, k]`` belongs to ``values[k]``.  For a pencil (H, S) the
     columns satisfy ``vectors.T @ S @ vectors = I`` and the similarity
-    ``S^-1 H = vectors @ diag(values) @ vectors_inv`` holds.
+    ``S^-1 H = vectors @ diag(values) @ inv`` holds, with ``inv`` the inverse
+    of ``vectors``.
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    vectors_inv: np.ndarray | None = None
+    inv: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def inv(self) -> np.ndarray:
-        if self.vectors_inv is not None:
-            return self.vectors_inv
-        return np.linalg.inv(self.vectors)
 
 
 def _matrix_of(m):
@@ -214,14 +209,13 @@ def generalized_eigh(h, s) -> EigenPair:
     x = s_ov.inv_sqrt
     values, c = np.linalg.eigh(symmetrize(x @ hm @ x))
     vectors = x @ c
-    vectors_inv = vectors.T @ s_ov.mat
-    return EigenPair(values=values, vectors=vectors, vectors_inv=vectors_inv)
+    return EigenPair(values=values, vectors=vectors, inv=vectors.T @ s_ov.mat)
 
 
 def matrix_function(eig: EigenPair, f: Callable) -> np.ndarray:
     """Apply a scalar function through an eigendecomposition.
 
-    Returns ``vectors @ diag(f(values)) @ vectors_inv``.  For an identity
+    Returns ``vectors @ diag(f(values)) @ inv``.  For an identity
     metric this is the standard symmetric matrix function.  ``f`` must return
     finite values on the spectrum; callers are responsible for supplying a
     numerically safe form (see :func:`fermi`), this routine only rejects

@@ -26,9 +26,8 @@ both ensembles.
 Q = S^-1/2 P S^-1/2, G = S^-1/2 H S^-1/2.  There the flow keeps its form
 with S^-1 replaced by the identity, a congruence of P is a congruence of Q,
 and Tr[P] = Tr[S Q], so the step loop holds no product with S^-1.  The
-public S-frame functions (:func:`step_kraus1`, :func:`step_kraus2`,
-:func:`grand_rhs`, :func:`canonical_rhs`) call the same kernel with H S^-1
-and P S^-1 in place of G and Q.
+public single steps :func:`step_kraus1` and :func:`step_kraus2` call the same
+kernel in the S frame, with H S^-1 - mu and P S^-1 in place of G - mu and Q.
 """
 
 from __future__ import annotations
@@ -55,16 +54,21 @@ SCHEMES = ("kraus1", "kraus2", "rk4")
 #: |Tr[X + X^T]| below this is a degenerate canonical constraint.
 TRACE_DEGENERACY_TOL = 1e-14
 
+#: Largest step count a SolverConfig accepts: 100x the most that any test, demo
+#: or benchmark takes, and about 8 minutes at the one-level per-step floor.
+MAX_STEPS = 10**7
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Integration parameters.
 
     ``delta_beta`` is snapped to divide ``beta_final`` exactly
-    (``n_steps = round(beta_final / delta_beta)``); the snapped value is
-    recorded in the resulting trajectory.  ``positivity_tol`` is the finite,
-    non-negative amount by which the smallest recorded eigenvalue may fall
-    below zero before the step is counted as a positivity violation.
+    (``n_steps = round(beta_final / delta_beta)``, at most :data:`MAX_STEPS`);
+    the snapped value is recorded in the resulting trajectory.
+    ``positivity_tol`` is the finite, non-negative amount by which the
+    smallest recorded eigenvalue may fall below zero before the step is
+    counted as a positivity violation.
     """
 
     scheme: str
@@ -84,6 +88,9 @@ class SolverConfig:
             raise ValueError(
                 f"delta_beta {self.delta_beta} exceeds beta_final {self.beta_final}"
             )
+        # n_steps > MAX_STEPS exactly when this holds (MAX_STEPS is even)
+        if self.beta_final / self.delta_beta > MAX_STEPS + 0.5:
+            raise ValueError(f"delta_beta {self.delta_beta} needs over {MAX_STEPS} steps")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
         if not (math.isfinite(self.positivity_tol) and self.positivity_tol >= 0):
@@ -98,31 +105,6 @@ class SolverConfig:
     @property
     def snapped_delta_beta(self) -> float:
         return self.beta_final / self.n_steps
-
-
-@dataclass(frozen=True)
-class CanonicalWorkspace:
-    """Intermediates of one canonical right-hand-side evaluation.
-
-    ``fluct`` is the occupation-fluctuation matrix P (1 - S^-1 P / N) and
-    ``lagrange_scalar`` the trace-ratio mu + beta dmu/dbeta that keeps the
-    electron count constant.
-    """
-
-    fluct: np.ndarray
-    lagrange_scalar: float
-
-
-@dataclass(frozen=True)
-class KrausStepOperators:
-    """Operators of one congruence step.
-
-    ``generator`` is the first-order operator K with 1 + K the one-step map;
-    ``propagator`` is the full second-order map A (None for first order).
-    """
-
-    generator: np.ndarray
-    propagator: np.ndarray | None = None
 
 
 @dataclass
@@ -165,11 +147,11 @@ def _flow(p, f, m, norm, delta_beta, scheme, mu=None, w=None, t=None):
     (P, P S^-1, H S^-1) in the S frame.  Grand canonical runs pass ``mu``
     with ``f`` already shifted by it and N = 1.  Canonical runs (``mu`` None)
     subtract sigma = Tr[W F X] / Tr[W X], X = P - M P / N, whose trace
-    weight ``w`` is S in the frame and None (the identity) in the S frame;
+    weight ``w`` is S in the frame and None (the identity) when S = 1;
     every weighted trace is an O(n^2) inner product.  ``t`` maps a state
     rate to the M rate: None in the frame, S^-1 in the S frame.
 
-    Returns (out, sigma, sigma', B, A): ``out`` is A P A^T (unsymmetrized)
+    Returns (out, sigma, sigma', A): ``out`` is A P A^T (unsymmetrized)
     for "kraus1"/"kraus2" and dP/dbeta for "rk4", where A is None.  The flow
     derivative sigma' is computed for kraus2 only and is 0 otherwise.
     """
@@ -192,11 +174,11 @@ def _flow(p, f, m, norm, delta_beta, scheme, mu=None, w=None, t=None):
     if scheme == "kraus1":
         a = delta_beta * b
         a.flat[:: n + 1] += 1.0
-        return (a @ p) @ a.T, sigma, sdot, b, a
+        return (a @ p) @ a.T, sigma, sdot, a
     bp = b @ p
     pd = bp + bp.T
     if scheme == "rk4":
-        return pd, sigma, sdot, b, None
+        return pd, sigma, sdot, None
     fmd = f @ (pd if t is None else pd @ t)
     if mu is None:
         # d sigma/dbeta = Tr[W (F - sigma) Xdot] / Tr[W X],
@@ -214,71 +196,29 @@ def _flow(p, f, m, norm, delta_beta, scheme, mu=None, w=None, t=None):
     a *= 0.5 * delta_beta**2
     a += delta_beta * b
     a.flat[:: n + 1] += 1.0
-    return (a @ p) @ a.T, sigma, sdot, b, a
-
-
-def _inverse_of(s, s_inv):
-    if s_inv is not None:
-        return np.asarray(s_inv, dtype=float)
-    if isinstance(s, OverlapMatrix):
-        return s.inverse
-    return OverlapMatrix(s).inverse
+    return (a @ p) @ a.T, sigma, sdot, a
 
 
 def _check_dims(*mats):
-    dims = {np.asarray(m).shape[0] for m in mats}
+    # every matrix given (None skipped) must be square and of one size
+    dims = {d for m in mats if m is not None for d in np.shape(m)}
     if len(dims) != 1:
         raise DimensionMismatchError(f"matrix dimensions differ: {sorted(dims)}")
 
 
-def _s_frame(p, h, s, s_inv, mu=0.0):
-    """Validated S-frame kernel operands: P, F = H S^-1 - mu, M = P S^-1, S^-1."""
+def _s_frame_step(scheme, p, h, s, mu, delta_beta, s_inv):
+    """One grand canonical congruence step of P in the S frame: :func:`_flow`
+    with F = H S^-1 - mu, M = P S^-1 and t = S^-1.  Returns (P', A)."""
     p = np.asarray(p, dtype=float)
     h = np.asarray(h, dtype=float)
-    _check_dims(p, h, np.asarray(s, dtype=float))
-    si = _inverse_of(s, s_inv)
+    si = None if s_inv is None else np.asarray(s_inv, dtype=float)
+    _check_dims(p, h, s, si)
+    if si is None:  # an OverlapMatrix reuses its cached inverse
+        si = (s if isinstance(s, OverlapMatrix) else OverlapMatrix(s)).inverse
     f = h @ si
     f.flat[:: p.shape[0] + 1] -= mu
-    return p, f, p @ si, si
-
-
-def grand_rhs(p, h, s, mu, s_inv=None) -> np.ndarray:
-    """Symmetrized grand canonical cooling derivative.
-
-    dP/dbeta = -P (1 - S^-1 P)(S^-1 H - mu)/2 - (H S^-1 - mu)(1 - P S^-1) P / 2.
-    The second term is the transpose of the first for symmetric P, H, S, so
-    the result is symmetric by construction.
-    """
-    p, f, m, _ = _s_frame(p, h, s, s_inv, mu)
-    return _flow(p, f, m, 1.0, 0.0, "rk4", mu=mu)[0]
-
-
-def canonical_rhs(p, h, s, normalization, s_inv=None):
-    """Symmetrized canonical cooling derivative and its workspace.
-
-    The derivative is traceless by construction: the lagrange scalar is the
-    unique value making d Tr[P]/dbeta vanish.
-
-    Returns
-    -------
-    (ndarray, CanonicalWorkspace)
-
-    Raises
-    ------
-    DegenerateTraceError
-        When |Tr[X + X^T]| < 1e-14 (state fully occupied or empty).
-    """
-    p, f, m, _ = _s_frame(p, h, s, s_inv)
-    rhs, sigma, _, _, _ = _flow(p, f, m, normalization, 0.0, "rk4")
-    fluct = p - (m @ p) / normalization
-    return rhs, CanonicalWorkspace(fluct=fluct, lagrange_scalar=sigma)
-
-
-def mu_rhs(mu, beta, workspace: CanonicalWorkspace) -> float:
-    """Chemical potential derivative (lagrange_scalar - mu) / beta, beta > 0."""
-    if not beta > 0:
-        raise ValueError(f"mu derivative requires beta > 0, got {beta}")
-    return (workspace.lagrange_scalar - mu) / beta
+    out, _, _, a = _flow(p, f, p @ si, 1.0, delta_beta, scheme, mu=mu, t=si)
+    return symmetrize(out), a
 
 
 def bloch_rhs(rho, h) -> np.ndarray:
@@ -290,14 +230,14 @@ def bloch_rhs(rho, h) -> np.ndarray:
 
 
 def step_kraus1(p, h, s, mu, delta_beta, s_inv=None):
-    """First-order positivity-preserving step P' = (1 + K) P (1 + K)^T.
+    """First-order positivity-preserving grand canonical step P' = A P A^T.
 
-    K = -(delta_beta / 2)(H S^-1 - mu)(1 - P S^-1).  The update is a
-    congruence, so positive semidefiniteness of P is preserved exactly.
+    A = 1 + K with K = -(delta_beta / 2)(H S^-1 - mu)(1 - P S^-1).  The
+    update is a congruence, so positive semidefiniteness of P is preserved
+    exactly.  ``s_inv``, when given, is used as S^-1.  Returns the
+    symmetrized P' and A.
     """
-    p, f, m, _ = _s_frame(p, h, s, s_inv, mu)
-    out, _, _, b, _ = _flow(p, f, m, 1.0, delta_beta, "kraus1", mu=mu)
-    return symmetrize(out), KrausStepOperators(generator=delta_beta * b)
+    return _s_frame_step("kraus1", p, h, s, mu, delta_beta, s_inv)
 
 
 def step_kraus2(p, h, s, mu, delta_beta, s_inv=None):
@@ -306,11 +246,10 @@ def step_kraus2(p, h, s, mu, delta_beta, s_inv=None):
     A = 1 + K (1 + K/2) + (delta_beta / 4)(H S^-1 - mu)(P K^T + K P) S^-1
     with the first-order K of :func:`step_kraus1`.  A single congruence by A
     reproduces the flow through O(delta_beta^2); see the module docstring and
-    docs/second_order_scheme.md for the expansion.
+    docs/second_order_scheme.md for the expansion.  ``s_inv``, when given, is
+    used as S^-1.  Returns the symmetrized P' and A.
     """
-    p, f, m, si = _s_frame(p, h, s, s_inv, mu)
-    out, _, _, b, a = _flow(p, f, m, 1.0, delta_beta, "kraus2", mu=mu, t=si)
-    return symmetrize(out), KrausStepOperators(generator=delta_beta * b, propagator=a)
+    return _s_frame_step("kraus2", p, h, s, mu, delta_beta, s_inv)
 
 
 def step_rk4(y, rhs: Callable, delta_beta):
@@ -338,8 +277,7 @@ def commutator_defect(h, h_next, delta_beta) -> float:
     return float(np.linalg.norm(comm, "fro"))
 
 
-def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig,
-         refresh_per_stage: bool = False) -> Trajectory:
+def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> Trajectory:
     """Integrate the cooling flow from beta = 0 to ``config.beta_final``.
 
     Grand canonical runs start from P(0) = S/2 with the ensemble's fixed mu.
@@ -351,8 +289,7 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig,
     G = S^-1/2 H S^-1/2 (for S = 1 the frame is P itself); G - mu is formed
     once for linear models.  Density-dependent models rebuild H from
     P = S^1/2 Q S^1/2 at the start of every step and hold it across the
-    step's stages; ``refresh_per_stage`` makes RK4 rebuild it inside each
-    stage instead (experimental).
+    step's stages.
 
     Recorded every ``config.record_every`` steps, at beta = 0 (from the exact
     initial P) and at the final step: the density, mu, the smallest
@@ -389,9 +326,6 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig,
     frame = np.count_nonzero(s_mat) != n or not (np.diagonal(s_mat) == 1.0).all()
     w, x, y = (s_mat, system.s.inv_sqrt, system.s.sqrt) if frame else (None, None, None)
 
-    def from_frame(q_now):  # P = S^1/2 Q S^1/2
-        return y @ q_now @ y if frame else q_now
-
     def frame_operator(h):
         # G = S^-1/2 H S^-1/2 and the kernel's F: G, or G - mu for grand runs
         if frame:
@@ -403,11 +337,10 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig,
         f_now.flat[:: n + 1] -= mu
         return h, f_now
 
-    p = 0.5 * norm * s_mat  # P of the current state; None once stale
+    p = 0.5 * norm * s_mat  # P = S^1/2 Q S^1/2 when it is needed, else None
     q = np.eye(n) * (0.5 * norm)
     h_eff = effective_hamiltonian(model, p, norm).mat
     g, f = frame_operator(h_eff)
-    stage_refresh = refresh_per_stage and not model.is_linear
 
     betas, densities, mus = [], [], []
     d_mineig, d_trace, d_comm, d_refresh = [], [], [], []
@@ -430,19 +363,11 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig,
 
     record(0.0, p, 0.0)
 
-    def stage_flow(q_stage):
-        f_stage = f
-        # a non-finite stage keeps f; the check after the step aborts the run
-        if stage_refresh and np.isfinite(q_stage).all():
-            h_stage = effective_hamiltonian(model, from_frame(q_stage), norm).mat
-            f_stage = frame_operator(h_stage)[1]
-        return _flow(q_stage, f_stage, q_stage, norm, 0.0, "rk4", mu=kernel_mu, w=w)
-
     def packed_rhs(state):
         # canonical RK4 steps the autonomous state [vec(Q), mu, beta]
         q_stage = state[:nn].reshape(n, n)
         mu_y, beta_y = state[nn], state[nn + 1]
-        dq, sigma, _, _, _ = stage_flow(q_stage)
+        dq, sigma, _, _ = _flow(q_stage, f, q_stage, norm, 0.0, "rk4", w=w)
         # at beta = 0 the slope's limit is sigma'/2, and sigma' = 0 there
         # because Xdot = Qdot - (Qdot Q + Q Qdot)/N vanishes at Q = (N/2) 1
         dmu = (sigma - mu_y) / beta_y if beta_y > 0.0 else 0.0
@@ -457,8 +382,6 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig,
 
             refresh_defect = 0.0
             if not model.is_linear and i > 0:
-                if p is None:
-                    p = from_frame(q)
                 h_new = effective_hamiltonian(model, p, norm).mat
                 if recording:
                     refresh_defect = commutator_defect(h_eff, h_new, db)
@@ -466,7 +389,7 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig,
                 g, f = frame_operator(h_eff)
 
             if scheme != "rk4":
-                q_raw, sigma, sdot, _, _ = _flow(q, f, q, norm, db, scheme, mu=kernel_mu, w=w)
+                q_raw, sigma, sdot, _ = _flow(q, f, q, norm, db, scheme, mu=kernel_mu, w=w)
                 if canonical:
                     # d(beta mu)/dbeta equals the scalar exactly; integrate it
                     # at the scheme's own order (Euler / trapezoid-by-Taylor).
@@ -477,14 +400,16 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig,
                 q_raw = state[:nn].reshape(n, n)
                 mu = float(state[nn])
             else:
-                q_raw = step_rk4(q, lambda q_stage: stage_flow(q_stage)[0], db)
+                q_raw = step_rk4(
+                    q, lambda q_s: _flow(q_s, f, q_s, 1.0, 0.0, "rk4", mu=mu, w=w)[0], db)
 
             if not np.isfinite(q_raw).all() or not np.isfinite(mu):
                 raise SolverAbortError(beta_i)
             q = 0.5 * (q_raw + q_raw.T)
-            p = None
+            p = None  # a linear model needs P only at recording steps
+            if recording or not model.is_linear:
+                p = y @ q @ y if frame else q  # P = S^1/2 Q S^1/2
             if recording:
-                p = from_frame(q)
                 record(beta_next, p, refresh_defect)
 
     diagnostics = TrajectoryDiagnostics(

@@ -338,6 +338,10 @@ class TestExitCodes:
           "--dbeta-list", "0.4", "0.2", "0.1"], "--beta"),
         (["convergence", "--grand", "--scheme", "rk4", "--beta", "1",
           "--dbeta-list", "0.4", "0.2", "0"], "--dbeta-list"),
+        # about 1e300 steps: the run never ended
+        (["run", "--grand", "--beta", "1", "--dbeta", "1e-300"], "--dbeta"),
+        (["convergence", "--grand", "--scheme", "rk4", "--beta", "1",
+          "--dbeta-list", "0.4", "0.2", "1e-300"], "--dbeta-list"),
     ])
     def test_beta_and_step_list_are_argument_errors(self, tmp_path, capsys, argv, flag):
         out = tmp_path / "x.csv"

@@ -194,8 +194,7 @@ def test_kraus_steps_are_psd_at_any_step_size(system, mu, db, rank, step):
     rng = np.random.default_rng(n + rank)
     v = rng.normal(size=(n, min(rank, n)))
     p = v @ v.T + 0.5 * system.s.mat * (rank >= n)
-    out, ops = step(p, system.h_core.mat, system.s, mu, db)
-    a = ops.propagator if ops.propagator is not None else np.eye(n) + ops.generator
+    out, a = step(p, system.h_core.mat, system.s, mu, db)
     # a congruence is PSD in exact arithmetic; the floating-point residue of
     # forming A P A^T is bounded by a few ulps of ||A||^2 ||P||
     scale = np.linalg.norm(a, 2) ** 2 * max(np.linalg.norm(p, 2), 1e-300)

@@ -5,8 +5,8 @@ import pytest
 
 from fermicool import (
     Canonical,
-    CanonicalWorkspace,
     DegenerateTraceError,
+    DimensionMismatchError,
     GrandCanonical,
     HamiltonianModel,
     HermitianMatrix,
@@ -17,7 +17,6 @@ from fermicool import (
     bloch_rhs,
     build_huckel,
     canonical_normalization,
-    canonical_rhs,
     commutator_defect,
     cool,
     default_chemical_potential,
@@ -25,13 +24,12 @@ from fermicool import (
     exact_canonical_fd,
     exact_gibbs,
     exact_grand_fd,
-    grand_rhs,
-    mu_rhs,
     occupation_spectrum,
     step_kraus1,
     step_kraus2,
     step_rk4,
 )
+from fermicool.solvers import MAX_STEPS, _flow
 from conftest import random_spd, random_symmetric
 
 
@@ -41,6 +39,20 @@ def scalar_system(level):
 
 def logistic(p0, a, beta):
     return 1.0 / (1.0 + (1.0 - p0) / p0 * math.exp(a * beta))
+
+
+def s_frame_flow(p, h, s, mu=None, norm=1.0, s_inv=None):
+    """dP/dbeta, the scalar sigma and X = P - M P / N from the kernel, called
+    with the S-frame operands F = H S^-1 - mu and M = P S^-1.  A grand flow
+    passes ``mu``; a canonical one leaves it None and passes N as ``norm``."""
+    p = np.asarray(p, dtype=float)
+    si = OverlapMatrix(s).inverse if s_inv is None else s_inv
+    f = np.asarray(h, dtype=float) @ si
+    if mu is not None:
+        f.flat[:: p.shape[0] + 1] -= mu
+    m = p @ si
+    rhs, sigma, _, _ = _flow(p, f, m, norm, 0.0, "rk4", mu=mu)
+    return rhs, sigma, p - (m @ p) / norm
 
 
 class TestSolverConfig:
@@ -75,29 +87,40 @@ class TestSolverConfig:
     def test_zero_positivity_tol_allowed(self):
         assert SolverConfig("rk4", 1.0, 0.1, positivity_tol=0.0).positivity_tol == 0.0
 
+    @pytest.mark.parametrize("delta_beta", [1e-300, 5e-324, 1.0 / (MAX_STEPS + 1)])
+    def test_rejects_more_than_max_steps(self, delta_beta):
+        # 1e-300 asked for about 1e300 steps, a run that never ended
+        with pytest.raises(ValueError, match="delta_beta"):
+            SolverConfig("rk4", beta_final=1.0, delta_beta=delta_beta)
+
+    def test_max_steps_allowed(self):
+        assert SolverConfig("rk4", 1.0, 1.0 / MAX_STEPS).n_steps == MAX_STEPS
+
 
 class TestGrandRhs:
+    """The kernel's grand canonical derivative in the S frame."""
+
     def test_initial_value_closed_form(self, rng):
         h = random_symmetric(rng, 5)
         mu = 0.3
-        out = grand_rhs(0.5 * np.eye(5), h, np.eye(5), mu)
+        out, _, _ = s_frame_flow(0.5 * np.eye(5), h, np.eye(5), mu)
         np.testing.assert_allclose(out, -(h - mu * np.eye(5)) / 4.0, atol=1e-14)
 
     def test_zero_density_annihilates(self, rng):
         h = random_symmetric(rng, 4)
-        np.testing.assert_array_equal(grand_rhs(np.zeros((4, 4)), h, np.eye(4), 0.1),
+        np.testing.assert_array_equal(s_frame_flow(np.zeros((4, 4)), h, np.eye(4), 0.1)[0],
                                       np.zeros((4, 4)))
 
     def test_full_density_annihilates(self, rng):
         h = random_symmetric(rng, 4)
-        out = grand_rhs(np.eye(4), h, np.eye(4), 0.1)
+        out, _, _ = s_frame_flow(np.eye(4), h, np.eye(4), 0.1)
         np.testing.assert_allclose(out, np.zeros((4, 4)), atol=1e-15)
 
     def test_output_symmetric(self, rng):
         p = random_symmetric(rng, 6)
         h = random_symmetric(rng, 6)
         s = random_spd(rng, 6)
-        out = grand_rhs(p, h, s, -0.2)
+        out, _, _ = s_frame_flow(p, h, s, -0.2)
         assert np.abs(out - out.T).max() == 0.0
 
     def test_matches_exact_flow_derivative(self, rng):
@@ -106,7 +129,7 @@ class TestGrandRhs:
         system = SystemSpec(HermitianMatrix(random_symmetric(rng, 6)), s)
         mu, beta = 0.15, 0.9
         p = exact_grand_fd(system, mu, beta).mat
-        rhs = grand_rhs(p, system.h_core.mat, s.mat, mu, s_inv=s.inverse)
+        rhs, _, _ = s_frame_flow(p, system.h_core.mat, s.mat, mu, s_inv=s.inverse)
         errs = []
         for h in (1e-3, 5e-4):
             fd = (exact_grand_fd(system, mu, beta + h).mat
@@ -118,29 +141,31 @@ class TestGrandRhs:
         system = build_huckel(50, 0.569, 0.066)
         mu = default_chemical_potential(system)
         p = exact_grand_fd(system, mu, 1e4).mat
-        out = grand_rhs(p, system.h_core.mat, system.s.mat, mu)
+        out, _, _ = s_frame_flow(p, system.h_core.mat, system.s.mat, mu)
         assert np.abs(out).max() < 1e-10
 
 
 class TestCanonicalRhs:
+    """The kernel's canonical derivative and scalar sigma in the S frame."""
+
     def test_initial_scalar_is_trace_ratio(self, rng):
         s = random_spd(rng, 5)
         h = random_symmetric(rng, 5)
         norm = 0.8
-        _, ws = canonical_rhs(0.5 * norm * s, h, s, norm)
-        assert ws.lagrange_scalar == pytest.approx(np.trace(h) / np.trace(s), abs=1e-12)
+        _, sigma, _ = s_frame_flow(0.5 * norm * s, h, s, norm=norm)
+        assert sigma == pytest.approx(np.trace(h) / np.trace(s), abs=1e-12)
 
     def test_hamiltonian_proportional_to_overlap_is_stationary(self, rng):
         s = random_spd(rng, 5)
         p = 0.4 * s + 0.05 * random_spd(rng, 5)
-        rhs, _ = canonical_rhs(p, 2.7 * s, s, 1.0)
+        rhs, _, _ = s_frame_flow(p, 2.7 * s, s)
         np.testing.assert_allclose(rhs, np.zeros((5, 5)), atol=1e-12)
 
     def test_traceless_for_any_density(self, rng):
         system = build_huckel(6, 0.569, 0.066)
         for _ in range(5):
             p = random_spd(rng, 6, lo=0.05, hi=0.9)
-            rhs, _ = canonical_rhs(p, system.h_core.mat, system.s.mat, 1.0)
+            rhs, _, _ = s_frame_flow(p, system.h_core.mat, system.s.mat)
             assert abs(np.trace(rhs)) < 1e-11 * 6
 
     def test_workspace_invariants(self, rng):
@@ -148,32 +173,21 @@ class TestCanonicalRhs:
         h = random_symmetric(rng, 5)
         p = random_spd(rng, 5, lo=0.1, hi=0.8)
         norm = 0.7
-        rhs, ws = canonical_rhs(p, h, s, norm)
+        _, sigma, fluct = s_frame_flow(p, h, s, norm=norm)
         si = np.linalg.inv(s)
         x = p @ (np.eye(5) - si @ p / norm)
-        np.testing.assert_allclose(ws.fluct, x, atol=1e-12)
+        np.testing.assert_allclose(fluct, x, atol=1e-12)
         scalar = np.trace(x @ si @ h + h @ si @ x.T) / np.trace(x + x.T)
-        assert ws.lagrange_scalar == pytest.approx(scalar, rel=1e-12)
+        assert sigma == pytest.approx(scalar, rel=1e-12)
 
     def test_degenerate_trace_rejected(self, rng):
         h = random_symmetric(rng, 4)
         with pytest.raises(DegenerateTraceError):
-            canonical_rhs(np.zeros((4, 4)), h, np.eye(4), 1.0)
+            s_frame_flow(np.zeros((4, 4)), h, np.eye(4))
 
 
 class TestMuRhs:
-    def test_stationary_when_scalar_matches(self):
-        ws = CanonicalWorkspace(fluct=np.eye(2), lagrange_scalar=0.7)
-        assert mu_rhs(0.7, 3.0, ws) == 0.0
-
-    def test_arithmetic(self):
-        ws = CanonicalWorkspace(fluct=np.eye(2), lagrange_scalar=1.0)
-        assert mu_rhs(0.0, 2.0, ws) == pytest.approx(0.5)
-
-    def test_requires_positive_beta(self):
-        ws = CanonicalWorkspace(fluct=np.eye(2), lagrange_scalar=1.0)
-        with pytest.raises(ValueError):
-            mu_rhs(0.0, 0.0, ws)
+    """The mu derivative (sigma - mu) / beta that cool() integrates."""
 
     def test_plateau_at_low_temperature(self):
         # on the exact canonical state of the half-filled ring the scalar
@@ -181,8 +195,8 @@ class TestMuRhs:
         system = build_huckel(50, 0.569, 0.066)
         for beta in (10.0, 100.0):
             p, mu = exact_canonical_fd(system, 25.0, beta)
-            _, ws = canonical_rhs(p.mat, system.h_core.mat, system.s.mat, 1.0)
-            assert abs(mu_rhs(mu, beta, ws)) < 1e-10
+            _, sigma, _ = s_frame_flow(p.mat, system.h_core.mat, system.s.mat)
+            assert abs((sigma - mu) / beta) < 1e-10
 
 
 class TestBlochRhs:
@@ -214,13 +228,13 @@ class TestStepKraus1:
     def test_zero_step_is_identity(self, rng):
         p = random_spd(rng, 4, lo=0.1, hi=0.9)
         h = random_symmetric(rng, 4)
-        out, ops = step_kraus1(p, h, np.eye(4), 0.2, 0.0)
+        out, a = step_kraus1(p, h, np.eye(4), 0.2, 0.0)
         np.testing.assert_allclose(out, p, atol=1e-15)
-        np.testing.assert_array_equal(ops.generator, np.zeros((4, 4)))
+        np.testing.assert_array_equal(a - np.eye(4), np.zeros((4, 4)))
 
     def test_hand_worked_two_level(self):
-        p, ops = step_kraus1(0.5 * np.eye(2), np.diag([0.0, 1.0]), np.eye(2), 0.5, 0.1)
-        np.testing.assert_allclose(ops.generator, np.diag([0.0125, -0.0125]), atol=1e-15)
+        p, a = step_kraus1(0.5 * np.eye(2), np.diag([0.0, 1.0]), np.eye(2), 0.5, 0.1)
+        np.testing.assert_allclose(a - np.eye(2), np.diag([0.0125, -0.0125]), atol=1e-15)
         np.testing.assert_allclose(p, np.diag([0.512578125, 0.487578125]), atol=1e-15)
 
     def test_generator_invariant(self, rng):
@@ -228,10 +242,10 @@ class TestStepKraus1:
         h = random_symmetric(rng, 5)
         s = random_spd(rng, 5)
         mu, db = -0.3, 0.07
-        _, ops = step_kraus1(p, h, s, mu, db)
+        _, a = step_kraus1(p, h, s, mu, db)
         si = np.linalg.inv(s)
         k = -0.5 * db * (h @ si - mu * np.eye(5)) @ (np.eye(5) - p @ si)
-        np.testing.assert_allclose(ops.generator, k, atol=1e-12)
+        np.testing.assert_allclose(a - np.eye(5), k, atol=1e-12)
 
     def test_positivity_preserved_for_many_steps(self, rng):
         h = random_symmetric(rng, 6)
@@ -246,9 +260,9 @@ class TestStepKraus2:
     def test_zero_step_is_identity(self, rng):
         p = random_spd(rng, 4, lo=0.1, hi=0.9)
         h = random_symmetric(rng, 4)
-        out, ops = step_kraus2(p, h, np.eye(4), 0.2, 0.0)
+        out, a = step_kraus2(p, h, np.eye(4), 0.2, 0.0)
         np.testing.assert_allclose(out, p, atol=1e-15)
-        np.testing.assert_allclose(ops.propagator, np.eye(4), atol=1e-15)
+        np.testing.assert_allclose(a, np.eye(4), atol=1e-15)
 
     def test_scalar_one_step_local_error_is_third_order(self):
         a, p0 = 1.3, 0.3
@@ -278,6 +292,13 @@ class TestStepKraus2:
         for _ in range(500):
             p, _ = step_kraus2(p, h, s, -0.1, 0.05)
             assert np.linalg.eigvalsh(p)[0] >= -1e-12
+
+
+@pytest.mark.parametrize("step", [step_kraus1, step_kraus2])
+def test_kraus_steps_reject_mismatched_s_inv(step):
+    # a 3 x 3 S^-1 with 4 x 4 P, H and S reached numpy's matmul ValueError
+    with pytest.raises(DimensionMismatchError):
+        step(0.5 * np.eye(4), np.eye(4), np.eye(4), 0.0, 0.1, s_inv=np.eye(3))
 
 
 class TestStepRk4:
@@ -392,16 +413,6 @@ class TestCool:
         assert lin.diagnostics.h_refresh_defect.max() == 0.0
         nl = cool(HamiltonianModel(system, coupling_u=0.1), GrandCanonical(mu), cfg)
         assert nl.diagnostics.h_refresh_defect.max() > 1e-6
-
-    def test_nonlinear_per_stage_refresh_close_to_per_step(self):
-        system = build_huckel(6, 0.569, 0.066)
-        mu = default_chemical_potential(system)
-        model = HamiltonianModel(system, coupling_u=0.1)
-        cfg = SolverConfig("rk4", 2.0, 0.01, record_every=100)
-        a = cool(model, GrandCanonical(mu), cfg)
-        b = cool(model, GrandCanonical(mu), cfg, refresh_per_stage=True)
-        diff = np.abs(a.final_density.mat - b.final_density.mat).max()
-        assert 0.0 < diff < 1e-4
 
     def test_abort_on_blowup_reports_last_good_beta(self):
         system = build_huckel(4, 0.0, 50.0)
