@@ -27,9 +27,7 @@ from .matcore import (
     fermi,
     find_mu_for_occupation,
     generalized_eigh,
-    matrix_function,
     maxabs_asymmetry,
-    occupation,
     symmetrize,
 )
 from .matio import read_matrix, write_matrix
@@ -47,7 +45,6 @@ from .models import (
     effective_hamiltonian,
     exact_canonical_fd,
     exact_grand_fd,
-    exact_gibbs,
     load_system,
     occupation_spectrum,
     scf_fixed_point,
@@ -56,7 +53,6 @@ from .solvers import (
     SolverConfig,
     Trajectory,
     TrajectoryDiagnostics,
-    bloch_rhs,
     commutator_defect,
     cool,
     step_kraus1,
@@ -91,7 +87,6 @@ __all__ = [
     "Trajectory",
     "TrajectoryDiagnostics",
     "aitken_accelerate",
-    "bloch_rhs",
     "build_huckel",
     "canonical_normalization",
     "check_canonical_feasible",
@@ -101,14 +96,11 @@ __all__ = [
     "effective_hamiltonian",
     "exact_canonical_fd",
     "exact_grand_fd",
-    "exact_gibbs",
     "fermi",
     "find_mu_for_occupation",
     "generalized_eigh",
     "load_system",
-    "matrix_function",
     "maxabs_asymmetry",
-    "occupation",
     "occupation_spectrum",
     "read_matrix",
     "scf_fixed_point",

@@ -82,16 +82,13 @@ outputs (relative to --out PATH, e.g. results.csv):
 class RunRequest:
     """Everything one invocation needs, assembled from parsed arguments."""
 
-    system: object
     ensemble: object
     model: HamiltonianModel
     config: SolverConfig | None
     output_path: Path
-    mu_value: float
     scf_tol: float
     scf_max_iter: int
     use_aitken: bool
-    emit_mu_trace: bool
 
 
 def _fmt(x) -> str:
@@ -160,11 +157,9 @@ def _resolve_mu(args, system) -> float:
 def _build_request(args, need_config=True) -> RunRequest:
     system = _build_system(args)
     if args.canonical is not None:
-        mu = float("nan")
         ensemble = Canonical(args.canonical)
     else:
-        mu = _resolve_mu(args, system)
-        ensemble = GrandCanonical(mu)
+        ensemble = GrandCanonical(_resolve_mu(args, system))
     if not (math.isfinite(args.beta) and args.beta >= 0.0):
         raise ArgumentSemanticsError(
             f"--beta expects a finite non-negative inverse temperature, got {args.beta}"
@@ -200,16 +195,13 @@ def _build_request(args, need_config=True) -> RunRequest:
         except ValueError as exc:
             raise ArgumentSemanticsError(str(exc)) from None
     return RunRequest(
-        system=system,
         ensemble=ensemble,
         model=model,
         config=config,
         output_path=Path(args.out),
-        mu_value=mu,
         scf_tol=args.scf_tol,
         scf_max_iter=args.scf_max_iter,
         use_aitken=args.aitken,
-        emit_mu_trace=args.canonical is not None,
     )
 
 
@@ -227,9 +219,9 @@ def _oracle_state(req: RunRequest, beta: float, start=None):
         )
         return res.density, res.mu, res.iterations
     if isinstance(req.ensemble, Canonical):
-        p, mu = exact_canonical_fd(req.system, req.ensemble.n_electrons, beta)
+        p, mu = exact_canonical_fd(req.model.system, req.ensemble.n_electrons, beta)
         return p, mu, None
-    return exact_grand_fd(req.system, req.ensemble.mu, beta), req.ensemble.mu, None
+    return exact_grand_fd(req.model.system, req.ensemble.mu, beta), req.ensemble.mu, None
 
 
 def _continuation_start(fixed_points, beta: float):
@@ -276,8 +268,8 @@ def cmd_run(args) -> int:
     traj = cool(req.model, req.ensemble, req.config)
     oracle_p, oracle_mu, scf_iters = _oracle_state(req, req.config.beta_final)
 
-    occ_run = occupation_spectrum(traj.final_density, req.system.s)
-    occ_exact = occupation_spectrum(oracle_p, req.system.s)
+    occ_run = occupation_spectrum(traj.final_density, req.model.system.s)
+    occ_exact = occupation_spectrum(oracle_p, req.model.system.s)
     rows = [
         (i, _fmt(a), _fmt(b), _fmt(abs(a - b)))
         for i, (a, b) in enumerate(zip(occ_run, occ_exact))
@@ -297,7 +289,7 @@ def cmd_run(args) -> int:
     )
 
     trace_iters = None
-    if req.emit_mu_trace and traj.mu_trace is not None:
+    if traj.mu_trace is not None:
         mu_rows, trace_iters = _mu_trace(req, traj.betas, traj.mu_trace)
         _write_csv(paths["mu"], ["beta", "mu_integrated", "mu_oracle"], mu_rows)
 
@@ -307,7 +299,7 @@ def cmd_run(args) -> int:
         ("scheme", traj.scheme),
         ("beta_final", _fmt(traj.beta_final)),
         ("delta_beta_snapped", _fmt(traj.delta_beta)),
-        ("mu_used", _fmt(req.mu_value) if isinstance(req.ensemble, GrandCanonical) else "canonical"),
+        ("mu_used", _fmt(req.ensemble.mu) if isinstance(req.ensemble, GrandCanonical) else "canonical"),
         ("max_abs_error", _fmt(float(np.abs(occ_run - occ_exact).max()))),
         ("positivity_violations", str(len(traj.positivity_violations))),
         ("scf_iterations", str(scf_iters) if scf_iters is not None else "n/a"),
@@ -325,7 +317,7 @@ def cmd_oracle(args) -> int:
     beta = args.beta
 
     oracle_p, oracle_mu, scf_iters = _oracle_state(req, beta)
-    occ = occupation_spectrum(oracle_p, req.system.s)
+    occ = occupation_spectrum(oracle_p, req.model.system.s)
     _write_csv(
         paths["spectra"],
         ["index", "exact_eigenvalue"],
@@ -369,12 +361,12 @@ def cmd_convergence(args) -> int:
     paths = _out_paths(req.output_path)
 
     oracle_p, _, _ = _oracle_state(req, beta)
-    occ_exact = occupation_spectrum(oracle_p, req.system.s)
+    occ_exact = occupation_spectrum(oracle_p, req.model.system.s)
 
     errors = []
     for config in configs:
         traj = cool(req.model, req.ensemble, config)
-        occ = occupation_spectrum(traj.final_density, req.system.s)
+        occ = occupation_spectrum(traj.final_density, req.model.system.s)
         errors.append(float(np.abs(occ - occ_exact).max()))
 
     rows = []

@@ -12,11 +12,10 @@ class DimensionMismatchError(FermicoolError):
 class NotPositiveDefiniteError(FermicoolError):
     """A matrix that must be positive definite has a non-positive eigenvalue."""
 
-    def __init__(self, eigenvalue, message=None):
+    def __init__(self, eigenvalue):
         self.eigenvalue = float(eigenvalue)
         super().__init__(
-            message
-            or f"matrix is not positive definite: smallest eigenvalue is {self.eigenvalue:.6g}"
+            f"matrix is not positive definite: smallest eigenvalue is {self.eigenvalue:.6g}"
         )
 
 
@@ -40,12 +39,11 @@ class BracketError(FermicoolError):
 class MuConvergenceError(FermicoolError):
     """Chemical potential search did not reach the requested tolerance."""
 
-    def __init__(self, residual, iterations, message=None):
+    def __init__(self, residual, iterations):
         self.residual = float(residual)
         self.iterations = int(iterations)
         super().__init__(
-            message
-            or f"mu search stopped after {self.iterations} iterations with "
+            f"mu search stopped after {self.iterations} iterations with "
             f"occupation residual {self.residual:.3e}"
         )
 
@@ -70,10 +68,9 @@ class ScfConvergenceError(FermicoolError):
 class SolverAbortError(FermicoolError):
     """Integration produced non-finite values and was aborted."""
 
-    def __init__(self, last_good_beta, message=None):
+    def __init__(self, last_good_beta):
         self.last_good_beta = float(last_good_beta)
         super().__init__(
-            message
-            or f"non-finite values in the density matrix; last good beta is "
+            f"non-finite values in the density matrix; last good beta is "
             f"{self.last_good_beta:.6g}"
         )

@@ -2,18 +2,16 @@
 
 Provides validated matrix carriers (symmetric matrices, positive-definite
 overlap metrics), the generalized eigendecomposition in an overlap metric,
-matrix functions evaluated through that decomposition, a safeguarded Newton
-search for the chemical potential at fixed electron count that can start
-from a guess, and Aitken
-delta-squared sequence acceleration.  Everything is dense, real and double
-precision.
+a safeguarded Newton search for the chemical potential at fixed electron
+count that can start from a guess, and Aitken delta-squared sequence
+acceleration.  Everything is dense, real and double precision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,11 +23,14 @@ from .errors import (
     NotPositiveDefiniteError,
 )
 
-#: Asymmetry tolerated in a matrix that claims to be symmetric.
-SYMMETRY_TOL = 1e-12
-
 #: Denominator magnitude below which Aitken extrapolation is skipped.
 AITKEN_DENOM_TOL = 1e-14
+
+#: Occupation residual at which the mu search stops.
+MU_TOL = 1e-10
+
+#: Occupation evaluations after which the mu search gives up.
+MU_MAX_ITER = 200
 
 
 def _as_square(m, name="matrix"):
@@ -89,9 +90,7 @@ class HermitianMatrix:
         return self._mat.shape[0]
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self._mat
-        return self._mat.astype(dtype)
+        return np.array(self._mat, dtype=dtype, copy=copy)
 
     def __repr__(self):
         return f"HermitianMatrix(dim={self.dim})"
@@ -148,7 +147,7 @@ class OverlapMatrix:
         return x
 
     def __array__(self, dtype=None, copy=None):
-        return self.base.__array__(dtype)
+        return self.base.__array__(dtype, copy)
 
     def __repr__(self):
         return f"OverlapMatrix(dim={self.dim}, min_eig={self.smallest_eigenvalue:.3g})"
@@ -167,10 +166,6 @@ class EigenPair:
     values: np.ndarray
     vectors: np.ndarray
     inv: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
 
 
 def _matrix_of(m):
@@ -210,24 +205,6 @@ def generalized_eigh(h, s) -> EigenPair:
     values, c = np.linalg.eigh(symmetrize(x @ hm @ x))
     vectors = x @ c
     return EigenPair(values=values, vectors=vectors, inv=vectors.T @ s_ov.mat)
-
-
-def matrix_function(eig: EigenPair, f: Callable) -> np.ndarray:
-    """Apply a scalar function through an eigendecomposition.
-
-    Returns ``vectors @ diag(f(values)) @ inv``.  For an identity
-    metric this is the standard symmetric matrix function.  ``f`` must return
-    finite values on the spectrum; callers are responsible for supplying a
-    numerically safe form (see :func:`fermi`), this routine only rejects
-    NaN/Inf results.
-    """
-    fv = np.asarray(f(eig.values), dtype=float)
-    if fv.shape != eig.values.shape:
-        raise ValueError("scalar function must map the spectrum elementwise")
-    if not np.all(np.isfinite(fv)):
-        bad = eig.values[~np.isfinite(fv)][0]
-        raise ValueError(f"scalar function is not finite at eigenvalue {bad:.6g}")
-    return (eig.vectors * fv) @ eig.inv
 
 
 def fermi(x):
@@ -272,24 +249,12 @@ def _occupation_and_slope(w, values, beta, mu, normalization):
             float(normalization * beta * np.dot(w, f * (1.0 - f))))
 
 
-def occupation(eig: EigenPair, s, beta: float, mu: float, normalization: float = 1.0) -> float:
-    """Electron count Tr[N S (1 + exp[beta (S^-1 H - mu)])^-1] for the given pencil.
-
-    ``eig`` must be the decomposition of the pencil in the metric ``s``: the
-    weights are read from its cached ``V^T S``.
-    """
-    return _occupation_and_slope(_occupation_weights(eig), eig.values, beta, mu,
-                                 normalization)[0]
-
-
 def find_mu_for_occupation(
     eig: EigenPair,
     s,
     beta: float,
     target_ne: float,
     normalization: float = 1.0,
-    tol: float = 1e-10,
-    max_iter: int = 200,
     guess: float | None = None,
 ) -> MuSearchResult:
     """Find the chemical potential that yields a prescribed electron count.
@@ -302,7 +267,8 @@ def find_mu_for_occupation(
     to halve the step before last (rtsafe, *Numerical Recipes* section 9.4).
     It therefore converges unconditionally whenever the bracket straddles the
     target, and quadratically near the root.  Each iteration evaluates the
-    occupation once.
+    occupation once, and the search stops once the occupation residual is
+    below :data:`MU_TOL`.
 
     The first iterate is ``guess`` when it lies strictly inside the bracket,
     such as the mu of a nearby Hamiltonian or temperature, and the bracket
@@ -320,8 +286,8 @@ def find_mu_for_occupation(
     BracketError
         If the achievable occupation range inside the bracket excludes the target.
     MuConvergenceError
-        If the occupation residual is still above ``tol`` after ``max_iter``
-        iterations.
+        If the occupation residual is still above :data:`MU_TOL` after
+        :data:`MU_MAX_ITER` iterations.
     """
     if beta < 0:
         raise ValueError(f"beta must be non-negative, got {beta}")
@@ -357,11 +323,11 @@ def find_mu_for_occupation(
     mu = float(guess) if guess is not None and lo < guess < hi else 0.5 * (lo + hi)
     step = step_before = hi - lo
     residual = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, MU_MAX_ITER + 1):
         value, slope = occ(mu)
         excess = value - target_ne
         residual = abs(excess)
-        if residual < tol:
+        if residual < MU_TOL:
             return MuSearchResult(mu, False, it, residual)
         if excess > 0.0:
             hi = mu
@@ -374,7 +340,7 @@ def find_mu_for_occupation(
         else:
             step_before, step = step, 0.5 * (hi - lo)
             mu = 0.5 * (lo + hi)
-    raise MuConvergenceError(residual, max_iter)
+    raise MuConvergenceError(residual, MU_MAX_ITER)
 
 
 def aitken_accelerate(x0, x1, x2):

@@ -9,7 +9,6 @@ cooling integrators in :mod:`fermicool.solvers` are validated:
   solved by a safeguarded Newton search so the trace stays at ``Ne``; the
   search can start from a guess, which the SCF loop takes from its previous
   iterate
-* the unnormalized Gibbs state ``exp(-beta H)``
 
 For density-dependent Hamiltonians ``H = H_core + H_exc(P)`` the exact state
 is the fixed point of ``P -> FermiDirac(H(P))``, found by :func:`scf_fixed_point`.
@@ -209,7 +208,7 @@ def _load_square(path) -> np.ndarray:
             f"matrix symmetrized",
             stacklevel=3,
         )
-    return 0.5 * (m + m.T)
+    return m
 
 
 def default_chemical_potential(system: SystemSpec, use_pencil: bool = False) -> float:
@@ -263,10 +262,12 @@ def exact_grand_fd(system: SystemSpec, mu: float, beta: float,
 
 
 def exact_canonical_fd(system: SystemSpec, n_electrons: float, beta: float,
-                       h_override=None, mu_tol: float = 1e-10, mu_guess=None):
+                       h_override=None, mu_guess=None):
     """Exact canonical Fermi-Dirac density matrix and its chemical potential.
 
-    Solves mu(beta) so that Tr[P] = n_electrons within ``mu_tol``.  The pencil
+    Solves mu(beta) so that Tr[P] = n_electrons within
+    :data:`~fermicool.matcore.MU_TOL`, in at most
+    :data:`~fermicool.matcore.MU_MAX_ITER` occupation evaluations.  The pencil
     is the system's cached :attr:`~SystemSpec.pencil` unless ``h_override``
     is given.  ``mu_guess``, such as the mu of a nearby Hamiltonian, is where
     the mu search starts when it lies inside the search bracket (see
@@ -286,16 +287,8 @@ def exact_canonical_fd(system: SystemSpec, n_electrons: float, beta: float,
         mu0 = float(np.trace(np.asarray(h, dtype=float))) / float(np.trace(system.s.mat))
         return HermitianMatrix(0.5 * norm * system.s.mat), mu0
     eig = _pencil_of(system, h_override)
-    res = find_mu_for_occupation(eig, system.s.mat, beta, n_electrons, norm, tol=mu_tol,
-                                 guess=mu_guess)
+    res = find_mu_for_occupation(eig, system.s.mat, beta, n_electrons, norm, guess=mu_guess)
     return HermitianMatrix(_fd_matrix(eig, beta, res.mu, norm)), res.mu
-
-
-def exact_gibbs(h, beta: float) -> HermitianMatrix:
-    """Unnormalized Gibbs state exp(-beta H) via eigendecomposition."""
-    hm = np.asarray(h, dtype=float)
-    vals, vecs = np.linalg.eigh(0.5 * (hm + hm.T))
-    return HermitianMatrix((vecs * np.exp(-beta * vals)) @ vecs.T)
 
 
 class ScfResult(NamedTuple):

@@ -221,14 +221,6 @@ def _s_frame_step(scheme, p, h, s, mu, delta_beta, s_inv):
     return symmetrize(out), a
 
 
-def bloch_rhs(rho, h) -> np.ndarray:
-    """Symmetrized Gibbs cooling derivative -(H rho + rho H)/2."""
-    rho = np.asarray(rho, dtype=float)
-    h = np.asarray(h, dtype=float)
-    _check_dims(rho, h)
-    return -0.5 * (h @ rho + rho @ h)
-
-
 def step_kraus1(p, h, s, mu, delta_beta, s_inv=None):
     """First-order positivity-preserving grand canonical step P' = A P A^T.
 

@@ -3,6 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fermicool import matcore
+
 try:
     from hypothesis import settings
 except ImportError:  # the property tests skip themselves
@@ -34,3 +36,9 @@ def random_spd(rng, dim, lo=0.5, hi=2.0):
 def random_symmetric(rng, dim, scale=1.0):
     a = rng.normal(size=(dim, dim)) * scale
     return 0.5 * (a + a.T)
+
+
+def search_occupation(eig, beta, mu, normalization=1.0):
+    """Electron count N Tr[S f(S^-1 H - mu)] through the evaluator the mu search uses."""
+    w = matcore._occupation_weights(eig)
+    return matcore._occupation_and_slope(w, eig.values, beta, mu, normalization)[0]

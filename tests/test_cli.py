@@ -132,6 +132,25 @@ class TestRun:
         assert ((s != 0) & (np.abs(s) < tiny)).any()
         assert outputs[0] == outputs[1]
 
+    def test_mu_pencil_resolves_auto_from_the_pencil(self, tmp_path, data_dir):
+        from fermicool import default_chemical_potential, load_system
+
+        h, s = data_dir / "sample_hcore.mat", data_dir / "sample_overlap.mat"
+        mu_used = {}
+        for label, extra in (("pencil", ["--mu-pencil"]), ("plain", [])):
+            out = tmp_path / f"{label}.csv"
+            assert main([
+                "run", "--files", str(h), str(s), "--grand", *extra,
+                "--scheme", "kraus1", "--beta", "1", "--dbeta", "0.05", "--out", str(out),
+            ]) == 0
+            meta = dict(line.split(": ", 1)
+                        for line in (tmp_path / f"{label}.meta").read_text().splitlines())
+            mu_used[label] = meta["mu_used"]
+        system = load_system(h, s)
+        assert mu_used["pencil"] == format(default_chemical_potential(system, use_pencil=True),
+                                           ".17g")
+        assert mu_used["pencil"] != mu_used["plain"]
+
 
 def test_continuation_start_extrapolates_by_lagrange(rng):
     from fermicool.cli import _continuation_start

@@ -17,10 +17,8 @@ from fermicool import (
     fermi,
     find_mu_for_occupation,
     generalized_eigh,
-    matrix_function,
-    occupation,
 )
-from conftest import random_spd, random_symmetric
+from conftest import random_spd, random_symmetric, search_occupation
 
 
 class TestHermitianMatrix:
@@ -89,6 +87,21 @@ class TestOverlapMatrix:
         np.testing.assert_allclose(x @ s.mat @ x, np.eye(5), atol=1e-12)
 
 
+@pytest.mark.parametrize("carrier", [HermitianMatrix, OverlapMatrix])
+def test_array_conversion_honours_copy(carrier):
+    m = carrier([[2.0, 0.5], [0.5, 1.0]])
+    # a copy is writable and leaves the frozen matrix alone
+    copied = np.array(m)
+    assert not np.shares_memory(copied, m.mat)
+    copied[0, 0] = 7.0
+    assert m.mat[0, 0] == 2.0
+    # a view is handed out wherever no copy is asked for or needed
+    assert np.shares_memory(np.asarray(m), m.mat)
+    assert np.shares_memory(np.asarray(m, dtype=float), m.mat)
+    with pytest.raises(ValueError):
+        np.array(m, dtype=np.float32, copy=False)
+
+
 class TestGeneralizedEigh:
     def test_identity_overlap_diag(self):
         eig = generalized_eigh(np.diag([0.0, 1.0]), np.eye(2))
@@ -142,44 +155,6 @@ class TestGeneralizedEigh:
             generalized_eigh(np.eye(2), np.diag([1.0, -2.0]))
 
 
-class TestMatrixFunction:
-    def test_identity_function(self, rng):
-        h = random_symmetric(rng, 6)
-        s = random_spd(rng, 6)
-        eig = generalized_eigh(h, s)
-        np.testing.assert_allclose(
-            matrix_function(eig, lambda x: x), np.linalg.solve(s, h), atol=1e-10
-        )
-
-    def test_exponential_oracle(self):
-        eig = generalized_eigh(np.diag([0.0, 1.0]), np.eye(2))
-        out = matrix_function(eig, lambda x: np.exp(-x))
-        np.testing.assert_allclose(out, np.diag([1.0, math.exp(-1.0)]), atol=1e-12)
-
-    def test_fermi_oracle(self):
-        # scalar values 1/(1+exp(2(x-0.5))) at x = 0, 1
-        eig = generalized_eigh(np.diag([0.0, 1.0]), np.eye(2))
-        out = matrix_function(eig, lambda x: 1.0 / (1.0 + np.exp(2.0 * (x - 0.5))))
-        expected = np.diag([1.0 / (1.0 + math.exp(-1.0)), 1.0 / (1.0 + math.exp(1.0))])
-        np.testing.assert_allclose(out, expected, atol=1e-12)
-        np.testing.assert_allclose(np.diag(expected), [0.731058578630, 0.268941421370], atol=1e-12)
-
-    def test_rejects_non_finite(self):
-        eig = generalized_eigh(np.diag([0.0, 800.0]), np.eye(2))
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
-            matrix_function(eig, lambda x: np.exp(x))
-
-    def test_composition(self, rng):
-        h = random_symmetric(rng, 7)
-        eig = generalized_eigh(h, np.eye(7))
-        f = lambda x: 1.0 / (1.0 + x * x)
-        g = lambda x: np.tanh(x)
-        once = matrix_function(eig, lambda x: f(g(x)))
-        inner = matrix_function(eig, g)
-        twice = matrix_function(generalized_eigh(inner, np.eye(7)), f)
-        np.testing.assert_allclose(once, twice, atol=1e-9)
-
-
 class TestFermi:
     def test_moderate_values(self):
         for x in (-3.0, -0.5, 0.0, 0.5, 3.0):
@@ -209,7 +184,7 @@ class TestFindMu:
         assert res.degenerate
         # the trace is mu-independent at beta = 0 and equals dim/2
         for mu in (-5.0, res.mu, 7.0):
-            assert occupation(eig, np.eye(4), 0.0, mu) == pytest.approx(2.0, abs=1e-12)
+            assert search_occupation(eig, 0.0, mu) == pytest.approx(2.0, abs=1e-12)
 
     def test_huckel_half_filling_lands_at_band_center(self):
         system = build_huckel(50, 0.569, 0.066)
@@ -223,7 +198,7 @@ class TestFindMu:
         eig = generalized_eigh(system.h_core, system.s)
         res = find_mu_for_occupation(eig, system.s.mat, beta=300.0, target_ne=20.0)
         assert res.iterations <= 8
-        assert abs(occupation(eig, system.s.mat, 300.0, res.mu) - 20.0) < 1e-10
+        assert abs(search_occupation(eig, 300.0, res.mu) - 20.0) < 1e-10
 
     def test_guess_near_root_saves_iterations(self):
         system = build_huckel(50, 0.569, 0.066)
@@ -232,7 +207,7 @@ class TestFindMu:
         warm = find_mu_for_occupation(eig, system.s.mat, beta=300.0, target_ne=20.0,
                                       guess=cold.mu + 1e-6)
         assert warm.iterations < cold.iterations
-        assert abs(occupation(eig, system.s.mat, 300.0, warm.mu) - 20.0) < 1e-10
+        assert abs(search_occupation(eig, 300.0, warm.mu) - 20.0) < 1e-10
 
     def test_underflowed_slope_raises_no_warning(self, recwarn):
         # at the midpoint 0.72 the slope is beta e^-720, a subnormal, and the
@@ -261,7 +236,7 @@ class TestFindMu:
             mus = rng.uniform(-6.0, 6.0, size=(100, 2))
             for a, b in mus:
                 lo, hi = min(a, b), max(a, b)
-                assert occupation(eig, s, beta, hi) >= occupation(eig, s, beta, lo) - 1e-12
+                assert search_occupation(eig, beta, hi) >= search_occupation(eig, beta, lo) - 1e-12
 
     def test_target_out_of_range(self):
         eig = generalized_eigh(np.diag([0.0, 1.0]), np.eye(2))

@@ -17,7 +17,6 @@ from fermicool import (
     default_chemical_potential,
     effective_hamiltonian,
     exact_canonical_fd,
-    exact_gibbs,
     exact_grand_fd,
     generalized_eigh,
     load_system,
@@ -205,20 +204,6 @@ class TestExactCanonicalFd:
         for beta in (0.0, 0.5, 3.0, 30.0, 300.0):
             p, _ = exact_canonical_fd(system, ne, beta)
             assert np.trace(p.mat) == pytest.approx(ne, abs=1e-8)
-
-
-class TestExactGibbs:
-    def test_beta_zero_identity(self, rng):
-        h = random_symmetric(rng, 5)
-        np.testing.assert_allclose(exact_gibbs(h, 0.0).mat, np.eye(5), atol=1e-12)
-
-    def test_diagonal_exponential(self):
-        g = exact_gibbs(np.diag([0.0, 1.0]), 1.0)
-        np.testing.assert_allclose(g.mat, np.diag([1.0, math.exp(-1.0)]), atol=1e-14)
-
-    def test_offdiagonal_spectrum(self):
-        g = exact_gibbs([[0.0, 1.0], [1.0, 0.0]], math.log(2.0))
-        np.testing.assert_allclose(np.linalg.eigvalsh(g.mat), [0.5, 2.0], atol=1e-12)
 
 
 class TestDefaultChemicalPotential:

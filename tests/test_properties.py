@@ -41,7 +41,6 @@ from fermicool import (  # noqa: E402
     effective_hamiltonian,
     find_mu_for_occupation,
     generalized_eigh,
-    occupation,
     read_matrix,
     step_kraus1,
     step_kraus2,
@@ -49,7 +48,7 @@ from fermicool import (  # noqa: E402
     write_matrix,
 )
 from fermicool.cli import main  # noqa: E402
-from conftest import random_spd, random_symmetric  # noqa: E402
+from conftest import random_spd, random_symmetric, search_occupation  # noqa: E402
 
 #: Largest relative gap between cool() and the S-frame reference, fixed
 #: before the comparison is run.
@@ -233,12 +232,12 @@ def ref_bisect_mu(eig, s, beta, target, norm, tol=MU_TOL, max_iter=200):
     if not 0.0 < target < norm * float(np.trace(s)):
         raise InfeasibleEnsembleError("target outside (0, N Tr[S])")
     lo, hi = ref_bracket(eig.values, beta)
-    if not occupation(eig, s, beta, lo, norm) <= target <= occupation(eig, s, beta, hi, norm):
+    if not search_occupation(eig, beta, lo, norm) <= target <= search_occupation(eig, beta, hi, norm):
         raise BracketError("bracket does not straddle the target")
     residual = np.inf
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        value = occupation(eig, s, beta, mid, norm)
+        value = search_occupation(eig, beta, mid, norm)
         residual = abs(value - target)
         if residual < tol:
             return mid

@@ -14,7 +14,6 @@ from fermicool import (
     SolverAbortError,
     SolverConfig,
     SystemSpec,
-    bloch_rhs,
     build_huckel,
     canonical_normalization,
     commutator_defect,
@@ -22,7 +21,6 @@ from fermicool import (
     default_chemical_potential,
     effective_hamiltonian,
     exact_canonical_fd,
-    exact_gibbs,
     exact_grand_fd,
     occupation_spectrum,
     step_kraus1,
@@ -199,31 +197,6 @@ class TestMuRhs:
             assert abs((sigma - mu) / beta) < 1e-10
 
 
-class TestBlochRhs:
-    def test_identity_state(self, rng):
-        h = random_symmetric(rng, 4)
-        np.testing.assert_allclose(bloch_rhs(np.eye(4), h), -h, atol=1e-15)
-
-    def test_commuting_diagonal(self):
-        h = np.diag([0.0, 1.0])
-        rho = np.diag([1.0, math.exp(-1.0)])
-        np.testing.assert_allclose(bloch_rhs(rho, h), np.diag([0.0, -math.exp(-1.0)]),
-                                   atol=1e-15)
-
-    def test_zero_state(self, rng):
-        h = random_symmetric(rng, 3)
-        np.testing.assert_array_equal(bloch_rhs(np.zeros((3, 3)), h), np.zeros((3, 3)))
-
-    def test_rk4_integration_reaches_gibbs_state(self, rng):
-        h = random_symmetric(rng, 5)
-        rho = np.eye(5)
-        db, beta = 0.002, 2.0
-        for _ in range(int(round(beta / db))):
-            rho = step_rk4(rho, lambda r: bloch_rhs(r, h), db)
-        exact = exact_gibbs(h, beta).mat
-        assert np.abs(rho - exact).max() / np.abs(exact).max() < 1e-9
-
-
 class TestStepKraus1:
     def test_zero_step_is_identity(self, rng):
         p = random_spd(rng, 4, lo=0.1, hi=0.9)
@@ -323,6 +296,18 @@ class TestStepRk4:
                         SolverConfig("rk4", 1.0, db, record_every=10 ** 6))
             errs.append(np.abs(occupation_spectrum(traj.final_density, system.s) - exact).max())
         assert math.log2(errs[0] / errs[1]) == pytest.approx(4.0, abs=0.3)
+
+    def test_rk4_integration_reaches_gibbs_state(self, rng):
+        # the Bloch equation d rho/d beta = -(H rho + rho H)/2 from rho(0) = 1
+        # has the solution exp(-beta H)
+        h = random_symmetric(rng, 5)
+        rho = np.eye(5)
+        db, beta = 0.002, 2.0
+        for _ in range(int(round(beta / db))):
+            rho = step_rk4(rho, lambda r: -0.5 * (h @ r + r @ h), db)
+        vals, vecs = np.linalg.eigh(h)
+        exact = (vecs * np.exp(-beta * vals)) @ vecs.T
+        assert np.abs(rho - exact).max() / np.abs(exact).max() < 1e-9
 
 
 class TestCommutatorDefect:
