@@ -40,7 +40,6 @@ from .models import (
     SystemSpec,
     build_huckel,
     canonical_normalization,
-    check_canonical_feasible,
     default_chemical_potential,
     effective_hamiltonian,
     exact_canonical_fd,
@@ -89,7 +88,6 @@ __all__ = [
     "aitken_accelerate",
     "build_huckel",
     "canonical_normalization",
-    "check_canonical_feasible",
     "commutator_defect",
     "cool",
     "default_chemical_potential",

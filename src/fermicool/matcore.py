@@ -43,9 +43,13 @@ def _as_square(m, name="matrix"):
 
 
 def symmetrize(m):
-    """Return the symmetric part (M + M^T) / 2 as a new array."""
-    a = np.asarray(m, dtype=float)
-    return 0.5 * (a + a.T)
+    """Return the symmetric part (M + M^T) / 2 as a new array.
+
+    Each half is taken before the sum, so entries near the largest finite
+    float do not overflow; halving is exact above the subnormal range.
+    """
+    half = 0.5 * np.asarray(m, dtype=float)
+    return half + half.T
 
 
 def maxabs_asymmetry(m):
@@ -243,8 +247,10 @@ def _occupation_weights(eig: EigenPair) -> np.ndarray:
 
 def _occupation_and_slope(w, values, beta, mu, normalization):
     # N sum_k w_k f_k and its mu-derivative N beta sum_k w_k f_k (1 - f_k),
-    # with f_k = fermi(beta (lambda_k - mu)).
-    f = fermi(beta * (values - mu))
+    # with f_k = fermi(beta (lambda_k - mu)); an argument that overflows to
+    # +-inf saturates the Fermi factor exactly.
+    with np.errstate(over="ignore"):
+        f = fermi(beta * (values - mu))
     return (float(normalization * np.dot(w, f)),
             float(normalization * beta * np.dot(w, f * (1.0 - f))))
 

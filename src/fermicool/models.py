@@ -97,19 +97,17 @@ Ensemble = Union[GrandCanonical, Canonical]
 def canonical_normalization(n_electrons: float, s) -> float:
     """The scaling 2 Ne / Tr[S] that pins the infinite-temperature trace at Ne.
 
-    Always recomputed from its inputs so it can never go stale.
+    Always recomputed from its inputs so it can never go stale.  Electron
+    counts at or beyond full filling (not 0 < Ne < Tr[S]) raise
+    InfeasibleEnsembleError.
     """
-    return 2.0 * float(n_electrons) / float(np.trace(np.asarray(s, dtype=float)))
-
-
-def check_canonical_feasible(n_electrons: float, s) -> None:
-    """Reject electron counts at or beyond full filling (Ne >= Tr[S])."""
     full = float(np.trace(np.asarray(s, dtype=float)))
     if not 0.0 < n_electrons < full:
         raise InfeasibleEnsembleError(
             f"electron count {n_electrons:.6g} must lie strictly between 0 and "
             f"full filling Tr[S] = {full:.6g}"
         )
+    return 2.0 * float(n_electrons) / full
 
 
 @dataclass(frozen=True)
@@ -121,10 +119,11 @@ class HamiltonianModel:
 
         H_exc(P) = u * (D + phi(D) * J),    D = P - (N/2) S,
 
-    where ``phi(D)`` is the mean off-diagonal entry of D and J is the
-    alternating on-site pattern diag(+1, -1, ...).  The correction is
-    symmetric and vanishes identically at the cooling initial value
-    P = N S / 2, so H(beta = 0) = H_core.  The staggered channel makes H_exc
+    where ``phi(D)`` is the sum of the off-diagonal entries of D divided by
+    the dimension n, and J is the alternating on-site pattern
+    diag(+1, -1, ...).  The correction is symmetric and vanishes identically
+    at the cooling initial value P = N S / 2, so H(beta = 0) = H_core.  The
+    staggered channel makes H_exc
     genuinely non-commuting with the core Hamiltonian once off-diagonal
     coherences develop, the trait of realistic density-functional corrections
     that drives the ``commutator_defect`` diagnostic.
@@ -280,7 +279,6 @@ def exact_canonical_fd(system: SystemSpec, n_electrons: float, beta: float,
     (HermitianMatrix, float)
         The density matrix and mu(beta).
     """
-    check_canonical_feasible(n_electrons, system.s.mat)
     norm = canonical_normalization(n_electrons, system.s.mat)
     if beta == 0.0:
         h = system.h_core if h_override is None else h_override
@@ -339,7 +337,6 @@ def scf_fixed_point(
         raise ValueError(f"SCF iteration limit must be at least 1, got {max_iter}")
     system = model.system
     if isinstance(ensemble, Canonical):
-        check_canonical_feasible(ensemble.n_electrons, system.s.mat)
         norm = canonical_normalization(ensemble.n_electrons, system.s.mat)
     else:
         norm = 1.0

@@ -16,11 +16,13 @@ congruence is used.  Classic RK4 is provided as well; it has no congruence
 structure, so the smallest eigenvalue is monitored at every recorded step.
 
 Canonical flows use the trace-preserving scalar sigma = Tr[X S^-1 H] / Tr[X],
-X = P (1 - S^-1 P / N), which makes d Tr[P] / dbeta = 0 identically, and
-track mu(beta) through d mu/dbeta = (sigma - mu)/beta from
-mu(0) = Tr[H]/Tr[S].  Grand canonical flows are the same flow with sigma
-frozen at mu, N = 1 and sigma' = 0, so one kernel, :func:`_flow`, serves
-both ensembles.
+X = P (1 - S^-1 P / N), which makes d Tr[P] / dbeta = 0 identically.  The
+chemical potential follows from d(beta mu)/dbeta = sigma: every scheme
+accumulates beta mu from the scalars its kernel calls return (Euler for
+kraus1, sigma + (db/2) sigma' for kraus2, the RK4 weights over the four
+stage scalars for rk4), and mu = (beta mu) / beta.  Grand canonical flows are
+the same flow with sigma frozen at mu, N = 1 and sigma' = 0, so one kernel,
+:func:`_flow`, serves both ensembles.
 
 :func:`cool` integrates in the symmetric-orthogonalization (Loewdin) frame
 Q = S^-1/2 P S^-1/2, G = S^-1/2 H S^-1/2.  There the flow keeps its form
@@ -45,7 +47,6 @@ from .models import (
     Ensemble,
     HamiltonianModel,
     canonical_normalization,
-    check_canonical_feasible,
     effective_hamiltonian,
 )
 
@@ -273,9 +274,11 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     """Integrate the cooling flow from beta = 0 to ``config.beta_final``.
 
     Grand canonical runs start from P(0) = S/2 with the ensemble's fixed mu.
-    Canonical runs start from P(0) = (N/2) S with mu(0) = Tr[H]/Tr[S] and
-    integrate mu alongside P (RK4 treats the pair as one state vector; the
-    congruence schemes accumulate beta mu = integral of the lagrange scalar).
+    Canonical runs start from P(0) = (N/2) S with mu(0) = Tr[H]/Tr[S].  Each
+    step adds its quadrature of the lagrange scalar to beta mu, at the
+    scheme's order: db sigma (kraus1), db (sigma + db sigma' / 2) (kraus2) or
+    db/6 (s1 + 2 s2 + 2 s3 + s4) over the RK4 stage scalars; then
+    mu = (beta mu) / beta.
 
     The state is Q = S^-1/2 P S^-1/2 from Q(0) = (N/2) 1, stepped against
     G = S^-1/2 H S^-1/2 (for S = 1 the frame is P itself); G - mu is formed
@@ -298,14 +301,12 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     system = model.system
     s_mat = system.s.mat
     n = system.dim
-    nn = n * n
     n_steps = config.n_steps
     db = config.snapped_delta_beta
     canonical = isinstance(ensemble, Canonical)
     scheme = config.scheme
 
     if canonical:
-        check_canonical_feasible(ensemble.n_electrons, s_mat)
         norm = canonical_normalization(ensemble.n_electrons, s_mat)
         mu = float(np.trace(system.h_core.mat)) / float(np.trace(s_mat))
         beta_mu = 0.0  # running integral of the lagrange scalar, equals beta * mu
@@ -355,15 +356,12 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
 
     record(0.0, p, 0.0)
 
-    def packed_rhs(state):
-        # canonical RK4 steps the autonomous state [vec(Q), mu, beta]
-        q_stage = state[:nn].reshape(n, n)
-        mu_y, beta_y = state[nn], state[nn + 1]
-        dq, sigma, _, _ = _flow(q_stage, f, q_stage, norm, 0.0, "rk4", w=w)
-        # at beta = 0 the slope's limit is sigma'/2, and sigma' = 0 there
-        # because Xdot = Qdot - (Qdot Q + Q Qdot)/N vanishes at Q = (N/2) 1
-        dmu = (sigma - mu_y) / beta_y if beta_y > 0.0 else 0.0
-        return np.concatenate([dq.ravel(), [dmu, 1.0]])
+    sigmas = []  # the stage scalars of the current RK4 step
+
+    def rk4_rhs(q_stage):
+        dq, sigma, _, _ = _flow(q_stage, f, q_stage, norm, 0.0, "rk4", mu=kernel_mu, w=w)
+        sigmas.append(sigma)
+        return dq
 
     # non-finite values are detected and turned into SolverAbortError below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -380,20 +378,19 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
                 h_eff = h_new
                 g, f = frame_operator(h_eff)
 
-            if scheme != "rk4":
-                q_raw, sigma, sdot, _ = _flow(q, f, q, norm, db, scheme, mu=kernel_mu, w=w)
-                if canonical:
-                    # d(beta mu)/dbeta equals the scalar exactly; integrate it
-                    # at the scheme's own order (Euler / trapezoid-by-Taylor).
-                    beta_mu += db * (sigma + 0.5 * db * sdot)
-                    mu = beta_mu / beta_next
-            elif canonical:
-                state = step_rk4(np.concatenate([q.ravel(), [mu, beta_i]]), packed_rhs, db)
-                q_raw = state[:nn].reshape(n, n)
-                mu = float(state[nn])
+            # d(beta mu)/dbeta equals the scalar exactly; each scheme
+            # integrates it at its own order
+            if scheme == "rk4":
+                sigmas.clear()
+                q_raw = step_rk4(q, rk4_rhs, db)
+                s1, s2, s3, s4 = sigmas
+                dz = (db / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
             else:
-                q_raw = step_rk4(
-                    q, lambda q_s: _flow(q_s, f, q_s, 1.0, 0.0, "rk4", mu=mu, w=w)[0], db)
+                q_raw, sigma, sdot, _ = _flow(q, f, q, norm, db, scheme, mu=kernel_mu, w=w)
+                dz = db * (sigma + 0.5 * db * sdot)
+            if canonical:
+                beta_mu += dz
+                mu = beta_mu / beta_next
 
             if not np.isfinite(q_raw).all() or not np.isfinite(mu):
                 raise SolverAbortError(beta_i)

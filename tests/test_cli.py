@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -293,6 +294,20 @@ class TestExitCodes:
         ])
         assert code == 5
         assert "error[solver-abort]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, code", [
+        (["oracle", "--grand", "--mu", "0", "--beta", "1"], 0),
+        (["oracle", "--canonical", "1", "--beta", "1"], 0),
+        (["run", "--grand", "--mu", "0", "--beta", "1", "--dbeta", "0.1"], 5),
+    ], ids=["oracle-grand", "oracle-canonical", "run"])
+    def test_entries_near_the_largest_float(self, tmp_path, capsys, argv, code):
+        big = tmp_path / "big.mat"
+        big.write_text("2 2\n0 1.7e308\n1.7e308 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--files", str(big), "--out", str(tmp_path / "x.csv")]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "Warning" not in err
 
     def test_scf_non_convergence(self, tmp_path, capsys):
         code = main([

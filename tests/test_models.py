@@ -76,6 +76,14 @@ class TestEnsembles:
         assert canonical_normalization(25.0, system.s.mat) == pytest.approx(1.0)
         assert canonical_normalization(10.0, system.s.mat) == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("of_trace, plus", [(0, -1.0), (0, 0.0), (1, 0.0), (1, 1.0)],
+                             ids=["-1", "0", "trace", "trace+1"])
+    def test_normalization_rejects_counts_outside_filling(self, rng, of_trace, plus):
+        s = random_spd(rng, 4)
+        ne = of_trace * float(np.trace(s)) + plus
+        with pytest.raises(InfeasibleEnsembleError, match="strictly between 0 and full filling"):
+            canonical_normalization(ne, s)
+
 
 class TestEffectiveHamiltonian:
     def test_linear_ignores_density(self, rng):

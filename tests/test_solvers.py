@@ -185,7 +185,8 @@ class TestCanonicalRhs:
 
 
 class TestMuRhs:
-    """The mu derivative (sigma - mu) / beta that cool() integrates."""
+    """The mu derivative (sigma - mu) / beta implied by d(beta mu)/dbeta = sigma,
+    the quadrature that cool() integrates."""
 
     def test_plateau_at_low_temperature(self):
         # on the exact canonical state of the half-filled ring the scalar
@@ -399,12 +400,29 @@ class TestCool:
         nl = cool(HamiltonianModel(system, coupling_u=0.1), GrandCanonical(mu), cfg)
         assert nl.diagnostics.h_refresh_defect.max() > 1e-6
 
-    def test_abort_on_blowup_reports_last_good_beta(self):
+    @pytest.mark.parametrize("ensemble", [GrandCanonical(0.0), Canonical(2.0)],
+                             ids=["grand", "canonical"])
+    @pytest.mark.parametrize("scheme, last_good", [("kraus1", 40.0), ("kraus2", 30.0),
+                                                   ("rk4", 10.0)])
+    def test_abort_on_blowup_reports_last_good_beta(self, scheme, last_good, ensemble):
         system = build_huckel(4, 0.0, 50.0)
         with np.errstate(all="ignore"), pytest.raises(SolverAbortError) as err:
-            cool(HamiltonianModel(system), GrandCanonical(0.0),
-                 SolverConfig("rk4", 100.0, 50.0, record_every=1))
-        assert 0.0 <= err.value.last_good_beta < 100.0
+            cool(HamiltonianModel(system), ensemble, SolverConfig(scheme, 1000.0, 10.0))
+        assert err.value.last_good_beta == last_good
+
+    def test_canonical_mu_observed_orders(self, rng):
+        # d(beta mu)/dbeta = sigma is integrated with each scheme's own weights,
+        # so the final mu converges at the scheme's order
+        s = OverlapMatrix(random_spd(rng, 4))
+        system = SystemSpec(HermitianMatrix(random_symmetric(rng, 4)), s)
+        _, mu_oracle = exact_canonical_fd(system, 1.5, 1.0)
+        for scheme, order, tol, steps in (("kraus1", 1, 0.2, (0.02, 0.01)),
+                                          ("kraus2", 2, 0.2, (0.02, 0.01)),
+                                          ("rk4", 4, 0.3, (0.1, 0.05))):
+            errs = [abs(cool(HamiltonianModel(system), Canonical(1.5),
+                             SolverConfig(scheme, 1.0, db, record_every=10 ** 6)).final_mu
+                        - mu_oracle) for db in steps]
+            assert math.log2(errs[0] / errs[1]) == pytest.approx(order, abs=tol), scheme
 
     def test_canonical_full_filling_rejected(self):
         system = build_huckel(4, 0.0, 1.0)
