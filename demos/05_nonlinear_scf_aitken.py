@@ -1,10 +1,13 @@
 """Density-dependent Hamiltonian: cooling with per-step refresh versus SCF.
 
 With H = H_core + H_exc(P) the exact state must be found self-consistently.
-The cooling flow instead refreshes H at the start of every step, which
-neglects the non-commutativity of H with its own rate of change; the
-commutator watch quantifies how much is being neglected, and the resulting
-deviation from the self-consistent state stays small for weak coupling.
+The SCF oracle takes Newton steps on F(P) - P = 0 (use_aitken=True, the
+default) or plain Picard steps P -> F(P) (use_aitken=False); the table
+compares their iteration counts.  The cooling flow instead refreshes H at
+the start of every step, which neglects the non-commutativity of H with its
+own rate of change; the commutator watch quantifies how much is being
+neglected, and the resulting deviation from the self-consistent state stays
+small for weak coupling.
 """
 
 import numpy as np
@@ -26,7 +29,7 @@ beta = 3.0
 config = SolverConfig("rk4", beta_final=beta, delta_beta=0.003, record_every=50)
 
 print("10-site ring with a density-dependent correction\n")
-print("coupling   cooled-vs-scf    max ||[H, dH/dbeta]||   scf iters (aitken/plain)")
+print("coupling   cooled-vs-scf    max ||[H, dH/dbeta]||   scf iters (newton/picard)")
 for u in (0.0, 0.05, 0.1):
     model = HamiltonianModel(system, coupling_u=u)
     traj = cool(model, GrandCanonical(mu), config)

@@ -23,7 +23,6 @@ from .matcore import (
     HermitianMatrix,
     MuSearchResult,
     OverlapMatrix,
-    aitken_accelerate,
     fermi,
     find_mu_for_occupation,
     generalized_eigh,
@@ -85,7 +84,6 @@ __all__ = [
     "SystemSpec",
     "Trajectory",
     "TrajectoryDiagnostics",
-    "aitken_accelerate",
     "build_huckel",
     "canonical_normalization",
     "commutator_defect",

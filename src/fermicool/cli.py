@@ -401,7 +401,9 @@ def _add_common(parser: argparse.ArgumentParser, with_solver: bool) -> None:
     parser.add_argument("--nonlinear", type=float, default=0.0, metavar="U",
                         help="coupling of the density-dependent toy correction (0 = linear)")
     parser.add_argument("--aitken", action=argparse.BooleanOptionalAction, default=True,
-                        help="accelerate the SCF oracle with Aitken extrapolation")
+                        help="SCF oracle steps: Newton steps with a Picard fallback "
+                             "(--aitken, the default) or plain Picard iteration "
+                             "(--no-aitken)")
     parser.add_argument("--scf-tol", type=float, default=1e-10)
     parser.add_argument("--scf-max-iter", type=int, default=200)
     parser.add_argument("--beta", type=float, required=True, metavar="B",

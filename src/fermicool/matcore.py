@@ -2,13 +2,14 @@
 
 Provides validated matrix carriers (symmetric matrices, positive-definite
 overlap metrics), the generalized eigendecomposition in an overlap metric,
-a safeguarded Newton search for the chemical potential at fixed electron
-count that can start from a guess, and Aitken delta-squared sequence
-acceleration.  Everything is dense, real and double precision.
+and a safeguarded Newton search for the chemical potential at fixed electron
+count that can start from a guess.  Everything is dense, real and double
+precision.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -22,9 +23,6 @@ from .errors import (
     MuConvergenceError,
     NotPositiveDefiniteError,
 )
-
-#: Denominator magnitude below which Aitken extrapolation is skipped.
-AITKEN_DENOM_TOL = 1e-14
 
 #: Occupation residual at which the mu search stops.
 MU_TOL = 1e-10
@@ -274,7 +272,8 @@ def find_mu_for_occupation(
     It therefore converges unconditionally whenever the bracket straddles the
     target, and quadratically near the root.  Each iteration evaluates the
     occupation once, and the search stops once the occupation residual is
-    below :data:`MU_TOL`.
+    below :data:`MU_TOL`.  A bracket end whose residual is already below
+    :data:`MU_TOL` is returned with ``iterations = 0``.
 
     The first iterate is ``guess`` when it lies strictly inside the bracket,
     such as the mu of a nearby Hamiltonian or temperature, and the bracket
@@ -290,7 +289,9 @@ def find_mu_for_occupation(
     InfeasibleEnsembleError
         If the target lies outside ``(0, normalization * Tr[S])``.
     BracketError
-        If the achievable occupation range inside the bracket excludes the target.
+        If the bracket is not finite (pencil eigenvalues beyond the largest
+        float), or the achievable occupation range inside it excludes the
+        target.
     MuConvergenceError
         If the occupation residual is still above :data:`MU_TOL` after
         :data:`MU_MAX_ITER` iterations.
@@ -314,6 +315,11 @@ def find_mu_for_occupation(
     margin = 10.0 / max(beta, 1.0)
     lo = float(eig.values.min()) - margin
     hi = float(eig.values.max()) + margin
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise BracketError(
+            f"the mu bracket [{lo:.6g}, {hi:.6g}] is not finite: the pencil eigenvalues "
+            f"pass the largest float"
+        )
 
     if beta == 0.0:
         mid = 0.5 * (lo + hi)
@@ -325,6 +331,10 @@ def find_mu_for_occupation(
             f"occupation range [{occ_lo:.6g}, {occ_hi:.6g}] over the mu bracket "
             f"[{lo:.6g}, {hi:.6g}] does not contain the target {target_ne:.6g}"
         )
+    # a root at a bracket end: Newton iterates toward it would leave the open bracket
+    for end, occ_end in ((lo, occ_lo), (hi, occ_hi)):
+        if abs(occ_end - target_ne) < MU_TOL:
+            return MuSearchResult(end, False, 0, abs(occ_end - target_ne))
 
     mu = float(guess) if guess is not None and lo < guess < hi else 0.5 * (lo + hi)
     step = step_before = hi - lo
@@ -348,23 +358,3 @@ def find_mu_for_occupation(
             mu = 0.5 * (lo + hi)
     raise MuConvergenceError(residual, MU_MAX_ITER)
 
-
-def aitken_accelerate(x0, x1, x2):
-    """Aitken delta-squared extrapolation of three consecutive iterates.
-
-    Returns ``x2 - (x2 - x1)^2 / ((x2 - x1) - (x1 - x0))`` wherever the
-    denominator magnitude exceeds ``AITKEN_DENOM_TOL`` and ``x2`` unchanged
-    elsewhere (converged or stagnant entries).  Applied elementwise, so matrix
-    iterates extrapolate entry by entry.  Exact on sequences a + b r^k.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    d1 = x1 - x0
-    d2 = x2 - x1
-    denom = d2 - d1
-    safe = np.abs(denom) > AITKEN_DENOM_TOL
-    out = np.where(safe, x2 - d2 * d2 / np.where(safe, denom, 1.0), x2)
-    if out.ndim == 0:
-        return float(out)
-    return out

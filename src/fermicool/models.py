@@ -11,7 +11,14 @@ cooling integrators in :mod:`fermicool.solvers` are validated:
   iterate
 
 For density-dependent Hamiltonians ``H = H_core + H_exc(P)`` the exact state
-is the fixed point of ``P -> FermiDirac(H(P))``, found by :func:`scf_fixed_point`.
+is the fixed point of ``F(P) = FermiDirac(H(P))``, found by
+:func:`scf_fixed_point`.  The toy model is affine in P, with the linear part
+:meth:`HamiltonianModel.response`, so the derivative J of F comes from the
+eigendecomposition each evaluation of F already makes (divided differences
+of the Fermi factor; in the canonical ensemble a d mu term keeps
+Tr[J dP] = 0).  The SCF takes Newton steps (1 - J) delta = F(P) - P and falls
+back to the Picard step P -> F(P) whenever the residual did not fall.  The
+cooling flow's refresh in :mod:`fermicool.solvers` uses the same response.
 
 A system decomposes its pencil ``(H_core, S)`` once (:attr:`SystemSpec.pencil`);
 every oracle evaluated at the core Hamiltonian reuses that decomposition.
@@ -32,11 +39,11 @@ from .matcore import (
     EigenPair,
     HermitianMatrix,
     OverlapMatrix,
-    aitken_accelerate,
     fermi,
     find_mu_for_occupation,
     generalized_eigh,
     maxabs_asymmetry,
+    symmetrize,
 )
 from .matio import read_matrix
 
@@ -45,6 +52,13 @@ LOAD_ASYMMETRY_WARN = 1e-8
 
 #: Consecutive non-decreasing SCF residuals treated as oscillation.
 SCF_OSCILLATION_LIMIT = 10
+
+#: Richardson sweeps that solve each SCF Newton system (1 - J) delta = R.
+NEWTON_SWEEPS = 3
+
+#: |beta (lambda_i - lambda_j)| below which two pencil eigenvalues are a tie,
+#: whose Fermi divided difference is taken as the derivative instead.
+TIE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -127,6 +141,11 @@ class HamiltonianModel:
     genuinely non-commuting with the core Hamiltonian once off-diagonal
     coherences develop, the trait of realistic density-functional corrections
     that drives the ``commutator_defect`` diagnostic.
+
+    The model is affine in P: ``H(P) = H_core + dH(P - (N/2) S)`` with the
+    linear response ``dH(dP) = u (dP + phi(dP) J)`` (:meth:`response`).  Its
+    image under a change of basis (:meth:`congruent_response`) is what the
+    SCF's Newton steps and the cooling flow's frame refresh apply.
     """
 
     system: SystemSpec
@@ -135,6 +154,39 @@ class HamiltonianModel:
     @property
     def is_linear(self) -> bool:
         return self.coupling_u == 0.0
+
+    @property
+    def _stagger(self) -> np.ndarray:
+        # diagonal of J: +1, -1, ...
+        return 1.0 - 2.0 * (np.arange(self.system.dim) % 2)
+
+    def response(self, dp) -> np.ndarray:
+        """The linear part of the model, dH(dP) = u (dP + phi(dP) J)."""
+        n = self.system.dim
+        phi = (float(dp.sum()) - float(np.trace(dp))) / n
+        out = np.array(dp, dtype=float)
+        out.flat[:: n + 1] += phi * self._stagger
+        return self.coupling_u * out
+
+    def congruent_response(self, a, b):
+        """The response seen through a change of basis, E -> a^T dH(b E b^T) a.
+
+        For ``a^T b = 1`` this is ``u (E + phi(b E b^T) K)`` with
+        ``K = a^T J a`` and ``phi(b E b^T) = (c^T E c - <b^T b, E>) / n``,
+        ``c = b^T 1``.  K and the weight of phi are formed here once, so each
+        application of the returned map costs O(n^2).  The Loewdin frame is
+        ``a = S^-1/2, b = S^1/2``: there ``c = S^1/2 1``, ``b^T b = S`` and
+        ``K = S^-1/2 J S^-1/2``.  The eigenbasis of a pencil is ``a = V,
+        b = S V``.
+        """
+        n = self.system.dim
+        c = b.sum(axis=0)
+        weight = np.outer(c, c)
+        weight -= b.T @ b
+        weight /= n
+        k = symmetrize((a.T * self._stagger) @ a)
+        u = self.coupling_u
+        return lambda e: u * (e + float(np.vdot(weight, e)) * k)
 
 
 def effective_hamiltonian(model: HamiltonianModel, p, normalization: float = 1.0) -> HermitianMatrix:
@@ -152,12 +204,8 @@ def effective_hamiltonian(model: HamiltonianModel, p, normalization: float = 1.0
         )
     if model.is_linear:
         return system.h_core
-    delta = pm - 0.5 * normalization * system.s.mat
-    n = system.dim
-    phi = (float(delta.sum()) - float(np.trace(delta))) / n
-    stagger = 1.0 - 2.0 * (np.arange(n) % 2)  # diagonal of J: +1, -1, ...
-    delta.flat[:: n + 1] += phi * stagger
-    return HermitianMatrix(system.h_core.mat + model.coupling_u * delta)
+    return HermitianMatrix(system.h_core.mat
+                           + model.response(pm - 0.5 * normalization * system.s.mat))
 
 
 def build_huckel(n: int, alpha: float, gamma: float) -> SystemSpec:
@@ -246,18 +294,57 @@ def _pencil_of(system: SystemSpec, h_override) -> EigenPair:
     return generalized_eigh(h_override, system.s)
 
 
+def _fd_state(system: SystemSpec, h, beta: float, ensemble: Ensemble, norm: float,
+              mu_guess=None):
+    """Fermi-Dirac state of the pencil (H, S): (P, mu, pencil of H).
+
+    ``h`` None is the core Hamiltonian.  A canonical ensemble solves mu from
+    ``mu_guess``.  At beta = 0 the state is (N/2) S whatever H is, the
+    canonical mu is the limit Tr[H] / Tr[S], and no pencil is decomposed
+    (None is returned for it).
+    """
+    grand = isinstance(ensemble, GrandCanonical)
+    if beta == 0.0:
+        if grand:
+            mu = ensemble.mu
+        else:
+            mu = infinite_temperature_mu(system.h_core if h is None else h, system.s)
+        return HermitianMatrix(0.5 * norm * system.s.mat), mu, None
+    eig = _pencil_of(system, h)
+    if grand:
+        mu = ensemble.mu
+    else:
+        mu = find_mu_for_occupation(eig, system.s.mat, beta, ensemble.n_electrons, norm,
+                                    guess=mu_guess).mu
+    return HermitianMatrix(_fd_matrix(eig, beta, mu, norm)), mu, eig
+
+
+def infinite_temperature_mu(h, s) -> float:
+    """The canonical chemical potential at beta = 0, the limit Tr[H] / Tr[S].
+
+    A trace past the largest float raises InfeasibleEnsembleError instead of
+    a numpy overflow warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = float(np.trace(np.asarray(h, dtype=float))) / float(np.trace(np.asarray(s)))
+    if not math.isfinite(ratio):
+        raise InfeasibleEnsembleError(
+            f"the beta = 0 chemical potential Tr[H]/Tr[S] = {ratio} is not finite; "
+            f"the entries of H are too large"
+        )
+    return ratio
+
+
 def exact_grand_fd(system: SystemSpec, mu: float, beta: float,
                    h_override=None) -> HermitianMatrix:
     """Exact grand canonical Fermi-Dirac density matrix at inverse temperature beta.
 
     Computed through the eigendecomposition of the pencil (H, S), which is the
     system's cached :attr:`~SystemSpec.pencil` unless ``h_override`` substitutes
-    a different Hamiltonian (used by the self-consistent loop) while keeping
-    the system's overlap.  At beta = 0 this is S / 2 exactly.
+    a different Hamiltonian while keeping the system's overlap.  At beta = 0
+    this is S / 2 exactly.
     """
-    if beta == 0.0:
-        return HermitianMatrix(0.5 * system.s.mat)
-    return HermitianMatrix(_fd_matrix(_pencil_of(system, h_override), beta, mu, 1.0))
+    return _fd_state(system, h_override, beta, GrandCanonical(mu), 1.0)[0]
 
 
 def exact_canonical_fd(system: SystemSpec, n_electrons: float, beta: float,
@@ -272,7 +359,8 @@ def exact_canonical_fd(system: SystemSpec, n_electrons: float, beta: float,
     the mu search starts when it lies inside the search bracket (see
     :func:`~fermicool.matcore.find_mu_for_occupation`); it changes the
     iteration count, not the tolerance met.  At beta = 0 the state is
-    (N/2) S exactly and the reported mu is the analytic limit Tr[H] / Tr[S].
+    (N/2) S exactly and the reported mu is the analytic limit Tr[H] / Tr[S];
+    a trace that overflows raises InfeasibleEnsembleError.
 
     Returns
     -------
@@ -280,13 +368,56 @@ def exact_canonical_fd(system: SystemSpec, n_electrons: float, beta: float,
         The density matrix and mu(beta).
     """
     norm = canonical_normalization(n_electrons, system.s.mat)
-    if beta == 0.0:
-        h = system.h_core if h_override is None else h_override
-        mu0 = float(np.trace(np.asarray(h, dtype=float))) / float(np.trace(system.s.mat))
-        return HermitianMatrix(0.5 * norm * system.s.mat), mu0
-    eig = _pencil_of(system, h_override)
-    res = find_mu_for_occupation(eig, system.s.mat, beta, n_electrons, norm, guess=mu_guess)
-    return HermitianMatrix(_fd_matrix(eig, beta, res.mu, norm)), res.mu
+    p, mu, _ = _fd_state(system, h_override, beta, Canonical(n_electrons), norm, mu_guess)
+    return p, mu
+
+
+def _fd_jacobian(model: HamiltonianModel, eig: EigenPair, beta: float, mu: float,
+                 norm: float, canonical: bool):
+    """The derivative J of P -> FD(H(P)) at the pencil of H(P), in its eigenbasis.
+
+    ``eig`` is the pencil (V, lambda) of H(P) and ``mu`` the chemical potential
+    of FD(H(P)).  With W = S V, the Daleckii-Krein formula gives
+    J dP = W (K o V^T dH(dP) V) W^T, K_ij = N (f_i - f_j) / (lambda_i - lambda_j)
+    and N f'(lambda_i) on ties.  In the canonical ensemble mu moves too: the
+    d mu term adds N beta f (1 - f) d mu on the diagonal, with d mu chosen so
+    that Tr[J dP] = 0.  Because V^T W = 1, J takes the coordinates X of
+    dP = W X W^T to those of J dP; the returned map does that in O(n^2).
+    """
+    lam = eig.values
+    f = fermi(beta * (lam - mu))
+    rate = norm * beta * f * (1.0 - f)  # -N f'(lambda), the mu-derivative of N f
+    gap = np.subtract.outer(lam, lam)
+    tie = np.abs(gap) < TIE_TOL / beta
+    gap[tie] = 1.0
+    k = np.subtract.outer(f, f)
+    k /= gap
+    k *= norm
+    k[tie] = -0.5 * np.add.outer(rate, rate)[tie]
+    w = eig.inv.T
+    d_h = model.congruent_response(eig.vectors, w)  # X -> V^T dH(W X W^T) V
+    gram = w.T @ w if canonical else None  # Tr[W X W^T] = <W^T W, X>
+    slope = float(np.dot(np.diagonal(gram), rate)) if canonical else 0.0
+    n = lam.size
+
+    def jacobian(x):
+        y = k * d_h(x)
+        if slope > 0.0:
+            y.flat[:: n + 1] += (-float(np.vdot(gram, y)) / slope) * rate
+        return y
+
+    return jacobian
+
+
+def _newton_step(jacobian, eig: EigenPair, residual: np.ndarray) -> np.ndarray:
+    # (1 - J) delta = R by Richardson sweeps X <- V^T R V + J X from X = V^T R V
+    v = eig.vectors
+    r = v.T @ residual @ v
+    x = r
+    for _ in range(NEWTON_SWEEPS):
+        x = r + jacobian(x)
+    w = eig.inv.T
+    return w @ x @ w.T
 
 
 class ScfResult(NamedTuple):
@@ -306,15 +437,29 @@ def scf_fixed_point(
     use_aitken: bool = True,
     start=None,
 ) -> ScfResult:
-    """Fixed point of P -> ExactFermiDirac(H(P)) for density-dependent Hamiltonians.
+    """Fixed point of P -> F(P) = ExactFermiDirac(H(P)) for density-dependent Hamiltonians.
 
     Starts from ``start`` when given, an n x n density such as an estimate
     extrapolated from fixed points at nearby beta, and otherwise from the
-    infinite-temperature value (S/2 grand canonical, N S/2 canonical).  It
-    iterates until the max-abs change of P drops below ``tol``.
-    With ``use_aitken`` every third iterate is replaced by the entrywise Aitken
-    extrapolation of the last three (Steffensen cadence), which removes the
-    linear convergence mode.
+    infinite-temperature value (S/2 grand canonical, N S/2 canonical).  Each
+    iteration evaluates F once and stops when the max-abs change
+    ``R = F(P) - P`` drops below ``tol``, returning F(P).
+
+    With ``use_aitken`` (the name is kept from an earlier Aitken-extrapolated
+    variant) the next iterate is the Newton step P + delta on R(P) = 0:
+
+    * J, the derivative of F, comes from the eigendecomposition (V, lambda)
+      of H(P) that the evaluation already made.  With W = S V it is
+      J dP = W (K o V^T dH(dP) V) W^T, K_ij = N (f_i - f_j) / (lambda_i -
+      lambda_j), and N f'(lambda_i) on near-ties (:func:`_fd_jacobian`);
+    * in the canonical ensemble J also moves mu, by the d mu that keeps
+      Tr[J dP] = 0;
+    * (1 - J) delta = R is solved by :data:`NEWTON_SWEEPS` Richardson sweeps
+      delta <- R + J delta from delta = R;
+    * whenever the residual did not fall below the previous one, the step is
+      the plain Picard step P -> F(P) instead.
+
+    Without ``use_aitken`` every step is the Picard step.
 
     In the canonical ensemble each iteration's mu search starts from the
     previous iteration's mu; the first one starts from the bracket midpoint.
@@ -336,10 +481,8 @@ def scf_fixed_point(
     if max_iter < 1:
         raise ValueError(f"SCF iteration limit must be at least 1, got {max_iter}")
     system = model.system
-    if isinstance(ensemble, Canonical):
-        norm = canonical_normalization(ensemble.n_electrons, system.s.mat)
-    else:
-        norm = 1.0
+    canonical = isinstance(ensemble, Canonical)
+    norm = canonical_normalization(ensemble.n_electrons, system.s.mat) if canonical else 1.0
     if start is None:
         p = 0.5 * norm * system.s.mat
     else:
@@ -349,29 +492,25 @@ def scf_fixed_point(
                 f"start density has shape {p.shape}, system dimension is {system.dim}"
             )
 
-    def fd_step(current, mu_guess=None):
+    def evaluate(current, mu_guess=None):
+        # F(P), its mu and the pencil of H(P)
         h_eff = effective_hamiltonian(model, current, norm)
-        if isinstance(ensemble, Canonical):
-            nxt, mu = exact_canonical_fd(system, ensemble.n_electrons, beta,
-                                         h_override=h_eff, mu_guess=mu_guess)
-            return nxt.mat, mu
-        nxt = exact_grand_fd(system, ensemble.mu, beta, h_override=h_eff)
-        return nxt.mat, ensemble.mu
+        return _fd_state(system, h_eff, beta, ensemble, norm, mu_guess)
 
     if model.is_linear:
-        p_new, mu = fd_step(p)
-        return ScfResult(HermitianMatrix(p_new), mu, 1)
+        p_new, mu, _ = evaluate(p)
+        return ScfResult(p_new, mu, 1)
 
-    history = [p]
     prev_residual = np.inf
     stalled = 0
     residual = np.inf
     mu = None
     for it in range(1, max_iter + 1):
-        p_new, mu = fd_step(p, mu)
-        residual = float(np.abs(p_new - p).max())
+        p_new, mu, eig = evaluate(p, mu)
+        r = p_new.mat - p
+        residual = float(np.abs(r).max())
         if residual < tol:
-            return ScfResult(HermitianMatrix(p_new), mu, it)
+            return ScfResult(p_new, mu, it)
         stalled = stalled + 1 if residual >= prev_residual else 0
         if stalled >= SCF_OSCILLATION_LIMIT:
             raise ScfConvergenceError(
@@ -379,10 +518,9 @@ def scf_fixed_point(
                 f"SCF residual has not decreased for {SCF_OSCILLATION_LIMIT} "
                 f"consecutive iterations (oscillation), last residual {residual:.3e}",
             )
+        if use_aitken and eig is not None and residual < prev_residual:
+            p = p + _newton_step(_fd_jacobian(model, eig, beta, mu, norm, canonical), eig, r)
+        else:
+            p = p_new.mat
         prev_residual = residual
-        history.append(p_new)
-        if use_aitken and len(history) == 3:
-            p_new = aitken_accelerate(*history)
-            history = [p_new]
-        p = p_new
     raise ScfConvergenceError(residual, max_iter)

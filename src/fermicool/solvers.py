@@ -48,6 +48,7 @@ from .models import (
     HamiltonianModel,
     canonical_normalization,
     effective_hamiltonian,
+    infinite_temperature_mu,
 )
 
 SCHEMES = ("kraus1", "kraus2", "rk4")
@@ -282,9 +283,14 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
 
     The state is Q = S^-1/2 P S^-1/2 from Q(0) = (N/2) 1, stepped against
     G = S^-1/2 H S^-1/2 (for S = 1 the frame is P itself); G - mu is formed
-    once for linear models.  Density-dependent models rebuild H from
-    P = S^1/2 Q S^1/2 at the start of every step and hold it across the
-    step's stages.
+    once for linear models.  Density-dependent models refresh G from Q at the
+    start of every step and hold it across the step's stages.  The model is
+    affine in P, so the refresh stays in the frame and costs O(n^2):
+    G(Q) = G_core + u [(Q - N/2) + phi K] with K = S^-1/2 J S^-1/2 formed
+    once per run and phi from (S^1/2 1)^T Q (S^1/2 1) and Tr[S Q]
+    (:meth:`~fermicool.models.HamiltonianModel.congruent_response`).
+    P = S^1/2 Q S^1/2 and the S-frame H = S^1/2 G S^1/2 of the refresh
+    defect are formed only at recording steps.
 
     Recorded every ``config.record_every`` steps, at beta = 0 (from the exact
     initial P) and at the final step: the density, mu, the smallest
@@ -308,7 +314,7 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
 
     if canonical:
         norm = canonical_normalization(ensemble.n_electrons, s_mat)
-        mu = float(np.trace(system.h_core.mat)) / float(np.trace(s_mat))
+        mu = infinite_temperature_mu(system.h_core, system.s)
         beta_mu = 0.0  # running integral of the lagrange scalar, equals beta * mu
         kernel_mu = None
     else:
@@ -319,21 +325,29 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     frame = np.count_nonzero(s_mat) != n or not (np.diagonal(s_mat) == 1.0).all()
     w, x, y = (s_mat, system.s.inv_sqrt, system.s.sqrt) if frame else (None, None, None)
 
-    def frame_operator(h):
-        # G = S^-1/2 H S^-1/2 and the kernel's F: G, or G - mu for grand runs
-        if frame:
-            h = x @ h @ x
-            h = 0.5 * (h + h.T)
+    def kernel_operator(g_now):
+        # the kernel's F: G, or G - mu for grand runs
         if canonical:
-            return h, h
-        f_now = h.copy()
+            return g_now
+        f_now = g_now.copy()
         f_now.flat[:: n + 1] -= mu
-        return h, f_now
+        return f_now
 
-    p = 0.5 * norm * s_mat  # P = S^1/2 Q S^1/2 when it is needed, else None
+    def s_frame(m):
+        # P = S^1/2 Q S^1/2 and H = S^1/2 G S^1/2
+        return y @ m @ y if frame else m
+
+    p0 = 0.5 * norm * s_mat
     q = np.eye(n) * (0.5 * norm)
-    h_eff = effective_hamiltonian(model, p, norm).mat
-    g, f = frame_operator(h_eff)
+    g = effective_hamiltonian(model, p0, norm).mat  # H_core at P(0)
+    if frame:  # G = S^-1/2 H S^-1/2
+        g = x @ g @ x
+        g = 0.5 * (g + g.T)
+    f = kernel_operator(g)
+    if not model.is_linear:
+        # G(Q) = G_core + S^-1/2 dH(S^1/2 (Q - N/2) S^1/2) S^-1/2 in O(n^2)
+        g_core = g
+        d_g = model.congruent_response(x, y) if frame else model.response
 
     betas, densities, mus = [], [], []
     d_mineig, d_trace, d_comm, d_refresh = [], [], [], []
@@ -354,7 +368,8 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
         if eigmin < -config.positivity_tol:
             pos_viol.append((beta, eigmin))
 
-    record(0.0, p, 0.0)
+    record(0.0, p0, 0.0)
+    del p0  # the loop holds Q alone and forms P only at recording steps
 
     sigmas = []  # the stage scalars of the current RK4 step
 
@@ -372,11 +387,12 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
 
             refresh_defect = 0.0
             if not model.is_linear and i > 0:
-                h_new = effective_hamiltonian(model, p, norm).mat
+                e = q.copy()
+                e.flat[:: n + 1] -= 0.5 * norm
+                g_last, g = g, g_core + d_g(e)
+                f = kernel_operator(g)
                 if recording:
-                    refresh_defect = commutator_defect(h_eff, h_new, db)
-                h_eff = h_new
-                g, f = frame_operator(h_eff)
+                    refresh_defect = commutator_defect(s_frame(g_last), s_frame(g), db)
 
             # d(beta mu)/dbeta equals the scalar exactly; each scheme
             # integrates it at its own order
@@ -395,11 +411,8 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
             if not np.isfinite(q_raw).all() or not np.isfinite(mu):
                 raise SolverAbortError(beta_i)
             q = 0.5 * (q_raw + q_raw.T)
-            p = None  # a linear model needs P only at recording steps
-            if recording or not model.is_linear:
-                p = y @ q @ y if frame else q  # P = S^1/2 Q S^1/2
             if recording:
-                record(beta_next, p, refresh_defect)
+                record(beta_next, s_frame(q), refresh_defect)
 
     diagnostics = TrajectoryDiagnostics(
         min_eigenvalue=np.array(d_mineig),

@@ -8,6 +8,17 @@ import pytest
 from fermicool.cli import main
 
 
+def gaussian_chain(n=60):
+    """The non-orthogonal chain of the data/ fixtures' recipe: Gaussian
+    hopping h_ij = -0.35 exp(-0.4 d^2) with on-site -1.2 + 0.05 i, and
+    overlap s_ij = exp(-0.5 d^2), d = i - j."""
+    i = np.arange(n)
+    d2 = (i[:, None] - i[None, :]) ** 2.0
+    h = -0.35 * np.exp(-0.4 * d2)
+    h[i, i] = -1.2 + 0.05 * i
+    return h, np.exp(-0.5 * d2)
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -94,25 +105,39 @@ class TestRun:
         rows = read_csv(tmp_path / "m.mu.csv")[1:]
         assert len(rows) == 101
         # the continued trace's work, a count that repeats exactly: 603 SCF
-        # iterations with the secant start and a cold mu search, 419 now
+        # iterations with the secant start and a cold mu search, 419 with
+        # Picard/Aitken steps, 201 with Newton steps (bound: 201 + 10%)
         meta = dict(line.split(": ", 1) for line in (tmp_path / "m.meta").read_text().splitlines())
-        assert 101 <= int(meta["mu_trace_scf_iterations"]) <= 450
+        assert 101 <= int(meta["mu_trace_scf_iterations"]) <= 221
         model = HamiltonianModel(load_system(h, s), coupling_u=0.05)
         for beta, _, mu_oracle in rows:
             cold = scf_fixed_point(model, Canonical(4.0), float(beta))
             assert abs(float(mu_oracle) - cold.mu) <= 1e-9
 
 
+    def test_newton_scf_trace_on_the_gaussian_chain(self, tmp_path):
+        # the 60-site non-orthogonal chain at u = 0.05: every record beta
+        # after the first takes one Newton step and one confirming
+        # evaluation, 202 in all; Picard/Aitken steps took 429
+        from fermicool import write_matrix
+
+        h, s = gaussian_chain()
+        write_matrix(tmp_path / "h.mat", h)
+        write_matrix(tmp_path / "s.mat", s)
+        assert main([
+            "run", "--files", str(tmp_path / "h.mat"), str(tmp_path / "s.mat"),
+            "--canonical", "15", "--nonlinear", "0.05", "--scheme", "kraus2",
+            "--beta", "5", "--dbeta", "0.01", "--out", str(tmp_path / "c.csv"),
+        ]) == 0
+        meta = dict(line.split(": ", 1) for line in (tmp_path / "c.meta").read_text().splitlines())
+        assert int(meta["mu_trace_scf_iterations"]) <= 250
+
     def test_subnormal_entries_do_not_change_outputs(self, tmp_path):
         # the Gaussian tails of a 60-site chain hold subnormal entries;
         # the run on the file with them zeroed writes the same bytes
         from fermicool import write_matrix
 
-        i = np.arange(60)
-        d2 = (i[:, None] - i[None, :]) ** 2.0
-        h = -0.35 * np.exp(-0.4 * d2)
-        h[i, i] = -1.2 + 0.05 * i
-        s = np.exp(-0.5 * d2)
+        h, s = gaussian_chain()
         tiny = np.finfo(float).tiny
         outputs = []
         for label, flush in (("raw", False), ("flushed", True)):
@@ -307,6 +332,23 @@ class TestExitCodes:
             warnings.simplefilter("error")
             assert main([*argv, "--files", str(big), "--out", str(tmp_path / "x.csv")]) == code
         err = capsys.readouterr().err
+        assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.parametrize("text, argv, cause", [
+        ("2 2\n1.7e308 0\n0 1.0e308\n",
+         ["run", "--canonical", "1", "--beta", "1", "--dbeta", "0.1"], "Tr[H]/Tr[S]"),
+        ("2 2\n1.7e308 1e308\n1e308 1.6e308\n",
+         ["oracle", "--canonical", "1", "--beta", "1"], "mu bracket"),
+    ], ids=["trace-overflow", "pencil-overflow"])
+    def test_finite_entries_whose_trace_or_spectrum_overflows(self, tmp_path, capsys, text,
+                                                              argv, cause):
+        big = tmp_path / "big.mat"
+        big.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--files", str(big), "--out", str(tmp_path / "x.csv")]) == 4
+        err = capsys.readouterr().err
+        assert "error[infeasible]" in err and cause in err and "not finite" in err
         assert "Traceback" not in err and "Warning" not in err
 
     def test_scf_non_convergence(self, tmp_path, capsys):

@@ -12,7 +12,6 @@ from fermicool import (
     InfeasibleEnsembleError,
     NotPositiveDefiniteError,
     OverlapMatrix,
-    aitken_accelerate,
     build_huckel,
     fermi,
     find_mu_for_occupation,
@@ -209,6 +208,28 @@ class TestFindMu:
         assert warm.iterations < cold.iterations
         assert abs(search_occupation(eig, 300.0, warm.mu) - 20.0) < 1e-10
 
+    @pytest.mark.parametrize("end", [-1, 1])
+    def test_root_at_a_bracket_end_costs_no_bisection(self, end):
+        # one level at 0.3 and beta = 0.01: the bracket is 0.3 -+ 10, and the
+        # target is the occupation at one end, so the root lies on that end
+        eig = generalized_eigh(np.array([[0.3]]), np.eye(1))
+        root = 0.3 + 10.0 * end
+        target = search_occupation(eig, 0.01, root)
+        cold = find_mu_for_occupation(eig, np.eye(1), beta=0.01, target_ne=target)
+        for guess in (root - 1e-6, root + 1e-6):
+            warm = find_mu_for_occupation(eig, np.eye(1), beta=0.01, target_ne=target,
+                                          guess=guess)
+            assert warm.iterations <= cold.iterations
+            assert warm.residual < 1e-10
+            assert abs(search_occupation(eig, 0.01, warm.mu) - target) < 1e-10
+
+    def test_non_finite_bracket_is_a_bracket_error(self, recwarn):
+        # a pencil eigenvalue past the largest float puts the bracket end at inf
+        eig = EigenPair(values=np.array([1.0, np.inf]), vectors=np.eye(2), inv=np.eye(2))
+        with pytest.raises(BracketError, match="not finite"):
+            find_mu_for_occupation(eig, np.eye(2), beta=1.0, target_ne=1.0)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_underflowed_slope_raises_no_warning(self, recwarn):
         # at the midpoint 0.72 the slope is beta e^-720, a subnormal, and the
         # Newton step overflows; a numpy target used to make that a warning
@@ -252,31 +273,3 @@ class TestFindMu:
         with pytest.raises(BracketError, match="range"):
             find_mu_for_occupation(eig, np.eye(2), beta=1.0, target_ne=1.9999999)
 
-
-class TestAitken:
-    def test_geometric_is_exact(self):
-        assert aitken_accelerate(0.0, 0.5, 0.75) == pytest.approx(1.0, abs=1e-15)
-
-    def test_constant_passthrough(self):
-        assert aitken_accelerate(3.0, 3.0, 3.0) == 3.0
-
-    def test_closed_form_geometric(self):
-        # x_k = 2 + 3 (0.2)^k
-        assert aitken_accelerate(5.0, 2.6, 2.12) == pytest.approx(2.0, abs=1e-12)
-
-    def test_exact_on_any_geometric_sequence(self, rng):
-        for _ in range(50):
-            a = float(rng.uniform(-5, 5))
-            b = float(rng.uniform(0.1, 5) * rng.choice([-1, 1]))
-            r = float(rng.uniform(-0.95, 0.95))
-            if abs(r) < 1e-3:
-                continue
-            xs = [a + b * r**k for k in range(3)]
-            assert aitken_accelerate(*xs) == pytest.approx(a, abs=1e-12 * max(1, abs(a)))
-
-    def test_elementwise_on_matrices(self, rng):
-        a = rng.normal(size=(3, 3))
-        b = rng.normal(size=(3, 3))
-        r = 0.3
-        out = aitken_accelerate(a + b, a + b * r, a + b * r * r)
-        np.testing.assert_allclose(out, a, atol=1e-12)

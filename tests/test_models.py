@@ -327,6 +327,49 @@ class TestScfFixedPoint:
         with pytest.raises(ValueError, match="SCF"):
             scf_fixed_point(model, GrandCanonical(0.5), 1.0, **kwargs)
 
+    def test_strong_coupling_falls_back_to_picard_steps(self, monkeypatch):
+        # at u = 1 a Newton step from Richardson sweeps can raise the
+        # residual; the next step is then a Picard step, and the iteration
+        # still reaches the Picard fixed point, in fewer evaluations
+        from fermicool import models
+
+        newton_steps = []
+        step = models._newton_step
+
+        def spy(*args):
+            newton_steps.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(models, "_newton_step", spy)
+        system = build_huckel(6, 0.569, 0.066)
+        model = HamiltonianModel(system, coupling_u=1.0)
+        for ensemble in (GrandCanonical(default_chemical_potential(system)), Canonical(3.0)):
+            newton_steps.clear()
+            tol = 1e-11
+            res = scf_fixed_point(model, ensemble, 3.0, tol=tol, max_iter=300)
+            picard_steps = res.iterations - 1 - len(newton_steps)
+            assert 1 <= picard_steps < len(newton_steps)
+            plain = scf_fixed_point(model, ensemble, 3.0, tol=tol, max_iter=300,
+                                    use_aitken=False)
+            assert np.abs(res.density.mat - plain.density.mat).max() < 10 * tol
+            assert res.iterations < plain.iterations
+
+    @pytest.mark.parametrize("use_aitken", [True, False])
+    def test_oscillation_is_reported(self, use_aitken):
+        system = build_huckel(6, 0.569, 0.066)
+        model = HamiltonianModel(system, coupling_u=2.0)
+        mu = default_chemical_potential(system)
+        with pytest.raises(ScfConvergenceError, match="oscillation"):
+            scf_fixed_point(model, GrandCanonical(mu), 5.0, max_iter=300, use_aitken=use_aitken)
+
+    def test_newton_non_convergence_reports_residual(self):
+        system = build_huckel(6, 0.569, 0.066)
+        mu = default_chemical_potential(system)
+        model = HamiltonianModel(system, coupling_u=0.2)
+        with pytest.raises(ScfConvergenceError, match="3 iterations") as err:
+            scf_fixed_point(model, GrandCanonical(mu), 5.0, tol=1e-15, max_iter=3)
+        assert err.value.residual > 0
+
     def test_non_convergence_reports_residual(self):
         system = build_huckel(6, 0.569, 0.066)
         mu = default_chemical_potential(system)

@@ -18,6 +18,8 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
 from scipy.special import expit
 
 pytest.importorskip("hypothesis")
@@ -34,6 +36,7 @@ from fermicool import (  # noqa: E402
     MatrixParseError,
     MuConvergenceError,
     OverlapMatrix,
+    ScfConvergenceError,
     SolverConfig,
     SystemSpec,
     canonical_normalization,
@@ -42,12 +45,14 @@ from fermicool import (  # noqa: E402
     find_mu_for_occupation,
     generalized_eigh,
     read_matrix,
+    scf_fixed_point,
     step_kraus1,
     step_kraus2,
     step_rk4,
     write_matrix,
 )
 from fermicool.cli import main  # noqa: E402
+from fermicool.models import _fd_jacobian, _fd_state  # noqa: E402
 from conftest import random_spd, random_symmetric, search_occupation  # noqa: E402
 
 #: Largest relative gap between cool() and the S-frame reference, fixed
@@ -303,6 +308,97 @@ def test_mu_search_from_any_guess(system, log_beta, norm, fill, where):
             # near a bracket end the Newton iterate toward the root can leave
             # the open bracket, and the search bisects the 1e-6 interval
             assert warm.iterations <= max(cold.iterations, 2)
+
+
+# --- SCF oracle ----------------------------------------------------------------
+
+def ref_fd(system, h, beta, ensemble, norm):
+    """FermiDirac(H) through scipy's generalized eigensolver, with the
+    canonical mu solved by Brent's method to the last bits of mu."""
+    values, v = scipy.linalg.eigh(h, system.s.mat)
+    w = system.s.mat @ v
+
+    def density(mu):
+        return (w * (norm * expit(-beta * (values - mu)))) @ w.T
+
+    if isinstance(ensemble, GrandCanonical):
+        return density(ensemble.mu)
+    lo, hi = ref_bracket(values, beta)
+    mu = scipy.optimize.brentq(lambda m: np.trace(density(m)) - ensemble.n_electrons,
+                               lo, hi, xtol=1e-15, rtol=1e-15)
+    return density(mu)
+
+
+@st.composite
+def affine_systems(draw):
+    """A random system of dimension 1-6, an ensemble and its normalization."""
+    system = draw(systems(max_dim=6))
+    ensemble = draw(ensembles(system))
+    norm = (canonical_normalization(ensemble.n_electrons, system.s.mat)
+            if isinstance(ensemble, Canonical) else 1.0)
+    return system, ensemble, norm
+
+
+@given(data=st.data(), coupling=st.floats(-0.5, 0.5), log_beta=st.floats(-1.0, 1.0))
+def test_newton_jacobian_matches_a_finite_difference(data, coupling, log_beta):
+    # J dP of P -> FD(H(P)) against a central difference of an independent
+    # evaluation, at a point near the initial value (N/2) S
+    system, ensemble, norm = data.draw(affine_systems())
+    beta = 10.0 ** log_beta
+    model = HamiltonianModel(system, coupling_u=coupling)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = system.dim
+    p = 0.5 * norm * system.s.mat + 0.05 * random_symmetric(rng, n)
+    dp = random_symmetric(rng, n)
+    h_eff = effective_hamiltonian(model, p, norm)
+    _, mu, eig = _fd_state(system, h_eff, beta, ensemble, norm)
+    jacobian = _fd_jacobian(model, eig, beta, mu, norm, isinstance(ensemble, Canonical))
+    w = eig.inv.T
+    j_dp = w @ jacobian(eig.vectors.T @ dp @ eig.vectors) @ w.T
+    step = 1e-4
+
+    def fd(sign):
+        return ref_fd(system, effective_hamiltonian(model, p + sign * step * dp, norm).mat,
+                      beta, ensemble, norm)
+
+    central = (fd(1.0) - fd(-1.0)) / (2.0 * step)
+    assert np.abs(j_dp - central).max() <= 1e-7 * max(np.abs(central).max(), 1.0)
+    if isinstance(ensemble, Canonical):
+        assert abs(np.trace(j_dp)) <= 1e-12 * max(np.abs(j_dp).max(), 1.0)
+
+
+@given(data=st.data(), coupling=st.floats(-0.2, 0.2), log_beta=st.floats(-1.0, 0.5))
+def test_newton_fixed_point_is_the_picard_fixed_point(data, coupling, log_beta):
+    system, ensemble, _ = data.draw(affine_systems())
+    beta = 10.0 ** log_beta
+    model = HamiltonianModel(system, coupling_u=coupling)
+    tol = 1e-11
+    try:
+        picard = scf_fixed_point(model, ensemble, beta, tol=tol, max_iter=500,
+                                 use_aitken=False)
+    except ScfConvergenceError:
+        assume(False)
+    newton = scf_fixed_point(model, ensemble, beta, tol=tol, max_iter=500)
+    assert np.abs(newton.density.mat - picard.density.mat).max() <= 10 * tol
+    assert abs(newton.mu - picard.mu) <= 1e-9
+    assert newton.iterations <= picard.iterations
+
+
+@given(data=st.data(), coupling=st.floats(-1.0, 1.0))
+def test_frame_refresh_is_the_s_frame_hamiltonian(data, coupling):
+    # cool()'s O(n^2) refresh G_core + u [(Q - N/2) + phi K] against the
+    # S-frame Hamiltonian of P = S^1/2 Q S^1/2 carried into the frame
+    system, ensemble, norm = data.draw(affine_systems())
+    model = HamiltonianModel(system, coupling_u=coupling)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = system.dim
+    x, y = system.s.inv_sqrt, system.s.sqrt
+    q = random_symmetric(rng, n)
+    e = q.copy()
+    e.flat[:: n + 1] -= 0.5 * norm
+    g = x @ system.h_core.mat @ x + model.congruent_response(x, y)(e)
+    ref = x @ effective_hamiltonian(model, y @ q @ y, norm).mat @ x
+    assert np.abs(g - ref).max() <= 1e-13 * max(np.abs(ref).max(), 1.0)
 
 
 # --- input matrices ------------------------------------------------------------
