@@ -205,55 +205,60 @@ def _build_request(args, need_config=True) -> RunRequest:
     )
 
 
-def _oracle_state(req: RunRequest, beta: float, start=None):
+def _oracle_state(req: RunRequest, beta: float, start=None, mu_guess=None):
     """Exact reference state, self-consistent when the model is nonlinear.
 
     ``start`` is the SCF start density (None: the cold start); linear models
-    ignore it.  Returns (density matrix, mu, scf iterations or None).
+    ignore it.  ``mu_guess`` is where a canonical mu search starts (the first
+    one of an SCF).  Returns (density matrix, mu, scf iterations or None).
     """
     if not req.model.is_linear:
         res = scf_fixed_point(
             req.model, req.ensemble, beta,
             tol=req.scf_tol, max_iter=req.scf_max_iter, use_aitken=req.use_aitken,
-            start=start,
+            start=start, mu_guess=mu_guess,
         )
         return res.density, res.mu, res.iterations
     if isinstance(req.ensemble, Canonical):
-        p, mu = exact_canonical_fd(req.model.system, req.ensemble.n_electrons, beta)
+        p, mu = exact_canonical_fd(req.model.system, req.ensemble.n_electrons, beta,
+                                   mu_guess=mu_guess)
         return p, mu, None
     return exact_grand_fd(req.model.system, req.ensemble.mu, beta), req.ensemble.mu, None
 
 
-def _continuation_start(fixed_points, beta: float):
-    """SCF start at ``beta``: the Lagrange polynomial in beta through the kept
-    fixed points ``(beta_i, P_i)``, or None (cold start) when there are none.
+def _continuation_start(points, beta: float):
+    """Start at ``beta``: the Lagrange polynomial in beta through the kept
+    points ``(beta_i, x_i)``, or None (cold start) when there are none.  The
+    x_i are SCF fixed points P_i or oracle chemical potentials mu_i.
 
     With three points this is the quadratic extrapolation, with two the
-    secant, and with one the last fixed point itself.
+    secant, and with one the last point itself.
     """
-    if not fixed_points:
+    if not points:
         return None
     start = 0.0
-    for i, (b_i, p_i) in enumerate(fixed_points):
+    for i, (b_i, x_i) in enumerate(points):
         weight = math.prod((beta - b_j) / (b_i - b_j)
-                           for j, (b_j, _) in enumerate(fixed_points) if j != i)
-        start = start + weight * p_i
+                           for j, (b_j, _) in enumerate(points) if j != i)
+        start = start + weight * x_i
     return start
 
 
 def _mu_trace(req: RunRequest, betas, mu_integrated):
     """Rows of the mu CSV and the total SCF iterations (None for linear models).
 
-    The oracle walks the record betas in order; a nonlinear model continues
-    its SCF from the quadratic extrapolation in beta of the previous three
-    fixed points, which are the only ones kept (see
-    :func:`_continuation_start`).
+    The oracle walks the record betas in order.  Each mu search starts from
+    the quadratic extrapolation in beta of the previous three oracle mu, and
+    a nonlinear model continues its SCF from that of the previous three fixed
+    points; only those three are kept (see :func:`_continuation_start`).
     """
-    rows, fixed_points, total = [], [], 0
+    rows, fixed_points, mus, total = [], [], [], 0
     for beta, mu_int in zip(betas, mu_integrated):
         beta = float(beta)
-        p, mu_oracle, iters = _oracle_state(req, beta, _continuation_start(fixed_points, beta))
+        p, mu_oracle, iters = _oracle_state(req, beta, _continuation_start(fixed_points, beta),
+                                            _continuation_start(mus, beta))
         rows.append((_fmt(beta), _fmt(mu_int), _fmt(mu_oracle)))
+        mus = [*mus[-2:], (beta, mu_oracle)]
         if iters is not None:
             fixed_points = [*fixed_points[-2:], (beta, p.mat)]
             total += iters

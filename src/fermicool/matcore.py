@@ -101,9 +101,9 @@ class HermitianMatrix:
 class OverlapMatrix:
     """Symmetric positive-definite overlap metric of a (possibly non-orthonormal) basis.
 
-    Positive definiteness is checked at construction; the inverse, the square
-    root and the inverse square root are computed lazily from the cached
-    eigendecomposition and are exactly symmetric by construction.
+    Positive definiteness is checked at construction.  The inverse (exactly
+    symmetric) and the orthogonalizing :attr:`frame` are computed lazily from
+    the cached eigendecomposition.
     """
 
     def __init__(self, entries):
@@ -111,6 +111,7 @@ class OverlapMatrix:
         vals, vecs = np.linalg.eigh(base.mat)
         if vals[0] <= 0.0:
             raise NotPositiveDefiniteError(vals[0])
+        vals.flags.writeable = False
         self.base = base
         self._eigvals = vals
         self._eigvecs = vecs
@@ -135,18 +136,20 @@ class OverlapMatrix:
         return inv
 
     @cached_property
-    def inv_sqrt(self) -> np.ndarray:
-        x = (self._eigvecs / np.sqrt(self._eigvals)) @ self._eigvecs.T
-        x = symmetrize(x)
-        x.flags.writeable = False
-        return x
+    def frame(self) -> tuple:
+        """The canonical-orthogonalization frame (s, Y, Z) of S = U diag(s) U^T.
 
-    @cached_property
-    def sqrt(self) -> np.ndarray:
-        x = (self._eigvecs * np.sqrt(self._eigvals)) @ self._eigvecs.T
-        x = symmetrize(x)
-        x.flags.writeable = False
-        return x
+        ``s`` holds the ascending eigenvalues, ``Y = U s^1/2`` and
+        ``Z = Y^-T = U s^-1/2``, so that ``Y Y^T = S``, ``Z^T Y = 1`` and
+        ``Y^T Y = diag(s)``.  The congruence by Z takes a pencil (H, S) to
+        the standard problem Z^T H Z; the cooling flow carries its state in
+        the same frame.  All three are read-only.
+        """
+        root = np.sqrt(self._eigvals)
+        y = self._eigvecs * root
+        z = self._eigvecs / root
+        y.flags.writeable = z.flags.writeable = False
+        return self._eigvals, y, z
 
     def __array__(self, dtype=None, copy=None):
         return self.base.__array__(dtype, copy)
@@ -179,9 +182,10 @@ def _matrix_of(m):
 def generalized_eigh(h, s) -> EigenPair:
     """Solve the symmetric pencil H v = lambda S v with S-orthonormal vectors.
 
-    The pencil is reduced to a standard symmetric problem by the symmetric
-    (Loewdin) congruence with S^(-1/2), which guarantees a real spectrum and
-    S-orthonormal eigenvectors by construction.
+    The pencil is reduced to the standard symmetric problem Z^T H Z by the
+    congruence with the overlap's frame ``Z = U s^-1/2``
+    (:attr:`OverlapMatrix.frame`), which guarantees a real spectrum and
+    S-orthonormal eigenvectors ``V = Z C`` by construction.
 
     Parameters
     ----------
@@ -203,9 +207,9 @@ def generalized_eigh(h, s) -> EigenPair:
         raise DimensionMismatchError(
             f"pencil dimensions differ: {hm.shape[0]} vs {s_ov.dim}"
         )
-    x = s_ov.inv_sqrt
-    values, c = np.linalg.eigh(symmetrize(x @ hm @ x))
-    vectors = x @ c
+    z = s_ov.frame[2]
+    values, c = np.linalg.eigh(symmetrize(z.T @ hm @ z))
+    vectors = z @ c
     return EigenPair(values=values, vectors=vectors, inv=vectors.T @ s_ov.mat)
 
 

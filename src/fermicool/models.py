@@ -50,7 +50,8 @@ from .matio import read_matrix
 #: Asymmetry in a loaded matrix above which a warning is emitted.
 LOAD_ASYMMETRY_WARN = 1e-8
 
-#: Consecutive non-decreasing SCF residuals treated as oscillation.
+#: Consecutive non-decreasing SCF residuals treated as oscillation; with
+#: Newton steps, the count of Picard fallbacks in all.
 SCF_OSCILLATION_LIMIT = 10
 
 #: Richardson sweeps that solve each SCF Newton system (1 - J) delta = R.
@@ -174,10 +175,10 @@ class HamiltonianModel:
         For ``a^T b = 1`` this is ``u (E + phi(b E b^T) K)`` with
         ``K = a^T J a`` and ``phi(b E b^T) = (c^T E c - <b^T b, E>) / n``,
         ``c = b^T 1``.  K and the weight of phi are formed here once, so each
-        application of the returned map costs O(n^2).  The Loewdin frame is
-        ``a = S^-1/2, b = S^1/2``: there ``c = S^1/2 1``, ``b^T b = S`` and
-        ``K = S^-1/2 J S^-1/2``.  The eigenbasis of a pencil is ``a = V,
-        b = S V``.
+        application of the returned map costs O(n^2).  The cooling frame of
+        the overlap's eigenpairs is ``a = Z = U s^-1/2, b = Y = U s^1/2``:
+        there ``c = Y^T 1``, ``b^T b = diag(s)`` and ``K = Z^T J Z``.  The
+        eigenbasis of a pencil is ``a = V, b = S V``.
         """
         n = self.system.dim
         c = b.sum(axis=0)
@@ -355,12 +356,13 @@ def exact_canonical_fd(system: SystemSpec, n_electrons: float, beta: float,
     :data:`~fermicool.matcore.MU_TOL`, in at most
     :data:`~fermicool.matcore.MU_MAX_ITER` occupation evaluations.  The pencil
     is the system's cached :attr:`~SystemSpec.pencil` unless ``h_override``
-    is given.  ``mu_guess``, such as the mu of a nearby Hamiltonian, is where
-    the mu search starts when it lies inside the search bracket (see
-    :func:`~fermicool.matcore.find_mu_for_occupation`); it changes the
-    iteration count, not the tolerance met.  At beta = 0 the state is
-    (N/2) S exactly and the reported mu is the analytic limit Tr[H] / Tr[S];
-    a trace that overflows raises InfeasibleEnsembleError.
+    is given.  ``mu_guess``, such as the mu of a nearby Hamiltonian or the
+    mu extrapolated from nearby temperatures (the CLI's mu trace passes
+    that), is where the mu search starts when it lies inside the search
+    bracket (see :func:`~fermicool.matcore.find_mu_for_occupation`); it
+    changes the iteration count, not the tolerance met.  At beta = 0 the
+    state is (N/2) S exactly and the reported mu is the analytic limit
+    Tr[H] / Tr[S]; a trace that overflows raises InfeasibleEnsembleError.
 
     Returns
     -------
@@ -436,6 +438,7 @@ def scf_fixed_point(
     max_iter: int = 200,
     use_aitken: bool = True,
     start=None,
+    mu_guess=None,
 ) -> ScfResult:
     """Fixed point of P -> F(P) = ExactFermiDirac(H(P)) for density-dependent Hamiltonians.
 
@@ -457,12 +460,17 @@ def scf_fixed_point(
     * (1 - J) delta = R is solved by :data:`NEWTON_SWEEPS` Richardson sweeps
       delta <- R + J delta from delta = R;
     * whenever the residual did not fall below the previous one, the step is
-      the plain Picard step P -> F(P) instead.
+      the plain Picard step P -> F(P) instead.  Every such fallback counts
+      toward the oscillation limit and the count is never reset, so Newton
+      steps that keep failing between Picard steps end as oscillation.
 
     Without ``use_aitken`` every step is the Picard step.
 
     In the canonical ensemble each iteration's mu search starts from the
-    previous iteration's mu; the first one starts from the bracket midpoint.
+    previous iteration's mu; the first one starts from ``mu_guess``, such as
+    the mu of a fixed point at a nearby beta, or from the bracket midpoint
+    when it is None or outside the bracket
+    (:func:`~fermicool.matcore.find_mu_for_occupation`).
 
     Linear models (coupling_u == 0) are their own fixed point after a single
     evaluation and are accepted trivially with ``iterations = 1``.
@@ -474,7 +482,8 @@ def scf_fixed_point(
         ``start`` does not match the system dimension.
     ScfConvergenceError
         When ``max_iter`` is exhausted, or when the residual has not decreased
-        for ten consecutive iterations (oscillation).
+        for ten consecutive iterations, or for ten iterations in all with
+        ``use_aitken`` (oscillation).
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"SCF tolerance must be finite and positive, got {tol}")
@@ -504,19 +513,23 @@ def scf_fixed_point(
     prev_residual = np.inf
     stalled = 0
     residual = np.inf
-    mu = None
+    mu = mu_guess
     for it in range(1, max_iter + 1):
         p_new, mu, eig = evaluate(p, mu)
         r = p_new.mat - p
         residual = float(np.abs(r).max())
         if residual < tol:
             return ScfResult(p_new, mu, it)
-        stalled = stalled + 1 if residual >= prev_residual else 0
+        if residual >= prev_residual:
+            stalled += 1
+        elif not use_aitken:
+            stalled = 0
         if stalled >= SCF_OSCILLATION_LIMIT:
             raise ScfConvergenceError(
                 residual, it,
                 f"SCF residual has not decreased for {SCF_OSCILLATION_LIMIT} "
-                f"consecutive iterations (oscillation), last residual {residual:.3e}",
+                f"{'' if use_aitken else 'consecutive '}iterations (oscillation), "
+                f"last residual {residual:.3e}",
             )
         if use_aitken and eig is not None and residual < prev_residual:
             p = p + _newton_step(_fd_jacobian(model, eig, beta, mu, norm, canonical), eig, r)

@@ -24,10 +24,12 @@ stage scalars for rk4), and mu = (beta mu) / beta.  Grand canonical flows are
 the same flow with sigma frozen at mu, N = 1 and sigma' = 0, so one kernel,
 :func:`_flow`, serves both ensembles.
 
-:func:`cool` integrates in the symmetric-orthogonalization (Loewdin) frame
-Q = S^-1/2 P S^-1/2, G = S^-1/2 H S^-1/2.  There the flow keeps its form
-with S^-1 replaced by the identity, a congruence of P is a congruence of Q,
-and Tr[P] = Tr[S Q], so the step loop holds no product with S^-1.  The
+:func:`cool` integrates in the canonical-orthogonalization frame of the
+overlap's eigenpairs S = U diag(s) U^T: with Y = U s^1/2 and Z = Y^-T it
+carries Q = Z^T P Z against G = Z^T H Z.  Because Y Y^T = S the flow keeps
+its form with S^-1 replaced by the identity, a congruence of P is a
+congruence of Q, and the electron count Tr[P] = Tr[diag(s) Q] has a diagonal
+weight, so the step loop holds no product with an S-derived matrix.  The
 public single steps :func:`step_kraus1` and :func:`step_kraus2` call the same
 kernel in the S frame, with H S^-1 - mu and P S^-1 in place of G - mu and Q.
 """
@@ -141,33 +143,50 @@ class Trajectory:
         return None if self.mu_trace is None else float(self.mu_trace[-1])
 
 
-def _flow(p, f, m, norm, delta_beta, scheme, mu=None, w=None, t=None):
+def _flow(p, f, norm, delta_beta, scheme, mu=None, w=None, t=None):
     """The congruence kernel: one step, or the derivative, of dP/dbeta = B P + P B^T.
 
-    B = (F M / N - F) / 2 for the symmetric state ``p``, occupation operator
-    ``m`` and Hamiltonian operator ``f``: (Q, Q, G) in the Loewdin frame,
-    (P, P S^-1, H S^-1) in the S frame.  Grand canonical runs pass ``mu``
-    with ``f`` already shifted by it and N = 1.  Canonical runs (``mu`` None)
-    subtract sigma = Tr[W F X] / Tr[W X], X = P - M P / N, whose trace
-    weight ``w`` is S in the frame and None (the identity) when S = 1;
-    every weighted trace is an O(n^2) inner product.  ``t`` maps a state
-    rate to the M rate: None in the frame, S^-1 in the S frame.
+    B = (F M / N - F) / 2 for the symmetric state ``p``, its occupation
+    operator M = P t and the Hamiltonian operator ``f``: in the frame ``t`` is
+    None, M = Q and F = G; in the S frame t = S^-1, M = P S^-1 and
+    F = H S^-1.  Grand canonical runs pass ``mu`` with ``f`` already shifted
+    by it and N = 1.  Canonical runs (``mu`` None) subtract
+    sigma = Tr[W F X] / Tr[W X], X = P - M P / N, whose trace weight
+    W = diag(w) is given by the vector ``w``, the overlap eigenvalues in the
+    frame, or None (the identity); W P is a row scaling and every weighted
+    trace an O(n) or O(n^2) sum.
 
     Returns (out, sigma, sigma', A): ``out`` is A P A^T (unsymmetrized)
     for "kraus1"/"kraus2" and dP/dbeta for "rk4", where A is None.  The flow
     derivative sigma' is computed for kraus2 only and is 0 otherwise.
     """
     n = p.shape[0]
+    if scheme == "rk4":
+        # B P = -(F - sigma) X / 2 with X symmetric, so
+        # dP/dbeta = -(F X + (F X)^T) / 2 + sigma X; in the frame M P = Q Q^T
+        # runs as one symmetric rank-k product, and X is exactly symmetric
+        x = p @ p.T if t is None else p @ t @ p
+        x *= -1.0 / norm
+        x += p
+        fx = f @ x
+        out = fx + fx.T
+        out *= -0.5
+        if mu is not None:
+            return out, mu, 0.0, None
+        diag_x, diag_fx = np.diagonal(x), np.diagonal(fx)
+        den = float(diag_x.sum() if w is None else w @ diag_x)
+        _check_trace(den)
+        sigma = float(diag_fx.sum() if w is None else w @ diag_fx) / den
+        x *= sigma
+        out += x
+        return out, sigma, 0.0, None
+    m = p if t is None else p @ t
     fm = f @ m
     sigma, sdot = mu, 0.0
     if mu is None:
-        wp = p if w is None else w @ p
+        wp = p if w is None else w[:, None] * p
         den = float(np.trace(wp) - np.vdot(m, wp) / norm)
-        if abs(2.0 * den) < TRACE_DEGENERACY_TOL:
-            raise DegenerateTraceError(
-                f"Tr[X + X^T] = {2.0 * den:.3e} is degenerate; the state is fully "
-                f"occupied or empty and the trace constraint cannot be enforced"
-            )
+        _check_trace(den)
         sigma = float(np.vdot(f, wp) - np.vdot(fm, wp) / norm) / den
         f = f.copy()
         f.flat[:: n + 1] -= sigma
@@ -179,13 +198,11 @@ def _flow(p, f, m, norm, delta_beta, scheme, mu=None, w=None, t=None):
         return (a @ p) @ a.T, sigma, sdot, a
     bp = b @ p
     pd = bp + bp.T
-    if scheme == "rk4":
-        return pd, sigma, sdot, None
     fmd = f @ (pd if t is None else pd @ t)
     if mu is None:
         # d sigma/dbeta = Tr[W (F - sigma) Xdot] / Tr[W X],
         # Xdot = Pdot - (Mdot P + M Pdot) / N
-        wpd = pd if w is None else w @ pd
+        wpd = pd if w is None else w[:, None] * pd
         sdot = float(np.vdot(f, wpd) - (np.vdot(fmd, wp) + np.vdot(fm, wpd)) / norm) / den
     # A = 1 + d B + (d^2/2)(B^2 + B') with
     # B' = (sigma'/2)(1 - M/N) + (F - sigma) Mdot / (2N), built in place so
@@ -201,6 +218,15 @@ def _flow(p, f, m, norm, delta_beta, scheme, mu=None, w=None, t=None):
     return (a @ p) @ a.T, sigma, sdot, a
 
 
+def _check_trace(den):
+    # den = Tr[W X]; the canonical scalar divides by it
+    if abs(2.0 * den) < TRACE_DEGENERACY_TOL:
+        raise DegenerateTraceError(
+            f"Tr[X + X^T] = {2.0 * den:.3e} is degenerate; the state is fully "
+            f"occupied or empty and the trace constraint cannot be enforced"
+        )
+
+
 def _check_dims(*mats):
     # every matrix given (None skipped) must be square and of one size
     dims = {d for m in mats if m is not None for d in np.shape(m)}
@@ -210,7 +236,7 @@ def _check_dims(*mats):
 
 def _s_frame_step(scheme, p, h, s, mu, delta_beta, s_inv):
     """One grand canonical congruence step of P in the S frame: :func:`_flow`
-    with F = H S^-1 - mu, M = P S^-1 and t = S^-1.  Returns (P', A)."""
+    with F = H S^-1 - mu and t = S^-1.  Returns (P', A)."""
     p = np.asarray(p, dtype=float)
     h = np.asarray(h, dtype=float)
     si = None if s_inv is None else np.asarray(s_inv, dtype=float)
@@ -219,7 +245,7 @@ def _s_frame_step(scheme, p, h, s, mu, delta_beta, s_inv):
         si = (s if isinstance(s, OverlapMatrix) else OverlapMatrix(s)).inverse
     f = h @ si
     f.flat[:: p.shape[0] + 1] -= mu
-    out, _, _, a = _flow(p, f, p @ si, 1.0, delta_beta, scheme, mu=mu, t=si)
+    out, _, _, a = _flow(p, f, 1.0, delta_beta, scheme, mu=mu, t=si)
     return symmetrize(out), a
 
 
@@ -281,16 +307,19 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     db/6 (s1 + 2 s2 + 2 s3 + s4) over the RK4 stage scalars; then
     mu = (beta mu) / beta.
 
-    The state is Q = S^-1/2 P S^-1/2 from Q(0) = (N/2) 1, stepped against
-    G = S^-1/2 H S^-1/2 (for S = 1 the frame is P itself); G - mu is formed
-    once for linear models.  Density-dependent models refresh G from Q at the
-    start of every step and hold it across the step's stages.  The model is
-    affine in P, so the refresh stays in the frame and costs O(n^2):
-    G(Q) = G_core + u [(Q - N/2) + phi K] with K = S^-1/2 J S^-1/2 formed
-    once per run and phi from (S^1/2 1)^T Q (S^1/2 1) and Tr[S Q]
+    The state is Q = Z^T P Z from Q(0) = (N/2) 1, stepped against
+    G = Z^T H Z, where S = Y Y^T, Y = U s^1/2 and Z = Y^-T come from the
+    overlap's eigenpairs (:attr:`~fermicool.matcore.OverlapMatrix.frame`);
+    for S = 1 the frame is P itself.  The canonical trace weight is the
+    vector s, so S Q is a row scaling.  G - mu is formed once for linear
+    models.  Density-dependent models refresh G from Q at the start of every
+    step and hold it across the step's stages.  The model is affine in P, so
+    the refresh stays in the frame and costs O(n^2):
+    G(Q) = G_core + u [(Q - N/2) + phi K] with K = Z^T J Z formed once per
+    run and phi from (Y^T 1)^T Q (Y^T 1) and Tr[diag(s) Q]
     (:meth:`~fermicool.models.HamiltonianModel.congruent_response`).
-    P = S^1/2 Q S^1/2 and the S-frame H = S^1/2 G S^1/2 of the refresh
-    defect are formed only at recording steps.
+    P = Y Q Y^T and the S-frame H = Y G Y^T of the refresh defect are formed
+    only at recording steps.
 
     Recorded every ``config.record_every`` steps, at beta = 0 (from the exact
     initial P) and at the final step: the density, mu, the smallest
@@ -323,7 +352,7 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
 
     # no frame change when S is exactly the identity
     frame = np.count_nonzero(s_mat) != n or not (np.diagonal(s_mat) == 1.0).all()
-    w, x, y = (s_mat, system.s.inv_sqrt, system.s.sqrt) if frame else (None, None, None)
+    w, y, z = system.s.frame if frame else (None, None, None)
 
     def kernel_operator(g_now):
         # the kernel's F: G, or G - mu for grand runs
@@ -334,20 +363,20 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
         return f_now
 
     def s_frame(m):
-        # P = S^1/2 Q S^1/2 and H = S^1/2 G S^1/2
-        return y @ m @ y if frame else m
+        # P = Y Q Y^T and H = Y G Y^T
+        return y @ m @ y.T if frame else m
 
     p0 = 0.5 * norm * s_mat
     q = np.eye(n) * (0.5 * norm)
     g = effective_hamiltonian(model, p0, norm).mat  # H_core at P(0)
-    if frame:  # G = S^-1/2 H S^-1/2
-        g = x @ g @ x
+    if frame:  # G = Z^T H Z
+        g = z.T @ g @ z
         g = 0.5 * (g + g.T)
     f = kernel_operator(g)
     if not model.is_linear:
-        # G(Q) = G_core + S^-1/2 dH(S^1/2 (Q - N/2) S^1/2) S^-1/2 in O(n^2)
+        # G(Q) = G_core + Z^T dH(Y (Q - N/2) Y^T) Z in O(n^2)
         g_core = g
-        d_g = model.congruent_response(x, y) if frame else model.response
+        d_g = model.congruent_response(z, y) if frame else model.response
 
     betas, densities, mus = [], [], []
     d_mineig, d_trace, d_comm, d_refresh = [], [], [], []
@@ -357,13 +386,13 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
         density = HermitianMatrix(p_now)
         eigmin = float(np.linalg.eigvalsh(density.mat)[0])
         qg = q @ g
-        comm = qg - qg.T  # [Q, G] = S^1/2 [S^-1 P, S^-1 H] S^-1/2
+        comm = qg - qg.T  # [S^-1 P, S^-1 H] = Z [Q, G] Y^T
         betas.append(beta)
         densities.append(density)
         mus.append(mu)
         d_mineig.append(eigmin)
         d_trace.append(float(np.trace(density.mat)))
-        d_comm.append(float(np.linalg.norm(x @ comm @ y if frame else comm, "fro")))
+        d_comm.append(float(np.linalg.norm(z @ comm @ y.T if frame else comm, "fro")))
         d_refresh.append(refresh_defect)
         if eigmin < -config.positivity_tol:
             pos_viol.append((beta, eigmin))
@@ -374,7 +403,7 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     sigmas = []  # the stage scalars of the current RK4 step
 
     def rk4_rhs(q_stage):
-        dq, sigma, _, _ = _flow(q_stage, f, q_stage, norm, 0.0, "rk4", mu=kernel_mu, w=w)
+        dq, sigma, _, _ = _flow(q_stage, f, norm, 0.0, "rk4", mu=kernel_mu, w=w)
         sigmas.append(sigma)
         return dq
 
@@ -402,7 +431,7 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
                 s1, s2, s3, s4 = sigmas
                 dz = (db / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
             else:
-                q_raw, sigma, sdot, _ = _flow(q, f, q, norm, db, scheme, mu=kernel_mu, w=w)
+                q_raw, sigma, sdot, _ = _flow(q, f, norm, db, scheme, mu=kernel_mu, w=w)
                 dz = db * (sigma + 0.5 * db * sdot)
             if canonical:
                 beta_mu += dz

@@ -132,6 +132,48 @@ class TestRun:
         meta = dict(line.split(": ", 1) for line in (tmp_path / "c.meta").read_text().splitlines())
         assert int(meta["mu_trace_scf_iterations"]) <= 250
 
+    @pytest.mark.parametrize("case, extra, cold", [
+        ("nonlinear", ["--nonlinear", "0.05", "--scheme", "kraus2"], 911),
+        ("linear", ["--scheme", "rk4"], 709),
+    ])
+    def test_mu_trace_warm_starts_every_mu_search(self, tmp_path, monkeypatch, case, extra,
+                                                   cold):
+        # occupation evaluations of the mu searches inside the mu trace on the
+        # 60-site chain.  ``cold`` is the count when each SCF's first search
+        # and each linear oracle started at the bracket midpoint (911 and
+        # 709); continuing mu from the previous record betas must cut it to
+        # at most 60%
+        from fermicool import cli, models, write_matrix
+
+        evaluations, tracing = [], []
+        search, trace = models.find_mu_for_occupation, cli._mu_trace
+
+        def search_spy(*args, **kwargs):
+            result = search(*args, **kwargs)
+            if tracing:
+                evaluations.append(result.iterations)
+            return result
+
+        def trace_spy(*args):
+            tracing.append(True)
+            try:
+                return trace(*args)
+            finally:
+                tracing.clear()
+
+        monkeypatch.setattr(models, "find_mu_for_occupation", search_spy)
+        monkeypatch.setattr(cli, "_mu_trace", trace_spy)
+        h, s = gaussian_chain()
+        write_matrix(tmp_path / "h.mat", h)
+        write_matrix(tmp_path / "s.mat", s)
+        assert main([
+            "run", "--files", str(tmp_path / "h.mat"), str(tmp_path / "s.mat"),
+            "--canonical", "15", "--beta", "5", "--dbeta", "0.01", *extra,
+            "--out", str(tmp_path / f"{case}.csv"),
+        ]) == 0
+        assert len(evaluations) >= 100
+        assert sum(evaluations) <= 0.6 * cold
+
     def test_subnormal_entries_do_not_change_outputs(self, tmp_path):
         # the Gaussian tails of a 60-site chain hold subnormal entries;
         # the run on the file with them zeroed writes the same bytes

@@ -68,11 +68,13 @@ class TestOverlapMatrix:
         with pytest.raises(ValueError, match="not finite"):
             OverlapMatrix(np.diag([1.0, np.nan]))
 
-    def test_sqrt(self, rng):
+    def test_frame_factors_the_overlap(self, rng):
         s = OverlapMatrix(random_spd(rng, 5))
-        np.testing.assert_allclose(s.sqrt @ s.sqrt, s.mat, atol=1e-12)
-        np.testing.assert_allclose(s.sqrt @ s.inv_sqrt, np.eye(5), atol=1e-12)
-        assert np.array_equal(s.sqrt, s.sqrt.T)
+        vals, y, z = s.frame
+        np.testing.assert_allclose(y @ y.T, s.mat, atol=1e-12)
+        np.testing.assert_allclose(z.T @ y, np.eye(5), atol=1e-12)
+        np.testing.assert_allclose(y.T @ y, np.diag(vals), atol=1e-12)
+        assert vals[0] == s.smallest_eigenvalue
 
     def test_cached_inverse(self, rng):
         s = OverlapMatrix(random_spd(rng, 7))
@@ -80,10 +82,11 @@ class TestOverlapMatrix:
         assert residual < 1e-10
         np.testing.assert_allclose(s.inverse, s.inverse.T, atol=0)
 
-    def test_inv_sqrt(self, rng):
+    def test_frame_orthogonalizes(self, rng):
         s = OverlapMatrix(random_spd(rng, 5))
-        x = s.inv_sqrt
-        np.testing.assert_allclose(x @ s.mat @ x, np.eye(5), atol=1e-12)
+        z = s.frame[2]
+        np.testing.assert_allclose(z.T @ s.mat @ z, np.eye(5), atol=1e-12)
+        assert not (z.flags.writeable or s.frame[1].flags.writeable)
 
 
 @pytest.mark.parametrize("carrier", [HermitianMatrix, OverlapMatrix])

@@ -362,6 +362,28 @@ class TestScfFixedPoint:
         with pytest.raises(ScfConvergenceError, match="oscillation"):
             scf_fixed_point(model, GrandCanonical(mu), 5.0, max_iter=300, use_aitken=use_aitken)
 
+    def test_newton_failing_between_picard_steps_is_oscillation(self, monkeypatch):
+        # at u = 0.5, beta = 20 the Newton steps lower the residual for a few
+        # iterations and then raise it again; each Picard fallback counts
+        # toward the oscillation limit, so the run no longer spends max_iter
+        from fermicool import models
+        from fermicool.models import SCF_OSCILLATION_LIMIT
+
+        evaluations = []
+        fd_state = models._fd_state
+
+        def spy(*args):
+            evaluations.append(1)
+            return fd_state(*args)
+
+        monkeypatch.setattr(models, "_fd_state", spy)
+        system = build_huckel(6, 0.569, 0.066)
+        model = HamiltonianModel(system, coupling_u=0.5)
+        with pytest.raises(ScfConvergenceError, match="oscillation"):
+            scf_fixed_point(model, GrandCanonical(default_chemical_potential(system)), 20.0,
+                            use_aitken=True)
+        assert len(evaluations) <= 2 * SCF_OSCILLATION_LIMIT + 5
+
     def test_newton_non_convergence_reports_residual(self):
         system = build_huckel(6, 0.569, 0.066)
         mu = default_chemical_potential(system)

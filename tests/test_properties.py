@@ -387,17 +387,17 @@ def test_newton_fixed_point_is_the_picard_fixed_point(data, coupling, log_beta):
 @given(data=st.data(), coupling=st.floats(-1.0, 1.0))
 def test_frame_refresh_is_the_s_frame_hamiltonian(data, coupling):
     # cool()'s O(n^2) refresh G_core + u [(Q - N/2) + phi K] against the
-    # S-frame Hamiltonian of P = S^1/2 Q S^1/2 carried into the frame
+    # S-frame Hamiltonian of P = Y Q Y^T carried into the frame by Z = Y^-T
     system, ensemble, norm = data.draw(affine_systems())
     model = HamiltonianModel(system, coupling_u=coupling)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     n = system.dim
-    x, y = system.s.inv_sqrt, system.s.sqrt
+    _, y, z = system.s.frame
     q = random_symmetric(rng, n)
     e = q.copy()
     e.flat[:: n + 1] -= 0.5 * norm
-    g = x @ system.h_core.mat @ x + model.congruent_response(x, y)(e)
-    ref = x @ effective_hamiltonian(model, y @ q @ y, norm).mat @ x
+    g = z.T @ system.h_core.mat @ z + model.congruent_response(z, y)(e)
+    ref = z.T @ effective_hamiltonian(model, y @ q @ y.T, norm).mat @ z
     assert np.abs(g - ref).max() <= 1e-13 * max(np.abs(ref).max(), 1.0)
 
 

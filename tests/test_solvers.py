@@ -49,7 +49,7 @@ def s_frame_flow(p, h, s, mu=None, norm=1.0, s_inv=None):
     if mu is not None:
         f.flat[:: p.shape[0] + 1] -= mu
     m = p @ si
-    rhs, sigma, _, _ = _flow(p, f, m, norm, 0.0, "rk4", mu=mu)
+    rhs, sigma, _, _ = _flow(p, f, norm, 0.0, "rk4", mu=mu, t=si)
     return rhs, sigma, p - (m @ p) / norm
 
 
@@ -182,6 +182,46 @@ class TestCanonicalRhs:
         h = random_symmetric(rng, 4)
         with pytest.raises(DegenerateTraceError):
             s_frame_flow(np.zeros((4, 4)), h, np.eye(4))
+
+
+class TestFlowRk4:
+    """The kernel's RK4 derivative, taken in X form, against the literal
+    B P + P B^T with B = -(F - sigma)(1 - M/N) / 2."""
+
+    @staticmethod
+    def literal(p, f, m, norm, w, mu):
+        # grand runs pass F already shifted by mu
+        n = p.shape[0]
+        sigma = mu
+        if mu is None:
+            x = p - m @ p / norm
+            sigma = np.trace(np.diag(w) @ f @ x) / np.trace(np.diag(w) @ x)
+            f = f - sigma * np.eye(n)
+        b = -0.5 * f @ (np.eye(n) - m / norm)
+        return b @ p + p @ b.T, sigma
+
+    @pytest.mark.parametrize("operands", ["frame", "s-frame"])
+    @pytest.mark.parametrize("mu", [None, 0.3])
+    def test_matches_literal_derivative(self, rng, operands, mu):
+        n = 7
+        overlap = OverlapMatrix(random_spd(rng, n))
+        h = random_symmetric(rng, n)
+        norm = 1.0 if mu is not None else 0.8
+        vals, y, z = overlap.frame
+        q = random_spd(rng, n, lo=0.1, hi=0.7)
+        if operands == "frame":
+            p, f, m, w, t = q, z.T @ h @ z, q, vals, None
+        else:
+            si = overlap.inverse
+            p, f, w, t = y @ q @ y.T, h @ si, np.ones(n), si
+            m = p @ si
+        if mu is not None:
+            f = f - mu * np.eye(n)
+        out, sigma, _, _ = _flow(p, f, norm, 0.0, "rk4", mu=mu,
+                                 w=None if operands == "s-frame" else w, t=t)
+        ref, ref_sigma = self.literal(p, f, m, norm, w, mu)
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert sigma == pytest.approx(ref_sigma, rel=1e-13)
 
 
 class TestMuRhs:
@@ -364,6 +404,32 @@ class TestCool:
         err = np.abs(occupation_spectrum(traj.final_density, system.s)
                      - occupation_spectrum(p_oracle, system.s)).max()
         assert err < 1e-9
+
+    @pytest.mark.parametrize("coupling", [0.0, 0.1])
+    @pytest.mark.parametrize("scheme", ["kraus1", "kraus2", "rk4"])
+    def test_canonical_weight_is_the_overlap_spectrum(self, rng, monkeypatch, scheme,
+                                                       coupling):
+        # in the eigenbasis frame of S the electron-count weight is diag(s):
+        # the kernel never sees a dense S-derived matrix
+        from fermicool import solvers
+
+        s = OverlapMatrix(random_spd(rng, 6))
+        system = SystemSpec(HermitianMatrix(random_symmetric(rng, 6)), s)
+        weights = []
+        flow = solvers._flow
+
+        def spy(*args, **kwargs):
+            weights.append(kwargs["w"])
+            return flow(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_flow", spy)
+        cool(HamiltonianModel(system, coupling_u=coupling), Canonical(2.5),
+             SolverConfig(scheme, 1.0, 0.1))
+        assert len(weights) == (40 if scheme == "rk4" else 10)
+        spectrum = np.linalg.eigvalsh(s.mat)
+        for w in weights:
+            assert w.shape == (6,)
+            np.testing.assert_allclose(w, spectrum, rtol=1e-12)
 
     def test_canonical_kraus_schemes_track_oracle(self, rng):
         s = OverlapMatrix(random_spd(rng, 5))
