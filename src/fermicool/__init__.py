@@ -55,7 +55,6 @@ from .solvers import (
     cool,
     step_kraus1,
     step_kraus2,
-    step_rk4,
 )
 
 __version__ = "0.1.0"
@@ -102,7 +101,6 @@ __all__ = [
     "scf_fixed_point",
     "step_kraus1",
     "step_kraus2",
-    "step_rk4",
     "symmetrize",
     "write_matrix",
 ]

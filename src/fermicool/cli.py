@@ -51,7 +51,7 @@ from .models import (
     occupation_spectrum,
     scf_fixed_point,
 )
-from .solvers import SolverConfig, cool
+from .solvers import SCHEMES, SolverConfig, cool
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -414,7 +414,7 @@ def _add_common(parser: argparse.ArgumentParser, with_solver: bool) -> None:
     parser.add_argument("--beta", type=float, required=True, metavar="B",
                         help="target inverse temperature")
     if with_solver:
-        parser.add_argument("--scheme", choices=["kraus1", "kraus2", "rk4"], default="rk4")
+        parser.add_argument("--scheme", choices=SCHEMES, default="rk4")
         parser.add_argument("--dbeta", type=float, required=True, metavar="DB",
                             help="integration step in beta")
         parser.add_argument("--record-every", type=int, default=None, metavar="K",
@@ -448,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv = sub.add_parser("convergence", help="observed convergence orders by step halving",
                             epilog=_EPILOG, formatter_class=argparse.RawDescriptionHelpFormatter)
     _add_common(p_conv, with_solver=False)
-    p_conv.add_argument("--scheme", choices=["kraus1", "kraus2", "rk4"], required=True)
+    p_conv.add_argument("--scheme", choices=SCHEMES, required=True)
     p_conv.add_argument("--dbeta-list", nargs="+", type=float, required=True,
                         metavar="DB", help="step sizes in halving progression (>= 3)")
     p_conv.add_argument("--out", default="convergence.csv", metavar="PATH")

@@ -43,11 +43,17 @@ def _as_square(m, name="matrix"):
 def symmetrize(m):
     """Return the symmetric part (M + M^T) / 2 as a new array.
 
-    Each half is taken before the sum, so entries near the largest finite
-    float do not overflow; halving is exact above the subnormal range.
+    The sum is halved, so each entry is rounded once; halving first would
+    round twice below 2 * tiny.  Where the sum of finite entries overflows,
+    the halves are summed instead: halving is exact at that size.
     """
-    half = 0.5 * np.asarray(m, dtype=float)
-    return half + half.T
+    a = np.asarray(m, dtype=float)
+    with np.errstate(over="ignore"):
+        out = 0.5 * (a + a.T)
+    over = np.isinf(out)
+    if over.any():
+        out[over] = (0.5 * a + 0.5 * a.T)[over]
+    return out
 
 
 def maxabs_asymmetry(m):

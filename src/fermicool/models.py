@@ -289,10 +289,10 @@ def _fd_matrix(eig: EigenPair, beta: float, mu: float, normalization: float) -> 
     return (w * occ) @ w.T
 
 
-def _pencil_of(system: SystemSpec, h_override) -> EigenPair:
-    if h_override is None or h_override is system.h_core:
+def _pencil_of(system: SystemSpec, h) -> EigenPair:
+    if h is None or h is system.h_core:
         return system.pencil
-    return generalized_eigh(h_override, system.s)
+    return generalized_eigh(h, system.s)
 
 
 def _fd_state(system: SystemSpec, h, beta: float, ensemble: Ensemble, norm: float,
@@ -336,28 +336,24 @@ def infinite_temperature_mu(h, s) -> float:
     return ratio
 
 
-def exact_grand_fd(system: SystemSpec, mu: float, beta: float,
-                   h_override=None) -> HermitianMatrix:
+def exact_grand_fd(system: SystemSpec, mu: float, beta: float) -> HermitianMatrix:
     """Exact grand canonical Fermi-Dirac density matrix at inverse temperature beta.
 
-    Computed through the eigendecomposition of the pencil (H, S), which is the
-    system's cached :attr:`~SystemSpec.pencil` unless ``h_override`` substitutes
-    a different Hamiltonian while keeping the system's overlap.  At beta = 0
-    this is S / 2 exactly.
+    Computed through the system's cached :attr:`~SystemSpec.pencil`, the
+    eigendecomposition of (H, S).  At beta = 0 this is S / 2 exactly.
     """
-    return _fd_state(system, h_override, beta, GrandCanonical(mu), 1.0)[0]
+    return _fd_state(system, None, beta, GrandCanonical(mu), 1.0)[0]
 
 
 def exact_canonical_fd(system: SystemSpec, n_electrons: float, beta: float,
-                       h_override=None, mu_guess=None):
+                       mu_guess=None):
     """Exact canonical Fermi-Dirac density matrix and its chemical potential.
 
     Solves mu(beta) so that Tr[P] = n_electrons within
     :data:`~fermicool.matcore.MU_TOL`, in at most
-    :data:`~fermicool.matcore.MU_MAX_ITER` occupation evaluations.  The pencil
-    is the system's cached :attr:`~SystemSpec.pencil` unless ``h_override``
-    is given.  ``mu_guess``, such as the mu of a nearby Hamiltonian or the
-    mu extrapolated from nearby temperatures (the CLI's mu trace passes
+    :data:`~fermicool.matcore.MU_MAX_ITER` occupation evaluations, through
+    the system's cached :attr:`~SystemSpec.pencil`.  ``mu_guess``, such as
+    the mu extrapolated from nearby temperatures (the CLI's mu trace passes
     that), is where the mu search starts when it lies inside the search
     bracket (see :func:`~fermicool.matcore.find_mu_for_occupation`); it
     changes the iteration count, not the tolerance met.  At beta = 0 the
@@ -370,7 +366,7 @@ def exact_canonical_fd(system: SystemSpec, n_electrons: float, beta: float,
         The density matrix and mu(beta).
     """
     norm = canonical_normalization(n_electrons, system.s.mat)
-    p, mu, _ = _fd_state(system, h_override, beta, Canonical(n_electrons), norm, mu_guess)
+    p, mu, _ = _fd_state(system, None, beta, Canonical(n_electrons), norm, mu_guess)
     return p, mu
 
 
@@ -501,13 +497,13 @@ def scf_fixed_point(
                 f"start density has shape {p.shape}, system dimension is {system.dim}"
             )
 
-    def evaluate(current, mu_guess=None):
-        # F(P), its mu and the pencil of H(P)
+    def evaluate(current, guess):
+        # F(P), its mu and the pencil of H(P); a canonical mu search starts at guess
         h_eff = effective_hamiltonian(model, current, norm)
-        return _fd_state(system, h_eff, beta, ensemble, norm, mu_guess)
+        return _fd_state(system, h_eff, beta, ensemble, norm, guess)
 
     if model.is_linear:
-        p_new, mu, _ = evaluate(p)
+        p_new, mu, _ = evaluate(p, mu_guess)
         return ScfResult(p_new, mu, 1)
 
     prev_residual = np.inf

@@ -17,12 +17,13 @@ structure, so the smallest eigenvalue is monitored at every recorded step.
 
 Canonical flows use the trace-preserving scalar sigma = Tr[X S^-1 H] / Tr[X],
 X = P (1 - S^-1 P / N), which makes d Tr[P] / dbeta = 0 identically.  The
-chemical potential follows from d(beta mu)/dbeta = sigma: every scheme
-accumulates beta mu from the scalars its kernel calls return (Euler for
+chemical potential follows from d(beta mu)/dbeta = sigma.  One kernel,
+:func:`_flow`, takes a whole step of every scheme, the four RK4 stages
+included, and returns with it the step's quadrature of sigma (Euler for
 kraus1, sigma + (db/2) sigma' for kraus2, the RK4 weights over the four
-stage scalars for rk4), and mu = (beta mu) / beta.  Grand canonical flows are
-the same flow with sigma frozen at mu, N = 1 and sigma' = 0, so one kernel,
-:func:`_flow`, serves both ensembles.
+stage scalars for rk4), which :func:`cool` adds to beta mu before it sets
+mu = (beta mu) / beta.  Grand canonical flows are the same flow with sigma
+frozen at mu, N = 1 and sigma' = 0, so the kernel serves both ensembles.
 
 :func:`cool` integrates in the canonical-orthogonalization frame of the
 overlap's eigenpairs S = U diag(s) U^T: with Y = U s^1/2 and Z = Y^-T it
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from .models import (
     Ensemble,
     HamiltonianModel,
     canonical_normalization,
-    effective_hamiltonian,
     infinite_temperature_mu,
 )
 
@@ -143,8 +142,30 @@ class Trajectory:
         return None if self.mu_trace is None else float(self.mu_trace[-1])
 
 
+def _rate(p, f, norm, mu=None, w=None, t=None):
+    """dP/dbeta = B P + P B^T and sigma, in X form, for the operands of :func:`_flow`."""
+    # B P = -(F - sigma) X / 2 with X symmetric, so
+    # dP/dbeta = -(F X + (F X)^T) / 2 + sigma X; in the frame M P = Q Q^T
+    # runs as one symmetric rank-k product, and X is exactly symmetric
+    x = p @ p.T if t is None else p @ t @ p
+    x *= -1.0 / norm
+    x += p
+    fx = f @ x
+    out = fx + fx.T
+    out *= -0.5
+    if mu is not None:
+        return out, mu
+    diag_x, diag_fx = np.diagonal(x), np.diagonal(fx)
+    den = float(diag_x.sum() if w is None else w @ diag_x)
+    _check_trace(den)
+    sigma = float(diag_fx.sum() if w is None else w @ diag_fx) / den
+    x *= sigma
+    out += x
+    return out, sigma
+
+
 def _flow(p, f, norm, delta_beta, scheme, mu=None, w=None, t=None):
-    """The congruence kernel: one step, or the derivative, of dP/dbeta = B P + P B^T.
+    """The kernel: one step of dP/dbeta = B P + P B^T and its increment of beta mu.
 
     B = (F M / N - F) / 2 for the symmetric state ``p``, its occupation
     operator M = P t and the Hamiltonian operator ``f``: in the frame ``t`` is
@@ -156,30 +177,28 @@ def _flow(p, f, norm, delta_beta, scheme, mu=None, w=None, t=None):
     frame, or None (the identity); W P is a row scaling and every weighted
     trace an O(n) or O(n^2) sum.
 
-    Returns (out, sigma, sigma', A): ``out`` is A P A^T (unsymmetrized)
-    for "kraus1"/"kraus2" and dP/dbeta for "rk4", where A is None.  The flow
-    derivative sigma' is computed for kraus2 only and is 0 otherwise.
+    Returns (out, dz, A), ``out`` unsymmetrized and dz the step's increment
+    of beta mu: A P A^T with A = 1 + db B and dz = db sigma for "kraus1";
+    A P A^T with A = 1 + db B + (db^2 / 2)(B^2 + B') and
+    dz = db (sigma + db sigma' / 2) for "kraus2"; the classic RK4 update over
+    :func:`_rate`, dz = db/6 (s1 + 2 s2 + 2 s3 + s4) over the stage scalars
+    and A None for "rk4".
     """
-    n = p.shape[0]
     if scheme == "rk4":
-        # B P = -(F - sigma) X / 2 with X symmetric, so
-        # dP/dbeta = -(F X + (F X)^T) / 2 + sigma X; in the frame M P = Q Q^T
-        # runs as one symmetric rank-k product, and X is exactly symmetric
-        x = p @ p.T if t is None else p @ t @ p
-        x *= -1.0 / norm
-        x += p
-        fx = f @ x
-        out = fx + fx.T
-        out *= -0.5
-        if mu is not None:
-            return out, mu, 0.0, None
-        diag_x, diag_fx = np.diagonal(x), np.diagonal(fx)
-        den = float(diag_x.sum() if w is None else w @ diag_x)
-        _check_trace(den)
-        sigma = float(diag_fx.sum() if w is None else w @ diag_fx) / den
-        x *= sigma
-        out += x
-        return out, sigma, 0.0, None
+        # one accumulator and one stage buffer, which also carries each
+        # weighted stage rate into the sum once the rate is computed
+        acc, total = _rate(p, f, norm, mu, w, t)
+        k, stage = acc, np.empty_like(p)
+        for c, weight in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
+            np.multiply(k, c * delta_beta, out=stage)
+            stage += p
+            k, sigma = _rate(stage, f, norm, mu, w, t)
+            acc += np.multiply(k, weight, out=stage)
+            total += weight * sigma
+        acc *= delta_beta / 6.0
+        acc += p
+        return acc, (delta_beta / 6.0) * total, None
+    n = p.shape[0]
     m = p if t is None else p @ t
     fm = f @ m
     sigma, sdot = mu, 0.0
@@ -195,7 +214,7 @@ def _flow(p, f, norm, delta_beta, scheme, mu=None, w=None, t=None):
     if scheme == "kraus1":
         a = delta_beta * b
         a.flat[:: n + 1] += 1.0
-        return (a @ p) @ a.T, sigma, sdot, a
+        return (a @ p) @ a.T, delta_beta * sigma, a
     bp = b @ p
     pd = bp + bp.T
     fmd = f @ (pd if t is None else pd @ t)
@@ -215,7 +234,7 @@ def _flow(p, f, norm, delta_beta, scheme, mu=None, w=None, t=None):
     a *= 0.5 * delta_beta**2
     a += delta_beta * b
     a.flat[:: n + 1] += 1.0
-    return (a @ p) @ a.T, sigma, sdot, a
+    return (a @ p) @ a.T, delta_beta * (sigma + 0.5 * delta_beta * sdot), a
 
 
 def _check_trace(den):
@@ -245,7 +264,7 @@ def _s_frame_step(scheme, p, h, s, mu, delta_beta, s_inv):
         si = (s if isinstance(s, OverlapMatrix) else OverlapMatrix(s)).inverse
     f = h @ si
     f.flat[:: p.shape[0] + 1] -= mu
-    out, _, _, a = _flow(p, f, 1.0, delta_beta, scheme, mu=mu, t=si)
+    out, _, a = _flow(p, f, 1.0, delta_beta, scheme, mu=mu, t=si)
     return symmetrize(out), a
 
 
@@ -272,15 +291,6 @@ def step_kraus2(p, h, s, mu, delta_beta, s_inv=None):
     return _s_frame_step("kraus2", p, h, s, mu, delta_beta, s_inv)
 
 
-def step_rk4(y, rhs: Callable, delta_beta):
-    """Classic four-stage Runge-Kutta update of an arbitrary ndarray state."""
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * delta_beta * k1)
-    k3 = rhs(y + 0.5 * delta_beta * k2)
-    k4 = rhs(y + delta_beta * k3)
-    return y + (delta_beta / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def commutator_defect(h, h_next, delta_beta) -> float:
     """Frobenius norm of [H, (H_next - H) / delta_beta].
 
@@ -302,9 +312,10 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
 
     Grand canonical runs start from P(0) = S/2 with the ensemble's fixed mu.
     Canonical runs start from P(0) = (N/2) S with mu(0) = Tr[H]/Tr[S].  Each
-    step adds its quadrature of the lagrange scalar to beta mu, at the
-    scheme's order: db sigma (kraus1), db (sigma + db sigma' / 2) (kraus2) or
-    db/6 (s1 + 2 s2 + 2 s3 + s4) over the RK4 stage scalars; then
+    step is one :func:`_flow` call, which also returns the step's quadrature
+    of the lagrange scalar at the scheme's order: db sigma (kraus1),
+    db (sigma + db sigma' / 2) (kraus2) or db/6 (s1 + 2 s2 + 2 s3 + s4) over
+    the RK4 stage scalars.  It is added to beta mu, and
     mu = (beta mu) / beta.
 
     The state is Q = Z^T P Z from Q(0) = (N/2) 1, stepped against
@@ -368,10 +379,9 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
 
     p0 = 0.5 * norm * s_mat
     q = np.eye(n) * (0.5 * norm)
-    g = effective_hamiltonian(model, p0, norm).mat  # H_core at P(0)
+    g = system.h_core.mat  # the model's correction vanishes at P(0)
     if frame:  # G = Z^T H Z
-        g = z.T @ g @ z
-        g = 0.5 * (g + g.T)
+        g = symmetrize(z.T @ g @ z)
     f = kernel_operator(g)
     if not model.is_linear:
         # G(Q) = G_core + Z^T dH(Y (Q - N/2) Y^T) Z in O(n^2)
@@ -400,13 +410,6 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     record(0.0, p0, 0.0)
     del p0  # the loop holds Q alone and forms P only at recording steps
 
-    sigmas = []  # the stage scalars of the current RK4 step
-
-    def rk4_rhs(q_stage):
-        dq, sigma, _, _ = _flow(q_stage, f, norm, 0.0, "rk4", mu=kernel_mu, w=w)
-        sigmas.append(sigma)
-        return dq
-
     # non-finite values are detected and turned into SolverAbortError below
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
@@ -423,16 +426,9 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
                 if recording:
                     refresh_defect = commutator_defect(s_frame(g_last), s_frame(g), db)
 
-            # d(beta mu)/dbeta equals the scalar exactly; each scheme
-            # integrates it at its own order
-            if scheme == "rk4":
-                sigmas.clear()
-                q_raw = step_rk4(q, rk4_rhs, db)
-                s1, s2, s3, s4 = sigmas
-                dz = (db / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-            else:
-                q_raw, sigma, sdot, _ = _flow(q, f, norm, db, scheme, mu=kernel_mu, w=w)
-                dz = db * (sigma + 0.5 * db * sdot)
+            # d(beta mu)/dbeta equals the scalar exactly; dz is the step's
+            # quadrature of it at the scheme's order
+            q_raw, dz, _ = _flow(q, f, norm, db, scheme, mu=kernel_mu, w=w)
             if canonical:
                 beta_mu += dz
                 mu = beta_mu / beta_next

@@ -239,14 +239,14 @@ class TestCachedPencil:
     def test_oracles_match_a_fresh_decomposition(self, rng):
         system = SystemSpec(HermitianMatrix(random_symmetric(rng, 6)),
                             OverlapMatrix(random_spd(rng, 6)))
-        # an equal but distinct Hamiltonian forces a new decomposition
-        h_copy = HermitianMatrix(system.h_core.mat.copy())
+        # an equal but distinct system decomposes its pencil afresh
+        fresh = SystemSpec(HermitianMatrix(system.h_core.mat.copy()), system.s)
         for beta in (0.5, 4.0):
             np.testing.assert_allclose(
                 exact_grand_fd(system, 0.1, beta).mat,
-                exact_grand_fd(system, 0.1, beta, h_override=h_copy).mat, atol=1e-13)
+                exact_grand_fd(fresh, 0.1, beta).mat, atol=1e-13)
             p, mu = exact_canonical_fd(system, 2.5, beta)
-            p_ref, mu_ref = exact_canonical_fd(system, 2.5, beta, h_override=h_copy)
+            p_ref, mu_ref = exact_canonical_fd(fresh, 2.5, beta)
             np.testing.assert_allclose(p.mat, p_ref.mat, atol=1e-13)
             assert mu == pytest.approx(mu_ref, abs=1e-12)
 
@@ -267,7 +267,7 @@ class TestScfFixedPoint:
         model = HamiltonianModel(system, coupling_u=0.1)
         res = scf_fixed_point(model, GrandCanonical(mu), 1.0, tol=1e-11)
         h_eff = effective_hamiltonian(model, res.density)
-        back = exact_grand_fd(system, mu, 1.0, h_override=h_eff)
+        back = exact_grand_fd(SystemSpec(h_eff, system.s), mu, 1.0)
         assert np.abs(res.density.mat - back.mat).max() < 1e-10
 
     def test_aitken_matches_plain_and_is_no_slower(self):
@@ -312,6 +312,13 @@ class TestScfFixedPoint:
         assert len(searches) == res.iterations > 2
         assert searches[0][0] is None
         assert [g for g, _ in searches[1:]] == [mu for _, mu in searches[:-1]]
+        # a linear model's single evaluation starts at the given guess too
+        searches.clear()
+        guess = res.mu
+        res = scf_fixed_point(HamiltonianModel(model.system), Canonical(4.0), 2.0,
+                              mu_guess=guess)
+        assert res.iterations == 1
+        assert searches == [(guess, res.mu)]
 
     def test_start_shape_checked(self):
         model = HamiltonianModel(build_huckel(6, 0.569, 0.066), coupling_u=0.1)

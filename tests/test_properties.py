@@ -2,10 +2,12 @@
 the input matrices and the command line.
 
 The first reference below is the S-frame integrator written out literally:
-every step multiplies by S^-1, rebuilds H S^-1 - mu, and treats the grand and
-the canonical ensembles with separate formulas.  ``cool`` integrates in the
-Loewdin frame with one shared kernel, so agreement with this reference
-guards the frame change and the grand-as-canonical reduction.
+every step multiplies by S^-1, rebuilds H S^-1 - mu, treats the grand and
+the canonical ensembles with separate formulas, and takes RK4 steps with its
+own Runge-Kutta combination.  ``cool`` integrates in the canonical
+orthogonalization frame of the overlap's eigenpairs with one shared kernel,
+so agreement with this reference guards the frame change, the
+grand-as-canonical reduction and the kernel's RK4 stages.
 
 The second is the plain bisection for mu over the same bracket, against
 which the safeguarded Newton search must agree on every failure.
@@ -23,7 +25,7 @@ import scipy.optimize
 from scipy.special import expit
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from fermicool import (  # noqa: E402
@@ -48,7 +50,6 @@ from fermicool import (  # noqa: E402
     scf_fixed_point,
     step_kraus1,
     step_kraus2,
-    step_rk4,
     write_matrix,
 )
 from fermicool.cli import main  # noqa: E402
@@ -110,6 +111,14 @@ def ref_step_canonical(p, h, si, norm, db, second_order):
     return a @ p @ a.T, scalar, sdot
 
 
+def ref_rk4(y, rhs, db):
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * db * k1)
+    k3 = rhs(y + 0.5 * db * k2)
+    k4 = rhs(y + db * k3)
+    return y + (db / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def ref_cool(model, ensemble, scheme, beta_final, n_steps):
     """Final density (and mu) of the S-frame integration, refreshing H per step."""
     system = model.system
@@ -138,10 +147,10 @@ def ref_cool(model, ensemble, scheme, beta_final, n_steps):
                     dmu = 0.5 * ref_scalar_rate(q, dq, si @ h, si, norm, x, scalar)
                 return np.concatenate([dq.ravel(), [dmu, 1.0]])
 
-            y = step_rk4(np.concatenate([p.ravel(), [mu, beta_i]]), rhs, db)
+            y = ref_rk4(np.concatenate([p.ravel(), [mu, beta_i]]), rhs, db)
             p_raw, mu = y[: n * n].reshape(n, n), float(y[n * n])
         elif scheme == "rk4":
-            p_raw = step_rk4(p, lambda q: ref_grand_rhs(q, h, si, mu), db)
+            p_raw = ref_rk4(p, lambda q: ref_grand_rhs(q, h, si, mu), db)
         elif canonical:
             p_raw, scalar, sdot = ref_step_canonical(p, h, si, norm, db, scheme == "kraus2")
             beta_mu += db * scalar if sdot is None else db * (scalar + 0.5 * db * sdot)
@@ -410,6 +419,10 @@ _SUBNORMAL = st.floats(-TINY, TINY, exclude_min=True, exclude_max=True)
 @given(m=st.integers(1, 12).flatmap(lambda n: arrays(
            np.float64, (n, n), elements=st.one_of(st.floats(-1e3, 1e3), _SUBNORMAL))),
        symmetric=st.booleans())
+# the largest subnormal, and the smallest normal float above tiny: halving
+# before the sum rounded the first up to tiny and the second down to tiny
+@example(m=np.array([[2.225073858507201e-308]]), symmetric=False)
+@example(m=np.array([[2.225073858507202e-308]]), symmetric=False)
 def test_hermitian_matrix_zeroes_exactly_the_subnormal_entries(m, symmetric):
     if symmetric:
         m = np.triu(m) + np.triu(m, 1).T

@@ -25,9 +25,8 @@ from fermicool import (
     occupation_spectrum,
     step_kraus1,
     step_kraus2,
-    step_rk4,
 )
-from fermicool.solvers import MAX_STEPS, _flow
+from fermicool.solvers import MAX_STEPS, _flow, _rate
 from conftest import random_spd, random_symmetric
 
 
@@ -40,16 +39,17 @@ def logistic(p0, a, beta):
 
 
 def s_frame_flow(p, h, s, mu=None, norm=1.0, s_inv=None):
-    """dP/dbeta, the scalar sigma and X = P - M P / N from the kernel, called
-    with the S-frame operands F = H S^-1 - mu and M = P S^-1.  A grand flow
-    passes ``mu``; a canonical one leaves it None and passes N as ``norm``."""
+    """dP/dbeta, the scalar sigma and X = P - M P / N from the kernel's rate,
+    called with the S-frame operands F = H S^-1 - mu and M = P S^-1.  A grand
+    flow passes ``mu``; a canonical one leaves it None and passes N as
+    ``norm``."""
     p = np.asarray(p, dtype=float)
     si = OverlapMatrix(s).inverse if s_inv is None else s_inv
     f = np.asarray(h, dtype=float) @ si
     if mu is not None:
         f.flat[:: p.shape[0] + 1] -= mu
     m = p @ si
-    rhs, sigma, _, _ = _flow(p, f, norm, 0.0, "rk4", mu=mu, t=si)
+    rhs, sigma = _rate(p, f, norm, mu, t=si)
     return rhs, sigma, p - (m @ p) / norm
 
 
@@ -185,8 +185,29 @@ class TestCanonicalRhs:
 
 
 class TestFlowRk4:
-    """The kernel's RK4 derivative, taken in X form, against the literal
-    B P + P B^T with B = -(F - sigma)(1 - M/N) / 2."""
+    """The rate of the kernel's RK4 stages, taken in X form, against the
+    literal B P + P B^T with B = -(F - sigma)(1 - M/N) / 2, and the kernel's
+    RK4 step against the classic combination of four such rates."""
+
+    @staticmethod
+    def operands(rng, operands, mu):
+        # (P, F, M, N, w, t) in the eigenbasis frame of a random S or in the
+        # S frame; the S frame has an identity trace weight
+        n = 7
+        overlap = OverlapMatrix(random_spd(rng, n))
+        h = random_symmetric(rng, n)
+        norm = 1.0 if mu is not None else 0.8
+        vals, y, z = overlap.frame
+        q = random_spd(rng, n, lo=0.1, hi=0.7)
+        if operands == "frame":
+            p, f, m, w, t = q, z.T @ h @ z, q, vals, None
+        else:
+            si = overlap.inverse
+            p, f, w, t = y @ q @ y.T, h @ si, np.ones(n), si
+            m = p @ si
+        if mu is not None:
+            f = f - mu * np.eye(n)
+        return p, f, m, norm, w, t
 
     @staticmethod
     def literal(p, f, m, norm, w, mu):
@@ -203,25 +224,34 @@ class TestFlowRk4:
     @pytest.mark.parametrize("operands", ["frame", "s-frame"])
     @pytest.mark.parametrize("mu", [None, 0.3])
     def test_matches_literal_derivative(self, rng, operands, mu):
-        n = 7
-        overlap = OverlapMatrix(random_spd(rng, n))
-        h = random_symmetric(rng, n)
-        norm = 1.0 if mu is not None else 0.8
-        vals, y, z = overlap.frame
-        q = random_spd(rng, n, lo=0.1, hi=0.7)
-        if operands == "frame":
-            p, f, m, w, t = q, z.T @ h @ z, q, vals, None
-        else:
-            si = overlap.inverse
-            p, f, w, t = y @ q @ y.T, h @ si, np.ones(n), si
-            m = p @ si
-        if mu is not None:
-            f = f - mu * np.eye(n)
-        out, sigma, _, _ = _flow(p, f, norm, 0.0, "rk4", mu=mu,
-                                 w=None if operands == "s-frame" else w, t=t)
+        p, f, m, norm, w, t = self.operands(rng, operands, mu)
+        out, sigma = _rate(p, f, norm, mu, w=None if operands == "s-frame" else w, t=t)
         ref, ref_sigma = self.literal(p, f, m, norm, w, mu)
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
         assert sigma == pytest.approx(ref_sigma, rel=1e-13)
+
+    @pytest.mark.parametrize("operands", ["frame", "s-frame"])
+    @pytest.mark.parametrize("mu", [None, 0.3])
+    def test_step_is_classic_rk4_over_the_rate(self, rng, operands, mu):
+        # the kernel's in-place stages give the bits of the textbook
+        # combination, and its increment of beta mu weights the stage scalars
+        # the same way
+        p, f, _, norm, w, t = self.operands(rng, operands, mu)
+        w = None if operands == "s-frame" else w
+        db = 0.37
+
+        def rate(y):
+            return _rate(y, f, norm, mu, w=w, t=t)
+
+        k1, s1 = rate(p)
+        k2, s2 = rate(p + 0.5 * db * k1)
+        k3, s3 = rate(p + 0.5 * db * k2)
+        k4, s4 = rate(p + db * k3)
+        ref = p + (db / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out, dz, a = _flow(p, f, norm, db, "rk4", mu=mu, w=w, t=t)
+        assert out.tobytes() == ref.tobytes()
+        assert dz == (db / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+        assert a is None
 
 
 class TestMuRhs:
@@ -316,16 +346,7 @@ def test_kraus_steps_reject_mismatched_s_inv(step):
 
 
 class TestStepRk4:
-    def test_zero_rhs_is_identity(self, rng):
-        p = random_symmetric(rng, 3)
-        out = step_rk4(p, lambda y: np.zeros_like(y), 0.3)
-        np.testing.assert_array_equal(out, p)
-
-    def test_scalar_exponential_decay(self):
-        y = np.array(1.0)
-        for _ in range(100):
-            y = step_rk4(y, lambda v: -v, 0.01)
-        assert float(y) == pytest.approx(math.exp(-1.0), abs=1e-10)
+    """RK4 steps of :func:`cool`."""
 
     def test_global_fourth_order_on_ring(self):
         system = build_huckel(6, 0.0, 1.0)
@@ -337,18 +358,6 @@ class TestStepRk4:
                         SolverConfig("rk4", 1.0, db, record_every=10 ** 6))
             errs.append(np.abs(occupation_spectrum(traj.final_density, system.s) - exact).max())
         assert math.log2(errs[0] / errs[1]) == pytest.approx(4.0, abs=0.3)
-
-    def test_rk4_integration_reaches_gibbs_state(self, rng):
-        # the Bloch equation d rho/d beta = -(H rho + rho H)/2 from rho(0) = 1
-        # has the solution exp(-beta H)
-        h = random_symmetric(rng, 5)
-        rho = np.eye(5)
-        db, beta = 0.002, 2.0
-        for _ in range(int(round(beta / db))):
-            rho = step_rk4(rho, lambda r: -0.5 * (h @ r + r @ h), db)
-        vals, vecs = np.linalg.eigh(h)
-        exact = (vecs * np.exp(-beta * vals)) @ vecs.T
-        assert np.abs(rho - exact).max() / np.abs(exact).max() < 1e-9
 
 
 class TestCommutatorDefect:
@@ -425,11 +434,32 @@ class TestCool:
         monkeypatch.setattr(solvers, "_flow", spy)
         cool(HamiltonianModel(system, coupling_u=coupling), Canonical(2.5),
              SolverConfig(scheme, 1.0, 0.1))
-        assert len(weights) == (40 if scheme == "rk4" else 10)
+        assert len(weights) == 10  # one kernel call per step
         spectrum = np.linalg.eigvalsh(s.mat)
         for w in weights:
             assert w.shape == (6,)
             np.testing.assert_allclose(w, spectrum, rtol=1e-12)
+
+    @pytest.mark.parametrize("canonical", [False, True])
+    @pytest.mark.parametrize("scheme", ["kraus1", "kraus2", "rk4"])
+    def test_one_kernel_call_per_step(self, rng, monkeypatch, scheme, canonical):
+        # every scheme takes a whole step, RK4 stages included, in one call
+        from fermicool import solvers
+
+        system = SystemSpec(HermitianMatrix(random_symmetric(rng, 5)),
+                            OverlapMatrix(random_spd(rng, 5)))
+        ensemble = Canonical(2.0) if canonical else GrandCanonical(0.1)
+        config = SolverConfig(scheme, 1.0, 0.07, record_every=4)
+        calls = []
+        flow = solvers._flow
+
+        def spy(q, f, norm, delta_beta, step_scheme, **kwargs):
+            calls.append((delta_beta, step_scheme))
+            return flow(q, f, norm, delta_beta, step_scheme, **kwargs)
+
+        monkeypatch.setattr(solvers, "_flow", spy)
+        cool(HamiltonianModel(system, coupling_u=0.1), ensemble, config)
+        assert calls == [(config.snapped_delta_beta, scheme)] * config.n_steps
 
     def test_canonical_kraus_schemes_track_oracle(self, rng):
         s = OverlapMatrix(random_spd(rng, 5))
