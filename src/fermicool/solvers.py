@@ -57,6 +57,15 @@ SCHEMES = ("kraus1", "kraus2", "rk4")
 #: |Tr[X + X^T]| below this is a degenerate canonical constraint.
 TRACE_DEGENERACY_TOL = 1e-14
 
+#: The step loop's floor: entries of the state below TAIL_FLOOR * N/2 and of a
+#: congruence factor below TAIL_FLOOR are zeroed before they feed a product.
+#: No product in the step multiplies more than three floored factors, and
+#: TAIL_FLOOR**3 = 1e-240 keeps such a product some 60 orders of magnitude
+#: above the smallest normal float, so no gemm reads or makes a subnormal;
+#: zeroing moves each eigenvalue by at most n * TAIL_FLOOR * N/2
+#: (docs/second_order_scheme.md, "Underflow in the step loop").
+TAIL_FLOOR = 1e-80
+
 #: Largest step count a SolverConfig accepts: 100x the most that any test, demo
 #: or benchmark takes, and about 8 minutes at the one-level per-step floor.
 MAX_STEPS = 10**7
@@ -142,6 +151,19 @@ class Trajectory:
         return None if self.mu_trace is None else float(self.mu_trace[-1])
 
 
+def _flush_tail(x, floor, out=None):
+    """Zero, in place, the entries of ``x`` below ``floor`` in magnitude.
+
+    Returns |x|, written to ``out`` when given (a temporary the caller no
+    longer needs); the masked pass runs only when some entry lies below the
+    floor.
+    """
+    mag = np.abs(x, out=out)
+    if mag.min() < floor:
+        np.putmask(x, mag < floor, 0.0)
+    return mag
+
+
 def _rate(p, f, norm, mu=None, w=None, t=None):
     """dP/dbeta = B P + P B^T and sigma, in X form, for the operands of :func:`_flow`."""
     # B P = -(F - sigma) X / 2 with X symmetric, so
@@ -182,16 +204,25 @@ def _flow(p, f, norm, delta_beta, scheme, mu=None, w=None, t=None):
     A P A^T with A = 1 + db B + (db^2 / 2)(B^2 + B') and
     dz = db (sigma + db sigma' / 2) for "kraus2"; the classic RK4 update over
     :func:`_rate`, dz = db/6 (s1 + 2 s2 + 2 s3 + s4) over the stage scalars
-    and A None for "rk4".
+    and A None for "rk4".  Entries of A below :data:`TAIL_FLOOR` and of an
+    RK4 stage state below TAIL_FLOOR * N/2 are zeroed before they enter a
+    product; zeroing entries of A keeps the step a congruence.
     """
     if scheme == "rk4":
         # one accumulator and one stage buffer, which also carries each
         # weighted stage rate into the sum once the rate is computed
         acc, total = _rate(p, f, norm, mu, w, t)
         k, stage = acc, np.empty_like(p)
+        floor = 0.5 * norm * TAIL_FLOOR
+        # a stage entry is one rounded sum p_ij + t, which is 0 or at least
+        # 2^-54 |p_ij|: while no entry of p, zeros included, lies below
+        # 2^54 floor, no stage entry can fall below the floor
+        flush = np.abs(p).min() < 2.0**54 * floor
         for c, weight in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
             np.multiply(k, c * delta_beta, out=stage)
             stage += p
+            if flush:
+                _flush_tail(stage, floor)
             k, sigma = _rate(stage, f, norm, mu, w, t)
             acc += np.multiply(k, weight, out=stage)
             total += weight * sigma
@@ -214,6 +245,7 @@ def _flow(p, f, norm, delta_beta, scheme, mu=None, w=None, t=None):
     if scheme == "kraus1":
         a = delta_beta * b
         a.flat[:: n + 1] += 1.0
+        _flush_tail(a, TAIL_FLOOR, out=b)
         return (a @ p) @ a.T, delta_beta * sigma, a
     bp = b @ p
     pd = bp + bp.T
@@ -234,6 +266,7 @@ def _flow(p, f, norm, delta_beta, scheme, mu=None, w=None, t=None):
     a *= 0.5 * delta_beta**2
     a += delta_beta * b
     a.flat[:: n + 1] += 1.0
+    _flush_tail(a, TAIL_FLOOR, out=b)
     return (a @ p) @ a.T, delta_beta * (sigma + 0.5 * delta_beta * sdot), a
 
 
@@ -330,12 +363,18 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     run and phi from (Y^T 1)^T Q (Y^T 1) and Tr[diag(s) Q]
     (:meth:`~fermicool.models.HamiltonianModel.congruent_response`).
     P = Y Q Y^T and the S-frame H = Y G Y^T of the refresh defect are formed
-    only at recording steps.
+    only at recording steps.  After each step Q is symmetrized and its
+    entries below :data:`TAIL_FLOOR` * N/2 are zeroed, so that no product of
+    the next step underflows; this moves each eigenvalue by less than
+    n * TAIL_FLOOR * N/2.
 
     Recorded every ``config.record_every`` steps, at beta = 0 (from the exact
     initial P) and at the final step: the density, mu, the smallest
     eigenvalue of P, Tr[P], the commutator norm ||[S^-1 P, S^-1 H]||_F, and
     the Hamiltonian refresh defect ||[H, dH/dbeta]||_F of the step's refresh.
+    At beta = 0 the smallest eigenvalue is (N/2) s_min, from the overlap's
+    spectrum, and the commutator is 0, so that record takes no matrix
+    product or decomposition.
 
     Raises
     ------
@@ -392,23 +431,22 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     d_mineig, d_trace, d_comm, d_refresh = [], [], [], []
     pos_viol = []
 
-    def record(beta, p_now, refresh_defect):
-        density = HermitianMatrix(p_now)
-        eigmin = float(np.linalg.eigvalsh(density.mat)[0])
-        qg = q @ g
-        comm = qg - qg.T  # [S^-1 P, S^-1 H] = Z [Q, G] Y^T
+    def record(beta, density, eigmin, comm_norm, refresh_defect):
         betas.append(beta)
         densities.append(density)
         mus.append(mu)
         d_mineig.append(eigmin)
         d_trace.append(float(np.trace(density.mat)))
-        d_comm.append(float(np.linalg.norm(z @ comm @ y.T if frame else comm, "fro")))
+        d_comm.append(comm_norm)
         d_refresh.append(refresh_defect)
         if eigmin < -config.positivity_tol:
             pos_viol.append((beta, eigmin))
 
-    record(0.0, p0, 0.0)
+    # Q(0) = (N/2) 1 commutes with G, and P(0) = (N/2) S has the smallest
+    # eigenvalue (N/2) s_min, so beta = 0 is recorded without a product
+    record(0.0, HermitianMatrix(p0), 0.5 * norm * (float(w[0]) if frame else 1.0), 0.0, 0.0)
     del p0  # the loop holds Q alone and forms P only at recording steps
+    q_floor = 0.5 * norm * TAIL_FLOOR
 
     # non-finite values are detected and turned into SolverAbortError below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -433,11 +471,20 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
                 beta_mu += dz
                 mu = beta_mu / beta_next
 
-            if not np.isfinite(q_raw).all() or not np.isfinite(mu):
+            q = q_raw + q_raw.T
+            q *= 0.5
+            # the flush's |Q| also serves the finiteness test: its largest
+            # entry is NaN or inf exactly when some entry is
+            mag = _flush_tail(q, q_floor, out=q_raw)
+            if not (math.isfinite(mag.max()) and math.isfinite(mu)):
                 raise SolverAbortError(beta_i)
-            q = 0.5 * (q_raw + q_raw.T)
             if recording:
-                record(beta_next, s_frame(q), refresh_defect)
+                density = HermitianMatrix(s_frame(q))
+                qg = q @ g
+                comm = qg - qg.T  # [S^-1 P, S^-1 H] = Z [Q, G] Y^T
+                record(beta_next, density, float(np.linalg.eigvalsh(density.mat)[0]),
+                       float(np.linalg.norm(z @ comm @ y.T if frame else comm, "fro")),
+                       refresh_defect)
 
     diagnostics = TrajectoryDiagnostics(
         min_eigenvalue=np.array(d_mineig),

@@ -26,6 +26,7 @@ from fermicool import (
     step_kraus1,
     step_kraus2,
 )
+from fermicool.matcore import symmetrize
 from fermicool.solvers import MAX_STEPS, _flow, _rate
 from conftest import random_spd, random_symmetric
 
@@ -586,3 +587,136 @@ class TestCool:
                         SolverConfig("kraus1", 1.0, db, record_every=10 ** 6))
             errs.append(np.abs(occupation_spectrum(traj.final_density, system.s) - exact).max())
         assert math.log2(errs[0] / errs[1]) == pytest.approx(1.0, abs=0.2)
+
+
+def unfloored_final_state(system, ensemble, scheme, beta, n_steps):
+    """Final density and mu of cool()'s step loop with nothing zeroed: Q from
+    (N/2) 1 in the overlap's eigenbasis frame, each kernel result symmetrized
+    as (Q + Q^T) / 2.  Call it with solvers.TAIL_FLOOR set to 0, which keeps
+    the kernel's own flushes out."""
+    from fermicool import solvers
+
+    n = system.dim
+    canonical = isinstance(ensemble, Canonical)
+    norm = canonical_normalization(ensemble.n_electrons, system.s.mat) if canonical else 1.0
+    kernel_mu = None if canonical else float(ensemble.mu)
+    frame = not np.array_equal(system.s.mat, np.eye(n))
+    w, y, z = system.s.frame if frame else (None, None, None)
+    f = system.h_core.mat
+    if frame:
+        f = symmetrize(z.T @ f @ z)
+    if not canonical:
+        f = f.copy()
+        f.flat[:: n + 1] -= kernel_mu
+    q, beta_mu, mu = np.eye(n) * (0.5 * norm), 0.0, None
+    for i in range(n_steps):
+        q_raw, dz, _ = solvers._flow(q, f, norm, beta / n_steps, scheme, mu=kernel_mu, w=w)
+        beta_mu += dz
+        if canonical:
+            mu = beta_mu / (beta * (i + 1) / n_steps)
+        q = 0.5 * (q_raw + q_raw.T)
+    return HermitianMatrix(y @ q @ y.T if frame else q).mat, mu
+
+
+class TestTailFloor:
+    """The step loop zeroes the far tail of its operands below TAIL_FLOOR
+    (docs/second_order_scheme.md, "Underflow in the step loop")."""
+
+    @pytest.fixture(scope="class")
+    def ring(self):
+        # at small beta the state of the 300-ring spans hundreds of orders of
+        # magnitude: its far entries go like (beta gamma)^k / k!
+        return build_huckel(300, 0.569, 0.066)
+
+    @staticmethod
+    def ensembles(system, n_electrons):
+        return (GrandCanonical(default_chemical_potential(system)), Canonical(n_electrons))
+
+    @pytest.mark.parametrize("canonical", [False, True], ids=["grand", "canonical"])
+    @pytest.mark.parametrize("scheme", ["kraus1", "rk4"])
+    def test_kernel_operands_stay_above_the_floor(self, ring, monkeypatch, scheme, canonical):
+        # no entry of the state the kernel reads lies below the floor, so no
+        # product of the step can underflow; a guard on subnormal operands
+        # alone would pass without any flush
+        from fermicool import solvers
+
+        ensemble = self.ensembles(ring, 150.0)[canonical]
+        tiny = np.finfo(float).tiny
+        lowest = []
+        flow = solvers._flow
+
+        def spy(q, f, norm, delta_beta, step_scheme, **kwargs):
+            mag = np.abs(q)
+            lowest.append(mag[mag > 0].min() / (0.5 * norm))
+            out, dz, a = flow(q, f, norm, delta_beta, step_scheme, **kwargs)
+            out_mag = np.abs(out)
+            assert not ((out_mag > 0) & (out_mag < tiny)).any()
+            return out, dz, a
+
+        monkeypatch.setattr(solvers, "_flow", spy)
+        cool(HamiltonianModel(ring), ensemble, SolverConfig(scheme, 10.0, 1.0, record_every=10))
+        assert len(lowest) == 10
+        assert min(lowest) >= solvers.TAIL_FLOOR
+        # the run reaches the floor: without it these entries fall below 1e-250
+        assert min(lowest) < 1e6 * solvers.TAIL_FLOOR
+
+    @pytest.mark.parametrize("scheme", ["kraus1", "kraus2", "rk4"])
+    @pytest.mark.parametrize("system_name", ["ring", "sample"])
+    def test_floor_moves_the_state_only_at_its_scale(self, ring, data_dir, monkeypatch,
+                                                     scheme, system_name):
+        from fermicool import load_system, solvers
+
+        if system_name == "ring":
+            system, n_electrons, beta, n_steps = ring, 150.0, 4.0, 4
+        else:
+            system = load_system(data_dir / "sample_hcore.mat", data_dir / "sample_overlap.mat")
+            n_electrons, beta, n_steps = 4.0, 3.0, 300
+        n = system.dim
+        for ensemble in self.ensembles(system, n_electrons):
+            config = SolverConfig(scheme, beta, beta / n_steps, record_every=n_steps)
+            floored = cool(HamiltonianModel(system), ensemble, config)
+            with monkeypatch.context() as m:
+                m.setattr(solvers, "TAIL_FLOOR", 0.0)
+                plain = cool(HamiltonianModel(system), ensemble, config)
+                p_ref, mu_ref = unfloored_final_state(system, ensemble, scheme, beta, n_steps)
+            # with a zero floor nothing is zeroed: the bits of the plain loop
+            assert plain.final_density.mat.tobytes() == p_ref.tobytes()
+            assert plain.final_mu == mu_ref
+            # each step's flush moves Q by less than n * floor * N/2 in norm
+            # (Gershgorin), and P = Y Q Y^T by at most ||S|| times that
+            canonical = isinstance(ensemble, Canonical)
+            norm = canonical_normalization(n_electrons, system.s.mat) if canonical else 1.0
+            bound = (n_steps * n * solvers.TAIL_FLOOR * 0.5 * norm
+                     * max(1.0, np.linalg.norm(system.s.mat, 2)))
+            gap = np.abs(floored.final_density.mat - plain.final_density.mat).max()
+            assert gap <= bound
+            assert floored.final_mu == plain.final_mu
+            if system_name == "ring":
+                assert gap > 0.0  # the floor acted
+
+    @pytest.mark.parametrize("identity_overlap", [True, False])
+    def test_beta_zero_is_recorded_without_a_decomposition(self, rng, monkeypatch,
+                                                           identity_overlap):
+        # P(0) = (N/2) S has the smallest eigenvalue (N/2) s_min, and
+        # Q(0) = (N/2) 1 commutes with G
+        n = 6
+        s = OverlapMatrix(np.eye(n) if identity_overlap else random_spd(rng, n))
+        system = SystemSpec(HermitianMatrix(random_symmetric(rng, n)), s)
+        norm = canonical_normalization(2.5, s.mat)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            calls.append(a)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        traj = cool(HamiltonianModel(system), Canonical(2.5), SolverConfig("rk4", 1.0, 0.5))
+        monkeypatch.undo()
+        assert len(calls) == 2  # the two steps, not beta = 0
+        assert traj.diagnostics.commutator_norm[0] == 0.0
+        reference = eigvalsh(traj.densities[0].mat)[0]
+        if identity_overlap:
+            assert traj.diagnostics.min_eigenvalue[0] == 0.5 * norm == reference
+        else:
+            assert traj.diagnostics.min_eigenvalue[0] == pytest.approx(reference, rel=1e-13)
