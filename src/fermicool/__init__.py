@@ -51,7 +51,6 @@ from .solvers import (
     SolverConfig,
     Trajectory,
     TrajectoryDiagnostics,
-    commutator_defect,
     cool,
     step_kraus1,
     step_kraus2,
@@ -85,7 +84,6 @@ __all__ = [
     "TrajectoryDiagnostics",
     "build_huckel",
     "canonical_normalization",
-    "commutator_defect",
     "cool",
     "default_chemical_potential",
     "effective_hamiltonian",

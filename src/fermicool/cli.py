@@ -31,6 +31,7 @@ from . import __version__
 from .errors import (
     BracketError,
     DegenerateTraceError,
+    DimensionMismatchError,
     FermicoolError,
     InfeasibleEnsembleError,
     MatrixParseError,
@@ -64,7 +65,7 @@ _EPILOG = """\
 exit codes:
   0  success
   2  argument error
-  3  parse error (unreadable or malformed matrix file)
+  3  parse error (unreadable or malformed matrix file, H and S of different sizes)
   4  infeasible ensemble (electron count out of range, degenerate constraint,
      failed chemical potential search)
   5  solver abort (non-finite values during integration)
@@ -468,9 +469,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ArgumentSemanticsError as exc:
         return _fail(EXIT_USAGE, "argument", exc)
-    except MatrixParseError as exc:
-        return _fail(EXIT_PARSE, "parse", exc)
-    except NotPositiveDefiniteError as exc:
+    except (MatrixParseError, NotPositiveDefiniteError, DimensionMismatchError) as exc:
         return _fail(EXIT_PARSE, "parse", exc)
     except (InfeasibleEnsembleError, DegenerateTraceError, BracketError,
             MuConvergenceError) as exc:

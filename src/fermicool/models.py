@@ -141,7 +141,7 @@ class HamiltonianModel:
     staggered channel makes H_exc
     genuinely non-commuting with the core Hamiltonian once off-diagonal
     coherences develop, the trait of realistic density-functional corrections
-    that drives the ``commutator_defect`` diagnostic.
+    that the cooling flow's ``h_refresh_defect`` diagnostic watches.
 
     The model is affine in P: ``H(P) = H_core + dH(P - (N/2) S)`` with the
     linear response ``dH(dP) = u (dP + phi(dP) J)`` (:meth:`response`).  Its
@@ -284,7 +284,9 @@ def occupation_spectrum(p, s) -> np.ndarray:
 def _fd_matrix(eig: EigenPair, beta: float, mu: float, normalization: float) -> np.ndarray:
     # P = N (S V) f (S V)^T with f = fermi(beta (lambda - mu)); symmetric PSD
     # by construction.  S V is the transpose of the cached inverse V^T S.
-    occ = normalization * fermi(beta * (eig.values - mu))
+    # an argument that overflows to +-inf saturates the Fermi factor exactly
+    with np.errstate(over="ignore"):
+        occ = normalization * fermi(beta * (eig.values - mu))
     w = eig.inv.T
     return (w * occ) @ w.T
 
@@ -383,7 +385,8 @@ def _fd_jacobian(model: HamiltonianModel, eig: EigenPair, beta: float, mu: float
     dP = W X W^T to those of J dP; the returned map does that in O(n^2).
     """
     lam = eig.values
-    f = fermi(beta * (lam - mu))
+    with np.errstate(over="ignore"):  # as in _fd_matrix
+        f = fermi(beta * (lam - mu))
     rate = norm * beta * f * (1.0 - f)  # -N f'(lambda), the mu-derivative of N f
     gap = np.subtract.outer(lam, lam)
     tie = np.abs(gap) < TIE_TOL / beta
@@ -455,8 +458,9 @@ def scf_fixed_point(
       Tr[J dP] = 0;
     * (1 - J) delta = R is solved by :data:`NEWTON_SWEEPS` Richardson sweeps
       delta <- R + J delta from delta = R;
-    * whenever the residual did not fall below the previous one, the step is
-      the plain Picard step P -> F(P) instead.  Every such fallback counts
+    * whenever the residual did not fall below the previous one, or H at
+      the Newton iterate is not finite, the step is the plain Picard step
+      P -> F(P) instead.  Every such fallback counts
       toward the oscillation limit and the count is never reset, so Newton
       steps that keep failing between Picard steps end as oscillation.
 
@@ -497,13 +501,9 @@ def scf_fixed_point(
                 f"start density has shape {p.shape}, system dimension is {system.dim}"
             )
 
-    def evaluate(current, guess):
-        # F(P), its mu and the pencil of H(P); a canonical mu search starts at guess
-        h_eff = effective_hamiltonian(model, current, norm)
-        return _fd_state(system, h_eff, beta, ensemble, norm, guess)
-
+    h = effective_hamiltonian(model, p, norm)
     if model.is_linear:
-        p_new, mu, _ = evaluate(p, mu_guess)
+        p_new, mu, _ = _fd_state(system, h, beta, ensemble, norm, mu_guess)
         return ScfResult(p_new, mu, 1)
 
     prev_residual = np.inf
@@ -511,7 +511,8 @@ def scf_fixed_point(
     residual = np.inf
     mu = mu_guess
     for it in range(1, max_iter + 1):
-        p_new, mu, eig = evaluate(p, mu)
+        # F(P), its mu and the pencil of H(P); the mu search starts at the last mu
+        p_new, mu, eig = _fd_state(system, h, beta, ensemble, norm, mu)
         r = p_new.mat - p
         residual = float(np.abs(r).max())
         if residual < tol:
@@ -527,9 +528,19 @@ def scf_fixed_point(
                 f"{'' if use_aitken else 'consecutive '}iterations (oscillation), "
                 f"last residual {residual:.3e}",
             )
+        h = None
         if use_aitken and eig is not None and residual < prev_residual:
-            p = p + _newton_step(_fd_jacobian(model, eig, beta, mu, norm, canonical), eig, r)
-        else:
+            # the Jacobian action overflows at extreme coupling: an iterate
+            # whose H is not finite is a failed step, as a rising residual is
+            with np.errstate(over="ignore", invalid="ignore"):
+                trial = p + _newton_step(_fd_jacobian(model, eig, beta, mu, norm, canonical),
+                                         eig, r)
+                try:
+                    h, p = effective_hamiltonian(model, trial, norm), trial
+                except ValueError:  # from HermitianMatrix: H(trial) is not finite
+                    stalled += 1
+        if h is None:
             p = p_new.mat
+            h = effective_hamiltonian(model, p, norm)
         prev_residual = residual
     raise ScfConvergenceError(residual, max_iter)

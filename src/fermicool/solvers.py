@@ -279,11 +279,12 @@ def _check_trace(den):
         )
 
 
-def _check_dims(*mats):
-    # every matrix given (None skipped) must be square and of one size
-    dims = {d for m in mats if m is not None for d in np.shape(m)}
-    if len(dims) != 1:
-        raise DimensionMismatchError(f"matrix dimensions differ: {sorted(dims)}")
+def _frame_norm(c, weight):
+    # the Frobenius norm of an S-frame matrix from its frame form c, where
+    # weight_ij is what the frame change multiplies c_ij^2 by (None for S = 1)
+    if weight is None:
+        return float(np.linalg.norm(c, "fro"))
+    return math.sqrt(float(np.vdot(c * c, weight)))
 
 
 def _s_frame_step(scheme, p, h, s, mu, delta_beta, s_inv):
@@ -292,7 +293,10 @@ def _s_frame_step(scheme, p, h, s, mu, delta_beta, s_inv):
     p = np.asarray(p, dtype=float)
     h = np.asarray(h, dtype=float)
     si = None if s_inv is None else np.asarray(s_inv, dtype=float)
-    _check_dims(p, h, s, si)
+    # every matrix given must be square and of one size
+    dims = {d for m in (p, h, s, si) if m is not None for d in np.shape(m)}
+    if len(dims) != 1:
+        raise DimensionMismatchError(f"matrix dimensions differ: {sorted(dims)}")
     if si is None:  # an OverlapMatrix reuses its cached inverse
         si = (s if isinstance(s, OverlapMatrix) else OverlapMatrix(s)).inverse
     f = h @ si
@@ -324,22 +328,6 @@ def step_kraus2(p, h, s, mu, delta_beta, s_inv=None):
     return _s_frame_step("kraus2", p, h, s, mu, delta_beta, s_inv)
 
 
-def commutator_defect(h, h_next, delta_beta) -> float:
-    """Frobenius norm of [H, (H_next - H) / delta_beta].
-
-    A scalar watch for how strongly a density-dependent Hamiltonian fails to
-    commute with its own rate of change; identically zero for linear models.
-    """
-    h = np.asarray(h, dtype=float)
-    h_next = np.asarray(h_next, dtype=float)
-    _check_dims(h, h_next)
-    if not delta_beta > 0:
-        raise ValueError(f"delta_beta must be positive, got {delta_beta}")
-    rate = (h_next - h) / delta_beta
-    comm = h @ rate - rate @ h
-    return float(np.linalg.norm(comm, "fro"))
-
-
 def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> Trajectory:
     """Integrate the cooling flow from beta = 0 to ``config.beta_final``.
 
@@ -362,8 +350,8 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     G(Q) = G_core + u [(Q - N/2) + phi K] with K = Z^T J Z formed once per
     run and phi from (Y^T 1)^T Q (Y^T 1) and Tr[diag(s) Q]
     (:meth:`~fermicool.models.HamiltonianModel.congruent_response`).
-    P = Y Q Y^T and the S-frame H = Y G Y^T of the refresh defect are formed
-    only at recording steps.  After each step Q is symmetrized and its
+    P = Y Q Y^T, formed only at recording steps, is the one S-frame matrix
+    cool() forms.  After each step Q is symmetrized and its
     entries below :data:`TAIL_FLOOR` * N/2 are zeroed, so that no product of
     the next step underflows; this moves each eigenvalue by less than
     n * TAIL_FLOOR * N/2.
@@ -372,9 +360,11 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     initial P) and at the final step: the density, mu, the smallest
     eigenvalue of P, Tr[P], the commutator norm ||[S^-1 P, S^-1 H]||_F, and
     the Hamiltonian refresh defect ||[H, dH/dbeta]||_F of the step's refresh.
-    At beta = 0 the smallest eigenvalue is (N/2) s_min, from the overlap's
-    spectrum, and the commutator is 0, so that record takes no matrix
-    product or decomposition.
+    Both norms are weighted sums over frame matrices, one product each
+    (docs/second_order_scheme.md); until G is first refreshed Q is a function
+    of G, so both read exactly 0 for linear models and at the first step.  At
+    beta = 0 the smallest eigenvalue is (N/2) s_min, from the overlap's
+    spectrum, so that record takes no matrix product or decomposition.
 
     Raises
     ------
@@ -412,10 +402,6 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
         f_now.flat[:: n + 1] -= mu
         return f_now
 
-    def s_frame(m):
-        # P = Y Q Y^T and H = Y G Y^T
-        return y @ m @ y.T if frame else m
-
     p0 = 0.5 * norm * s_mat
     q = np.eye(n) * (0.5 * norm)
     g = system.h_core.mat  # the model's correction vanishes at P(0)
@@ -426,6 +412,9 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
         # G(Q) = G_core + Z^T dH(Y (Q - N/2) Y^T) Z in O(n^2)
         g_core = g
         d_g = model.congruent_response(z, y) if frame else model.response
+        # the weights of _frame_norm for Z C Y^T and Y C Y^T
+        comm_weight, defect_weight = ((np.outer(1.0 / w, w), np.outer(w, w)) if frame
+                                      else (None, None))
 
     betas, densities, mus = [], [], []
     d_mineig, d_trace, d_comm, d_refresh = [], [], [], []
@@ -455,14 +444,16 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
             beta_next = config.beta_final * (i + 1) / n_steps
             recording = (i + 1) % config.record_every == 0 or i + 1 == n_steps
 
-            refresh_defect = 0.0
-            if not model.is_linear and i > 0:
+            refreshed = not model.is_linear and i > 0
+            comm_norm = refresh_defect = 0.0
+            if refreshed:
                 e = q.copy()
                 e.flat[:: n + 1] -= 0.5 * norm
                 g_last, g = g, g_core + d_g(e)
                 f = kernel_operator(g)
-                if recording:
-                    refresh_defect = commutator_defect(s_frame(g_last), s_frame(g), db)
+                if recording:  # E = G_last diag(s) (G - G_last)
+                    e = (g_last if w is None else g_last * w) @ (g - g_last)
+                    refresh_defect = _frame_norm(e - e.T, defect_weight) / db
 
             # d(beta mu)/dbeta equals the scalar exactly; dz is the step's
             # quadrature of it at the scheme's order
@@ -479,12 +470,12 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
             if not (math.isfinite(mag.max()) and math.isfinite(mu)):
                 raise SolverAbortError(beta_i)
             if recording:
-                density = HermitianMatrix(s_frame(q))
-                qg = q @ g
-                comm = qg - qg.T  # [S^-1 P, S^-1 H] = Z [Q, G] Y^T
+                density = HermitianMatrix(y @ q @ y.T if frame else q)
+                if refreshed:
+                    qg = q @ g
+                    comm_norm = _frame_norm(qg - qg.T, comm_weight)
                 record(beta_next, density, float(np.linalg.eigvalsh(density.mat)[0]),
-                       float(np.linalg.norm(z @ comm @ y.T if frame else comm, "fro")),
-                       refresh_defect)
+                       comm_norm, refresh_defect)
 
     diagnostics = TrajectoryDiagnostics(
         min_eigenvalue=np.array(d_mineig),

@@ -393,6 +393,59 @@ class TestExitCodes:
         assert "error[infeasible]" in err and cause in err and "not finite" in err
         assert "Traceback" not in err and "Warning" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--dbeta", "0.1"],
+        ["oracle"],
+        ["convergence", "--scheme", "rk4", "--dbeta-list", "0.4", "0.2", "0.1"],
+    ], ids=["run", "oracle", "convergence"])
+    def test_mismatched_file_dimensions_are_parse_errors(self, tmp_path, capsys, argv):
+        h, s = tmp_path / "h4.mat", tmp_path / "s3.mat"
+        h.write_text("4 4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+        s.write_text("3 3\n1 0 0\n0 1 0\n0 0 1\n")
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([argv[0], "--files", str(h), str(s), "--grand", "--mu", "0",
+                         "--beta", "1", *argv[1:], "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error[parse]" in err and "4-dimensional" in err and "3-dimensional" in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("aitken", [True, False], ids=["newton", "picard"])
+    @pytest.mark.parametrize("ensemble", [["--grand"], ["--canonical", "2"]],
+                             ids=["grand", "canonical"])
+    @pytest.mark.parametrize("coupling", ["1e20", "1e100", "1e200", "1e300"])
+    def test_scf_at_extreme_coupling_is_oscillation(self, tmp_path, capsys, coupling,
+                                                    ensemble, aitken):
+        # the Newton step's Jacobian action overflows from about u = 1e100 on;
+        # such an iterate is a failed step like any other
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["oracle", "--huckel", "4", "0", "1", *ensemble,
+                         "--nonlinear", coupling, "--beta", "1",
+                         *([] if aitken else ["--no-aitken"]),
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 6
+        err = capsys.readouterr().err
+        assert "error[scf]" in err and "oscillation" in err
+        assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--huckel", "4", "0", "1", "--grand", "--mu", "0", "--beta", "1e308"],
+        ["--huckel", "4", "0", "1", "--canonical", "2", "--beta", "1e308"],
+        ["--huckel", "4", "0", "1e200", "--canonical", "2", "--beta", "1e200"],
+    ], ids=["grand", "canonical", "canonical-wide"])
+    def test_oracle_at_extreme_beta_saturates_silently(self, tmp_path, capsys, argv):
+        # beta (lambda - mu) overflows to +-inf, where the Fermi factor is exactly 0 or 1
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["oracle", *argv, "--out", str(out)]) == 0
+        occ = sorted(float(r[1]) for r in read_csv(out)[1:])
+        assert occ == pytest.approx([0.0, 0.0, 1.0, 1.0], abs=1e-12)
+        assert "Warning" not in capsys.readouterr().err
+
     def test_scf_non_convergence(self, tmp_path, capsys):
         code = main([
             "oracle", "--huckel", "6", "0.569", "0.066", "--grand",

@@ -17,6 +17,7 @@ import contextlib
 import io
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -52,6 +53,7 @@ from fermicool import (  # noqa: E402
     step_kraus2,
     write_matrix,
 )
+from fermicool import solvers  # noqa: E402
 from fermicool.cli import main  # noqa: E402
 from fermicool.models import _fd_jacobian, _fd_state  # noqa: E402
 from conftest import random_spd, random_symmetric, search_occupation  # noqa: E402
@@ -408,6 +410,53 @@ def test_frame_refresh_is_the_s_frame_hamiltonian(data, coupling):
     g = z.T @ system.h_core.mat @ z + model.congruent_response(z, y)(e)
     ref = z.T @ effective_hamiltonian(model, y @ q @ y.T, norm).mat @ z
     assert np.abs(g - ref).max() <= 1e-13 * max(np.abs(ref).max(), 1.0)
+
+
+def fro(a):
+    return float(np.linalg.norm(a, "fro"))
+
+
+@given(data=st.data(), system=systems(max_dim=8),
+       scheme=st.sampled_from(["kraus1", "kraus2", "rk4"]), coupling=st.floats(0.05, 1.0),
+       n_steps=st.integers(2, 4), db=st.floats(0.01, 0.3))
+def test_recorded_commutators_are_the_s_frame_formulas(data, system, scheme, coupling,
+                                                       n_steps, db):
+    # cool() takes both norms in the frame as weighted sums; recompute them
+    # literally from the S-frame P = Y Q Y^T and H = Y G Y^T of each step,
+    # with G read off the kernel's operator F (G - mu for grand runs).  The
+    # gap is measured against the size of the products each commutator
+    # differences, the scale of its rounding: where the commutator itself is
+    # at that scale, no two routes agree to a plain relative 1e-12.
+    ensemble = data.draw(ensembles(system))
+    n = system.dim
+    operators = []
+    flow = solvers._flow
+
+    def spy(q, f, *args, mu=None, **kwargs):
+        g = f.copy()
+        if mu is not None:
+            g.flat[:: n + 1] += mu
+        operators.append(g)
+        return flow(q, f, *args, mu=mu, **kwargs)
+
+    with mock.patch.object(solvers, "_flow", spy):
+        traj = cool(HamiltonianModel(system, coupling_u=coupling), ensemble,
+                    SolverConfig(scheme, n_steps * db, db))
+    _, y, _ = system.s.frame
+    identity = np.array_equal(system.s.mat, np.eye(n))
+    hs = [g if identity else y @ g @ y.T for g in operators]
+    si = np.linalg.inv(system.s.mat)
+    diag = traj.diagnostics
+    # the first step runs on H_core, of which Q(0) = (N/2) 1 and Q(db) are functions
+    assert diag.commutator_norm[1] == diag.h_refresh_defect[1] == 0.0
+    for k in range(2, n_steps + 1):
+        a, b = si @ traj.densities[k].mat, si @ hs[k - 1]
+        comm = fro(a @ b - b @ a)
+        assert abs(diag.commutator_norm[k] - comm) <= RTOL * fro(a) * fro(b)
+        h, rate = hs[k - 2], (hs[k - 1] - hs[k - 2]) / db
+        defect = fro(h @ rate - rate @ h)
+        scale = fro(h) * (fro(h) + fro(hs[k - 1])) / db  # that of the rate's rounding
+        assert abs(diag.h_refresh_defect[k] - defect) <= RTOL * scale
 
 
 # --- input matrices ------------------------------------------------------------

@@ -16,7 +16,6 @@ from fermicool import (
     SystemSpec,
     build_huckel,
     canonical_normalization,
-    commutator_defect,
     cool,
     default_chemical_potential,
     effective_hamiltonian,
@@ -361,21 +360,6 @@ class TestStepRk4:
         assert math.log2(errs[0] / errs[1]) == pytest.approx(4.0, abs=0.3)
 
 
-class TestCommutatorDefect:
-    def test_two_by_two_hand_computed(self):
-        h = np.diag([0.0, 1.0])
-        h_next = h + 0.1 * np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert commutator_defect(h, h_next, 0.1) == pytest.approx(math.sqrt(2.0), abs=1e-12)
-
-    def test_unchanged_hamiltonian(self, rng):
-        h = random_symmetric(rng, 5)
-        assert commutator_defect(h, h, 0.2) == 0.0
-
-    def test_commuting_update(self, rng):
-        h = random_symmetric(rng, 5)
-        assert commutator_defect(h, h + 0.1 * h, 0.1) < 1e-13
-
-
 class TestCool:
     def test_trajectory_grid_and_record_consistency(self):
         system = build_huckel(5, 0.1, 0.3)
@@ -494,8 +478,11 @@ class TestCool:
         cfg = SolverConfig("rk4", 2.0, 0.01, record_every=10)
         lin = cool(HamiltonianModel(system), GrandCanonical(mu), cfg)
         assert lin.diagnostics.h_refresh_defect.max() == 0.0
+        # a linear model's Q stays a function of G, so [Q, G] = 0 by construction
+        assert (lin.diagnostics.commutator_norm == 0.0).all()
         nl = cool(HamiltonianModel(system, coupling_u=0.1), GrandCanonical(mu), cfg)
         assert nl.diagnostics.h_refresh_defect.max() > 1e-6
+        assert nl.diagnostics.commutator_norm[1:].min() > 0.0
 
     @pytest.mark.parametrize("ensemble", [GrandCanonical(0.0), Canonical(2.0)],
                              ids=["grand", "canonical"])
@@ -542,7 +529,8 @@ class TestCool:
     def test_diagnostics_match_direct_formulas(self, rng):
         # cool() records from the frame state; recompute in the S frame.  The
         # model is nonlinear so that [S^-1 P, S^-1 H] is not zero by symmetry;
-        # step k uses the Hamiltonian of the density recorded at step k - 1.
+        # step k uses the Hamiltonian of the density recorded at step k - 1,
+        # and step 1 the core Hamiltonian, of which its P is a function.
         s = OverlapMatrix(random_spd(rng, 6))
         system = SystemSpec(HermitianMatrix(random_symmetric(rng, 6)), s)
         model = HamiltonianModel(system, coupling_u=0.3)
@@ -555,12 +543,17 @@ class TestCool:
                 assert diag.trace[k] == pytest.approx(np.trace(p), rel=1e-14, abs=0)
                 assert diag.min_eigenvalue[k] == pytest.approx(np.linalg.eigvalsh(p)[0],
                                                                rel=1e-10, abs=0)
-                if k == 0:
+                if k < 2:
+                    assert diag.commutator_norm[k] == diag.h_refresh_defect[k] == 0.0
                     continue
-                h = effective_hamiltonian(model, traj.densities[k - 1].mat, norm).mat
+                h_last, h = (effective_hamiltonian(model, traj.densities[j].mat, norm).mat
+                             for j in (k - 2, k - 1))
                 si_p, si_h = s.inverse @ p, s.inverse @ h
                 comm = np.linalg.norm(si_p @ si_h - si_h @ si_p, "fro")
                 assert diag.commutator_norm[k] == pytest.approx(comm, rel=1e-9, abs=1e-13)
+                rate = (h - h_last) / 0.05
+                defect = np.linalg.norm(h_last @ rate - rate @ h_last, "fro")
+                assert diag.h_refresh_defect[k] == pytest.approx(defect, rel=1e-9)
             assert diag.commutator_norm[-1] > 1e-4
 
     def test_refresh_defect_independent_of_record_interval(self):
