@@ -22,7 +22,7 @@ import csv
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,10 +44,9 @@ from .models import (
     Canonical,
     GrandCanonical,
     HamiltonianModel,
+    ScfResult,
     build_huckel,
     default_chemical_potential,
-    exact_canonical_fd,
-    exact_grand_fd,
     load_system,
     occupation_spectrum,
     scf_fixed_point,
@@ -85,7 +84,6 @@ class RunRequest:
 
     ensemble: object
     model: HamiltonianModel
-    config: SolverConfig | None
     output_path: Path
     scf_tol: float
     scf_max_iter: int
@@ -100,8 +98,7 @@ def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def _write_meta(path: Path, items) -> None:
@@ -145,7 +142,7 @@ def _resolve_mu(args, system) -> float:
         try:
             return default_chemical_potential(system, use_pencil=args.mu_pencil)
         except ValueError as exc:
-            raise ArgumentSemanticsError(str(exc)) from None
+            raise ArgumentSemanticsError(f"--mu auto: {exc}") from None
     try:
         mu = float(args.mu)
     except ValueError:
@@ -155,7 +152,7 @@ def _resolve_mu(args, system) -> float:
     return mu
 
 
-def _build_request(args, need_config=True) -> RunRequest:
+def _build_request(args) -> RunRequest:
     system = _build_system(args)
     if args.canonical is not None:
         ensemble = Canonical(args.canonical)
@@ -173,32 +170,9 @@ def _build_request(args, need_config=True) -> RunRequest:
         )
     if args.scf_max_iter < 1:
         raise ArgumentSemanticsError(f"--scf-max-iter must be at least 1, got {args.scf_max_iter}")
-    model = HamiltonianModel(system, coupling_u=args.nonlinear)
-    config = None
-    if need_config:
-        try:
-            probe = SolverConfig(scheme=args.scheme, beta_final=args.beta,
-                                 delta_beta=args.dbeta)
-        except ValueError as exc:
-            raise ArgumentSemanticsError(
-                f"--beta {args.beta} with --dbeta {args.dbeta}: {exc}") from None
-        record_every = args.record_every
-        if record_every is None:
-            record_every = max(1, probe.n_steps // 100)
-        try:
-            config = SolverConfig(
-                scheme=args.scheme,
-                beta_final=args.beta,
-                delta_beta=args.dbeta,
-                record_every=record_every,
-                positivity_tol=args.positivity_tol,
-            )
-        except ValueError as exc:
-            raise ArgumentSemanticsError(str(exc)) from None
     return RunRequest(
         ensemble=ensemble,
-        model=model,
-        config=config,
+        model=HamiltonianModel(system, coupling_u=args.nonlinear),
         output_path=Path(args.out),
         scf_tol=args.scf_tol,
         scf_max_iter=args.scf_max_iter,
@@ -206,25 +180,40 @@ def _build_request(args, need_config=True) -> RunRequest:
     )
 
 
-def _oracle_state(req: RunRequest, beta: float, start=None, mu_guess=None):
-    """Exact reference state, self-consistent when the model is nonlinear.
+def _run_config(args) -> SolverConfig:
+    """The run's integration parameters: about 100 records unless --record-every is given."""
+    try:
+        config = SolverConfig(scheme=args.scheme, beta_final=args.beta, delta_beta=args.dbeta)
+    except ValueError as exc:
+        raise ArgumentSemanticsError(
+            f"--beta {args.beta} with --dbeta {args.dbeta}: {exc}") from None
+    record_every = args.record_every
+    if record_every is None:
+        record_every = max(1, config.n_steps // 100)
+    try:
+        return replace(config, record_every=record_every, positivity_tol=args.positivity_tol)
+    except ValueError as exc:
+        raise ArgumentSemanticsError(str(exc)) from None
+
+
+def _oracle_state(req: RunRequest, beta: float, start=None, mu_guess=None) -> ScfResult:
+    """Exact reference state: the fixed point of :func:`scf_fixed_point`, which
+    takes one evaluation for a linear model.
 
     ``start`` is the SCF start density (None: the cold start); linear models
     ignore it.  ``mu_guess`` is where a canonical mu search starts (the first
-    one of an SCF).  Returns (density matrix, mu, scf iterations or None).
+    one of an SCF).
     """
-    if not req.model.is_linear:
-        res = scf_fixed_point(
-            req.model, req.ensemble, beta,
-            tol=req.scf_tol, max_iter=req.scf_max_iter, use_aitken=req.use_aitken,
-            start=start, mu_guess=mu_guess,
-        )
-        return res.density, res.mu, res.iterations
-    if isinstance(req.ensemble, Canonical):
-        p, mu = exact_canonical_fd(req.model.system, req.ensemble.n_electrons, beta,
-                                   mu_guess=mu_guess)
-        return p, mu, None
-    return exact_grand_fd(req.model.system, req.ensemble.mu, beta), req.ensemble.mu, None
+    return scf_fixed_point(
+        req.model, req.ensemble, beta,
+        tol=req.scf_tol, max_iter=req.scf_max_iter, use_aitken=req.use_aitken,
+        start=start, mu_guess=mu_guess,
+    )
+
+
+def _scf_count(req: RunRequest, iterations) -> str:
+    """SCF iterations for the .meta: n/a for linear models, which run no SCF."""
+    return "n/a" if iterations is None or req.model.is_linear else str(iterations)
 
 
 def _continuation_start(points, beta: float):
@@ -246,7 +235,7 @@ def _continuation_start(points, beta: float):
 
 
 def _mu_trace(req: RunRequest, betas, mu_integrated):
-    """Rows of the mu CSV and the total SCF iterations (None for linear models).
+    """Rows of the mu CSV and the total oracle iterations.
 
     The oracle walks the record betas in order.  Each mu search starts from
     the quadratic extrapolation in beta of the previous three oracle mu, and
@@ -256,43 +245,35 @@ def _mu_trace(req: RunRequest, betas, mu_integrated):
     rows, fixed_points, mus, total = [], [], [], 0
     for beta, mu_int in zip(betas, mu_integrated):
         beta = float(beta)
-        p, mu_oracle, iters = _oracle_state(req, beta, _continuation_start(fixed_points, beta),
-                                            _continuation_start(mus, beta))
-        rows.append((_fmt(beta), _fmt(mu_int), _fmt(mu_oracle)))
-        mus = [*mus[-2:], (beta, mu_oracle)]
-        if iters is not None:
-            fixed_points = [*fixed_points[-2:], (beta, p.mat)]
-            total += iters
-    return rows, None if req.model.is_linear else total
+        res = _oracle_state(req, beta, _continuation_start(fixed_points, beta),
+                            _continuation_start(mus, beta))
+        rows.append((_fmt(beta), _fmt(mu_int), _fmt(res.mu)))
+        mus = [*mus[-2:], (beta, res.mu)]
+        if not req.model.is_linear:
+            fixed_points = [*fixed_points[-2:], (beta, res.density.mat)]
+        total += res.iterations
+    return rows, total
 
 
 def cmd_run(args) -> int:
     req = _build_request(args)
+    config = _run_config(args)
     paths = _out_paths(req.output_path)
     started = time.time()
 
-    traj = cool(req.model, req.ensemble, req.config)
-    oracle_p, oracle_mu, scf_iters = _oracle_state(req, req.config.beta_final)
+    traj = cool(req.model, req.ensemble, config)
+    oracle = _oracle_state(req, config.beta_final)
 
     occ_run = occupation_spectrum(traj.final_density, req.model.system.s)
-    occ_exact = occupation_spectrum(oracle_p, req.model.system.s)
-    rows = [
-        (i, _fmt(a), _fmt(b), _fmt(abs(a - b)))
-        for i, (a, b) in enumerate(zip(occ_run, occ_exact))
-    ]
+    occ_exact = occupation_spectrum(oracle.density, req.model.system.s)
+    rows = [(i, _fmt(a), _fmt(b), _fmt(abs(a - b)))
+            for i, (a, b) in enumerate(zip(occ_run, occ_exact))]
     _write_csv(paths["spectra"], ["index", "dmm_eigenvalue", "exact_eigenvalue", "abs_error"], rows)
 
     diag = traj.diagnostics
-    _write_csv(
-        paths["diag"],
-        ["beta", "min_eig", "trace", "commutator_norm"],
-        [
-            (_fmt(b), _fmt(m), _fmt(t), _fmt(c))
-            for b, m, t, c in zip(
-                traj.betas, diag.min_eigenvalue, diag.trace, diag.commutator_norm,
-            )
-        ],
-    )
+    _write_csv(paths["diag"], ["beta", "min_eig", "trace", "commutator_norm"],
+               [tuple(map(_fmt, row)) for row in zip(
+                   traj.betas, diag.min_eigenvalue, diag.trace, diag.commutator_norm)])
 
     trace_iters = None
     if traj.mu_trace is not None:
@@ -308,8 +289,8 @@ def cmd_run(args) -> int:
         ("mu_used", _fmt(req.ensemble.mu) if isinstance(req.ensemble, GrandCanonical) else "canonical"),
         ("max_abs_error", _fmt(float(np.abs(occ_run - occ_exact).max()))),
         ("positivity_violations", str(len(traj.positivity_violations))),
-        ("scf_iterations", str(scf_iters) if scf_iters is not None else "n/a"),
-        ("mu_trace_scf_iterations", str(trace_iters) if trace_iters is not None else "n/a"),
+        ("scf_iterations", _scf_count(req, oracle.iterations)),
+        ("mu_trace_scf_iterations", _scf_count(req, trace_iters)),
         ("aitken", str(req.use_aitken)),
         ("elapsed_seconds", f"{time.time() - started:.3f}"),
     ]
@@ -318,35 +299,32 @@ def cmd_run(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    req = _build_request(args, need_config=False)
+    req = _build_request(args)
     paths = _out_paths(req.output_path)
     beta = args.beta
 
-    oracle_p, oracle_mu, scf_iters = _oracle_state(req, beta)
-    occ = occupation_spectrum(oracle_p, req.model.system.s)
-    _write_csv(
-        paths["spectra"],
-        ["index", "exact_eigenvalue"],
-        [(i, _fmt(v)) for i, v in enumerate(occ)],
-    )
+    oracle = _oracle_state(req, beta)
+    occ = occupation_spectrum(oracle.density, req.model.system.s)
+    _write_csv(paths["spectra"], ["index", "exact_eigenvalue"],
+               [(i, _fmt(v)) for i, v in enumerate(occ)])
     meta = [
         ("command", "oracle"),
         ("version", __version__),
         ("beta", _fmt(beta)),
-        ("mu_oracle", _fmt(oracle_mu)),
-        ("scf_iterations", str(scf_iters) if scf_iters is not None else "n/a"),
+        ("mu_oracle", _fmt(oracle.mu)),
+        ("scf_iterations", _scf_count(req, oracle.iterations)),
         ("aitken", str(req.use_aitken)),
     ]
     _write_meta(paths["meta"], meta)
     if isinstance(req.ensemble, Canonical):
-        print(f"oracle mu at beta={beta:g}: {oracle_mu:.12g}")
-    if scf_iters is not None:
-        print(f"scf converged in {scf_iters} iterations (aitken={req.use_aitken})")
+        print(f"oracle mu at beta={beta:g}: {oracle.mu:.12g}")
+    if not req.model.is_linear:
+        print(f"scf converged in {oracle.iterations} iterations (aitken={req.use_aitken})")
     return EXIT_OK
 
 
 def cmd_convergence(args) -> int:
-    req = _build_request(args, need_config=False)
+    req = _build_request(args)
     beta = args.beta
     if beta == 0.0:
         raise ArgumentSemanticsError("--beta must be positive to integrate a flow, got 0")
@@ -366,8 +344,7 @@ def cmd_convergence(args) -> int:
             )
     paths = _out_paths(req.output_path)
 
-    oracle_p, _, _ = _oracle_state(req, beta)
-    occ_exact = occupation_spectrum(oracle_p, req.model.system.s)
+    occ_exact = occupation_spectrum(_oracle_state(req, beta).density, req.model.system.s)
 
     errors = []
     for config in configs:

@@ -34,7 +34,8 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InfeasibleEnsembleError, ScfConvergenceError
+from .errors import (BracketError, DimensionMismatchError, InfeasibleEnsembleError,
+                     MuConvergenceError, ScfConvergenceError)
 from .matcore import (
     EigenPair,
     HermitianMatrix,
@@ -264,7 +265,10 @@ def default_chemical_potential(system: SystemSpec, use_pencil: bool = False) -> 
 
     By default the eigenvalues of H_core itself are used; ``use_pencil``
     switches to the pencil (H_core, S), which differs in a non-orthogonal
-    basis.  Degenerate middle eigenvalues are averaged as-is.
+    basis.  Degenerate middle eigenvalues are averaged as-is.  The two are
+    summed and the sum halved; only when the sum overflows is each halved
+    before the sum.  A middle eigenvalue beyond the largest float (or NaN)
+    raises ValueError, as fewer than two levels do.
     """
     if system.dim < 2:
         raise ValueError("need at least two levels to take a mid-spectrum average")
@@ -273,7 +277,11 @@ def default_chemical_potential(system: SystemSpec, use_pencil: bool = False) -> 
     else:
         vals = np.linalg.eigvalsh(system.h_core.mat)
     mid = system.dim // 2
-    return float(0.5 * (vals[mid - 1] + vals[mid]))
+    lo, hi = float(vals[mid - 1]), float(vals[mid])
+    mu = 0.5 * (lo + hi) if math.isfinite(lo + hi) else 0.5 * lo + 0.5 * hi
+    if not math.isfinite(mu):
+        raise ValueError(f"the middle eigenvalues {lo:.6g} and {hi:.6g} have no finite average")
+    return mu
 
 
 def occupation_spectrum(p, s) -> np.ndarray:
@@ -291,29 +299,23 @@ def _fd_matrix(eig: EigenPair, beta: float, mu: float, normalization: float) -> 
     return (w * occ) @ w.T
 
 
-def _pencil_of(system: SystemSpec, h) -> EigenPair:
-    if h is None or h is system.h_core:
-        return system.pencil
-    return generalized_eigh(h, system.s)
-
-
 def _fd_state(system: SystemSpec, h, beta: float, ensemble: Ensemble, norm: float,
               mu_guess=None):
     """Fermi-Dirac state of the pencil (H, S): (P, mu, pencil of H).
 
-    ``h`` None is the core Hamiltonian.  A canonical ensemble solves mu from
-    ``mu_guess``.  At beta = 0 the state is (N/2) S whatever H is, the
-    canonical mu is the limit Tr[H] / Tr[S], and no pencil is decomposed
-    (None is returned for it).
+    ``h`` being the system's core Hamiltonian reuses its cached pencil.  A
+    canonical ensemble solves mu from ``mu_guess``.  At beta = 0 the state is
+    (N/2) S whatever H is, the canonical mu is the limit Tr[H] / Tr[S], and
+    no pencil is decomposed (None is returned for it).
     """
     grand = isinstance(ensemble, GrandCanonical)
     if beta == 0.0:
         if grand:
             mu = ensemble.mu
         else:
-            mu = infinite_temperature_mu(system.h_core if h is None else h, system.s)
+            mu = infinite_temperature_mu(h, system.s)
         return HermitianMatrix(0.5 * norm * system.s.mat), mu, None
-    eig = _pencil_of(system, h)
+    eig = system.pencil if h is system.h_core else generalized_eigh(h, system.s)
     if grand:
         mu = ensemble.mu
     else:
@@ -344,7 +346,7 @@ def exact_grand_fd(system: SystemSpec, mu: float, beta: float) -> HermitianMatri
     Computed through the system's cached :attr:`~SystemSpec.pencil`, the
     eigendecomposition of (H, S).  At beta = 0 this is S / 2 exactly.
     """
-    return _fd_state(system, None, beta, GrandCanonical(mu), 1.0)[0]
+    return _fd_state(system, system.h_core, beta, GrandCanonical(mu), 1.0)[0]
 
 
 def exact_canonical_fd(system: SystemSpec, n_electrons: float, beta: float,
@@ -368,7 +370,7 @@ def exact_canonical_fd(system: SystemSpec, n_electrons: float, beta: float,
         The density matrix and mu(beta).
     """
     norm = canonical_normalization(n_electrons, system.s.mat)
-    p, mu, _ = _fd_state(system, None, beta, Canonical(n_electrons), norm, mu_guess)
+    p, mu, _ = _fd_state(system, system.h_core, beta, Canonical(n_electrons), norm, mu_guess)
     return p, mu
 
 
@@ -421,6 +423,11 @@ def _newton_step(jacobian, eig: EigenPair, residual: np.ndarray) -> np.ndarray:
     return w @ x @ w.T
 
 
+#: F(P) cannot be formed: H(P) or the state is not finite (ValueError), the
+#: pencil cannot be decomposed (LinAlgError, a ValueError) or mu is not found.
+_FAILED_ITERATE = (ValueError, BracketError, MuConvergenceError)
+
+
 class ScfResult(NamedTuple):
     """Converged self-consistent state."""
 
@@ -458,13 +465,20 @@ def scf_fixed_point(
       Tr[J dP] = 0;
     * (1 - J) delta = R is solved by :data:`NEWTON_SWEEPS` Richardson sweeps
       delta <- R + J delta from delta = R;
-    * whenever the residual did not fall below the previous one, or H at
-      the Newton iterate is not finite, the step is the plain Picard step
-      P -> F(P) instead.  Every such fallback counts
+    * whenever the residual did not fall below the previous one, or F at
+      the Newton iterate cannot be evaluated (see below), the step is the
+      plain Picard step P -> F(P) instead.  Every such fallback counts
       toward the oscillation limit and the count is never reset, so Newton
       steps that keep failing between Picard steps end as oscillation.
 
     Without ``use_aitken`` every step is the Picard step.
+
+    At extreme coupling F may not be evaluable at an iterate: H(P) is not
+    finite, the pencil (H(P), S) cannot be decomposed, or the canonical mu
+    search fails.  Past the start density, such a Newton iterate is a failed
+    step as above and such a Picard iterate ends the SCF with
+    ScfConvergenceError naming the cause, with no numpy warning; at the
+    start density the failure raises its own error.
 
     In the canonical ensemble each iteration's mu search starts from the
     previous iteration's mu; the first one starts from ``mu_guess``, such as
@@ -483,7 +497,8 @@ def scf_fixed_point(
     ScfConvergenceError
         When ``max_iter`` is exhausted, or when the residual has not decreased
         for ten consecutive iterations, or for ten iterations in all with
-        ``use_aitken`` (oscillation).
+        ``use_aitken`` (oscillation), or when F cannot be evaluated at a
+        Picard iterate after the start density.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"SCF tolerance must be finite and positive, got {tol}")
@@ -501,18 +516,18 @@ def scf_fixed_point(
                 f"start density has shape {p.shape}, system dimension is {system.dim}"
             )
 
-    h = effective_hamiltonian(model, p, norm)
+    def evaluate(p, mu):
+        # F(P), its mu and the pencil of H(P); the mu search starts at ``mu``
+        return _fd_state(system, effective_hamiltonian(model, p, norm), beta, ensemble, norm, mu)
+
+    # failures at the start density keep their own errors
+    p_new, mu, eig = evaluate(p, mu_guess)
     if model.is_linear:
-        p_new, mu, _ = _fd_state(system, h, beta, ensemble, norm, mu_guess)
         return ScfResult(p_new, mu, 1)
 
     prev_residual = np.inf
     stalled = 0
-    residual = np.inf
-    mu = mu_guess
     for it in range(1, max_iter + 1):
-        # F(P), its mu and the pencil of H(P); the mu search starts at the last mu
-        p_new, mu, eig = _fd_state(system, h, beta, ensemble, norm, mu)
         r = p_new.mat - p
         residual = float(np.abs(r).max())
         if residual < tol:
@@ -528,19 +543,30 @@ def scf_fixed_point(
                 f"{'' if use_aitken else 'consecutive '}iterations (oscillation), "
                 f"last residual {residual:.3e}",
             )
-        h = None
-        if use_aitken and eig is not None and residual < prev_residual:
-            # the Jacobian action overflows at extreme coupling: an iterate
-            # whose H is not finite is a failed step, as a rising residual is
-            with np.errstate(over="ignore", invalid="ignore"):
+        if it == max_iter:
+            break
+        # at extreme coupling F can fail at the next iterate: a Newton iterate
+        # then is a failed step, as a rising residual is; a Picard one ends the SCF
+        state = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            if use_aitken and eig is not None and residual < prev_residual:
                 trial = p + _newton_step(_fd_jacobian(model, eig, beta, mu, norm, canonical),
                                          eig, r)
                 try:
-                    h, p = effective_hamiltonian(model, trial, norm), trial
-                except ValueError:  # from HermitianMatrix: H(trial) is not finite
+                    state, p = evaluate(trial, mu), trial
+                except _FAILED_ITERATE:
                     stalled += 1
-        if h is None:
-            p = p_new.mat
-            h = effective_hamiltonian(model, p, norm)
+            if state is None:
+                p = p_new.mat
+                try:
+                    state = evaluate(p, mu)
+                except _FAILED_ITERATE as exc:
+                    cause = ("the pencil of H(P) cannot be decomposed"
+                             if isinstance(exc, np.linalg.LinAlgError) else exc)
+                    raise ScfConvergenceError(
+                        residual, it,
+                        f"SCF iterate {it + 1}, a Picard step, has no Fermi-Dirac state: {cause}",
+                    ) from None
+        p_new, mu, eig = state
         prev_residual = residual
     raise ScfConvergenceError(residual, max_iter)

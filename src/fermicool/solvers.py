@@ -364,7 +364,9 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     (docs/second_order_scheme.md); until G is first refreshed Q is a function
     of G, so both read exactly 0 for linear models and at the first step.  At
     beta = 0 the smallest eigenvalue is (N/2) s_min, from the overlap's
-    spectrum, so that record takes no matrix product or decomposition.
+    spectrum, so that record takes no matrix product or decomposition.  The
+    positivity violations are the (beta, smallest eigenvalue) of the records
+    whose smallest eigenvalue is below ``-config.positivity_tol``.
 
     Raises
     ------
@@ -416,20 +418,11 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
         comm_weight, defect_weight = ((np.outer(1.0 / w, w), np.outer(w, w)) if frame
                                       else (None, None))
 
-    betas, densities, mus = [], [], []
-    d_mineig, d_trace, d_comm, d_refresh = [], [], [], []
-    pos_viol = []
+    records = []
 
     def record(beta, density, eigmin, comm_norm, refresh_defect):
-        betas.append(beta)
-        densities.append(density)
-        mus.append(mu)
-        d_mineig.append(eigmin)
-        d_trace.append(float(np.trace(density.mat)))
-        d_comm.append(comm_norm)
-        d_refresh.append(refresh_defect)
-        if eigmin < -config.positivity_tol:
-            pos_viol.append((beta, eigmin))
+        records.append((beta, density, mu, eigmin, float(np.trace(density.mat)), comm_norm,
+                        refresh_defect))
 
     # Q(0) = (N/2) 1 commutes with G, and P(0) = (N/2) S has the smallest
     # eigenvalue (N/2) s_min, so beta = 0 is recorded without a product
@@ -477,19 +470,20 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
                 record(beta_next, density, float(np.linalg.eigvalsh(density.mat)[0]),
                        comm_norm, refresh_defect)
 
-    diagnostics = TrajectoryDiagnostics(
-        min_eigenvalue=np.array(d_mineig),
-        trace=np.array(d_trace),
-        commutator_norm=np.array(d_comm),
-        h_refresh_defect=np.array(d_refresh),
-    )
+    betas, densities, mus, mineig, trace, comm, refresh = zip(*records)
     return Trajectory(
         betas=np.array(betas),
-        densities=densities,
+        densities=list(densities),
         mu_trace=np.array(mus) if canonical else None,
-        diagnostics=diagnostics,
+        diagnostics=TrajectoryDiagnostics(
+            min_eigenvalue=np.array(mineig),
+            trace=np.array(trace),
+            commutator_norm=np.array(comm),
+            h_refresh_defect=np.array(refresh),
+        ),
         scheme=scheme,
         delta_beta=db,
         beta_final=config.beta_final,
-        positivity_violations=pos_viol,
+        positivity_violations=[(b, m) for b, m in zip(betas, mineig)
+                               if m < -config.positivity_tol],
     )

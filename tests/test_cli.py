@@ -281,6 +281,22 @@ class TestOracle:
                      (tmp_path / "r.meta").read_text().splitlines())
         assert int(lines["mu_trace_scf_iterations"]) >= records == 21
 
+    @pytest.mark.parametrize("extra, counted", [([], False), (["--nonlinear", "0.1"], True)],
+                             ids=["linear", "nonlinear"])
+    def test_scf_counts_are_n_a_for_linear_models(self, tmp_path, capsys, extra, counted):
+        # a linear oracle is one evaluation of scf_fixed_point, yet no SCF
+        # runs, so the .meta and stdout report none
+        argv = ["--huckel", "12", "0.569", "0.066", "--canonical", "6", "--beta", "1", *extra]
+        assert main(["run", *argv, "--dbeta", "0.1", "--out", str(tmp_path / "r.csv")]) == 0
+        assert main(["oracle", *argv, "--out", str(tmp_path / "o.csv")]) == 0
+        assert ("scf converged" in capsys.readouterr().out) == counted
+        for name, keys in (("r", ("scf_iterations", "mu_trace_scf_iterations")),
+                           ("o", ("scf_iterations",))):
+            meta = dict(line.split(": ", 1)
+                        for line in (tmp_path / f"{name}.meta").read_text().splitlines())
+            for key in keys:
+                assert meta[key].isdigit() if counted else meta[key] == "n/a"
+
     def test_aitken_toggle_same_spectra(self, tmp_path):
         base = [
             "oracle", "--huckel", "6", "0.569", "0.066", "--grand",
@@ -381,7 +397,10 @@ class TestExitCodes:
          ["run", "--canonical", "1", "--beta", "1", "--dbeta", "0.1"], "Tr[H]/Tr[S]"),
         ("2 2\n1.7e308 1e308\n1e308 1.6e308\n",
          ["oracle", "--canonical", "1", "--beta", "1"], "mu bracket"),
-    ], ids=["trace-overflow", "pencil-overflow"])
+        # the SCF's start density keeps the error of its first evaluation
+        ("2 2\n1.7e308 1e308\n1e308 1.6e308\n",
+         ["oracle", "--canonical", "1", "--nonlinear", "0.1", "--beta", "1"], "mu bracket"),
+    ], ids=["trace-overflow", "pencil-overflow", "scf-start-pencil-overflow"])
     def test_finite_entries_whose_trace_or_spectrum_overflows(self, tmp_path, capsys, text,
                                                               argv, cause):
         big = tmp_path / "big.mat"
@@ -430,6 +449,75 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error[scf]" in err and "oscillation" in err
         assert "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.parametrize("aitken", [True, False], ids=["newton", "picard"])
+    @pytest.mark.parametrize("ensemble, coupling, cause", [
+        (["--grand"], "1.7e308", "the pencil of H(P) cannot be decomposed"),
+        (["--canonical", "4"], "1e200", "mu search stopped after 200 iterations"),
+        (["--canonical", "4"], "1e308", "mu search stopped after 200 iterations"),
+        (["--canonical", "4"], "1.7e308", "mu search stopped after 200 iterations"),
+    ], ids=["grand", "canonical-1e200", "canonical-1e308", "canonical-1.7e308"])
+    def test_scf_iterate_without_a_state_is_scf_error(self, tmp_path, capsys, data_dir,
+                                                      ensemble, coupling, cause, aitken):
+        # past the start density F can fail at extreme coupling: the reduced
+        # pencil overflows, or the mu search over levels 1e200 apart runs out
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["oracle", "--files", str(data_dir / "sample_hcore.mat"),
+                         str(data_dir / "sample_overlap.mat"), *ensemble,
+                         "--nonlinear", coupling, "--beta", "1",
+                         *([] if aitken else ["--no-aitken"]),
+                         "--out", str(tmp_path / "x.csv")])
+        assert code == 6
+        err = capsys.readouterr().err
+        assert "error[scf]" in err and "a Picard step, has no Fermi-Dirac state" in err
+        assert cause in err and "Traceback" not in err and "Warning" not in err
+
+    @pytest.mark.parametrize("argv, mu", [
+        (["--huckel", "4", "1e308", "0"], 1e308),
+        (["--huckel", "4", "1e308", "1e308"], None),
+        (["--huckel", "4", "1e308", "1e308", "--mu-pencil"], None),
+    ], ids=["flat", "ring", "ring-pencil"])
+    def test_mu_auto_whose_sum_overflows_is_finite(self, tmp_path, capsys, argv, mu):
+        # the two middle levels sum past the largest float; their average does not
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["oracle", *argv, "--grand", "--beta", "1", "--out", str(out)]) == 0
+        meta = dict(line.split(": ", 1)
+                    for line in (tmp_path / "x.meta").read_text().splitlines())
+        assert math.isfinite(float(meta["mu_oracle"]))
+        assert mu is None or float(meta["mu_oracle"]) == mu
+        assert "Warning" not in capsys.readouterr().err
+
+    def test_run_at_a_finite_mu_auto_near_the_largest_float(self, tmp_path, capsys):
+        # mu resolves to 1.5e308; a step of 0.5 over levels 4e307 apart then
+        # overflows the state, which is a solver abort
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--huckel", "4", "1.5e308", "1e307", "--grand", "--beta", "1",
+                         "--dbeta", "0.5", "--out", str(tmp_path / "x.csv")])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "error[solver-abort]" in err and "Warning" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle"], ["oracle", "--mu-pencil"], ["run", "--dbeta", "0.5"],
+    ], ids=["oracle", "oracle-pencil", "run"])
+    def test_mu_auto_beyond_the_largest_float_is_argument_error(self, tmp_path, capsys,
+                                                                argv):
+        # the levels are 0 and 3.4e308, past the largest float
+        big = tmp_path / "big.mat"
+        big.write_text("2 2\n1.7e308 1.7e308\n1.7e308 1.7e308\n")
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([argv[0], "--files", str(big), "--grand", "--beta", "1", *argv[1:],
+                         "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error[argument]" in err and "--mu auto" in err and "no finite average" in err
+        assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["--huckel", "4", "0", "1", "--grand", "--mu", "0", "--beta", "1e308"],

@@ -9,6 +9,7 @@ from fermicool import (
     HamiltonianModel,
     HermitianMatrix,
     InfeasibleEnsembleError,
+    MuConvergenceError,
     OverlapMatrix,
     ScfConvergenceError,
     SystemSpec,
@@ -227,6 +228,20 @@ class TestDefaultChemicalPotential:
         mid = generalized_eigh(system.h_core, system.s).values
         assert pencil == pytest.approx(0.5 * (mid[3] + mid[4]), abs=1e-12)
 
+    def test_average_halves_the_sum_unless_it_overflows(self, rng):
+        system = SystemSpec(HermitianMatrix(random_symmetric(rng, 7)), OverlapMatrix(np.eye(7)))
+        vals = np.linalg.eigvalsh(system.h_core.mat)
+        assert default_chemical_potential(system) == float(0.5 * (vals[2] + vals[3]))
+        levels = SystemSpec(HermitianMatrix(np.diag([-1.0, 1.5e308, 1.6e308, 1.7e308])),
+                            OverlapMatrix(np.eye(4)))
+        assert default_chemical_potential(levels) == 0.5 * 1.5e308 + 0.5 * 1.6e308
+
+    def test_middle_level_beyond_the_largest_float_is_rejected(self):
+        # the levels of this finite matrix are 0 and 3.4e308
+        system = SystemSpec(HermitianMatrix(np.full((2, 2), 1.7e308)), OverlapMatrix(np.eye(2)))
+        with pytest.raises(ValueError, match="no finite average"):
+            default_chemical_potential(system)
+
 
 class TestCachedPencil:
     def test_decomposed_once_and_reused(self, rng):
@@ -390,6 +405,73 @@ class TestScfFixedPoint:
             scf_fixed_point(model, GrandCanonical(default_chemical_potential(system)), 20.0,
                             use_aitken=True)
         assert len(evaluations) <= 2 * SCF_OSCILLATION_LIMIT + 5
+
+    @staticmethod
+    def failing_fd_state(monkeypatch, error, fails):
+        # F raises ``error`` at the evaluations for which fails(call number,
+        # whether a Newton step was just taken) holds
+        from fermicool import models
+
+        fd_state, newton_step = models._fd_state, models._newton_step
+        calls, trial = [], []
+
+        def newton_spy(*args):
+            trial.append(True)
+            return newton_step(*args)
+
+        def fd_spy(*args):
+            calls.append(bool(trial))
+            trial.clear()
+            if fails(len(calls), calls[-1]):
+                raise error
+            return fd_state(*args)
+
+        monkeypatch.setattr(models, "_newton_step", newton_spy)
+        monkeypatch.setattr(models, "_fd_state", fd_spy)
+        return calls
+
+    FAILURES = [np.linalg.LinAlgError("Eigenvalues did not converge"),
+                MuConvergenceError(0.5, 200)]
+
+    @pytest.mark.parametrize("error", FAILURES, ids=["pencil", "mu"])
+    def test_failed_newton_iterate_is_a_picard_fallback(self, monkeypatch, error):
+        # the first Newton iterate fails: its step becomes a Picard step, and
+        # the SCF reaches the fixed point with one extra evaluation
+        model = HamiltonianModel(build_huckel(6, 0.569, 0.066), coupling_u=0.1)
+        ref = scf_fixed_point(model, Canonical(3.0), 1.0, tol=1e-11)
+        calls = self.failing_fd_state(monkeypatch, error, lambda n, newton: n == 2)
+        res = scf_fixed_point(model, Canonical(3.0), 1.0, tol=1e-11)
+        assert calls[1] and len(calls) == res.iterations + 1
+        assert np.abs(res.density.mat - ref.density.mat).max() < 1e-10
+
+    @pytest.mark.parametrize("error", FAILURES, ids=["pencil", "mu"])
+    def test_newton_iterates_that_always_fail_are_oscillation(self, monkeypatch, error):
+        # every fallback counts toward the oscillation limit; plain Picard
+        # steps converge here in 19 iterations
+        from fermicool.models import SCF_OSCILLATION_LIMIT
+
+        model = HamiltonianModel(build_huckel(6, 0.569, 0.066), coupling_u=0.3)
+        calls = self.failing_fd_state(monkeypatch, error, lambda n, newton: newton)
+        with pytest.raises(ScfConvergenceError, match="oscillation"):
+            scf_fixed_point(model, Canonical(3.0), 3.0, tol=1e-11)
+        assert sum(calls) == SCF_OSCILLATION_LIMIT
+
+    @pytest.mark.parametrize("error", FAILURES, ids=["pencil", "mu"])
+    def test_failed_picard_iterate_ends_the_scf(self, monkeypatch, error):
+        model = HamiltonianModel(build_huckel(6, 0.569, 0.066), coupling_u=0.1)
+        self.failing_fd_state(monkeypatch, error, lambda n, newton: n == 3)
+        with pytest.raises(ScfConvergenceError, match="iterate 3, a Picard step") as err:
+            scf_fixed_point(model, Canonical(3.0), 1.0, use_aitken=False)
+        assert err.value.iterations == 2
+        cause = "the pencil of H(P)" if isinstance(error, ValueError) else "mu search"
+        assert cause in str(err.value)
+
+    @pytest.mark.parametrize("error", FAILURES, ids=["pencil", "mu"])
+    def test_failure_at_the_start_density_keeps_its_error(self, monkeypatch, error):
+        model = HamiltonianModel(build_huckel(6, 0.569, 0.066), coupling_u=0.1)
+        self.failing_fd_state(monkeypatch, error, lambda n, newton: n == 1)
+        with pytest.raises(type(error)):
+            scf_fixed_point(model, Canonical(3.0), 1.0)
 
     def test_newton_non_convergence_reports_residual(self):
         system = build_huckel(6, 0.569, 0.066)

@@ -484,6 +484,20 @@ class TestCool:
         assert nl.diagnostics.h_refresh_defect.max() > 1e-6
         assert nl.diagnostics.commutator_norm[1:].min() > 0.0
 
+    @pytest.mark.parametrize("tol, count", [({"positivity_tol": 0.0}, 2), ({}, 0)],
+                             ids=["zero-tol", "default-tol"])
+    def test_positivity_violations_are_the_records_below_tolerance(self, tol, count):
+        # rk4 is no congruence: its smallest eigenvalue on the cold ring dips
+        # to about -7e-17 at the last records, under 0 but within 1e-10
+        system = build_huckel(12, 0.0, 1.0)
+        config = SolverConfig("rk4", 30.0, 1.0, record_every=1, **tol)
+        traj = cool(HamiltonianModel(system), GrandCanonical(default_chemical_potential(system)),
+                    config)
+        below = [(b, m) for b, m in zip(traj.betas, traj.diagnostics.min_eigenvalue)
+                 if m < -config.positivity_tol]
+        assert traj.positivity_violations == below
+        assert len(below) == count and len(traj.betas) == 31
+
     @pytest.mark.parametrize("ensemble", [GrandCanonical(0.0), Canonical(2.0)],
                              ids=["grand", "canonical"])
     @pytest.mark.parametrize("scheme, last_good", [("kraus1", 40.0), ("kraus2", 30.0),
