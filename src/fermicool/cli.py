@@ -334,9 +334,11 @@ def cmd_convergence(args) -> int:
     configs = []
     for db in dbetas:
         try:
-            configs.append(SolverConfig(scheme=args.scheme, beta_final=beta, delta_beta=db))
+            config = SolverConfig(scheme=args.scheme, beta_final=beta, delta_beta=db)
         except ValueError as exc:
             raise ArgumentSemanticsError(f"--dbeta-list entry {db}: {exc}") from None
+        # only the final density is read: record beta = 0 and the last step
+        configs.append(replace(config, record_every=config.n_steps))
     for a, b in zip(dbetas, dbetas[1:]):
         if not math.isclose(a / b, 2.0, rel_tol=1e-9):
             raise ArgumentSemanticsError(

@@ -306,7 +306,10 @@ def _fd_state(system: SystemSpec, h, beta: float, ensemble: Ensemble, norm: floa
     ``h`` being the system's core Hamiltonian reuses its cached pencil.  A
     canonical ensemble solves mu from ``mu_guess``.  At beta = 0 the state is
     (N/2) S whatever H is, the canonical mu is the limit Tr[H] / Tr[S], and
-    no pencil is decomposed (None is returned for it).
+    no pencil is decomposed (None is returned for it).  A pencil eigenvalue
+    past the largest float raises BracketError in either ensemble: the grand
+    canonical one checks the levels here, the canonical one through its mu
+    bracket (:func:`~fermicool.matcore.find_mu_for_occupation`).
     """
     grand = isinstance(ensemble, GrandCanonical)
     if beta == 0.0:
@@ -317,6 +320,11 @@ def _fd_state(system: SystemSpec, h, beta: float, ensemble: Ensemble, norm: floa
         return HermitianMatrix(0.5 * norm * system.s.mat), mu, None
     eig = system.pencil if h is system.h_core else generalized_eigh(h, system.s)
     if grand:
+        if not np.isfinite(eig.values).all():
+            raise BracketError(
+                f"the pencil eigenvalues [{eig.values.min():.6g}, {eig.values.max():.6g}] "
+                f"pass the largest float: the grand canonical state is not defined"
+            )
         mu = ensemble.mu
     else:
         mu = find_mu_for_occupation(eig, system.s.mat, beta, ensemble.n_electrons, norm,
@@ -344,7 +352,8 @@ def exact_grand_fd(system: SystemSpec, mu: float, beta: float) -> HermitianMatri
     """Exact grand canonical Fermi-Dirac density matrix at inverse temperature beta.
 
     Computed through the system's cached :attr:`~SystemSpec.pencil`, the
-    eigendecomposition of (H, S).  At beta = 0 this is S / 2 exactly.
+    eigendecomposition of (H, S).  At beta = 0 this is S / 2 exactly.  A
+    pencil eigenvalue past the largest float raises BracketError.
     """
     return _fd_state(system, system.h_core, beta, GrandCanonical(mu), 1.0)[0]
 

@@ -131,7 +131,12 @@ class TrajectoryDiagnostics:
 
 @dataclass
 class Trajectory:
-    """Recorded cooling history."""
+    """Recorded cooling history.
+
+    ``betas``, ``mu_trace`` and ``diagnostics`` hold one entry per record;
+    ``densities`` holds only the initial and the final density, P(0) and
+    P(beta_final).
+    """
 
     betas: np.ndarray
     densities: list
@@ -350,23 +355,27 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     G(Q) = G_core + u [(Q - N/2) + phi K] with K = Z^T J Z formed once per
     run and phi from (Y^T 1)^T Q (Y^T 1) and Tr[diag(s) Q]
     (:meth:`~fermicool.models.HamiltonianModel.congruent_response`).
-    P = Y Q Y^T, formed only at recording steps, is the one S-frame matrix
+    P = Y Q Y^T, formed once for the final state, is the one S-frame matrix
     cool() forms.  After each step Q is symmetrized and its
     entries below :data:`TAIL_FLOOR` * N/2 are zeroed, so that no product of
     the next step underflows; this moves each eigenvalue by less than
     n * TAIL_FLOOR * N/2.
 
     Recorded every ``config.record_every`` steps, at beta = 0 (from the exact
-    initial P) and at the final step: the density, mu, the smallest
+    initial P) and at the final step, as scalars: mu, the smallest
     eigenvalue of P, Tr[P], the commutator norm ||[S^-1 P, S^-1 H]||_F, and
     the Hamiltonian refresh defect ||[H, dH/dbeta]||_F of the step's refresh.
-    Both norms are weighted sums over frame matrices, one product each
+    Since Y^T Y = D = diag(s), P = Y Q Y^T has the spectrum of
+    D^1/2 Q D^1/2 and the trace s . diag(Q), from which both are taken (from
+    Q itself when S = 1).  Both norms are weighted sums over frame matrices, one product each
     (docs/second_order_scheme.md); until G is first refreshed Q is a function
     of G, so both read exactly 0 for linear models and at the first step.  At
     beta = 0 the smallest eigenvalue is (N/2) s_min, from the overlap's
     spectrum, so that record takes no matrix product or decomposition.  The
     positivity violations are the (beta, smallest eigenvalue) of the records
-    whose smallest eigenvalue is below ``-config.positivity_tol``.
+    whose smallest eigenvalue is below ``-config.positivity_tol``.  The
+    trajectory keeps two densities, P(0) = (N/2) S and the final P, whatever
+    the number of records.
 
     Raises
     ------
@@ -420,15 +429,22 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
 
     records = []
 
-    def record(beta, density, eigmin, comm_norm, refresh_defect):
-        records.append((beta, density, mu, eigmin, float(np.trace(density.mat)), comm_norm,
-                        refresh_defect))
+    def record(beta, eigmin, trace, comm_norm, refresh_defect):
+        records.append((beta, mu, eigmin, trace, comm_norm, refresh_defect))
 
     # Q(0) = (N/2) 1 commutes with G, and P(0) = (N/2) S has the smallest
     # eigenvalue (N/2) s_min, so beta = 0 is recorded without a product
-    record(0.0, HermitianMatrix(p0), 0.5 * norm * (float(w[0]) if frame else 1.0), 0.0, 0.0)
-    del p0  # the loop holds Q alone and forms P only at recording steps
+    first = HermitianMatrix(p0)
+    record(0.0, 0.5 * norm * (float(w[0]) if frame else 1.0), float(np.trace(first.mat)),
+           0.0, 0.0)
+    del p0  # the loop holds Q alone and forms P only for the final state
     q_floor = 0.5 * norm * TAIL_FLOOR
+    # with D = Y^T Y = diag(s), eig(P) = eig(D^1/2 Q D^1/2) and
+    # Tr[P] = s . diag(Q); outer(s^1/2, s^1/2) is exactly symmetric, and so is
+    # the scaled state
+    if frame:
+        root = np.sqrt(w)
+        root_outer = np.outer(root, root)
 
     # non-finite values are detected and turned into SolverAbortError below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -463,17 +479,21 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
             if not (math.isfinite(mag.max()) and math.isfinite(mu)):
                 raise SolverAbortError(beta_i)
             if recording:
-                density = HermitianMatrix(y @ q @ y.T if frame else q)
                 if refreshed:
                     qg = q @ g
                     comm_norm = _frame_norm(qg - qg.T, comm_weight)
-                record(beta_next, density, float(np.linalg.eigvalsh(density.mat)[0]),
-                       comm_norm, refresh_defect)
+                if frame:
+                    eigmin = np.linalg.eigvalsh(q * root_outer)[0]
+                    trace = w @ np.diagonal(q)
+                else:
+                    eigmin, trace = np.linalg.eigvalsh(q)[0], np.trace(q)
+                record(beta_next, float(eigmin), float(trace), comm_norm, refresh_defect)
+        last = HermitianMatrix(y @ q @ y.T if frame else q)
 
-    betas, densities, mus, mineig, trace, comm, refresh = zip(*records)
+    betas, mus, mineig, trace, comm, refresh = zip(*records)
     return Trajectory(
         betas=np.array(betas),
-        densities=list(densities),
+        densities=[first, last],
         mu_trace=np.array(mus) if canonical else None,
         diagnostics=TrajectoryDiagnostics(
             min_eigenvalue=np.array(mineig),

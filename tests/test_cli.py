@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fermicool import build_huckel, default_chemical_potential
 from fermicool.cli import main
 
 
@@ -325,6 +326,28 @@ class TestConvergence:
         orders = [float(r[2]) for r in rows[2:]]
         assert all(abs(o - 1.0) < 0.2 for o in orders)
 
+    @pytest.mark.parametrize("ensemble", [["--grand"], ["--canonical", "3"]])
+    def test_records_only_the_ends_of_each_run(self, tmp_path, monkeypatch, ensemble):
+        # only the final density is read, so each step size records
+        # beta = 0 and its last step and nothing between
+        from fermicool import cli
+
+        trajectories = []
+        real_cool = cli.cool
+
+        def spy(*args, **kwargs):
+            trajectories.append(real_cool(*args, **kwargs))
+            return trajectories[-1]
+
+        monkeypatch.setattr(cli, "cool", spy)
+        assert main(["convergence", "--huckel", "6", "0", "1", *ensemble,
+                     "--scheme", "kraus2", "--beta", "1",
+                     "--dbeta-list", "0.1", "0.05", "0.025",
+                     "--out", str(tmp_path / "x.csv")]) == 0
+        assert [traj.delta_beta for traj in trajectories] == [0.1, 0.05, 0.025]
+        for traj in trajectories:
+            assert traj.betas.tolist() == [0.0, 1.0]
+
     def test_rejects_non_halving_list(self, tmp_path, capsys):
         code = main([
             "convergence", "--huckel", "6", "0", "1", "--grand",
@@ -473,22 +496,33 @@ class TestExitCodes:
         assert "error[scf]" in err and "a Picard step, has no Fermi-Dirac state" in err
         assert cause in err and "Traceback" not in err and "Warning" not in err
 
-    @pytest.mark.parametrize("argv, mu", [
-        (["--huckel", "4", "1e308", "0"], 1e308),
-        (["--huckel", "4", "1e308", "1e308"], None),
-        (["--huckel", "4", "1e308", "1e308", "--mu-pencil"], None),
+    @pytest.mark.parametrize("argv, mu, code", [
+        (["--huckel", "4", "1e308", "0"], 1e308, 0),
+        (["--huckel", "4", "1e308", "1e308"], None, 4),
+        (["--huckel", "4", "1e308", "1e308", "--mu-pencil"], None, 4),
     ], ids=["flat", "ring", "ring-pencil"])
-    def test_mu_auto_whose_sum_overflows_is_finite(self, tmp_path, capsys, argv, mu):
-        # the two middle levels sum past the largest float; their average does not
+    def test_mu_auto_whose_sum_overflows_is_finite(self, tmp_path, capsys, argv, mu, code):
+        # the two middle levels sum past the largest float; their average does
+        # not.  The ring's top level, 1e308 + 2e308, is past it as well, so its
+        # grand canonical state is not defined: exit 4, as for the canonical
+        # ensemble
+        system = build_huckel(int(argv[1]), float(argv[2]), float(argv[3]))
         out = tmp_path / "x.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["oracle", *argv, "--grand", "--beta", "1", "--out", str(out)]) == 0
-        meta = dict(line.split(": ", 1)
-                    for line in (tmp_path / "x.meta").read_text().splitlines())
-        assert math.isfinite(float(meta["mu_oracle"]))
-        assert mu is None or float(meta["mu_oracle"]) == mu
-        assert "Warning" not in capsys.readouterr().err
+            average = default_chemical_potential(system, use_pencil="--mu-pencil" in argv)
+            assert main(["oracle", *argv, "--grand", "--beta", "1", "--out", str(out)]) == code
+        assert math.isfinite(average)
+        assert mu is None or average == mu
+        err = capsys.readouterr().err
+        if code == 0:
+            meta = dict(line.split(": ", 1)
+                        for line in (tmp_path / "x.meta").read_text().splitlines())
+            assert float(meta["mu_oracle"]) == average
+        else:
+            assert "error[infeasible]" in err and "pass the largest float" in err
+            assert not out.exists()
+        assert "Warning" not in err and "Traceback" not in err
 
     def test_run_at_a_finite_mu_auto_near_the_largest_float(self, tmp_path, capsys):
         # mu resolves to 1.5e308; a step of 0.5 over levels 4e307 apart then

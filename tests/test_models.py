@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fermicool import (
+    BracketError,
     Canonical,
     GrandCanonical,
     HamiltonianModel,
@@ -173,6 +174,15 @@ class TestExactGrandFd:
         q = s.inverse @ p.mat
         t = s.inverse @ system.h_core.mat
         assert np.linalg.norm(q @ t - t @ q, "fro") < 1e-9
+
+    def test_level_beyond_the_largest_float_is_bracket_error(self):
+        # the ring's levels are 1e308 + 2e308 cos(k): the top one is inf
+        system = build_huckel(4, 1e308, 1e308)
+        assert not np.isfinite(system.pencil.values).all()
+        with pytest.raises(BracketError, match="pass the largest float"):
+            exact_grand_fd(system, 1e308, 1.0)
+        # at beta = 0 no level is read: the state is S/2
+        assert np.array_equal(exact_grand_fd(system, 1e308, 0.0).mat, 0.5 * system.s.mat)
 
 
 class TestExactCanonicalFd:

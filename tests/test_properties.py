@@ -429,7 +429,7 @@ def test_recorded_commutators_are_the_s_frame_formulas(data, system, scheme, cou
     # at that scale, no two routes agree to a plain relative 1e-12.
     ensemble = data.draw(ensembles(system))
     n = system.dim
-    operators = []
+    operators, states = [], []
     flow = solvers._flow
 
     def spy(q, f, *args, mu=None, **kwargs):
@@ -437,6 +437,7 @@ def test_recorded_commutators_are_the_s_frame_formulas(data, system, scheme, cou
         if mu is not None:
             g.flat[:: n + 1] += mu
         operators.append(g)
+        states.append(q.copy())
         return flow(q, f, *args, mu=mu, **kwargs)
 
     with mock.patch.object(solvers, "_flow", spy):
@@ -445,18 +446,57 @@ def test_recorded_commutators_are_the_s_frame_formulas(data, system, scheme, cou
     _, y, _ = system.s.frame
     identity = np.array_equal(system.s.mat, np.eye(n))
     hs = [g if identity else y @ g @ y.T for g in operators]
+    # the record of step k is taken from Q_k, the state step k + 1 starts
+    # from; the last one's density is kept
+    ps = [q if identity else y @ q @ y.T for q in states[1:]] + [traj.final_density.mat]
     si = np.linalg.inv(system.s.mat)
     diag = traj.diagnostics
     # the first step runs on H_core, of which Q(0) = (N/2) 1 and Q(db) are functions
     assert diag.commutator_norm[1] == diag.h_refresh_defect[1] == 0.0
     for k in range(2, n_steps + 1):
-        a, b = si @ traj.densities[k].mat, si @ hs[k - 1]
+        a, b = si @ ps[k - 1], si @ hs[k - 1]
         comm = fro(a @ b - b @ a)
         assert abs(diag.commutator_norm[k] - comm) <= RTOL * fro(a) * fro(b)
         h, rate = hs[k - 2], (hs[k - 1] - hs[k - 2]) / db
         defect = fro(h @ rate - rate @ h)
         scale = fro(h) * (fro(h) + fro(hs[k - 1])) / db  # that of the rate's rounding
         assert abs(diag.h_refresh_defect[k] - defect) <= RTOL * scale
+
+
+@given(data=st.data(), dim=st.integers(1, 10), s_min=st.floats(0.05, 1.0),
+       scheme=st.sampled_from(["kraus1", "kraus2", "rk4"]), coupling=st.sampled_from([0.0, 0.1]),
+       n_steps=st.integers(1, 4), db=st.floats(0.01, 0.1))
+def test_recorded_spectrum_and_trace_are_those_of_p(data, dim, s_min, scheme, coupling,
+                                                    n_steps, db):
+    # cool() takes each record's smallest eigenvalue from D^1/2 Q D^1/2 and
+    # its trace from s . diag(Q); both are those of P = Y Q Y^T, rebuilt
+    # from the state the next step starts from (the final P is kept).  Two
+    # products form P and each reading adds its own rounding, each at most
+    # n eps ||P||, hence the factor 4.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    s = OverlapMatrix(random_spd(rng, dim, lo=s_min, hi=1.0))
+    system = SystemSpec(HermitianMatrix(random_symmetric(rng, dim)), s)
+    ensemble = data.draw(ensembles(system))
+    states = []
+    flow = solvers._flow
+
+    def spy(q, *args, **kwargs):
+        states.append(q.copy())
+        return flow(q, *args, **kwargs)
+
+    with mock.patch.object(solvers, "_flow", spy):
+        traj = cool(HamiltonianModel(system, coupling_u=coupling), ensemble,
+                    SolverConfig(scheme, n_steps * db, db))
+    _, y, _ = s.frame
+    ps = ([traj.densities[0].mat] + [y @ q @ y.T for q in states[1:]]
+          + [traj.final_density.mat])
+    assert len(ps) == len(traj.betas) == n_steps + 1
+    diag = traj.diagnostics
+    eps = np.finfo(float).eps
+    for k, p in enumerate(ps):
+        tol = 4 * dim * eps * fro(p)
+        assert abs(diag.min_eigenvalue[k] - np.linalg.eigvalsh(p)[0]) <= tol
+        assert abs(diag.trace[k] - np.trace(p)) <= tol
 
 
 # --- input matrices ------------------------------------------------------------

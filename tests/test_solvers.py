@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,13 +27,29 @@ from fermicool import (
     step_kraus1,
     step_kraus2,
 )
+from fermicool import solvers
 from fermicool.matcore import symmetrize
 from fermicool.solvers import MAX_STEPS, _flow, _rate
 from conftest import random_spd, random_symmetric
 
+EPS = np.finfo(float).eps
+
 
 def scalar_system(level):
     return SystemSpec(HermitianMatrix([[level]]), OverlapMatrix([[1.0]]))
+
+
+def cool_with_states(model, ensemble, config):
+    """cool() and the frame states Q_0 .. Q_(n_steps - 1) that its steps start from."""
+    states = []
+
+    def spy(q, *args, **kwargs):
+        states.append(q.copy())
+        return _flow(q, *args, **kwargs)
+
+    with mock.patch.object(solvers, "_flow", spy):
+        traj = cool(model, ensemble, config)
+    return traj, states
 
 
 def logistic(p0, a, beta):
@@ -370,9 +388,13 @@ class TestCool:
         assert traj.betas[-1] == 1.0
         assert traj.delta_beta == pytest.approx(1.0 / 3.0)
         n_rec = len(traj.betas)
-        assert len(traj.densities) == n_rec
+        assert n_rec == 3
         assert len(traj.diagnostics.trace) == n_rec
         assert traj.mu_trace is None
+        # only P(0) = S/2 and the final state are kept
+        assert len(traj.densities) == 2
+        assert np.array_equal(traj.densities[0].mat, 0.5 * system.s.mat)
+        assert traj.final_density is traj.densities[-1]
 
     def test_grand_rk4_matches_oracle(self):
         system = build_huckel(8, 0.569, 0.066)
@@ -531,44 +553,81 @@ class TestCool:
                  SolverConfig("rk4", 1.0, 0.1))
 
     def test_recorded_densities_exactly_symmetric(self, rng):
+        # every record is taken from the frame state the next step starts
+        # from, and the two kept densities are formed from such a state
         s = OverlapMatrix(random_spd(rng, 5))
         system = SystemSpec(HermitianMatrix(random_symmetric(rng, 5)), s)
         for scheme in ("kraus1", "kraus2", "rk4"):
             for ensemble in (GrandCanonical(0.0), Canonical(2.0)):
-                traj = cool(HamiltonianModel(system, coupling_u=0.1), ensemble,
-                            SolverConfig(scheme, 1.0, 0.01, record_every=7))
+                traj, states = cool_with_states(HamiltonianModel(system, coupling_u=0.1),
+                                                ensemble,
+                                                SolverConfig(scheme, 1.0, 0.01, record_every=7))
+                assert len(states) == 100
+                for q in states:
+                    assert np.array_equal(q, q.T)
+                assert len(traj.densities) == 2
                 for density in traj.densities:
                     assert np.array_equal(density.mat, density.mat.T)
 
     def test_diagnostics_match_direct_formulas(self, rng):
-        # cool() records from the frame state; recompute in the S frame.  The
-        # model is nonlinear so that [S^-1 P, S^-1 H] is not zero by symmetry;
-        # step k uses the Hamiltonian of the density recorded at step k - 1,
-        # and step 1 the core Hamiltonian, of which its P is a function.
-        s = OverlapMatrix(random_spd(rng, 6))
-        system = SystemSpec(HermitianMatrix(random_symmetric(rng, 6)), s)
+        # cool() records from the frame state; recompute in the S frame from
+        # P = Y Q Y^T, Q the state the next step starts from (the final P is
+        # kept).  The model is nonlinear so that [S^-1 P, S^-1 H] is not zero
+        # by symmetry; step k uses the Hamiltonian of the density recorded at
+        # step k - 1, and step 1 the core Hamiltonian, of which its P is a
+        # function.  Each gap is bounded by 4 n eps times the size of the
+        # products it differences, the scale of their rounding.
+        n = 6
+        s = OverlapMatrix(random_spd(rng, n))
+        system = SystemSpec(HermitianMatrix(random_symmetric(rng, n)), s)
         model = HamiltonianModel(system, coupling_u=0.3)
+        _, y, _ = s.frame
+        tol = 4 * n * EPS
         for ensemble, norm in ((GrandCanonical(0.1), 1.0),
                                (Canonical(2.5), canonical_normalization(2.5, s.mat))):
-            traj = cool(model, ensemble, SolverConfig("kraus2", 1.0, 0.05, record_every=1))
+            traj, states = cool_with_states(model, ensemble,
+                                            SolverConfig("kraus2", 1.0, 0.05, record_every=1))
+            ps = ([traj.densities[0].mat] + [y @ q @ y.T for q in states[1:]]
+                  + [traj.final_density.mat])
             diag = traj.diagnostics
-            for k, density in enumerate(traj.densities):
-                p = density.mat
-                assert diag.trace[k] == pytest.approx(np.trace(p), rel=1e-14, abs=0)
-                assert diag.min_eigenvalue[k] == pytest.approx(np.linalg.eigvalsh(p)[0],
-                                                               rel=1e-10, abs=0)
+            assert len(ps) == len(traj.betas) == 21
+            for k, p in enumerate(ps):
+                size = np.linalg.norm(p, "fro")
+                assert abs(diag.trace[k] - np.trace(p)) <= tol * size
+                assert abs(diag.min_eigenvalue[k] - np.linalg.eigvalsh(p)[0]) <= tol * size
                 if k < 2:
                     assert diag.commutator_norm[k] == diag.h_refresh_defect[k] == 0.0
                     continue
-                h_last, h = (effective_hamiltonian(model, traj.densities[j].mat, norm).mat
-                             for j in (k - 2, k - 1))
+                h_last, h = (effective_hamiltonian(model, ps[j], norm).mat for j in (k - 2, k - 1))
                 si_p, si_h = s.inverse @ p, s.inverse @ h
                 comm = np.linalg.norm(si_p @ si_h - si_h @ si_p, "fro")
-                assert diag.commutator_norm[k] == pytest.approx(comm, rel=1e-9, abs=1e-13)
+                size = np.linalg.norm(si_p, "fro") * np.linalg.norm(si_h, "fro")
+                assert abs(diag.commutator_norm[k] - comm) <= tol * size
                 rate = (h - h_last) / 0.05
                 defect = np.linalg.norm(h_last @ rate - rate @ h_last, "fro")
-                assert diag.h_refresh_defect[k] == pytest.approx(defect, rel=1e-9)
+                size = (np.linalg.norm(h_last, "fro")
+                        * (np.linalg.norm(h_last, "fro") + np.linalg.norm(h, "fro")) / 0.05)
+                assert abs(diag.h_refresh_defect[k] - defect) <= tol * size
             assert diag.commutator_norm[-1] > 1e-4
+
+    @pytest.mark.parametrize("identity_overlap", [True, False])
+    def test_memory_does_not_grow_with_the_records(self, rng, identity_overlap):
+        # the records are scalars: a run that records every one of its 200
+        # steps holds no more than one that records beta = 0 and the end
+        n = 100
+        s = OverlapMatrix(np.eye(n) if identity_overlap else random_spd(rng, n))
+        system = SystemSpec(HermitianMatrix(random_symmetric(rng, n, scale=0.1)), s)
+        peaks = []
+        for record_every in (200, 1):
+            tracemalloc.start()
+            try:
+                traj = cool(HamiltonianModel(system), GrandCanonical(0.0),
+                            SolverConfig("kraus1", 2.0, 0.01, record_every=record_every))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(traj.betas) == (201 if record_every == 1 else 2)
+        assert peaks[1] <= 1.2 * peaks[0]
 
     def test_refresh_defect_independent_of_record_interval(self):
         # the defect is computed only at recording steps, from the same pair
