@@ -367,9 +367,10 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     the Hamiltonian refresh defect ||[H, dH/dbeta]||_F of the step's refresh.
     Since Y^T Y = D = diag(s), P = Y Q Y^T has the spectrum of
     D^1/2 Q D^1/2 and the trace s . diag(Q), from which both are taken (from
-    Q itself when S = 1).  Both norms are weighted sums over frame matrices, one product each
-    (docs/second_order_scheme.md); until G is first refreshed Q is a function
-    of G, so both read exactly 0 for linear models and at the first step.  At
+    Q itself when S = 1).  Both norms are weighted sums over frame matrices,
+    one product each (docs/second_order_scheme.md); until G is first
+    refreshed Q is a function of G, so both read exactly 0 for linear models
+    and at the first step.  At
     beta = 0 the smallest eigenvalue is (N/2) s_min, from the overlap's
     spectrum, so that record takes no matrix product or decomposition.  The
     positivity violations are the (beta, smallest eigenvalue) of the records
@@ -439,9 +440,8 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
            0.0, 0.0)
     del p0  # the loop holds Q alone and forms P only for the final state
     q_floor = 0.5 * norm * TAIL_FLOOR
-    # with D = Y^T Y = diag(s), eig(P) = eig(D^1/2 Q D^1/2) and
-    # Tr[P] = s . diag(Q); outer(s^1/2, s^1/2) is exactly symmetric, and so is
-    # the scaled state
+    # outer(s^1/2, s^1/2) is exactly symmetric, and so is the scaled state
+    # D^1/2 Q D^1/2 whose spectrum is that of P
     if frame:
         root = np.sqrt(w)
         root_outer = np.outer(root, root)
