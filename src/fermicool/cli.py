@@ -63,7 +63,8 @@ EXIT_SCF = 6
 _EPILOG = """\
 exit codes:
   0  success
-  2  argument error
+  2  argument error (also an --out with no file name, or a problem too large
+     for memory)
   3  parse error (unreadable or malformed matrix file, H and S of different sizes)
   4  infeasible ensemble (electron count out of range, degenerate constraint,
      failed chemical potential search)
@@ -153,6 +154,8 @@ def _resolve_mu(args, system) -> float:
 
 
 def _build_request(args) -> RunRequest:
+    if not Path(args.out).name:
+        raise ArgumentSemanticsError(f"--out expects a file path, got {args.out!r}")
     system = _build_system(args)
     if args.canonical is not None:
         ensemble = Canonical(args.canonical)
@@ -271,8 +274,10 @@ def cmd_run(args) -> int:
     _write_csv(paths["spectra"], ["index", "dmm_eigenvalue", "exact_eigenvalue", "abs_error"], rows)
 
     diag = traj.diagnostics
-    _write_csv(paths["diag"], ["beta", "min_eig", "trace", "commutator_norm"],
-               [tuple(map(_fmt, row)) for row in zip(
+    # a linear model's state stays a function of H: its commutator norm is 0
+    width = 3 if req.model.is_linear else 4
+    _write_csv(paths["diag"], ["beta", "min_eig", "trace", "commutator_norm"][:width],
+               [tuple(map(_fmt, row[:width])) for row in zip(
                    traj.betas, diag.min_eigenvalue, diag.trace, diag.commutator_norm)])
 
     trace_iters = None
@@ -459,6 +464,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_SCF, "scf", exc)
     except OSError as exc:
         return _fail(EXIT_PARSE, "io", exc)
+    except MemoryError as exc:
+        return _fail(EXIT_USAGE, "memory", f"out of memory: {exc}")
 
 
 if __name__ == "__main__":

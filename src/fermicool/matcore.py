@@ -107,9 +107,9 @@ class HermitianMatrix:
 class OverlapMatrix:
     """Symmetric positive-definite overlap metric of a (possibly non-orthonormal) basis.
 
-    Positive definiteness is checked at construction.  The inverse (exactly
-    symmetric) and the orthogonalizing :attr:`frame` are computed lazily from
-    the cached eigendecomposition.
+    Positive definiteness is checked at construction.  The orthogonalizing
+    :attr:`frame` is computed lazily from the cached eigendecomposition;
+    S^-1 = Z Z^T follows from it.
     """
 
     def __init__(self, entries):
@@ -129,17 +129,6 @@ class OverlapMatrix:
     @property
     def dim(self) -> int:
         return self.base.dim
-
-    @property
-    def smallest_eigenvalue(self) -> float:
-        return float(self._eigvals[0])
-
-    @cached_property
-    def inverse(self) -> np.ndarray:
-        inv = (self._eigvecs / self._eigvals) @ self._eigvecs.T
-        inv = symmetrize(inv)
-        inv.flags.writeable = False
-        return inv
 
     @cached_property
     def frame(self) -> tuple:
@@ -161,7 +150,7 @@ class OverlapMatrix:
         return self.base.__array__(dtype, copy)
 
     def __repr__(self):
-        return f"OverlapMatrix(dim={self.dim}, min_eig={self.smallest_eigenvalue:.3g})"
+        return f"OverlapMatrix(dim={self.dim}, min_eig={self._eigvals[0]:.3g})"
 
 
 @dataclass(frozen=True)
@@ -241,7 +230,6 @@ class MuSearchResult(NamedTuple):
     """
 
     mu: float
-    degenerate: bool
     iterations: int
     residual: float
 
@@ -291,11 +279,12 @@ def find_mu_for_occupation(
     only where the search starts: the bracket, the stopping test and the
     errors raised are the same with or without it.
 
-    At ``beta = 0`` the occupation is independent of mu; the bracket midpoint
-    is returned with ``degenerate=True``.
-
     Raises
     ------
+    ValueError
+        If ``beta`` is not positive: at ``beta = 0`` the occupation does not
+        depend on mu, and the Fermi-Dirac state takes the limit
+        Tr[H] / Tr[S] instead (:func:`~fermicool.models.infinite_temperature_mu`).
     InfeasibleEnsembleError
         If the target lies outside ``(0, normalization * Tr[S])``.
     BracketError
@@ -306,8 +295,8 @@ def find_mu_for_occupation(
         If the occupation residual is still above :data:`MU_TOL` after
         :data:`MU_MAX_ITER` iterations.
     """
-    if beta < 0:
-        raise ValueError(f"beta must be non-negative, got {beta}")
+    if beta <= 0:
+        raise ValueError(f"beta must be positive, got {beta}")
     # Python floats: a Newton step over an underflowed slope is inf, silently
     target_ne = float(target_ne)
     s_mat = _matrix_of(s)
@@ -331,10 +320,6 @@ def find_mu_for_occupation(
             f"pass the largest float"
         )
 
-    if beta == 0.0:
-        mid = 0.5 * (lo + hi)
-        return MuSearchResult(mid, True, 0, abs(occ(mid)[0] - target_ne))
-
     occ_lo, occ_hi = occ(lo)[0], occ(hi)[0]
     if not occ_lo <= target_ne <= occ_hi:
         raise BracketError(
@@ -344,7 +329,7 @@ def find_mu_for_occupation(
     # a root at a bracket end: Newton iterates toward it would leave the open bracket
     for end, occ_end in ((lo, occ_lo), (hi, occ_hi)):
         if abs(occ_end - target_ne) < MU_TOL:
-            return MuSearchResult(end, False, 0, abs(occ_end - target_ne))
+            return MuSearchResult(end, 0, abs(occ_end - target_ne))
 
     mu = float(guess) if guess is not None and lo < guess < hi else 0.5 * (lo + hi)
     step = step_before = hi - lo
@@ -354,7 +339,7 @@ def find_mu_for_occupation(
         excess = value - target_ne
         residual = abs(excess)
         if residual < MU_TOL:
-            return MuSearchResult(mu, False, it, residual)
+            return MuSearchResult(mu, it, residual)
         if excess > 0.0:
             hi = mu
         else:

@@ -358,20 +358,18 @@ def exact_grand_fd(system: SystemSpec, mu: float, beta: float) -> HermitianMatri
     return _fd_state(system, system.h_core, beta, GrandCanonical(mu), 1.0)[0]
 
 
-def exact_canonical_fd(system: SystemSpec, n_electrons: float, beta: float,
-                       mu_guess=None):
+def exact_canonical_fd(system: SystemSpec, n_electrons: float, beta: float):
     """Exact canonical Fermi-Dirac density matrix and its chemical potential.
 
     Solves mu(beta) so that Tr[P] = n_electrons within
     :data:`~fermicool.matcore.MU_TOL`, in at most
     :data:`~fermicool.matcore.MU_MAX_ITER` occupation evaluations, through
-    the system's cached :attr:`~SystemSpec.pencil`.  ``mu_guess``, such as
-    the mu extrapolated from nearby temperatures (the CLI's mu trace passes
-    that), is where the mu search starts when it lies inside the search
-    bracket (see :func:`~fermicool.matcore.find_mu_for_occupation`); it
-    changes the iteration count, not the tolerance met.  At beta = 0 the
-    state is (N/2) S exactly and the reported mu is the analytic limit
-    Tr[H] / Tr[S]; a trace that overflows raises InfeasibleEnsembleError.
+    the system's cached :attr:`~SystemSpec.pencil`; the search starts at
+    its bracket midpoint.  A search that starts from a guess, such as the mu
+    of a nearby temperature, is :func:`scf_fixed_point`'s ``mu_guess``.  At
+    beta = 0 the state is (N/2) S exactly and the reported mu is the
+    analytic limit Tr[H] / Tr[S]; a trace that overflows raises
+    InfeasibleEnsembleError.
 
     Returns
     -------
@@ -379,7 +377,7 @@ def exact_canonical_fd(system: SystemSpec, n_electrons: float, beta: float,
         The density matrix and mu(beta).
     """
     norm = canonical_normalization(n_electrons, system.s.mat)
-    p, mu, _ = _fd_state(system, system.h_core, beta, Canonical(n_electrons), norm, mu_guess)
+    p, mu, _ = _fd_state(system, system.h_core, beta, Canonical(n_electrons), norm)
     return p, mu
 
 

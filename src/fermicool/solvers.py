@@ -169,12 +169,12 @@ def _flush_tail(x, floor, out=None):
     return mag
 
 
-def _rate(p, f, norm, mu=None, w=None, t=None):
-    """dP/dbeta = B P + P B^T and sigma, in X form, for the operands of :func:`_flow`."""
+def _rate(p, f, norm, mu=None, w=None):
+    """dP/dbeta = B P + P B^T and sigma, in X form, for :func:`_flow`'s frame operands."""
     # B P = -(F - sigma) X / 2 with X symmetric, so
     # dP/dbeta = -(F X + (F X)^T) / 2 + sigma X; in the frame M P = Q Q^T
     # runs as one symmetric rank-k product, and X is exactly symmetric
-    x = p @ p.T if t is None else p @ t @ p
+    x = p @ p.T
     x *= -1.0 / norm
     x += p
     fx = f @ x
@@ -196,13 +196,13 @@ def _flow(p, f, norm, delta_beta, scheme, mu=None, w=None, t=None):
 
     B = (F M / N - F) / 2 for the symmetric state ``p``, its occupation
     operator M = P t and the Hamiltonian operator ``f``: in the frame ``t`` is
-    None, M = Q and F = G; in the S frame t = S^-1, M = P S^-1 and
-    F = H S^-1.  Grand canonical runs pass ``mu`` with ``f`` already shifted
-    by it and N = 1.  Canonical runs (``mu`` None) subtract
-    sigma = Tr[W F X] / Tr[W X], X = P - M P / N, whose trace weight
-    W = diag(w) is given by the vector ``w``, the overlap eigenvalues in the
-    frame, or None (the identity); W P is a row scaling and every weighted
-    trace an O(n) or O(n^2) sum.
+    None, M = Q and F = G; in the S frame, which only the congruence schemes
+    take, t = S^-1, M = P S^-1 and F = H S^-1.  Grand canonical runs pass
+    ``mu`` with ``f`` already shifted by it and N = 1.  Canonical runs
+    (``mu`` None) subtract sigma = Tr[W F X] / Tr[W X], X = P - M P / N,
+    whose trace weight W = diag(w) is given by the vector ``w``, the overlap
+    eigenvalues in the frame, or None (the identity); W P is a row scaling
+    and every weighted trace an O(n) or O(n^2) sum.
 
     Returns (out, dz, A), ``out`` unsymmetrized and dz the step's increment
     of beta mu: A P A^T with A = 1 + db B and dz = db sigma for "kraus1";
@@ -216,7 +216,7 @@ def _flow(p, f, norm, delta_beta, scheme, mu=None, w=None, t=None):
     if scheme == "rk4":
         # one accumulator and one stage buffer, which also carries each
         # weighted stage rate into the sum once the rate is computed
-        acc, total = _rate(p, f, norm, mu, w, t)
+        acc, total = _rate(p, f, norm, mu, w)
         k, stage = acc, np.empty_like(p)
         floor = 0.5 * norm * TAIL_FLOOR
         # a stage entry is one rounded sum p_ij + t, which is 0 or at least
@@ -228,7 +228,7 @@ def _flow(p, f, norm, delta_beta, scheme, mu=None, w=None, t=None):
             stage += p
             if flush:
                 _flush_tail(stage, floor)
-            k, sigma = _rate(stage, f, norm, mu, w, t)
+            k, sigma = _rate(stage, f, norm, mu, w)
             acc += np.multiply(k, weight, out=stage)
             total += weight * sigma
         acc *= delta_beta / 6.0
@@ -302,8 +302,9 @@ def _s_frame_step(scheme, p, h, s, mu, delta_beta, s_inv):
     dims = {d for m in (p, h, s, si) if m is not None for d in np.shape(m)}
     if len(dims) != 1:
         raise DimensionMismatchError(f"matrix dimensions differ: {sorted(dims)}")
-    if si is None:  # an OverlapMatrix reuses its cached inverse
-        si = (s if isinstance(s, OverlapMatrix) else OverlapMatrix(s)).inverse
+    if si is None:  # S^-1 = Z Z^T from the overlap's frame, cached by an OverlapMatrix
+        z = (s if isinstance(s, OverlapMatrix) else OverlapMatrix(s)).frame[2]
+        si = z @ z.T
     f = h @ si
     f.flat[:: p.shape[0] + 1] -= mu
     out, _, a = _flow(p, f, 1.0, delta_beta, scheme, mu=mu, t=si)
@@ -315,8 +316,9 @@ def step_kraus1(p, h, s, mu, delta_beta, s_inv=None):
 
     A = 1 + K with K = -(delta_beta / 2)(H S^-1 - mu)(1 - P S^-1).  The
     update is a congruence, so positive semidefiniteness of P is preserved
-    exactly.  ``s_inv``, when given, is used as S^-1.  Returns the
-    symmetrized P' and A.
+    exactly.  ``s_inv``, when given, is used as S^-1; otherwise S^-1 = Z Z^T
+    comes from the overlap's :attr:`~fermicool.matcore.OverlapMatrix.frame`.
+    Returns the symmetrized P' and A.
     """
     return _s_frame_step("kraus1", p, h, s, mu, delta_beta, s_inv)
 
@@ -327,8 +329,8 @@ def step_kraus2(p, h, s, mu, delta_beta, s_inv=None):
     A = 1 + K (1 + K/2) + (delta_beta / 4)(H S^-1 - mu)(P K^T + K P) S^-1
     with the first-order K of :func:`step_kraus1`.  A single congruence by A
     reproduces the flow through O(delta_beta^2); see the module docstring and
-    docs/second_order_scheme.md for the expansion.  ``s_inv``, when given, is
-    used as S^-1.  Returns the symmetrized P' and A.
+    docs/second_order_scheme.md for the expansion.  ``s_inv`` is used as in
+    :func:`step_kraus1`.  Returns the symmetrized P' and A.
     """
     return _s_frame_step("kraus2", p, h, s, mu, delta_beta, s_inv)
 

@@ -46,7 +46,8 @@ class TestRun:
         errs = [float(r[3]) for r in rows[1:]]
         assert max(errs) < 1e-8
         diag = read_csv(tmp_path / "run.diag.csv")
-        assert diag[0] == ["beta", "min_eig", "trace", "commutator_norm"]
+        # a linear model's commutator norm is 0 by construction: no column
+        assert diag[0] == ["beta", "min_eig", "trace"]
         assert float(diag[1][0]) == 0.0
         assert float(diag[-1][0]) == 5.0
         assert (tmp_path / "run.meta").exists()
@@ -132,6 +133,20 @@ class TestRun:
         ]) == 0
         meta = dict(line.split(": ", 1) for line in (tmp_path / "c.meta").read_text().splitlines())
         assert int(meta["mu_trace_scf_iterations"]) <= 250
+
+    def test_commutator_column_only_for_nonlinear_models(self, tmp_path):
+        # a linear model's state stays a function of H, so its commutator
+        # norm is 0 by construction and gets no column; a nonlinear state
+        # stops commuting with H once its Hamiltonian is refreshed
+        argv = ["run", "--huckel", "6", "0", "1", "--canonical", "3", "--scheme", "kraus2",
+                "--beta", "2", "--dbeta", "0.05", "--record-every", "10"]
+        assert main([*argv, "--out", str(tmp_path / "linear.csv")]) == 0
+        assert read_csv(tmp_path / "linear.diag.csv")[0] == ["beta", "min_eig", "trace"]
+        assert main([*argv, "--nonlinear", "0.3", "--out", str(tmp_path / "nonlinear.csv")]) == 0
+        diag = read_csv(tmp_path / "nonlinear.diag.csv")
+        assert diag[0] == ["beta", "min_eig", "trace", "commutator_norm"]
+        comm = [float(r[3]) for r in diag[1:]]
+        assert comm[0] == 0.0 and min(comm[1:]) > 1e-3
 
     @pytest.mark.parametrize("case, extra, cold", [
         ("nonlinear", ["--nonlinear", "0.05", "--scheme", "kraus2"], 911),
@@ -653,6 +668,35 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert "error[argument]" in err and flag in err
+
+    @pytest.mark.parametrize("out", [".", "/", ""], ids=["dot", "root", "empty"])
+    def test_out_without_a_file_name_is_argument_error(self, tmp_path, capsys, monkeypatch,
+                                                       out):
+        # the output names are derived from the last path component; an
+        # empty one ended in a ValueError traceback
+        from fermicool import cli
+
+        monkeypatch.chdir(tmp_path)
+        solves = []
+        monkeypatch.setattr(cli, "cool", lambda *args: solves.append(args))
+        monkeypatch.setattr(cli, "scf_fixed_point", lambda *args, **kw: solves.append(args))
+        for argv in (["run", "--dbeta", "0.1"], ["oracle"],
+                     ["convergence", "--scheme", "kraus1", "--dbeta-list", "0.1", "0.05", "0.025"]):
+            code = main([argv[0], "--huckel", "6", "0", "1", "--grand", "--beta", "1",
+                         *argv[1:], "--out", out])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "error[argument]" in err and "--out" in err and "Traceback" not in err
+        assert solves == [] and list(tmp_path.iterdir()) == []
+
+    def test_problem_too_large_for_memory(self, tmp_path, capsys):
+        # 1e9 sites ask for a 6.9 EiB matrix, whose allocation fails at once
+        code = main(["oracle", "--huckel", "1e9", "0", "1", "--grand", "--beta", "1",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fermicool: error[memory]: out of memory")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestNonFiniteInput:

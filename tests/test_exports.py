@@ -1,4 +1,6 @@
 import ast
+import inspect
+import math
 from pathlib import Path
 
 import fermicool
@@ -8,6 +10,10 @@ ROOT = Path(__file__).resolve().parents[1]
 #: Exports whose only callers are the acceptance tests: criterion 3 checks the
 #: single congruence steps through them.
 CALLED_ONLY_BY_ACCEPTANCE = {"step_kraus1", "step_kraus2"}
+
+#: Defaulted parameters that only the acceptance tests pass: criterion 3 gives
+#: the single congruence steps a known S^-1.
+PASSED_ONLY_BY_ACCEPTANCE = {("step_kraus1", "s_inv"), ("step_kraus2", "s_inv")}
 
 
 def test_every_export_resolves():
@@ -34,3 +40,35 @@ def test_every_export_has_a_user():
                 used.add(node.attr)
     unused = set(fermicool.__all__) - used - CALLED_ONLY_BY_ACCEPTANCE
     assert sorted(unused) == []
+
+
+def _call_sites():
+    # called name -> [(positional arguments, keyword names)]; a *args passes
+    # every position and a **kwargs (keyword None) every name
+    calls = {}
+    for path in _run_path_sources():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                calls.setdefault(name, []).append(
+                    (math.inf if starred else len(node.args), {k.arg for k in node.keywords}))
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a default that no call site overrides is an option nothing uses
+    calls = _call_sites()
+    unpassed = []
+    for name in fermicool.__all__:
+        func = getattr(fermicool, name)
+        if not inspect.isfunction(func):
+            continue
+        for i, param in enumerate(inspect.signature(func).parameters.values()):
+            if param.default is param.empty or (name, param.name) in PASSED_ONLY_BY_ACCEPTANCE:
+                continue
+            by_position = param.kind is not param.KEYWORD_ONLY
+            if not any(param.name in keywords or None in keywords or (by_position and i < n_args)
+                       for n_args, keywords in calls.get(name, [])):
+                unpassed.append(f"{name}({param.name}=)")
+    assert unpassed == []

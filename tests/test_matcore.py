@@ -74,13 +74,7 @@ class TestOverlapMatrix:
         np.testing.assert_allclose(y @ y.T, s.mat, atol=1e-12)
         np.testing.assert_allclose(z.T @ y, np.eye(5), atol=1e-12)
         np.testing.assert_allclose(y.T @ y, np.diag(vals), atol=1e-12)
-        assert vals[0] == s.smallest_eigenvalue
-
-    def test_cached_inverse(self, rng):
-        s = OverlapMatrix(random_spd(rng, 7))
-        residual = np.abs(s.mat @ s.inverse - np.eye(7)).max()
-        assert residual < 1e-10
-        np.testing.assert_allclose(s.inverse, s.inverse.T, atol=0)
+        np.testing.assert_allclose(vals, np.linalg.eigvalsh(s.mat), rtol=1e-12)
 
     def test_frame_orthogonalizes(self, rng):
         s = OverlapMatrix(random_spd(rng, 5))
@@ -176,16 +170,16 @@ class TestFindMu:
     def test_two_level_midgap(self):
         eig = generalized_eigh(np.diag([0.0, 1.0]), np.eye(2))
         res = find_mu_for_occupation(eig, np.eye(2), beta=200.0, target_ne=1.0)
-        assert not res.degenerate
         assert res.mu == pytest.approx(0.5, abs=1e-6)
 
     def test_beta_zero_degenerate(self, rng):
         h = random_symmetric(rng, 4)
         eig = generalized_eigh(h, np.eye(4))
-        res = find_mu_for_occupation(eig, np.eye(4), beta=0.0, target_ne=2.0)
-        assert res.degenerate
-        # the trace is mu-independent at beta = 0 and equals dim/2
-        for mu in (-5.0, res.mu, 7.0):
+        # the trace is mu-independent at beta = 0 and equals dim/2, so there
+        # is no mu to search for (the beta = 0 state takes Tr[H] / Tr[S])
+        with pytest.raises(ValueError, match="beta must be positive"):
+            find_mu_for_occupation(eig, np.eye(4), beta=0.0, target_ne=2.0)
+        for mu in (-5.0, 7.0):
             assert search_occupation(eig, 0.0, mu) == pytest.approx(2.0, abs=1e-12)
 
     def test_huckel_half_filling_lands_at_band_center(self):

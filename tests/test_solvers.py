@@ -56,19 +56,25 @@ def logistic(p0, a, beta):
     return 1.0 / (1.0 + (1.0 - p0) / p0 * math.exp(a * beta))
 
 
-def s_frame_flow(p, h, s, mu=None, norm=1.0, s_inv=None):
-    """dP/dbeta, the scalar sigma and X = P - M P / N from the kernel's rate,
-    called with the S-frame operands F = H S^-1 - mu and M = P S^-1.  A grand
-    flow passes ``mu``; a canonical one leaves it None and passes N as
-    ``norm``."""
-    p = np.asarray(p, dtype=float)
-    si = OverlapMatrix(s).inverse if s_inv is None else s_inv
-    f = np.asarray(h, dtype=float) @ si
+def frame_operands(p, h, s, mu=None):
+    """The kernel's operands in the frame of S = Y Y^T, Z = Y^-T:
+    Q = Z^T P Z, F = Z^T H Z - mu, the trace weight s, and Y."""
+    w, y, z = OverlapMatrix(s).frame
+    f = symmetrize(z.T @ np.asarray(h, dtype=float) @ z)
     if mu is not None:
-        f.flat[:: p.shape[0] + 1] -= mu
-    m = p @ si
-    rhs, sigma = _rate(p, f, norm, mu, t=si)
-    return rhs, sigma, p - (m @ p) / norm
+        f.flat[:: f.shape[0] + 1] -= mu
+    return symmetrize(z.T @ np.asarray(p, dtype=float) @ z), f, w, y
+
+
+def s_frame_flow(p, h, s, mu=None, norm=1.0):
+    """dP/dbeta, the scalar sigma and X = P - P S^-1 P / N from the kernel's
+    rate, taken in the frame and brought back as Y _rate(Q, F, ...) Y^T.  A
+    grand flow passes ``mu``; a canonical one leaves it None and passes N as
+    ``norm``."""
+    q, f, w, y = frame_operands(p, h, s, mu)
+    rhs, sigma = _rate(q, f, norm, mu, w=w)
+    p = np.asarray(p, dtype=float)
+    return y @ rhs @ y.T, sigma, p - (p @ np.linalg.inv(s) @ p) / norm
 
 
 class TestSolverConfig:
@@ -136,7 +142,9 @@ class TestGrandRhs:
         p = random_symmetric(rng, 6)
         h = random_symmetric(rng, 6)
         s = random_spd(rng, 6)
-        out, _, _ = s_frame_flow(p, h, s, -0.2)
+        # the frame rate; Y R Y^T is symmetric only to rounding
+        q, f, w, _ = frame_operands(p, h, s, -0.2)
+        out, _ = _rate(q, f, 1.0, -0.2, w=w)
         assert np.abs(out - out.T).max() == 0.0
 
     def test_matches_exact_flow_derivative(self, rng):
@@ -145,7 +153,7 @@ class TestGrandRhs:
         system = SystemSpec(HermitianMatrix(random_symmetric(rng, 6)), s)
         mu, beta = 0.15, 0.9
         p = exact_grand_fd(system, mu, beta).mat
-        rhs, _, _ = s_frame_flow(p, system.h_core.mat, s.mat, mu, s_inv=s.inverse)
+        rhs, _, _ = s_frame_flow(p, system.h_core.mat, s.mat, mu)
         errs = []
         for h in (1e-3, 5e-4):
             fd = (exact_grand_fd(system, mu, beta + h).mat
@@ -205,27 +213,22 @@ class TestCanonicalRhs:
 class TestFlowRk4:
     """The rate of the kernel's RK4 stages, taken in X form, against the
     literal B P + P B^T with B = -(F - sigma)(1 - M/N) / 2, and the kernel's
-    RK4 step against the classic combination of four such rates."""
+    RK4 step against the classic combination of four such rates.  RK4 runs
+    in the eigenbasis frame of S only, where M = Q."""
 
     @staticmethod
     def operands(rng, operands, mu):
-        # (P, F, M, N, w, t) in the eigenbasis frame of a random S or in the
-        # S frame; the S frame has an identity trace weight
+        # (Q, F, M, N, w) in the eigenbasis frame of a random S
         n = 7
         overlap = OverlapMatrix(random_spd(rng, n))
         h = random_symmetric(rng, n)
         norm = 1.0 if mu is not None else 0.8
-        vals, y, z = overlap.frame
+        vals, _, z = overlap.frame
         q = random_spd(rng, n, lo=0.1, hi=0.7)
-        if operands == "frame":
-            p, f, m, w, t = q, z.T @ h @ z, q, vals, None
-        else:
-            si = overlap.inverse
-            p, f, w, t = y @ q @ y.T, h @ si, np.ones(n), si
-            m = p @ si
+        f = z.T @ h @ z
         if mu is not None:
             f = f - mu * np.eye(n)
-        return p, f, m, norm, w, t
+        return q, f, q, norm, vals
 
     @staticmethod
     def literal(p, f, m, norm, w, mu):
@@ -239,34 +242,33 @@ class TestFlowRk4:
         b = -0.5 * f @ (np.eye(n) - m / norm)
         return b @ p + p @ b.T, sigma
 
-    @pytest.mark.parametrize("operands", ["frame", "s-frame"])
+    @pytest.mark.parametrize("operands", ["frame"])
     @pytest.mark.parametrize("mu", [None, 0.3])
     def test_matches_literal_derivative(self, rng, operands, mu):
-        p, f, m, norm, w, t = self.operands(rng, operands, mu)
-        out, sigma = _rate(p, f, norm, mu, w=None if operands == "s-frame" else w, t=t)
+        p, f, m, norm, w = self.operands(rng, operands, mu)
+        out, sigma = _rate(p, f, norm, mu, w=w)
         ref, ref_sigma = self.literal(p, f, m, norm, w, mu)
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
         assert sigma == pytest.approx(ref_sigma, rel=1e-13)
 
-    @pytest.mark.parametrize("operands", ["frame", "s-frame"])
+    @pytest.mark.parametrize("operands", ["frame"])
     @pytest.mark.parametrize("mu", [None, 0.3])
     def test_step_is_classic_rk4_over_the_rate(self, rng, operands, mu):
         # the kernel's in-place stages give the bits of the textbook
         # combination, and its increment of beta mu weights the stage scalars
         # the same way
-        p, f, _, norm, w, t = self.operands(rng, operands, mu)
-        w = None if operands == "s-frame" else w
+        p, f, _, norm, w = self.operands(rng, operands, mu)
         db = 0.37
 
         def rate(y):
-            return _rate(y, f, norm, mu, w=w, t=t)
+            return _rate(y, f, norm, mu, w=w)
 
         k1, s1 = rate(p)
         k2, s2 = rate(p + 0.5 * db * k1)
         k3, s3 = rate(p + 0.5 * db * k2)
         k4, s4 = rate(p + db * k3)
         ref = p + (db / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out, dz, a = _flow(p, f, norm, db, "rk4", mu=mu, w=w, t=t)
+        out, dz, a = _flow(p, f, norm, db, "rk4", mu=mu, w=w)
         assert out.tobytes() == ref.tobytes()
         assert dz == (db / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
         assert a is None
@@ -582,6 +584,7 @@ class TestCool:
         system = SystemSpec(HermitianMatrix(random_symmetric(rng, n)), s)
         model = HamiltonianModel(system, coupling_u=0.3)
         _, y, _ = s.frame
+        si = np.linalg.inv(s.mat)
         tol = 4 * n * EPS
         for ensemble, norm in ((GrandCanonical(0.1), 1.0),
                                (Canonical(2.5), canonical_normalization(2.5, s.mat))):
@@ -599,7 +602,7 @@ class TestCool:
                     assert diag.commutator_norm[k] == diag.h_refresh_defect[k] == 0.0
                     continue
                 h_last, h = (effective_hamiltonian(model, ps[j], norm).mat for j in (k - 2, k - 1))
-                si_p, si_h = s.inverse @ p, s.inverse @ h
+                si_p, si_h = si @ p, si @ h
                 comm = np.linalg.norm(si_p @ si_h - si_h @ si_p, "fro")
                 size = np.linalg.norm(si_p, "fro") * np.linalg.norm(si_h, "fro")
                 assert abs(diag.commutator_norm[k] - comm) <= tol * size
