@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -47,6 +49,7 @@ from .models import (
     ScfResult,
     build_huckel,
     default_chemical_potential,
+    exact_canonical_mu,
     load_system,
     occupation_spectrum,
     scf_fixed_point,
@@ -65,13 +68,15 @@ exit codes:
   0  success
   2  argument error (also an --out with no file name, or a problem too large
      for memory)
-  3  parse error (unreadable or malformed matrix file, H and S of different sizes)
+  3  parse error (unreadable or malformed matrix file, H and S of different sizes,
+     an --out naming a directory)
   4  infeasible ensemble (electron count out of range, degenerate constraint,
      failed chemical potential search)
   5  solver abort (non-finite values during integration)
   6  SCF non-convergence
 
-outputs (relative to --out PATH, e.g. results.csv):
+outputs (relative to --out PATH, e.g. results.csv; the side files drop only
+a final .csv from PATH):
   results.csv       occupation spectra
   results.mu.csv    chemical potential trace (canonical runs)
   results.diag.csv  per-step diagnostics (run only)
@@ -109,12 +114,14 @@ def _write_meta(path: Path, items) -> None:
 
 
 def _out_paths(out: Path):
-    base = out.with_suffix("") if out.suffix else out
+    # the side files append to the name without a final ".csv" and nothing
+    # else, so names that differ before it never share a side file
+    stem = out.name[: -len(".csv")] if out.name.endswith(".csv") else out.name
     return {
         "spectra": out,
-        "mu": base.with_suffix(".mu.csv"),
-        "diag": base.with_suffix(".diag.csv"),
-        "meta": base.with_suffix(".meta"),
+        "mu": out.with_name(stem + ".mu.csv"),
+        "diag": out.with_name(stem + ".diag.csv"),
+        "meta": out.with_name(stem + ".meta"),
     }
 
 
@@ -156,6 +163,8 @@ def _resolve_mu(args, system) -> float:
 def _build_request(args) -> RunRequest:
     if not Path(args.out).name:
         raise ArgumentSemanticsError(f"--out expects a file path, got {args.out!r}")
+    if Path(args.out).is_dir():  # the io error that writing it would end in, before any solve
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
     system = _build_system(args)
     if args.canonical is not None:
         ensemble = Canonical(args.canonical)
@@ -238,23 +247,30 @@ def _continuation_start(points, beta: float):
 
 
 def _mu_trace(req: RunRequest, betas, mu_integrated):
-    """Rows of the mu CSV and the total oracle iterations.
+    """Rows of the mu CSV of a canonical run and the total SCF iterations.
 
     The oracle walks the record betas in order.  Each mu search starts from
-    the quadratic extrapolation in beta of the previous three oracle mu, and
-    a nonlinear model continues its SCF from that of the previous three fixed
-    points; only those three are kept (see :func:`_continuation_start`).
+    the quadratic extrapolation in beta of the previous three oracle mu.  A
+    linear model solves for mu alone on the system's cached pencil
+    (:func:`~fermicool.models.exact_canonical_mu`), forms no density and
+    runs no SCF; a nonlinear model continues its SCF from the extrapolation
+    of the previous three fixed points.  Only those three are kept (see
+    :func:`_continuation_start`).
     """
     rows, fixed_points, mus, total = [], [], [], 0
+    system, n_electrons = req.model.system, req.ensemble.n_electrons
     for beta, mu_int in zip(betas, mu_integrated):
         beta = float(beta)
-        res = _oracle_state(req, beta, _continuation_start(fixed_points, beta),
-                            _continuation_start(mus, beta))
-        rows.append((_fmt(beta), _fmt(mu_int), _fmt(res.mu)))
-        mus = [*mus[-2:], (beta, res.mu)]
-        if not req.model.is_linear:
+        mu_guess = _continuation_start(mus, beta)
+        if req.model.is_linear:
+            mu = exact_canonical_mu(system, n_electrons, beta, mu_guess)
+        else:
+            res = _oracle_state(req, beta, _continuation_start(fixed_points, beta), mu_guess)
+            mu = res.mu
             fixed_points = [*fixed_points[-2:], (beta, res.density.mat)]
-        total += res.iterations
+            total += res.iterations
+        rows.append((_fmt(beta), _fmt(mu_int), _fmt(mu)))
+        mus = [*mus[-2:], (beta, mu)]
     return rows, total
 
 

@@ -216,7 +216,9 @@ def fermi(x):
     """
     x = np.asarray(x, dtype=float)
     z = np.exp(-np.abs(x))
-    out = np.where(x >= 0.0, z / (1.0 + z), 1.0 / (1.0 + z))
+    # z / (1 + z) for x >= 0 and 1 / (1 + z) otherwise, in one division
+    out = np.where(x >= 0.0, z, 1.0)
+    out /= 1.0 + z
     if out.ndim == 0:
         return float(out)
     return out
@@ -241,14 +243,16 @@ def _occupation_weights(eig: EigenPair) -> np.ndarray:
     return np.einsum("ki,ki->k", w, w)
 
 
-def _occupation_and_slope(w, values, beta, mu, normalization):
-    # N sum_k w_k f_k and its mu-derivative N beta sum_k w_k f_k (1 - f_k),
-    # with f_k = fermi(beta (lambda_k - mu)); an argument that overflows to
-    # +-inf saturates the Fermi factor exactly.
-    with np.errstate(over="ignore"):
-        f = fermi(beta * (values - mu))
-    return (float(normalization * np.dot(w, f)),
-            float(normalization * beta * np.dot(w, f * (1.0 - f))))
+def _occupation_and_slope(w, values, beta, mu, normalization, slope=True):
+    # N sum_k w_k f_k and, with ``slope``, its mu-derivative
+    # N beta sum_k w_k f_k (1 - f_k) (else None), with
+    # f_k = fermi(beta (lambda_k - mu)).  The caller ignores overflow: an
+    # argument that overflows to +-inf saturates the Fermi factor exactly.
+    f = fermi(beta * (values - mu))
+    value = float(normalization * np.dot(w, f))
+    if not slope:
+        return value, None
+    return value, float(normalization * beta * np.dot(w, f * (1.0 - f)))
 
 
 def find_mu_for_occupation(
@@ -307,10 +311,7 @@ def find_mu_for_occupation(
             f"(0, {full:.6g}) set by the normalization and Tr[S]"
         )
     w = _occupation_weights(eig)
-
-    def occ(mu):
-        return _occupation_and_slope(w, eig.values, beta, mu, normalization)
-
+    values = eig.values
     margin = 10.0 / max(beta, 1.0)
     lo = float(eig.values.min()) - margin
     hi = float(eig.values.max()) + margin
@@ -320,36 +321,39 @@ def find_mu_for_occupation(
             f"pass the largest float"
         )
 
-    occ_lo, occ_hi = occ(lo)[0], occ(hi)[0]
-    if not occ_lo <= target_ne <= occ_hi:
-        raise BracketError(
-            f"occupation range [{occ_lo:.6g}, {occ_hi:.6g}] over the mu bracket "
-            f"[{lo:.6g}, {hi:.6g}] does not contain the target {target_ne:.6g}"
-        )
-    # a root at a bracket end: Newton iterates toward it would leave the open bracket
-    for end, occ_end in ((lo, occ_lo), (hi, occ_hi)):
-        if abs(occ_end - target_ne) < MU_TOL:
-            return MuSearchResult(end, 0, abs(occ_end - target_ne))
+    # one np.errstate for the whole search (see _occupation_and_slope)
+    with np.errstate(over="ignore"):
+        occ_lo = _occupation_and_slope(w, values, beta, lo, normalization, slope=False)[0]
+        occ_hi = _occupation_and_slope(w, values, beta, hi, normalization, slope=False)[0]
+        if not occ_lo <= target_ne <= occ_hi:
+            raise BracketError(
+                f"occupation range [{occ_lo:.6g}, {occ_hi:.6g}] over the mu bracket "
+                f"[{lo:.6g}, {hi:.6g}] does not contain the target {target_ne:.6g}"
+            )
+        # a root at a bracket end: Newton iterates toward it would leave the open bracket
+        for end, occ_end in ((lo, occ_lo), (hi, occ_hi)):
+            if abs(occ_end - target_ne) < MU_TOL:
+                return MuSearchResult(end, 0, abs(occ_end - target_ne))
 
-    mu = float(guess) if guess is not None and lo < guess < hi else 0.5 * (lo + hi)
-    step = step_before = hi - lo
-    residual = np.inf
-    for it in range(1, MU_MAX_ITER + 1):
-        value, slope = occ(mu)
-        excess = value - target_ne
-        residual = abs(excess)
-        if residual < MU_TOL:
-            return MuSearchResult(mu, it, residual)
-        if excess > 0.0:
-            hi = mu
-        else:
-            lo = mu
-        newton_step = excess / slope if slope > 0.0 else np.inf
-        if lo < mu - newton_step < hi and 2.0 * abs(newton_step) <= step_before:
-            step_before, step = step, abs(newton_step)
-            mu -= newton_step
-        else:
-            step_before, step = step, 0.5 * (hi - lo)
-            mu = 0.5 * (lo + hi)
-    raise MuConvergenceError(residual, MU_MAX_ITER)
+        mu = float(guess) if guess is not None and lo < guess < hi else 0.5 * (lo + hi)
+        step = step_before = hi - lo
+        residual = np.inf
+        for it in range(1, MU_MAX_ITER + 1):
+            value, slope = _occupation_and_slope(w, values, beta, mu, normalization)
+            excess = value - target_ne
+            residual = abs(excess)
+            if residual < MU_TOL:
+                return MuSearchResult(mu, it, residual)
+            if excess > 0.0:
+                hi = mu
+            else:
+                lo = mu
+            newton_step = excess / slope if slope > 0.0 else np.inf
+            if lo < mu - newton_step < hi and 2.0 * abs(newton_step) <= step_before:
+                step_before, step = step, abs(newton_step)
+                mu -= newton_step
+            else:
+                step_before, step = step, 0.5 * (hi - lo)
+                mu = 0.5 * (lo + hi)
+        raise MuConvergenceError(residual, MU_MAX_ITER)
 

@@ -17,11 +17,18 @@ is the fixed point of ``F(P) = FermiDirac(H(P))``, found by
 eigendecomposition each evaluation of F already makes (divided differences
 of the Fermi factor; in the canonical ensemble a d mu term keeps
 Tr[J dP] = 0).  The SCF takes Newton steps (1 - J) delta = F(P) - P and falls
-back to the Picard step P -> F(P) whenever the residual did not fall.  The
-cooling flow's refresh in :mod:`fermicool.solvers` uses the same response.
+back to the Picard step P -> F(P) whenever the residual did not fall.
 
 A system decomposes its pencil ``(H_core, S)`` once (:attr:`SystemSpec.pencil`);
-every oracle evaluated at the core Hamiltonian reuses that decomposition.
+the oracles of the linear model, :func:`exact_grand_fd`,
+:func:`exact_canonical_fd` and :func:`exact_canonical_mu`, reuse that
+decomposition.  A system also fixes the overlap frame
+(:attr:`SystemSpec.frame`): Y = U s^1/2 and Z = Y^-T from the overlap's
+eigenpairs S = U diag(s) U^T, in which a density is carried as Q = Z^T P Z
+against G = Z^T H Z, with the standard eigenproblem of G in place of the
+pencil.  The cooling flow in :mod:`fermicool.solvers` and the SCF both work
+there, and share the model's response seen in that frame
+(:attr:`HamiltonianModel.frame_response`), whose refresh of G costs O(n^2).
 """
 
 from __future__ import annotations
@@ -86,6 +93,25 @@ class SystemSpec:
         """Generalized eigendecomposition of (h_core, s), computed on first use."""
         return generalized_eigh(self.h_core, self.s)
 
+    @cached_property
+    def frame(self) -> tuple:
+        """The frame (s, Y, Z, G_core) in which densities are carried, computed on first use.
+
+        (s, Y, Z) is the overlap's canonical-orthogonalization frame
+        (:attr:`~fermicool.matcore.OverlapMatrix.frame`) and
+        ``G_core = Z^T H_core Z``, symmetrized: a density P is carried as
+        ``Q = Z^T P Z``, so that ``P = Y Q Y^T`` and ``Tr[P] = s . diag(Q)``.
+        When S is exactly the identity there is no frame change: the tuple is
+        ``(None, None, None, H_core)`` and Q is P itself.  All are read-only.
+        """
+        s_mat = self.s.mat
+        if np.count_nonzero(s_mat) == self.dim and (np.diagonal(s_mat) == 1.0).all():
+            return None, None, None, self.h_core.mat
+        w, y, z = self.s.frame
+        g_core = symmetrize(z.T @ self.h_core.mat @ z)
+        g_core.flags.writeable = False
+        return w, y, z, g_core
+
 
 @dataclass(frozen=True)
 class GrandCanonical:
@@ -146,8 +172,8 @@ class HamiltonianModel:
 
     The model is affine in P: ``H(P) = H_core + dH(P - (N/2) S)`` with the
     linear response ``dH(dP) = u (dP + phi(dP) J)`` (:meth:`response`).  Its
-    image under a change of basis (:meth:`congruent_response`) is what the
-    SCF's Newton steps and the cooling flow's frame refresh apply.
+    image in the system's frame (:attr:`frame_response`) is what the cooling
+    flow's refresh and the SCF apply.
     """
 
     system: SystemSpec
@@ -170,25 +196,55 @@ class HamiltonianModel:
         out.flat[:: n + 1] += phi * self._stagger
         return self.coupling_u * out
 
-    def congruent_response(self, a, b):
-        """The response seen through a change of basis, E -> a^T dH(b E b^T) a.
+    @cached_property
+    def frame_response(self) -> "FrameResponse":
+        """The response seen in the system's frame, E -> Z^T dH(Y E Y^T) Z, formed on first use."""
+        return FrameResponse(self)
 
-        For ``a^T b = 1`` this is ``u (E + phi(b E b^T) K)`` with
-        ``K = a^T J a`` and ``phi(b E b^T) = (c^T E c - <b^T b, E>) / n``,
-        ``c = b^T 1``.  K and the weight of phi are formed here once, so each
-        application of the returned map costs O(n^2).  The cooling frame of
-        the overlap's eigenpairs is ``a = Z = U s^-1/2, b = Y = U s^1/2``:
-        there ``c = Y^T 1``, ``b^T b = diag(s)`` and ``K = Z^T J Z``.  The
-        eigenbasis of a pencil is ``a = V, b = S V``.
-        """
-        n = self.system.dim
-        c = b.sum(axis=0)
-        weight = np.outer(c, c)
-        weight -= b.T @ b
+
+class FrameResponse:
+    """A model's response in its system's frame, E -> Z^T dH(Y E Y^T) Z.
+
+    Because ``Z^T Y = 1`` this is ``u (E + phi K)`` with ``K = Z^T J Z`` and
+    ``phi = (c^T E c - s . diag(E)) / n``, ``c = Y^T 1``: the refresh
+    ``G(Q) = G_core + response(Q - N/2)`` of the frame Hamiltonian.  K, c
+    and the weight of phi are per-system constants formed here once, so each
+    application costs O(n^2).  When S is exactly the identity the frame is P
+    itself, the map is :meth:`HamiltonianModel.response`, c = 1 and K = J.
+    """
+
+    def __init__(self, model: HamiltonianModel):
+        _, y, z, _ = model.system.frame
+        n = model.system.dim
+        if y is None:
+            self._map = model.response
+            self.c, self.k = np.ones(n), np.diag(model._stagger)
+            return
+        self.c = y.sum(axis=0)
+        weight = np.outer(self.c, self.c)
+        weight -= y.T @ y
         weight /= n
-        k = symmetrize((a.T * self._stagger) @ a)
-        u = self.coupling_u
-        return lambda e: u * (e + float(np.vdot(weight, e)) * k)
+        self.k = symmetrize((z.T * model._stagger) @ z)
+        u, k = model.coupling_u, self.k
+        self._map = lambda e: u * (e + float(np.vdot(weight, e)) * k)
+
+    def __call__(self, e) -> np.ndarray:
+        return self._map(e)
+
+    def eigenbasis(self, c, gram):
+        """The response in an eigenbasis C of a frame matrix, X -> C^T dG(C X C^T) C.
+
+        ``c`` is orthogonal and ``gram = C^T diag(s) C`` (``C^T C`` when S is
+        the identity), so that ``s . diag(C X C^T) = <gram, X>``.  The map is
+        ``u (X + <W, X> C^T K C)`` with ``W = ((C^T c)(C^T c)^T - gram) / n``;
+        returns (W, C^T K C), whose forming takes two products.
+        """
+        n = c.shape[0]
+        d = c.T @ self.c
+        weight = np.outer(d, d)
+        weight -= gram
+        weight /= n
+        return weight, c.T @ self.k @ c
 
 
 def effective_hamiltonian(model: HamiltonianModel, p, normalization: float = 1.0) -> HermitianMatrix:
@@ -299,37 +355,35 @@ def _fd_matrix(eig: EigenPair, beta: float, mu: float, normalization: float) -> 
     return (w * occ) @ w.T
 
 
-def _fd_state(system: SystemSpec, h, beta: float, ensemble: Ensemble, norm: float,
-              mu_guess=None):
-    """Fermi-Dirac state of the pencil (H, S): (P, mu, pencil of H).
+def _fd_state(system: SystemSpec, beta: float, ensemble: Ensemble, norm: float, mu_guess=None):
+    """Fermi-Dirac state of the system's cached pencil (H_core, S): (P, mu).
 
-    ``h`` being the system's core Hamiltonian reuses its cached pencil.  A
-    canonical ensemble solves mu from ``mu_guess``.  At beta = 0 the state is
-    (N/2) S whatever H is, the canonical mu is the limit Tr[H] / Tr[S], and
-    no pencil is decomposed (None is returned for it).  A pencil eigenvalue
-    past the largest float raises BracketError in either ensemble: the grand
-    canonical one checks the levels here, the canonical one through its mu
-    bracket (:func:`~fermicool.matcore.find_mu_for_occupation`).
+    A canonical ensemble solves mu from ``mu_guess`` (:func:`exact_canonical_mu`).
+    At beta = 0 the state is (N/2) S and no pencil is decomposed.  A pencil
+    eigenvalue past the largest float raises BracketError in either ensemble:
+    the grand canonical one checks the levels here, the canonical one through
+    its mu bracket (:func:`~fermicool.matcore.find_mu_for_occupation`).
     """
-    grand = isinstance(ensemble, GrandCanonical)
-    if beta == 0.0:
-        if grand:
-            mu = ensemble.mu
-        else:
-            mu = infinite_temperature_mu(h, system.s)
-        return HermitianMatrix(0.5 * norm * system.s.mat), mu, None
-    eig = system.pencil if h is system.h_core else generalized_eigh(h, system.s)
-    if grand:
-        if not np.isfinite(eig.values).all():
-            raise BracketError(
-                f"the pencil eigenvalues [{eig.values.min():.6g}, {eig.values.max():.6g}] "
-                f"pass the largest float: the grand canonical state is not defined"
-            )
+    if isinstance(ensemble, GrandCanonical):
         mu = ensemble.mu
     else:
-        mu = find_mu_for_occupation(eig, system.s.mat, beta, ensemble.n_electrons, norm,
-                                    guess=mu_guess).mu
-    return HermitianMatrix(_fd_matrix(eig, beta, mu, norm)), mu, eig
+        mu = exact_canonical_mu(system, ensemble.n_electrons, beta, mu_guess)
+    if beta == 0.0:
+        return HermitianMatrix(0.5 * norm * system.s.mat), mu
+    eig = system.pencil
+    if isinstance(ensemble, GrandCanonical):
+        _check_levels(eig.values)
+    return HermitianMatrix(_fd_matrix(eig, beta, mu, norm)), mu
+
+
+def _check_levels(values):
+    # a grand canonical state needs every level finite; the canonical mu
+    # search checks its bracket instead
+    if not np.isfinite(values).all():
+        raise BracketError(
+            f"the pencil eigenvalues [{values.min():.6g}, {values.max():.6g}] "
+            f"pass the largest float: the grand canonical state is not defined"
+        )
 
 
 def infinite_temperature_mu(h, s) -> float:
@@ -355,7 +409,7 @@ def exact_grand_fd(system: SystemSpec, mu: float, beta: float) -> HermitianMatri
     eigendecomposition of (H, S).  At beta = 0 this is S / 2 exactly.  A
     pencil eigenvalue past the largest float raises BracketError.
     """
-    return _fd_state(system, system.h_core, beta, GrandCanonical(mu), 1.0)[0]
+    return _fd_state(system, beta, GrandCanonical(mu), 1.0)[0]
 
 
 def exact_canonical_fd(system: SystemSpec, n_electrons: float, beta: float):
@@ -366,10 +420,10 @@ def exact_canonical_fd(system: SystemSpec, n_electrons: float, beta: float):
     :data:`~fermicool.matcore.MU_MAX_ITER` occupation evaluations, through
     the system's cached :attr:`~SystemSpec.pencil`; the search starts at
     its bracket midpoint.  A search that starts from a guess, such as the mu
-    of a nearby temperature, is :func:`scf_fixed_point`'s ``mu_guess``.  At
-    beta = 0 the state is (N/2) S exactly and the reported mu is the
-    analytic limit Tr[H] / Tr[S]; a trace that overflows raises
-    InfeasibleEnsembleError.
+    of a nearby temperature, is :func:`exact_canonical_mu`'s or
+    :func:`scf_fixed_point`'s ``mu_guess``.  At beta = 0 the state is
+    (N/2) S exactly and the reported mu is the analytic limit Tr[H] / Tr[S];
+    a trace that overflows raises InfeasibleEnsembleError.
 
     Returns
     -------
@@ -377,41 +431,108 @@ def exact_canonical_fd(system: SystemSpec, n_electrons: float, beta: float):
         The density matrix and mu(beta).
     """
     norm = canonical_normalization(n_electrons, system.s.mat)
-    p, mu, _ = _fd_state(system, system.h_core, beta, Canonical(n_electrons), norm)
-    return p, mu
+    return _fd_state(system, beta, Canonical(n_electrons), norm)
 
 
-def _fd_jacobian(model: HamiltonianModel, eig: EigenPair, beta: float, mu: float,
-                 norm: float, canonical: bool):
-    """The derivative J of P -> FD(H(P)) at the pencil of H(P), in its eigenbasis.
+def exact_canonical_mu(system: SystemSpec, n_electrons: float, beta: float,
+                       mu_guess=None) -> float:
+    """The chemical potential of :func:`exact_canonical_fd`'s state, without the state.
 
-    ``eig`` is the pencil (V, lambda) of H(P) and ``mu`` the chemical potential
-    of FD(H(P)).  With W = S V, the Daleckii-Krein formula gives
-    J dP = W (K o V^T dH(dP) V) W^T, K_ij = N (f_i - f_j) / (lambda_i - lambda_j)
+    The mu search runs on the system's cached :attr:`~SystemSpec.pencil` and
+    starts from ``mu_guess`` (the bracket midpoint when it is None or outside
+    the bracket); at beta = 0 mu is the limit Tr[H] / Tr[S].  The errors are
+    those of :func:`exact_canonical_fd`.
+    """
+    norm = canonical_normalization(n_electrons, system.s.mat)
+    if beta == 0.0:
+        return infinite_temperature_mu(system.h_core, system.s)
+    return find_mu_for_occupation(system.pencil, system.s.mat, beta, n_electrons, norm,
+                                  guess=mu_guess).mu
+
+
+def _frame_state(model: HamiltonianModel, q, beta: float, ensemble: Ensemble, norm: float,
+                 mu_guess=None):
+    """F(Q), the frame form of FD(H(P)) at P = Y Q Y^T: (F, mu, (lambda, C)).
+
+    G(Q) = G_core + dG(Q - N/2) (:attr:`HamiltonianModel.frame_response`) is
+    decomposed as C diag(lambda) C^T by one ``eigh``, and F = C diag(N f) C^T
+    with f = fermi(beta (lambda - mu)).  A canonical ensemble solves mu from
+    ``mu_guess`` on the weights (C^T diag(s) C)_kk, the occupation of each
+    level, through the pencil of the overlap's eigenbasis, which has the
+    levels lambda (:func:`~fermicool.matcore.find_mu_for_occupation`).  At
+    beta = 0, F = (N/2) 1 whatever H is, the canonical mu is the limit
+    Tr[H(P)] / Tr[S] of the S-frame Hamiltonian, and no eigenpairs are
+    formed (None is returned for them).  Non-finite levels raise
+    BracketError, a G(Q) that is not finite LinAlgError.
+    """
+    system = model.system
+    w, y, _, g_core = system.frame
+    n = system.dim
+    grand = isinstance(ensemble, GrandCanonical)
+    if beta == 0.0:
+        if grand:
+            mu = ensemble.mu
+        else:
+            h = effective_hamiltonian(model, q if y is None else y @ q @ y.T, norm)
+            mu = infinite_temperature_mu(h, system.s)
+        return np.eye(n) * (0.5 * norm), mu, None
+    e = q.copy()
+    e.flat[:: n + 1] -= 0.5 * norm
+    lam, c = np.linalg.eigh(g_core + model.frame_response(e))
+    if grand:
+        _check_levels(lam)
+        mu = ensemble.mu
+    else:
+        # the pencil (U^T H U, diag(s)) has the levels lambda, the vectors
+        # s^-1/2 C and the inverse C^T s^1/2, whose squared rows are the weights
+        if w is None:
+            pencil = EigenPair(lam, c, c.T)
+        else:
+            root = np.sqrt(w)[:, None]
+            pencil = EigenPair(lam, c / root, (c * root).T)
+        mu = find_mu_for_occupation(pencil, system.s, beta, ensemble.n_electrons, norm,
+                                    guess=mu_guess).mu
+    with np.errstate(over="ignore"):  # as in _fd_matrix
+        occ = norm * fermi(beta * (lam - mu))
+    return (c * occ) @ c.T, mu, (lam, c)
+
+
+def _fd_jacobian(model: HamiltonianModel, eig, beta: float, mu: float, norm: float,
+                 canonical: bool):
+    """The derivative J of Q -> F(Q) at the eigenpairs of G(Q), in their eigenbasis.
+
+    ``eig`` is (lambda, C) of G(Q) = C diag(lambda) C^T and ``mu`` the chemical
+    potential of F(Q).  The Daleckii-Krein formula gives
+    J dQ = C (K o C^T dG(dQ) C) C^T, K_ij = N (f_i - f_j) / (lambda_i - lambda_j)
     and N f'(lambda_i) on ties.  In the canonical ensemble mu moves too: the
     d mu term adds N beta f (1 - f) d mu on the diagonal, with d mu chosen so
-    that Tr[J dP] = 0.  Because V^T W = 1, J takes the coordinates X of
-    dP = W X W^T to those of J dP; the returned map does that in O(n^2).
+    that Tr[J dP] = s . diag(J dQ) = 0.  J takes the coordinates X of
+    dQ = C X C^T to those of J dQ; the returned map does that in O(n^2).
     """
-    lam = eig.values
+    lam, c = eig
     with np.errstate(over="ignore"):  # as in _fd_matrix
         f = fermi(beta * (lam - mu))
     rate = norm * beta * f * (1.0 - f)  # -N f'(lambda), the mu-derivative of N f
     gap = np.subtract.outer(lam, lam)
     tie = np.abs(gap) < TIE_TOL / beta
-    gap[tie] = 1.0
+    np.copyto(gap, 1.0, where=tie)
     k = np.subtract.outer(f, f)
     k /= gap
     k *= norm
-    k[tie] = -0.5 * np.add.outer(rate, rate)[tie]
-    w = eig.inv.T
-    d_h = model.congruent_response(eig.vectors, w)  # X -> V^T dH(W X W^T) V
-    gram = w.T @ w if canonical else None  # Tr[W X W^T] = <W^T W, X>
+    np.copyto(k, -0.5 * np.add.outer(rate, rate), where=tie)
+    w = model.system.frame[0]
+    # C^T diag(s) C: Tr[P] for dQ = C X C^T is <gram, X>
+    gram = c.T @ (c if w is None else c * w[:, None])
+    # K o C^T dG(C X C^T) C = (u K) o X + <W, X> (u K) o C^T K C
+    weight, k_rank1 = model.frame_response.eigenbasis(c, gram)
+    k *= model.coupling_u
+    k_rank1 *= k
     slope = float(np.dot(np.diagonal(gram), rate)) if canonical else 0.0
     n = lam.size
 
     def jacobian(x):
-        y = k * d_h(x)
+        y = k * x
+        y += float(np.vdot(weight, x)) * k_rank1
         if slope > 0.0:
             y.flat[:: n + 1] += (-float(np.vdot(gram, y)) / slope) * rate
         return y
@@ -419,19 +540,18 @@ def _fd_jacobian(model: HamiltonianModel, eig: EigenPair, beta: float, mu: float
     return jacobian
 
 
-def _newton_step(jacobian, eig: EigenPair, residual: np.ndarray) -> np.ndarray:
-    # (1 - J) delta = R by Richardson sweeps X <- V^T R V + J X from X = V^T R V
-    v = eig.vectors
-    r = v.T @ residual @ v
+def _newton_step(jacobian, eig, residual: np.ndarray) -> np.ndarray:
+    # (1 - J) delta = R by Richardson sweeps X <- C^T R C + J X from X = C^T R C
+    c = eig[1]
+    r = c.T @ residual @ c
     x = r
     for _ in range(NEWTON_SWEEPS):
         x = r + jacobian(x)
-    w = eig.inv.T
-    return w @ x @ w.T
+    return c @ x @ c.T
 
 
-#: F(P) cannot be formed: H(P) or the state is not finite (ValueError), the
-#: pencil cannot be decomposed (LinAlgError, a ValueError) or mu is not found.
+#: F(Q) cannot be formed: G(Q) is not finite or cannot be decomposed
+#: (LinAlgError, a ValueError), a level is not finite or mu is not found.
 _FAILED_ITERATE = (ValueError, BracketError, MuConvergenceError)
 
 
@@ -461,29 +581,38 @@ def scf_fixed_point(
     iteration evaluates F once and stops when the max-abs change
     ``R = F(P) - P`` drops below ``tol``, returning F(P).
 
-    With ``use_aitken`` (the name is kept from an earlier Aitken-extrapolated
-    variant) the next iterate is the Newton step P + delta on R(P) = 0:
+    The iteration runs in the system's frame (:attr:`SystemSpec.frame`) on
+    Q = Z^T P Z, where F(P) = Y F(Q) Y^T: the evaluation at Q refreshes
+    G(Q) = G_core + dG(Q - N/2) in O(n^2) through the model's
+    :attr:`~HamiltonianModel.frame_response`, decomposes it with one
+    ``eigh`` as C diag(lambda) C^T and forms F(Q) = C diag(N f) C^T
+    (:func:`_frame_state`).  The residual is still taken in the S frame,
+    max |Y (F(Q) - Q) Y^T|, and P = Y F(Q) Y^T is formed once, on return; a
+    ``start`` enters as Z^T P Z.
 
-    * J, the derivative of F, comes from the eigendecomposition (V, lambda)
-      of H(P) that the evaluation already made.  With W = S V it is
-      J dP = W (K o V^T dH(dP) V) W^T, K_ij = N (f_i - f_j) / (lambda_i -
-      lambda_j), and N f'(lambda_i) on near-ties (:func:`_fd_jacobian`);
+    With ``use_aitken`` (the name is kept from an earlier Aitken-extrapolated
+    variant) the next iterate is the Newton step Q + delta on R(Q) = 0:
+
+    * J, the derivative of F, comes from the eigenpairs of G(Q) that the
+      evaluation already made: J dQ = C (K o C^T dG(dQ) C) C^T,
+      K_ij = N (f_i - f_j) / (lambda_i - lambda_j), and N f'(lambda_i) on
+      near-ties (:func:`_fd_jacobian`);
     * in the canonical ensemble J also moves mu, by the d mu that keeps
       Tr[J dP] = 0;
     * (1 - J) delta = R is solved by :data:`NEWTON_SWEEPS` Richardson sweeps
       delta <- R + J delta from delta = R;
     * whenever the residual did not fall below the previous one, or F at
       the Newton iterate cannot be evaluated (see below), the step is the
-      plain Picard step P -> F(P) instead.  Every such fallback counts
+      plain Picard step Q -> F(Q) instead.  Every such fallback counts
       toward the oscillation limit and the count is never reset, so Newton
       steps that keep failing between Picard steps end as oscillation.
 
     Without ``use_aitken`` every step is the Picard step.
 
-    At extreme coupling F may not be evaluable at an iterate: H(P) is not
-    finite, the pencil (H(P), S) cannot be decomposed, or the canonical mu
-    search fails.  Past the start density, such a Newton iterate is a failed
-    step as above and such a Picard iterate ends the SCF with
+    At extreme coupling F may not be evaluable at an iterate: G(Q) is not
+    finite or cannot be decomposed, a level is not finite, or the canonical
+    mu search fails.  Past the start density, such a Newton iterate is a
+    failed step as above and such a Picard iterate ends the SCF with
     ScfConvergenceError naming the cause, with no numpy warning; at the
     start density the failure raises its own error.
 
@@ -494,7 +623,9 @@ def scf_fixed_point(
     (:func:`~fermicool.matcore.find_mu_for_occupation`).
 
     Linear models (coupling_u == 0) are their own fixed point after a single
-    evaluation and are accepted trivially with ``iterations = 1``.
+    evaluation, on the system's cached pencil as in :func:`exact_grand_fd`
+    and :func:`exact_canonical_fd`, and are accepted trivially with
+    ``iterations = 1``; they ignore ``start``.
 
     Raises
     ------
@@ -512,33 +643,42 @@ def scf_fixed_point(
     if max_iter < 1:
         raise ValueError(f"SCF iteration limit must be at least 1, got {max_iter}")
     system = model.system
+    n = system.dim
     canonical = isinstance(ensemble, Canonical)
     norm = canonical_normalization(ensemble.n_electrons, system.s.mat) if canonical else 1.0
-    if start is None:
-        p = 0.5 * norm * system.s.mat
-    else:
-        p = np.asarray(start, dtype=float)
-        if p.shape != (system.dim, system.dim):
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (n, n):
             raise ValueError(
-                f"start density has shape {p.shape}, system dimension is {system.dim}"
+                f"start density has shape {start.shape}, system dimension is {n}"
             )
+    if model.is_linear:
+        p, mu = _fd_state(system, beta, ensemble, norm, mu_guess)
+        return ScfResult(p, mu, 1)
 
-    def evaluate(p, mu):
-        # F(P), its mu and the pencil of H(P); the mu search starts at ``mu``
-        return _fd_state(system, effective_hamiltonian(model, p, norm), beta, ensemble, norm, mu)
+    _, y, z, _ = system.frame
+    if start is None:
+        q = np.eye(n) * (0.5 * norm)
+    else:
+        q = start.copy() if y is None else z.T @ start @ z
+
+    def s_frame(m):
+        # Y M Y^T, the S-frame matrix of the frame matrix M
+        return m if y is None else y @ m @ y.T
+
+    def evaluate(q, mu):
+        # F(Q), its mu and the eigenpairs of G(Q); the mu search starts at ``mu``
+        return _frame_state(model, q, beta, ensemble, norm, mu)
 
     # failures at the start density keep their own errors
-    p_new, mu, eig = evaluate(p, mu_guess)
-    if model.is_linear:
-        return ScfResult(p_new, mu, 1)
-
+    f, mu, eig = evaluate(q, mu_guess)
     prev_residual = np.inf
     stalled = 0
     for it in range(1, max_iter + 1):
-        r = p_new.mat - p
-        residual = float(np.abs(r).max())
+        r = f - q
+        residual = float(np.abs(s_frame(r)).max())
         if residual < tol:
-            return ScfResult(p_new, mu, it)
+            return ScfResult(HermitianMatrix(s_frame(f)), mu, it)
         if residual >= prev_residual:
             stalled += 1
         elif not use_aitken:
@@ -557,16 +697,16 @@ def scf_fixed_point(
         state = None
         with np.errstate(over="ignore", invalid="ignore"):
             if use_aitken and eig is not None and residual < prev_residual:
-                trial = p + _newton_step(_fd_jacobian(model, eig, beta, mu, norm, canonical),
+                trial = q + _newton_step(_fd_jacobian(model, eig, beta, mu, norm, canonical),
                                          eig, r)
                 try:
-                    state, p = evaluate(trial, mu), trial
+                    state, q = evaluate(trial, mu), trial
                 except _FAILED_ITERATE:
                     stalled += 1
             if state is None:
-                p = p_new.mat
+                q = f
                 try:
-                    state = evaluate(p, mu)
+                    state = evaluate(q, mu)
                 except _FAILED_ITERATE as exc:
                     cause = ("the pencil of H(P) cannot be decomposed"
                              if isinstance(exc, np.linalg.LinAlgError) else exc)
@@ -574,6 +714,6 @@ def scf_fixed_point(
                         residual, it,
                         f"SCF iterate {it + 1}, a Picard step, has no Fermi-Dirac state: {cause}",
                     ) from None
-        p_new, mu, eig = state
+        f, mu, eig = state
         prev_residual = residual
     raise ScfConvergenceError(residual, max_iter)

@@ -182,7 +182,7 @@ def _rate(p, f, norm, mu=None, w=None):
     out *= -0.5
     if mu is not None:
         return out, mu
-    diag_x, diag_fx = np.diagonal(x), np.diagonal(fx)
+    diag_x, diag_fx = x.diagonal(), fx.diagonal()
     den = float(diag_x.sum() if w is None else w @ diag_x)
     _check_trace(den)
     sigma = float(diag_fx.sum() if w is None else w @ diag_fx) / den
@@ -204,7 +204,8 @@ def _flow(p, f, norm, delta_beta, scheme, mu=None, w=None, t=None):
     eigenvalues in the frame, or None (the identity); W P is a row scaling
     and every weighted trace an O(n) or O(n^2) sum.
 
-    Returns (out, dz, A), ``out`` unsymmetrized and dz the step's increment
+    Returns (out, dz, A), ``out`` unsymmetrized (exactly symmetric for
+    "rk4") and dz the step's increment
     of beta mu: A P A^T with A = 1 + db B and dz = db sigma for "kraus1";
     A P A^T with A = 1 + db B + (db^2 / 2)(B^2 + B') and
     dz = db (sigma + db sigma' / 2) for "kraus2"; the classic RK4 update over
@@ -348,7 +349,7 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
 
     The state is Q = Z^T P Z from Q(0) = (N/2) 1, stepped against
     G = Z^T H Z, where S = Y Y^T, Y = U s^1/2 and Z = Y^-T come from the
-    overlap's eigenpairs (:attr:`~fermicool.matcore.OverlapMatrix.frame`);
+    overlap's eigenpairs (:attr:`~fermicool.models.SystemSpec.frame`);
     for S = 1 the frame is P itself.  The canonical trace weight is the
     vector s, so S Q is a row scaling.  G - mu is formed once for linear
     models.  Density-dependent models refresh G from Q at the start of every
@@ -356,9 +357,10 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     the refresh stays in the frame and costs O(n^2):
     G(Q) = G_core + u [(Q - N/2) + phi K] with K = Z^T J Z formed once per
     run and phi from (Y^T 1)^T Q (Y^T 1) and Tr[diag(s) Q]
-    (:meth:`~fermicool.models.HamiltonianModel.congruent_response`).
+    (:attr:`~fermicool.models.HamiltonianModel.frame_response`).
     P = Y Q Y^T, formed once for the final state, is the one S-frame matrix
-    cool() forms.  After each step Q is symmetrized and its
+    cool() forms.  After each congruence step Q is symmetrized (an RK4 step
+    keeps it exactly symmetric), and after every step its
     entries below :data:`TAIL_FLOOR` * N/2 are zeroed, so that no product of
     the next step underflows; this moves each eigenvalue by less than
     n * TAIL_FLOOR * N/2.
@@ -405,8 +407,8 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
         mu = kernel_mu = float(ensemble.mu)
 
     # no frame change when S is exactly the identity
-    frame = np.count_nonzero(s_mat) != n or not (np.diagonal(s_mat) == 1.0).all()
-    w, y, z = system.s.frame if frame else (None, None, None)
+    w, y, _, g = system.frame
+    frame = y is not None
 
     def kernel_operator(g_now):
         # the kernel's F: G, or G - mu for grand runs
@@ -418,14 +420,12 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
 
     p0 = 0.5 * norm * s_mat
     q = np.eye(n) * (0.5 * norm)
-    g = system.h_core.mat  # the model's correction vanishes at P(0)
-    if frame:  # G = Z^T H Z
-        g = symmetrize(z.T @ g @ z)
+    # G = Z^T H Z; the model's correction vanishes at P(0)
     f = kernel_operator(g)
     if not model.is_linear:
         # G(Q) = G_core + Z^T dH(Y (Q - N/2) Y^T) Z in O(n^2)
         g_core = g
-        d_g = model.congruent_response(z, y) if frame else model.response
+        d_g = model.frame_response
         # the weights of _frame_norm for Z C Y^T and Y C Y^T
         comm_weight, defect_weight = ((np.outer(1.0 / w, w), np.outer(w, w)) if frame
                                       else (None, None))
@@ -442,6 +442,10 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
            0.0, 0.0)
     del p0  # the loop holds Q alone and forms P only for the final state
     q_floor = 0.5 * norm * TAIL_FLOOR
+    # the RK4 result is exactly symmetric: X = Q Q^T is one symmetric rank-k
+    # product, the rate adds F X to its own transpose and every other stage
+    # operation is elementwise; so only the congruence results are symmetrized
+    rk4 = scheme == "rk4"
     # outer(s^1/2, s^1/2) is exactly symmetric, and so is the scaled state
     # D^1/2 Q D^1/2 whose spectrum is that of P
     if frame:
@@ -473,11 +477,15 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
                 beta_mu += dz
                 mu = beta_mu / beta_next
 
-            q = q_raw + q_raw.T
-            q *= 0.5
+            # the matrix that Q no longer needs takes the flush's |Q|
+            if rk4:
+                q, spare = q_raw, q
+            else:
+                q, spare = q_raw + q_raw.T, q_raw
+                q *= 0.5
             # the flush's |Q| also serves the finiteness test: its largest
             # entry is NaN or inf exactly when some entry is
-            mag = _flush_tail(q, q_floor, out=q_raw)
+            mag = _flush_tail(q, q_floor, out=spare)
             if not (math.isfinite(mag.max()) and math.isfinite(mu)):
                 raise SolverAbortError(beta_i)
             if recording:

@@ -41,4 +41,5 @@ def random_symmetric(rng, dim, scale=1.0):
 def search_occupation(eig, beta, mu, normalization=1.0):
     """Electron count N Tr[S f(S^-1 H - mu)] through the evaluator the mu search uses."""
     w = matcore._occupation_weights(eig)
-    return matcore._occupation_and_slope(w, eig.values, beta, mu, normalization)[0]
+    with np.errstate(over="ignore"):  # as in the search
+        return matcore._occupation_and_slope(w, eig.values, beta, mu, normalization)[0]

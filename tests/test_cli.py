@@ -79,6 +79,19 @@ class TestRun:
         assert out1.read_bytes() == out2.read_bytes()
         assert (tmp_path / "a.diag.csv").read_bytes() == (tmp_path / "b.diag.csv").read_bytes()
 
+    def test_names_that_differ_before_a_dot_keep_their_own_side_files(self, tmp_path):
+        # the side files drop only a final ".csv": run1.5.csv must not write
+        # run1.mu.csv, run1.diag.csv and run1.meta, the side files of run1.csv
+        args = ["run", "--huckel", "6", "0.5", "0.1", "--canonical", "3",
+                "--scheme", "kraus1", "--beta", "1", "--dbeta", "0.1"]
+        written = []
+        for name in ("run1.csv", "run1.5.csv"):
+            before = set(tmp_path.iterdir())
+            assert main(args + ["--out", str(tmp_path / name)]) == 0
+            written.append({p.name for p in set(tmp_path.iterdir()) - before})
+        assert written == [{"run1.csv", "run1.mu.csv", "run1.diag.csv", "run1.meta"},
+                           {"run1.5.csv", "run1.5.mu.csv", "run1.5.diag.csv", "run1.5.meta"}]
+
     def test_files_source(self, tmp_path, data_dir):
         out = tmp_path / "f.csv"
         code = main([
@@ -189,6 +202,48 @@ class TestRun:
         ]) == 0
         assert len(evaluations) >= 100
         assert sum(evaluations) <= 0.6 * cold
+
+    @pytest.mark.parametrize("case, extra, seam", [
+        ("linear", ["--scheme", "rk4"], "_fd_matrix"),
+        ("nonlinear", ["--nonlinear", "0.05", "--scheme", "kraus2"], "generalized_eigh"),
+    ])
+    def test_mu_trace_makes_only_what_it_reads(self, tmp_path, monkeypatch, case, extra, seam):
+        # a linear trace solves for mu alone on the cached pencil and forms
+        # no density (one per record after beta = 0 would be 100); a
+        # nonlinear trace iterates in the overlap frame, one eigh per
+        # evaluation, and decomposes no pencil (one per evaluation would be
+        # about 200)
+        from fermicool import cli, matcore, models, write_matrix
+
+        calls, tracing = [], []
+        trace = cli._mu_trace
+
+        def trace_spy(*args):
+            tracing.append(True)
+            try:
+                return trace(*args)
+            finally:
+                tracing.clear()
+
+        for module in (models, matcore):
+            if hasattr(module, seam):
+                def spy(*args, _inner=getattr(module, seam), **kwargs):
+                    if tracing:
+                        calls.append(1)
+                    return _inner(*args, **kwargs)
+
+                monkeypatch.setattr(module, seam, spy)
+        monkeypatch.setattr(cli, "_mu_trace", trace_spy)
+        h, s = gaussian_chain()
+        write_matrix(tmp_path / "h.mat", h)
+        write_matrix(tmp_path / "s.mat", s)
+        assert main([
+            "run", "--files", str(tmp_path / "h.mat"), str(tmp_path / "s.mat"),
+            "--canonical", "15", "--beta", "5", "--dbeta", "0.01", *extra,
+            "--out", str(tmp_path / f"{case}.csv"),
+        ]) == 0
+        assert len(read_csv(tmp_path / f"{case}.mu.csv")) == 102
+        assert calls == []
 
     def test_subnormal_entries_do_not_change_outputs(self, tmp_path):
         # the Gaussian tails of a 60-site chain hold subnormal entries;
@@ -688,6 +743,31 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "error[argument]" in err and "--out" in err and "Traceback" not in err
         assert solves == [] and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--dbeta", "0.1"],
+        ["oracle"],
+        ["convergence", "--scheme", "kraus1", "--dbeta-list", "0.1", "0.05", "0.025"],
+    ], ids=["run", "oracle", "convergence"])
+    def test_out_naming_a_directory_fails_before_any_solve(self, tmp_path, capsys,
+                                                           monkeypatch, argv):
+        # a directory cannot take the spectra CSV: the io error comes before
+        # the cooling run and the mu trace, not after them
+        from fermicool import cli
+
+        def solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(cli, "cool", solve)
+        monkeypatch.setattr(cli, "scf_fixed_point", solve)
+        target = tmp_path / "results"
+        target.mkdir()
+        code = main([argv[0], "--huckel", "6", "0", "1", "--canonical", "3", "--beta", "1",
+                     *argv[1:], "--out", str(target)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error[io]" in err and "Is a directory" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
 
     def test_problem_too_large_for_memory(self, tmp_path, capsys):
         # 1e9 sites ask for a 6.9 EiB matrix, whose allocation fails at once

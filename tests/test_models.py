@@ -405,13 +405,13 @@ class TestScfFixedPoint:
         from fermicool.models import SCF_OSCILLATION_LIMIT
 
         evaluations = []
-        fd_state = models._fd_state
+        frame_state = models._frame_state
 
         def spy(*args):
             evaluations.append(1)
-            return fd_state(*args)
+            return frame_state(*args)
 
-        monkeypatch.setattr(models, "_fd_state", spy)
+        monkeypatch.setattr(models, "_frame_state", spy)
         system = build_huckel(6, 0.569, 0.066)
         model = HamiltonianModel(system, coupling_u=0.5)
         with pytest.raises(ScfConvergenceError, match="oscillation"):
@@ -425,7 +425,7 @@ class TestScfFixedPoint:
         # whether a Newton step was just taken) holds
         from fermicool import models
 
-        fd_state, newton_step = models._fd_state, models._newton_step
+        frame_state, newton_step = models._frame_state, models._newton_step
         calls, trial = [], []
 
         def newton_spy(*args):
@@ -437,10 +437,10 @@ class TestScfFixedPoint:
             trial.clear()
             if fails(len(calls), calls[-1]):
                 raise error
-            return fd_state(*args)
+            return frame_state(*args)
 
         monkeypatch.setattr(models, "_newton_step", newton_spy)
-        monkeypatch.setattr(models, "_fd_state", fd_spy)
+        monkeypatch.setattr(models, "_frame_state", fd_spy)
         return calls
 
     FAILURES = [np.linalg.LinAlgError("Eigenvalues did not converge"),

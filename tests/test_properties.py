@@ -53,9 +53,9 @@ from fermicool import (  # noqa: E402
     step_kraus2,
     write_matrix,
 )
-from fermicool import solvers  # noqa: E402
+from fermicool import models, solvers  # noqa: E402
 from fermicool.cli import main  # noqa: E402
-from fermicool.models import _fd_jacobian, _fd_state  # noqa: E402
+from fermicool.models import _fd_jacobian, _frame_state  # noqa: E402
 from conftest import random_spd, random_symmetric, search_occupation  # noqa: E402
 
 #: Largest relative gap between cool() and the S-frame reference, fixed
@@ -353,7 +353,8 @@ def affine_systems(draw):
 @given(data=st.data(), coupling=st.floats(-0.5, 0.5), log_beta=st.floats(-1.0, 1.0))
 def test_newton_jacobian_matches_a_finite_difference(data, coupling, log_beta):
     # J dP of P -> FD(H(P)) against a central difference of an independent
-    # evaluation, at a point near the initial value (N/2) S
+    # evaluation, at a point near the initial value (N/2) S.  The SCF takes J
+    # in the overlap frame, on dQ = Z^T dP Z in the eigenbasis C of G(Q)
     system, ensemble, norm = data.draw(affine_systems())
     beta = 10.0 ** log_beta
     model = HamiltonianModel(system, coupling_u=coupling)
@@ -361,11 +362,13 @@ def test_newton_jacobian_matches_a_finite_difference(data, coupling, log_beta):
     n = system.dim
     p = 0.5 * norm * system.s.mat + 0.05 * random_symmetric(rng, n)
     dp = random_symmetric(rng, n)
-    h_eff = effective_hamiltonian(model, p, norm)
-    _, mu, eig = _fd_state(system, h_eff, beta, ensemble, norm)
+    _, y, z, _ = system.frame
+    if y is None:  # S is the identity, and the frame is P itself
+        y = z = np.eye(n)
+    _, mu, eig = _frame_state(model, z.T @ p @ z, beta, ensemble, norm)
     jacobian = _fd_jacobian(model, eig, beta, mu, norm, isinstance(ensemble, Canonical))
-    w = eig.inv.T
-    j_dp = w @ jacobian(eig.vectors.T @ dp @ eig.vectors) @ w.T
+    c = eig[1]
+    j_dp = y @ c @ jacobian(c.T @ (z.T @ dp @ z) @ c) @ c.T @ y.T
     step = 1e-4
 
     def fd(sign):
@@ -395,6 +398,107 @@ def test_newton_fixed_point_is_the_picard_fixed_point(data, coupling, log_beta):
     assert newton.iterations <= picard.iterations
 
 
+def ref_scf(model, ensemble, beta, use_aitken, start, mu_guess, tol=1e-10, max_iter=200):
+    """The SCF iterated in the S frame: each evaluation rebuilds H(P),
+    decomposes the pencil (H(P), S) and forms FD(H(P)) = N (S V) f (S V)^T;
+    the Newton step takes J in the pencil's eigenbasis, dP = W X W^T with
+    W = S V.  Returns (P, mu, iterations) or raises ScfConvergenceError."""
+    system = model.system
+    s = system.s.mat
+    canonical = isinstance(ensemble, Canonical)
+    norm = canonical_normalization(ensemble.n_electrons, s) if canonical else 1.0
+
+    def evaluate(p, mu_start):
+        h = effective_hamiltonian(model, p, norm)
+        if beta == 0.0:
+            mu = float(np.trace(h.mat)) / float(np.trace(s)) if canonical else ensemble.mu
+            return 0.5 * norm * s, mu, None
+        eig = generalized_eigh(h, system.s)
+        mu = (find_mu_for_occupation(eig, s, beta, ensemble.n_electrons, norm,
+                                     guess=mu_start).mu if canonical else ensemble.mu)
+        w = eig.inv.T
+        return HermitianMatrix((w * (norm * expit(-beta * (eig.values - mu)))) @ w.T).mat, mu, eig
+
+    def newton_step(eig, mu, r):
+        lam, v, w = eig.values, eig.vectors, eig.inv.T
+        f = expit(-beta * (lam - mu))
+        rate = norm * beta * f * (1.0 - f)
+        gap = np.subtract.outer(lam, lam)
+        tie = np.abs(gap) < models.TIE_TOL / beta
+        gap[tie] = 1.0
+        k = norm * np.subtract.outer(f, f) / gap
+        k[tie] = -0.5 * np.add.outer(rate, rate)[tie]
+        gram = w.T @ w
+        slope = float(np.diagonal(gram) @ rate) if canonical else 0.0
+
+        def jacobian(x):
+            y = k * (v.T @ model.response(w @ x @ w.T) @ v)
+            if slope > 0.0:
+                y.flat[:: y.shape[0] + 1] -= float(np.vdot(gram, y)) / slope * rate
+            return y
+
+        rv = v.T @ r @ v
+        x = rv
+        for _ in range(models.NEWTON_SWEEPS):
+            x = rv + jacobian(x)
+        return w @ x @ w.T
+
+    p = 0.5 * norm * s if start is None else start
+    p_new, mu, eig = evaluate(p, mu_guess)
+    if model.is_linear:  # its own fixed point
+        return p_new, mu, 1
+    prev, stalled = np.inf, 0
+    for it in range(1, max_iter + 1):
+        r = p_new - p
+        residual = float(np.abs(r).max())
+        if residual < tol:
+            return p_new, mu, it
+        if residual >= prev:
+            stalled += 1
+        elif not use_aitken:
+            stalled = 0
+        if stalled >= models.SCF_OSCILLATION_LIMIT:
+            raise ScfConvergenceError(residual, it)
+        if it == max_iter:
+            break
+        if use_aitken and eig is not None and residual < prev:
+            p = p + newton_step(eig, mu, r)
+        else:
+            p = p_new
+        p_new, mu, eig = evaluate(p, mu)
+        prev = residual
+    raise ScfConvergenceError(residual, max_iter)
+
+
+@given(data=st.data(), coupling=st.floats(-0.3, 0.3), log_beta=st.floats(-1.0, 1.0),
+       use_aitken=st.booleans(), warm=st.booleans())
+def test_frame_scf_is_the_s_frame_scf(data, coupling, log_beta, use_aitken, warm):
+    # scf_fixed_point iterates on Q = Z^T P Z with one eigh of G(Q) per
+    # evaluation; it takes the same steps as the S-frame loop, to rounding
+    system, ensemble, norm = data.draw(affine_systems())
+    beta = 0.0 if data.draw(st.integers(0, 9)) == 0 else 10.0 ** log_beta
+    model = HamiltonianModel(system, coupling_u=coupling)
+    start = mu_guess = None
+    if warm:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        start = 0.5 * norm * system.s.mat + 0.05 * random_symmetric(rng, system.dim)
+        mu_guess = data.draw(st.floats(-1.0, 1.0))
+    try:
+        p_ref, mu_ref, iterations = ref_scf(model, ensemble, beta, use_aitken, start, mu_guess)
+    except ScfConvergenceError as exc:
+        with pytest.raises(ScfConvergenceError) as err:
+            scf_fixed_point(model, ensemble, beta, use_aitken=use_aitken, start=start,
+                            mu_guess=mu_guess)
+        assert err.value.iterations == exc.iterations
+        return
+    res = scf_fixed_point(model, ensemble, beta, use_aitken=use_aitken, start=start,
+                          mu_guess=mu_guess)
+    assert res.iterations == iterations
+    scale = norm * np.linalg.norm(system.s.mat, 2)
+    assert np.abs(res.density.mat - p_ref).max() <= 1e-12 * scale
+    assert abs(res.mu - mu_ref) <= 1e-12
+
+
 @given(data=st.data(), coupling=st.floats(-1.0, 1.0))
 def test_frame_refresh_is_the_s_frame_hamiltonian(data, coupling):
     # cool()'s O(n^2) refresh G_core + u [(Q - N/2) + phi K] against the
@@ -407,7 +511,7 @@ def test_frame_refresh_is_the_s_frame_hamiltonian(data, coupling):
     q = random_symmetric(rng, n)
     e = q.copy()
     e.flat[:: n + 1] -= 0.5 * norm
-    g = z.T @ system.h_core.mat @ z + model.congruent_response(z, y)(e)
+    g = z.T @ system.h_core.mat @ z + model.frame_response(e)
     ref = z.T @ effective_hamiltonian(model, y @ q @ y.T, norm).mat @ z
     assert np.abs(g - ref).max() <= 1e-13 * max(np.abs(ref).max(), 1.0)
 

@@ -273,6 +273,25 @@ class TestFlowRk4:
         assert dz == (db / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
         assert a is None
 
+    @pytest.mark.parametrize("n, tail", [(7, False), (60, False), (60, True)],
+                             ids=["n7", "n60", "n60-flushed"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["w-none", "w-given"])
+    @pytest.mark.parametrize("mu", [None, 0.3], ids=["canonical", "grand"])
+    def test_step_of_a_symmetric_state_is_exactly_symmetric(self, rng, mu, weighted, n, tail):
+        # cool() keeps the RK4 result unsymmetrized: X = Q Q^T is one
+        # symmetric rank-k product, the rate adds F X to its own transpose and
+        # every other stage operation, the tail flush included, is elementwise
+        q = symmetrize(random_spd(rng, n, lo=0.1, hi=0.7))
+        f = random_symmetric(rng, n) + 1e-3 * rng.normal(size=(n, n))  # F need not be
+        if tail:  # two blocks, coupled far below the floor: the stages flush
+            half = n // 2
+            for m in (q, f):
+                m[:half, half:] = m[half:, :half] = 0.0
+            q[0, -1] = q[-1, 0] = 1e-90
+        w = rng.uniform(0.5, 2.0, n) if weighted else None
+        out, _, _ = _flow(q, f, 1.0 if mu is not None else 0.8, 0.37, "rk4", mu=mu, w=w)
+        assert np.array_equal(out, out.T)
+
 
 class TestMuRhs:
     """The mu derivative (sigma - mu) / beta implied by d(beta mu)/dbeta = sigma,
