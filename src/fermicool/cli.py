@@ -251,7 +251,7 @@ def _mu_trace(req: RunRequest, betas, mu_integrated):
 
     The oracle walks the record betas in order.  Each mu search starts from
     the quadratic extrapolation in beta of the previous three oracle mu.  A
-    linear model solves for mu alone on the system's cached pencil
+    linear model solves for mu alone on the system's cached levels
     (:func:`~fermicool.models.exact_canonical_mu`), forms no density and
     runs no SCF; a nonlinear model continues its SCF from the extrapolation
     of the previous three fixed points.  Only those three are kept (see

@@ -19,16 +19,17 @@ of the Fermi factor; in the canonical ensemble a d mu term keeps
 Tr[J dP] = 0).  The SCF takes Newton steps (1 - J) delta = F(P) - P and falls
 back to the Picard step P -> F(P) whenever the residual did not fall.
 
-A system decomposes its pencil ``(H_core, S)`` once (:attr:`SystemSpec.pencil`);
-the oracles of the linear model, :func:`exact_grand_fd`,
-:func:`exact_canonical_fd` and :func:`exact_canonical_mu`, reuse that
-decomposition.  A system also fixes the overlap frame
-(:attr:`SystemSpec.frame`): Y = U s^1/2 and Z = Y^-T from the overlap's
-eigenpairs S = U diag(s) U^T, in which a density is carried as Q = Z^T P Z
-against G = Z^T H Z, with the standard eigenproblem of G in place of the
-pencil.  The cooling flow in :mod:`fermicool.solvers` and the SCF both work
-there, and share the model's response seen in that frame
-(:attr:`HamiltonianModel.frame_response`), whose refresh of G costs O(n^2).
+A system fixes the overlap frame (:attr:`SystemSpec.frame`): Y = U s^1/2 and
+Z = Y^-T from the overlap's eigenpairs S = U diag(s) U^T, in which a density
+is carried as Q = Z^T P Z against G = Z^T H Z, with the standard eigenproblem
+of G in place of the pencil (H, S).  The cooling flow in
+:mod:`fermicool.solvers` and every exact state work there.  One evaluation,
+F(Q) = C diag(N f) C^T from the levels G = C diag(lambda) C^T, serves the
+SCF and the linear oracles :func:`exact_grand_fd`, :func:`exact_canonical_fd`
+and :func:`exact_canonical_mu` alike; a linear model's levels are those of
+G_core, decomposed once per system (:attr:`SystemSpec.levels`), and a
+nonlinear model refreshes G through its response seen in the frame
+(:attr:`HamiltonianModel.frame_response`) in O(n^2), as the cooling flow does.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ SCF_OSCILLATION_LIMIT = 10
 #: Richardson sweeps that solve each SCF Newton system (1 - J) delta = R.
 NEWTON_SWEEPS = 3
 
-#: |beta (lambda_i - lambda_j)| below which two pencil eigenvalues are a tie,
+#: |beta (lambda_i - lambda_j)| below which two levels of G(Q) are a tie,
 #: whose Fermi divided difference is taken as the derivative instead.
 TIE_TOL = 1e-6
 
@@ -89,11 +90,6 @@ class SystemSpec:
         return self.h_core.dim
 
     @cached_property
-    def pencil(self) -> EigenPair:
-        """Generalized eigendecomposition of (h_core, s), computed on first use."""
-        return generalized_eigh(self.h_core, self.s)
-
-    @cached_property
     def frame(self) -> tuple:
         """The frame (s, Y, Z, G_core) in which densities are carried, computed on first use.
 
@@ -111,6 +107,23 @@ class SystemSpec:
         g_core = symmetrize(z.T @ self.h_core.mat @ z)
         g_core.flags.writeable = False
         return w, y, z, g_core
+
+    @cached_property
+    def levels(self):
+        """The eigenpairs (lambda, C) of G_core = C diag(lambda) C^T, computed on first use.
+
+        lambda holds the ascending levels of the pencil (H_core, S) and C the
+        orthogonal eigenvectors of G_core (:attr:`frame`), whose columns are
+        the pencil's eigenvectors Z C seen in the frame.  C is kept in
+        column-major order, the layout of the pencil's ``S V`` in
+        :func:`~fermicool.matcore.generalized_eigh`, so that with S = 1 the
+        states and occupation weights formed from C round exactly as those
+        formed from that decomposition do.  Both are read-only.
+        """
+        lam, c = np.linalg.eigh(self.frame[3])
+        c = np.asfortranarray(c)
+        lam.flags.writeable = c.flags.writeable = False
+        return lam, c
 
 
 @dataclass(frozen=True)
@@ -329,7 +342,7 @@ def default_chemical_potential(system: SystemSpec, use_pencil: bool = False) -> 
     if system.dim < 2:
         raise ValueError("need at least two levels to take a mid-spectrum average")
     if use_pencil:
-        vals = system.pencil.values
+        vals = system.levels[0]
     else:
         vals = np.linalg.eigvalsh(system.h_core.mat)
     mid = system.dim // 2
@@ -343,37 +356,6 @@ def default_chemical_potential(system: SystemSpec, use_pencil: bool = False) -> 
 def occupation_spectrum(p, s) -> np.ndarray:
     """Ascending eigenvalues of S^-1 P, the orbital occupation numbers."""
     return generalized_eigh(p, s).values
-
-
-def _fd_matrix(eig: EigenPair, beta: float, mu: float, normalization: float) -> np.ndarray:
-    # P = N (S V) f (S V)^T with f = fermi(beta (lambda - mu)); symmetric PSD
-    # by construction.  S V is the transpose of the cached inverse V^T S.
-    # an argument that overflows to +-inf saturates the Fermi factor exactly
-    with np.errstate(over="ignore"):
-        occ = normalization * fermi(beta * (eig.values - mu))
-    w = eig.inv.T
-    return (w * occ) @ w.T
-
-
-def _fd_state(system: SystemSpec, beta: float, ensemble: Ensemble, norm: float, mu_guess=None):
-    """Fermi-Dirac state of the system's cached pencil (H_core, S): (P, mu).
-
-    A canonical ensemble solves mu from ``mu_guess`` (:func:`exact_canonical_mu`).
-    At beta = 0 the state is (N/2) S and no pencil is decomposed.  A pencil
-    eigenvalue past the largest float raises BracketError in either ensemble:
-    the grand canonical one checks the levels here, the canonical one through
-    its mu bracket (:func:`~fermicool.matcore.find_mu_for_occupation`).
-    """
-    if isinstance(ensemble, GrandCanonical):
-        mu = ensemble.mu
-    else:
-        mu = exact_canonical_mu(system, ensemble.n_electrons, beta, mu_guess)
-    if beta == 0.0:
-        return HermitianMatrix(0.5 * norm * system.s.mat), mu
-    eig = system.pencil
-    if isinstance(ensemble, GrandCanonical):
-        _check_levels(eig.values)
-    return HermitianMatrix(_fd_matrix(eig, beta, mu, norm)), mu
 
 
 def _check_levels(values):
@@ -405,11 +387,11 @@ def infinite_temperature_mu(h, s) -> float:
 def exact_grand_fd(system: SystemSpec, mu: float, beta: float) -> HermitianMatrix:
     """Exact grand canonical Fermi-Dirac density matrix at inverse temperature beta.
 
-    Computed through the system's cached :attr:`~SystemSpec.pencil`, the
-    eigendecomposition of (H, S).  At beta = 0 this is S / 2 exactly.  A
-    pencil eigenvalue past the largest float raises BracketError.
+    Computed from the system's cached :attr:`~SystemSpec.levels`, the
+    eigendecomposition of (H, S) in the overlap frame.  At beta = 0 this is
+    S / 2 exactly.  A level past the largest float raises BracketError.
     """
-    return _fd_state(system, beta, GrandCanonical(mu), 1.0)[0]
+    return _exact_state(system, beta, GrandCanonical(mu), 1.0)[0]
 
 
 def exact_canonical_fd(system: SystemSpec, n_electrons: float, beta: float):
@@ -417,10 +399,10 @@ def exact_canonical_fd(system: SystemSpec, n_electrons: float, beta: float):
 
     Solves mu(beta) so that Tr[P] = n_electrons within
     :data:`~fermicool.matcore.MU_TOL`, in at most
-    :data:`~fermicool.matcore.MU_MAX_ITER` occupation evaluations, through
-    the system's cached :attr:`~SystemSpec.pencil`; the search starts at
-    its bracket midpoint.  A search that starts from a guess, such as the mu
-    of a nearby temperature, is :func:`exact_canonical_mu`'s or
+    :data:`~fermicool.matcore.MU_MAX_ITER` occupation evaluations, on the
+    system's cached :attr:`~SystemSpec.levels`; the search starts at its
+    bracket midpoint.  A search that starts from a guess, such as the mu of
+    a nearby temperature, is :func:`exact_canonical_mu`'s or
     :func:`scf_fixed_point`'s ``mu_guess``.  At beta = 0 the state is
     (N/2) S exactly and the reported mu is the analytic limit Tr[H] / Tr[S];
     a trace that overflows raises InfeasibleEnsembleError.
@@ -431,14 +413,14 @@ def exact_canonical_fd(system: SystemSpec, n_electrons: float, beta: float):
         The density matrix and mu(beta).
     """
     norm = canonical_normalization(n_electrons, system.s.mat)
-    return _fd_state(system, beta, Canonical(n_electrons), norm)
+    return _exact_state(system, beta, Canonical(n_electrons), norm)
 
 
 def exact_canonical_mu(system: SystemSpec, n_electrons: float, beta: float,
                        mu_guess=None) -> float:
     """The chemical potential of :func:`exact_canonical_fd`'s state, without the state.
 
-    The mu search runs on the system's cached :attr:`~SystemSpec.pencil` and
+    The mu search runs on the system's cached :attr:`~SystemSpec.levels` and
     starts from ``mu_guess`` (the bracket midpoint when it is None or outside
     the bracket); at beta = 0 mu is the limit Tr[H] / Tr[S].  The errors are
     those of :func:`exact_canonical_fd`.
@@ -446,7 +428,41 @@ def exact_canonical_mu(system: SystemSpec, n_electrons: float, beta: float,
     norm = canonical_normalization(n_electrons, system.s.mat)
     if beta == 0.0:
         return infinite_temperature_mu(system.h_core, system.s)
-    return find_mu_for_occupation(system.pencil, system.s.mat, beta, n_electrons, norm,
+    return _levels_mu(system, system.levels, beta, n_electrons, norm, mu_guess)
+
+
+def _exact_state(system: SystemSpec, beta: float, ensemble: Ensemble, norm: float):
+    # the linear model's state (P, mu): F(Q) does not depend on Q, so one
+    # evaluation at the start Q = N/2 is the fixed point
+    f, mu, _ = _frame_state(HamiltonianModel(system), np.eye(system.dim) * (0.5 * norm),
+                            beta, ensemble, norm)
+    return _density(system, f, beta, norm), mu
+
+
+def _density(system: SystemSpec, f, beta: float, norm: float) -> HermitianMatrix:
+    # the S-frame density P = Y F Y^T of a frame state F; (N/2) S exactly at beta = 0
+    if beta == 0.0:
+        return HermitianMatrix(0.5 * norm * system.s.mat)
+    y = system.frame[1]
+    return HermitianMatrix(f if y is None else y @ f @ y.T)
+
+
+def _levels_mu(system: SystemSpec, levels, beta: float, n_electrons: float, norm: float,
+               mu_guess):
+    """The canonical mu of the levels (lambda, C) of a frame matrix, searched from ``mu_guess``.
+
+    The weight of level k, its occupation's share of Tr[S], is
+    (C^T diag(s) C)_kk.  The pencil (U^T H U, diag(s)) of the overlap's
+    eigenbasis has the levels lambda, the vectors s^-1/2 C and the inverse
+    C^T s^1/2, whose squared rows are those weights (s = 1 when S is the
+    identity); the search runs on it
+    (:func:`~fermicool.matcore.find_mu_for_occupation`).
+    """
+    lam, c = levels
+    w = system.frame[0]
+    root = 1.0 if w is None else np.sqrt(w)[:, None]
+    pencil = EigenPair(lam, c / root, (c * root).T)
+    return find_mu_for_occupation(pencil, system.s, beta, n_electrons, norm,
                                   guess=mu_guess).mu
 
 
@@ -454,19 +470,19 @@ def _frame_state(model: HamiltonianModel, q, beta: float, ensemble: Ensemble, no
                  mu_guess=None):
     """F(Q), the frame form of FD(H(P)) at P = Y Q Y^T: (F, mu, (lambda, C)).
 
-    G(Q) = G_core + dG(Q - N/2) (:attr:`HamiltonianModel.frame_response`) is
-    decomposed as C diag(lambda) C^T by one ``eigh``, and F = C diag(N f) C^T
-    with f = fermi(beta (lambda - mu)).  A canonical ensemble solves mu from
-    ``mu_guess`` on the weights (C^T diag(s) C)_kk, the occupation of each
-    level, through the pencil of the overlap's eigenbasis, which has the
-    levels lambda (:func:`~fermicool.matcore.find_mu_for_occupation`).  At
-    beta = 0, F = (N/2) 1 whatever H is, the canonical mu is the limit
-    Tr[H(P)] / Tr[S] of the S-frame Hamiltonian, and no eigenpairs are
-    formed (None is returned for them).  Non-finite levels raise
-    BracketError, a G(Q) that is not finite LinAlgError.
+    The levels are the eigenpairs G(Q) = C diag(lambda) C^T: a linear
+    model's are the system's cached :attr:`~SystemSpec.levels` of G_core, a
+    nonlinear model refreshes G(Q) = G_core + dG(Q - N/2)
+    (:attr:`HamiltonianModel.frame_response`) and decomposes it by one
+    ``eigh``.  F = C diag(N f) C^T with f = fermi(beta (lambda - mu)).  A
+    canonical ensemble solves mu from ``mu_guess`` on the levels
+    (:func:`_levels_mu`).  At beta = 0, F = (N/2) 1 whatever H is, the
+    canonical mu is the limit Tr[H(P)] / Tr[S] of the S-frame Hamiltonian,
+    and no eigenpairs are formed (None is returned for them).  Non-finite
+    levels raise BracketError, a G(Q) that is not finite LinAlgError.
     """
     system = model.system
-    w, y, _, g_core = system.frame
+    _, y, _, g_core = system.frame
     n = system.dim
     grand = isinstance(ensemble, GrandCanonical)
     if beta == 0.0:
@@ -476,23 +492,19 @@ def _frame_state(model: HamiltonianModel, q, beta: float, ensemble: Ensemble, no
             h = effective_hamiltonian(model, q if y is None else y @ q @ y.T, norm)
             mu = infinite_temperature_mu(h, system.s)
         return np.eye(n) * (0.5 * norm), mu, None
-    e = q.copy()
-    e.flat[:: n + 1] -= 0.5 * norm
-    lam, c = np.linalg.eigh(g_core + model.frame_response(e))
+    if model.is_linear:
+        lam, c = system.levels
+    else:
+        e = q.copy()
+        e.flat[:: n + 1] -= 0.5 * norm
+        lam, c = np.linalg.eigh(g_core + model.frame_response(e))
     if grand:
         _check_levels(lam)
         mu = ensemble.mu
     else:
-        # the pencil (U^T H U, diag(s)) has the levels lambda, the vectors
-        # s^-1/2 C and the inverse C^T s^1/2, whose squared rows are the weights
-        if w is None:
-            pencil = EigenPair(lam, c, c.T)
-        else:
-            root = np.sqrt(w)[:, None]
-            pencil = EigenPair(lam, c / root, (c * root).T)
-        mu = find_mu_for_occupation(pencil, system.s, beta, ensemble.n_electrons, norm,
-                                    guess=mu_guess).mu
-    with np.errstate(over="ignore"):  # as in _fd_matrix
+        mu = _levels_mu(system, (lam, c), beta, ensemble.n_electrons, norm, mu_guess)
+    # an argument that overflows to +-inf saturates the Fermi factor exactly
+    with np.errstate(over="ignore"):
         occ = norm * fermi(beta * (lam - mu))
     return (c * occ) @ c.T, mu, (lam, c)
 
@@ -510,7 +522,7 @@ def _fd_jacobian(model: HamiltonianModel, eig, beta: float, mu: float, norm: flo
     dQ = C X C^T to those of J dQ; the returned map does that in O(n^2).
     """
     lam, c = eig
-    with np.errstate(over="ignore"):  # as in _fd_matrix
+    with np.errstate(over="ignore"):  # as in _frame_state
         f = fermi(beta * (lam - mu))
     rate = norm * beta * f * (1.0 - f)  # -N f'(lambda), the mu-derivative of N f
     gap = np.subtract.outer(lam, lam)
@@ -622,10 +634,12 @@ def scf_fixed_point(
     when it is None or outside the bracket
     (:func:`~fermicool.matcore.find_mu_for_occupation`).
 
-    Linear models (coupling_u == 0) are their own fixed point after a single
-    evaluation, on the system's cached pencil as in :func:`exact_grand_fd`
-    and :func:`exact_canonical_fd`, and are accepted trivially with
-    ``iterations = 1``; they ignore ``start``.
+    Linear models (coupling_u == 0) are their own fixed point after the
+    first evaluation, which reads the system's cached
+    :attr:`~SystemSpec.levels` in place of G(Q) and is the evaluation
+    :func:`exact_grand_fd` and :func:`exact_canonical_fd` make; they are
+    accepted with ``iterations = 1``, and their state does not depend on
+    ``start``.
 
     Raises
     ------
@@ -652,10 +666,6 @@ def scf_fixed_point(
             raise ValueError(
                 f"start density has shape {start.shape}, system dimension is {n}"
             )
-    if model.is_linear:
-        p, mu = _fd_state(system, beta, ensemble, norm, mu_guess)
-        return ScfResult(p, mu, 1)
-
     _, y, z, _ = system.frame
     if start is None:
         q = np.eye(n) * (0.5 * norm)
@@ -672,6 +682,8 @@ def scf_fixed_point(
 
     # failures at the start density keep their own errors
     f, mu, eig = evaluate(q, mu_guess)
+    if model.is_linear:  # F does not depend on Q: F(start) is the fixed point
+        return ScfResult(_density(system, f, beta, norm), mu, 1)
     prev_residual = np.inf
     stalled = 0
     for it in range(1, max_iter + 1):

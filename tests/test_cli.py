@@ -204,15 +204,15 @@ class TestRun:
         assert sum(evaluations) <= 0.6 * cold
 
     @pytest.mark.parametrize("case, extra, seam", [
-        ("linear", ["--scheme", "rk4"], "_fd_matrix"),
+        ("linear", ["--scheme", "rk4"], "_frame_state"),
         ("nonlinear", ["--nonlinear", "0.05", "--scheme", "kraus2"], "generalized_eigh"),
     ])
     def test_mu_trace_makes_only_what_it_reads(self, tmp_path, monkeypatch, case, extra, seam):
-        # a linear trace solves for mu alone on the cached pencil and forms
-        # no density (one per record after beta = 0 would be 100); a
-        # nonlinear trace iterates in the overlap frame, one eigh per
-        # evaluation, and decomposes no pencil (one per evaluation would be
-        # about 200)
+        # a linear trace solves for mu alone on the system's cached levels
+        # and makes no frame evaluation, which forms every exact density (one
+        # per record after beta = 0 would be 100); a nonlinear trace iterates
+        # in the overlap frame, one eigh per evaluation, and decomposes no
+        # pencil (one per evaluation would be about 200)
         from fermicool import cli, matcore, models, write_matrix
 
         calls, tracing = [], []
@@ -225,14 +225,15 @@ class TestRun:
             finally:
                 tracing.clear()
 
-        for module in (models, matcore):
-            if hasattr(module, seam):
-                def spy(*args, _inner=getattr(module, seam), **kwargs):
-                    if tracing:
-                        calls.append(1)
-                    return _inner(*args, **kwargs)
+        spied = [module for module in (models, matcore) if hasattr(module, seam)]
+        assert spied, f"no {seam} to spy on"
+        for module in spied:
+            def spy(*args, _inner=getattr(module, seam), **kwargs):
+                if tracing:
+                    calls.append(1)
+                return _inner(*args, **kwargs)
 
-                monkeypatch.setattr(module, seam, spy)
+            monkeypatch.setattr(module, seam, spy)
         monkeypatch.setattr(cli, "_mu_trace", trace_spy)
         h, s = gaussian_chain()
         write_matrix(tmp_path / "h.mat", h)

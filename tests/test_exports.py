@@ -72,3 +72,42 @@ def test_every_defaulted_parameter_is_passed():
                        for n_args, keywords in calls.get(name, [])):
                 unpassed.append(f"{name}({param.name}=)")
     assert unpassed == []
+
+
+def _private_definitions(tree):
+    # module-level statement -> the private names it defines (dunders aside)
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [node.id for target in targets for node in ast.walk(target)
+                     if isinstance(node, ast.Name)]
+        else:
+            continue
+        yield stmt, [name for name in names
+                     if name.startswith("_") and not name.startswith("__")]
+
+
+def _references(node):
+    # names read in a subtree: loaded names and attributes; a def line, an
+    # assignment target or an import is not a read
+    refs = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            refs.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            refs.add(sub.attr)
+    return refs
+
+
+def test_every_private_name_has_a_caller_in_src():
+    # a private helper is called only from the library; one whose last
+    # caller is gone is dead code, whatever the tests still do with it
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in (ROOT / "src" / "fermicool").glob("*.py")}
+    reads = [(stmt, _references(stmt)) for tree in trees.values() for stmt in tree.body]
+    uncalled = [f"{name}.{defined}" for name, tree in trees.items()
+                for stmt, names in _private_definitions(tree) for defined in names
+                if not any(defined in refs for other, refs in reads if other is not stmt)]
+    assert sorted(uncalled) == []

@@ -25,6 +25,7 @@ from fermicool import (
     occupation_spectrum,
     scf_fixed_point,
 )
+from fermicool.models import exact_canonical_mu
 from conftest import random_spd, random_symmetric
 
 
@@ -179,7 +180,7 @@ class TestExactGrandFd:
     def test_level_beyond_the_largest_float_is_bracket_error(self):
         # the ring's levels are 1e308 + 2e308 cos(k): the top one is inf
         system = build_huckel(4, 1e308, 1e308)
-        assert not np.isfinite(system.pencil.values).all()
+        assert not np.isfinite(system.levels[0]).all()
         with pytest.raises(BracketError, match="pass the largest float"):
             exact_grand_fd(system, 1e308, 1.0)
         # at beta = 0 no level is read: the state is S/2
@@ -256,18 +257,39 @@ class TestDefaultChemicalPotential:
             default_chemical_potential(system)
 
 
-class TestCachedPencil:
-    def test_decomposed_once_and_reused(self, rng):
-        system = SystemSpec(HermitianMatrix(random_symmetric(rng, 6)),
-                            OverlapMatrix(random_spd(rng, 6)))
-        assert system.pencil is system.pencil
+class TestCachedLevels:
+    @pytest.mark.parametrize("identity", [False, True], ids=["overlap", "identity"])
+    def test_one_eigh_serves_every_linear_oracle(self, rng, monkeypatch, identity):
+        # every exact state and oracle mu of a linear model reads one
+        # decomposition of G_core = Z^T H Z, the one the frame already holds
+        s = np.eye(6) if identity else random_spd(rng, 6)
+        system = SystemSpec(HermitianMatrix(random_symmetric(rng, 6)), OverlapMatrix(s))
+        g_core = system.frame[3]
+        eigh, decomposed = np.linalg.eigh, []
+
+        def spy(a, *args, **kwargs):
+            decomposed.append(a)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        model = HamiltonianModel(system)
+        for beta in (0.5, 4.0):
+            exact_grand_fd(system, 0.1, beta)
+            exact_canonical_fd(system, 2.5, beta)
+            exact_canonical_mu(system, 2.5, beta, mu_guess=0.1)
+            scf_fixed_point(model, GrandCanonical(0.1), beta)
+            scf_fixed_point(model, Canonical(2.5), beta, mu_guess=0.1)
+        default_chemical_potential(system, use_pencil=True)
+        assert len(decomposed) == 1 and decomposed[0] is g_core
+        monkeypatch.undo()
+        assert system.levels is system.levels
         fresh = generalized_eigh(system.h_core, system.s)
-        np.testing.assert_array_equal(system.pencil.values, fresh.values)
+        np.testing.assert_array_equal(system.levels[0], fresh.values)
 
     def test_oracles_match_a_fresh_decomposition(self, rng):
         system = SystemSpec(HermitianMatrix(random_symmetric(rng, 6)),
                             OverlapMatrix(random_spd(rng, 6)))
-        # an equal but distinct system decomposes its pencil afresh
+        # an equal but distinct system decomposes its levels afresh
         fresh = SystemSpec(HermitianMatrix(system.h_core.mat.copy()), system.s)
         for beta in (0.5, 4.0):
             np.testing.assert_allclose(

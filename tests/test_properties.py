@@ -45,6 +45,9 @@ from fermicool import (  # noqa: E402
     canonical_normalization,
     cool,
     effective_hamiltonian,
+    exact_canonical_fd,
+    exact_grand_fd,
+    fermi,
     find_mu_for_occupation,
     generalized_eigh,
     read_matrix,
@@ -514,6 +517,72 @@ def test_frame_refresh_is_the_s_frame_hamiltonian(data, coupling):
     g = z.T @ system.h_core.mat @ z + model.frame_response(e)
     ref = z.T @ effective_hamiltonian(model, y @ q @ y.T, norm).mat @ z
     assert np.abs(g - ref).max() <= 1e-13 * max(np.abs(ref).max(), 1.0)
+
+
+#: Density gap allowed between the exact states and the pencil formula, in
+#: units of n eps N ||S||_2, fixed before the comparison is run; 4000 random
+#: draws of the strategy below gave at most 2.2.
+PENCIL_GAP = 8.0
+
+
+def pencil_state(system, beta, ensemble, norm, mu_guess=None):
+    """The exact state as the pencil of (H_core, S) gives it, written out:
+    P = N (S V) f (S V)^T from generalized_eigh, and the canonical mu from
+    find_mu_for_occupation on that pencil (Tr[H] / Tr[S] at beta = 0)."""
+    s = system.s.mat
+    eig = generalized_eigh(system.h_core, system.s)
+    if isinstance(ensemble, GrandCanonical):
+        mu = ensemble.mu
+    elif beta == 0.0:
+        mu = float(np.trace(system.h_core.mat)) / float(np.trace(s))
+    else:
+        mu = find_mu_for_occupation(eig, s, beta, ensemble.n_electrons, norm,
+                                    guess=mu_guess).mu
+    if beta == 0.0:
+        return 0.5 * norm * s, mu
+    with np.errstate(over="ignore"):
+        occ = norm * fermi(beta * (eig.values - mu))
+    w = eig.inv.T
+    return HermitianMatrix((w * occ) @ w.T).mat, mu
+
+
+@given(data=st.data(), system=systems(), log_beta=st.floats(-1.0, 1.0))
+def test_exact_states_are_the_pencil_formula(data, system, log_beta):
+    # every exact state of a linear model comes from the frame levels of
+    # G_core; it is the pencil's state to rounding, and bit for bit when no
+    # frame change rounds (S = 1) or no level is read (beta = 0)
+    ensemble = data.draw(ensembles(system))
+    beta = 0.0 if data.draw(st.integers(0, 9)) == 0 else 10.0 ** log_beta
+    model = HamiltonianModel(system)
+    s = system.s.mat
+    states = []  # (density or None, mu, reference density, reference mu)
+    if isinstance(ensemble, GrandCanonical):
+        p_ref, _ = pencil_state(system, beta, ensemble, 1.0)
+        norm = 1.0
+        states.append((exact_grand_fd(system, ensemble.mu, beta).mat, ensemble.mu,
+                       p_ref, ensemble.mu))
+        res = scf_fixed_point(model, ensemble, beta)
+        states.append((res.density.mat, res.mu, p_ref, ensemble.mu))
+    else:
+        ne = ensemble.n_electrons
+        norm = canonical_normalization(ne, s)
+        guess = data.draw(st.floats(-1.0, 1.0))
+        p_ref, mu_ref = pencil_state(system, beta, ensemble, norm)
+        p_warm, mu_warm = pencil_state(system, beta, ensemble, norm, guess)
+        p, mu = exact_canonical_fd(system, ne, beta)
+        states.append((p.mat, mu, p_ref, mu_ref))
+        states.append((None, models.exact_canonical_mu(system, ne, beta, guess), None, mu_warm))
+        res = scf_fixed_point(model, ensemble, beta, mu_guess=guess)
+        states.append((res.density.mat, res.mu, p_warm, mu_warm))
+    exact = beta == 0.0 or np.array_equal(s, np.eye(system.dim))
+    bound = PENCIL_GAP * system.dim * np.finfo(float).eps * norm * np.linalg.norm(s, 2)
+    for p, mu, p_ref, mu_ref in states:
+        if exact:
+            assert mu == mu_ref
+            assert p is None or np.array_equal(p, p_ref)
+        else:
+            assert abs(mu - mu_ref) <= 1e-12
+            assert p is None or np.abs(p - p_ref).max() <= bound
 
 
 def fro(a):
