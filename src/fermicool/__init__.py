@@ -19,13 +19,11 @@ from .errors import (
     SolverAbortError,
 )
 from .matcore import (
-    EigenPair,
     HermitianMatrix,
     MuSearchResult,
     OverlapMatrix,
     fermi,
     find_mu_for_occupation,
-    generalized_eigh,
     maxabs_asymmetry,
     symmetrize,
 )
@@ -63,7 +61,6 @@ __all__ = [
     "Canonical",
     "DegenerateTraceError",
     "DimensionMismatchError",
-    "EigenPair",
     "Ensemble",
     "FermicoolError",
     "GrandCanonical",
@@ -91,7 +88,6 @@ __all__ = [
     "exact_grand_fd",
     "fermi",
     "find_mu_for_occupation",
-    "generalized_eigh",
     "load_system",
     "maxabs_asymmetry",
     "occupation_spectrum",

@@ -1,16 +1,16 @@
 """Dense real-symmetric linear algebra for the cooling solvers.
 
-Provides validated matrix carriers (symmetric matrices, positive-definite
-overlap metrics), the generalized eigendecomposition in an overlap metric,
-and a safeguarded Newton search for the chemical potential at fixed electron
-count that can start from a guess.  Everything is dense, real and double
-precision.
+Provides validated matrix carriers (symmetric matrices, and positive-definite
+overlap metrics with the orthogonalizing frame that reduces a pencil (H, S)
+to a standard symmetric problem), the overflow-safe Fermi factor, and a
+safeguarded Newton search for the chemical potential at fixed electron count
+on a set of levels and their weights, which can start from a guess.
+Everything is dense, real and double precision.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -153,61 +153,6 @@ class OverlapMatrix:
         return f"OverlapMatrix(dim={self.dim}, min_eig={self._eigvals[0]:.3g})"
 
 
-@dataclass(frozen=True)
-class EigenPair:
-    """Eigenvalues (ascending) and overlap-orthonormal eigenvectors of a matrix pencil.
-
-    ``vectors[:, k]`` belongs to ``values[k]``.  For a pencil (H, S) the
-    columns satisfy ``vectors.T @ S @ vectors = I`` and the similarity
-    ``S^-1 H = vectors @ diag(values) @ inv`` holds, with ``inv`` the inverse
-    of ``vectors``.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-    inv: np.ndarray
-
-
-def _matrix_of(m):
-    if isinstance(m, (HermitianMatrix, OverlapMatrix)):
-        return m.mat
-    return _as_square(m)
-
-
-def generalized_eigh(h, s) -> EigenPair:
-    """Solve the symmetric pencil H v = lambda S v with S-orthonormal vectors.
-
-    The pencil is reduced to the standard symmetric problem Z^T H Z by the
-    congruence with the overlap's frame ``Z = U s^-1/2``
-    (:attr:`OverlapMatrix.frame`), which guarantees a real spectrum and
-    S-orthonormal eigenvectors ``V = Z C`` by construction.
-
-    Parameters
-    ----------
-    h : array_like or HermitianMatrix
-        Symmetric matrix of the pencil.
-    s : array_like or OverlapMatrix
-        Symmetric positive-definite metric.  A plain array is validated and
-        rejected (with the offending eigenvalue) if it is not positive definite.
-
-    Returns
-    -------
-    EigenPair
-        Ascending eigenvalues, S-orthonormal vectors, and the cached inverse
-        ``vectors.T @ S``.
-    """
-    hm = _matrix_of(h)
-    s_ov = s if isinstance(s, OverlapMatrix) else OverlapMatrix(s)
-    if hm.shape[0] != s_ov.dim:
-        raise DimensionMismatchError(
-            f"pencil dimensions differ: {hm.shape[0]} vs {s_ov.dim}"
-        )
-    z = s_ov.frame[2]
-    values, c = np.linalg.eigh(symmetrize(z.T @ hm @ z))
-    vectors = z @ c
-    return EigenPair(values=values, vectors=vectors, inv=vectors.T @ s_ov.mat)
-
-
 def fermi(x):
     """Overflow-safe Fermi factor 1 / (1 + exp(x)), elementwise.
 
@@ -236,13 +181,6 @@ class MuSearchResult(NamedTuple):
     residual: float
 
 
-def _occupation_weights(eig: EigenPair) -> np.ndarray:
-    # Tr[S f(S^-1 H)] = sum_k w_k f(lambda_k) with w_k the column sums of
-    # (S V)^2; S V is the transpose of the cached inverse V^T S.
-    w = eig.inv
-    return np.einsum("ki,ki->k", w, w)
-
-
 def _occupation_and_slope(w, values, beta, mu, normalization, slope=True):
     # N sum_k w_k f_k and, with ``slope``, its mu-derivative
     # N beta sum_k w_k f_k (1 - f_k) (else None), with
@@ -256,14 +194,22 @@ def _occupation_and_slope(w, values, beta, mu, normalization, slope=True):
 
 
 def find_mu_for_occupation(
-    eig: EigenPair,
-    s,
+    values: np.ndarray,
+    weights: np.ndarray,
     beta: float,
     target_ne: float,
     normalization: float = 1.0,
     guess: float | None = None,
 ) -> MuSearchResult:
     """Find the chemical potential that yields a prescribed electron count.
+
+    ``values`` are the levels lambda_k of a Hamiltonian and ``weights`` the
+    share w_k of each level's occupation in the electron count, so that the
+    occupation at mu is ``N sum_k w_k f_k`` with
+    ``f_k = fermi(beta (lambda_k - mu))`` and N the ``normalization``.  For
+    the levels G = C diag(lambda) C^T of a frame matrix the weights are
+    ``(C^T diag(s) C)_kk`` and sum to Tr[S]
+    (:func:`~fermicool.models._levels_mu`).
 
     The occupation is monotonically non-decreasing in mu with the exact slope
     ``N beta sum_k w_k f_k (1 - f_k)``.  The search keeps the bisection
@@ -290,11 +236,11 @@ def find_mu_for_occupation(
         depend on mu, and the Fermi-Dirac state takes the limit
         Tr[H] / Tr[S] instead (:func:`~fermicool.models.infinite_temperature_mu`).
     InfeasibleEnsembleError
-        If the target lies outside ``(0, normalization * Tr[S])``.
+        If the target lies outside ``(0, normalization * sum(weights))``,
+        full filling.
     BracketError
-        If the bracket is not finite (pencil eigenvalues beyond the largest
-        float), or the achievable occupation range inside it excludes the
-        target.
+        If the bracket is not finite (levels beyond the largest float), or
+        the achievable occupation range inside it excludes the target.
     MuConvergenceError
         If the occupation residual is still above :data:`MU_TOL` after
         :data:`MU_MAX_ITER` iterations.
@@ -303,28 +249,25 @@ def find_mu_for_occupation(
         raise ValueError(f"beta must be positive, got {beta}")
     # Python floats: a Newton step over an underflowed slope is inf, silently
     target_ne = float(target_ne)
-    s_mat = _matrix_of(s)
-    full = normalization * float(np.trace(s_mat))
+    full = normalization * float(weights.sum())
     if not 0.0 < target_ne < full:
         raise InfeasibleEnsembleError(
             f"target electron count {target_ne:.6g} is outside the open interval "
-            f"(0, {full:.6g}) set by the normalization and Tr[S]"
+            f"(0, {full:.6g}) set by the normalization and full filling"
         )
-    w = _occupation_weights(eig)
-    values = eig.values
     margin = 10.0 / max(beta, 1.0)
-    lo = float(eig.values.min()) - margin
-    hi = float(eig.values.max()) + margin
+    lo = float(values.min()) - margin
+    hi = float(values.max()) + margin
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise BracketError(
-            f"the mu bracket [{lo:.6g}, {hi:.6g}] is not finite: the pencil eigenvalues "
+            f"the mu bracket [{lo:.6g}, {hi:.6g}] is not finite: the levels "
             f"pass the largest float"
         )
 
     # one np.errstate for the whole search (see _occupation_and_slope)
     with np.errstate(over="ignore"):
-        occ_lo = _occupation_and_slope(w, values, beta, lo, normalization, slope=False)[0]
-        occ_hi = _occupation_and_slope(w, values, beta, hi, normalization, slope=False)[0]
+        occ_lo = _occupation_and_slope(weights, values, beta, lo, normalization, slope=False)[0]
+        occ_hi = _occupation_and_slope(weights, values, beta, hi, normalization, slope=False)[0]
         if not occ_lo <= target_ne <= occ_hi:
             raise BracketError(
                 f"occupation range [{occ_lo:.6g}, {occ_hi:.6g}] over the mu bracket "
@@ -339,7 +282,7 @@ def find_mu_for_occupation(
         step = step_before = hi - lo
         residual = np.inf
         for it in range(1, MU_MAX_ITER + 1):
-            value, slope = _occupation_and_slope(w, values, beta, mu, normalization)
+            value, slope = _occupation_and_slope(weights, values, beta, mu, normalization)
             excess = value - target_ne
             residual = abs(excess)
             if residual < MU_TOL:

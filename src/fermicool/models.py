@@ -45,12 +45,10 @@ import numpy as np
 from .errors import (BracketError, DimensionMismatchError, InfeasibleEnsembleError,
                      MuConvergenceError, ScfConvergenceError)
 from .matcore import (
-    EigenPair,
     HermitianMatrix,
     OverlapMatrix,
     fermi,
     find_mu_for_occupation,
-    generalized_eigh,
     maxabs_asymmetry,
     symmetrize,
 )
@@ -115,10 +113,8 @@ class SystemSpec:
         lambda holds the ascending levels of the pencil (H_core, S) and C the
         orthogonal eigenvectors of G_core (:attr:`frame`), whose columns are
         the pencil's eigenvectors Z C seen in the frame.  C is kept in
-        column-major order, the layout of the pencil's ``S V`` in
-        :func:`~fermicool.matcore.generalized_eigh`, so that with S = 1 the
-        states and occupation weights formed from C round exactly as those
-        formed from that decomposition do.  Both are read-only.
+        column-major order, which fixes how the states and occupation weights
+        formed from it round.  Both are read-only.
         """
         lam, c = np.linalg.eigh(self.frame[3])
         c = np.asfortranarray(c)
@@ -227,7 +223,7 @@ class FrameResponse:
     """
 
     def __init__(self, model: HamiltonianModel):
-        _, y, z, _ = model.system.frame
+        _, y, z, self._g_core = model.system.frame
         n = model.system.dim
         if y is None:
             self._map = model.response
@@ -243,6 +239,12 @@ class FrameResponse:
 
     def __call__(self, e) -> np.ndarray:
         return self._map(e)
+
+    def hamiltonian(self, q, norm: float) -> np.ndarray:
+        """The frame Hamiltonian G(Q) = G_core + response(Q - N/2) of a frame state Q."""
+        e = q.copy()
+        e.flat[:: q.shape[0] + 1] -= 0.5 * norm
+        return self._g_core + self._map(e)
 
     def eigenbasis(self, c, gram):
         """The response in an eigenbasis C of a frame matrix, X -> C^T dG(C X C^T) C.
@@ -354,8 +356,23 @@ def default_chemical_potential(system: SystemSpec, use_pencil: bool = False) -> 
 
 
 def occupation_spectrum(p, s) -> np.ndarray:
-    """Ascending eigenvalues of S^-1 P, the orbital occupation numbers."""
-    return generalized_eigh(p, s).values
+    """Ascending eigenvalues of S^-1 P, the orbital occupation numbers.
+
+    They are the eigenvalues of Z^T P Z in the overlap's frame
+    (:attr:`~fermicool.matcore.OverlapMatrix.frame`), since
+    S^-1 P = Z (Z^T P Z) Z^-1; one ``eigvalsh`` takes them, and no
+    eigenvector is formed.  A plain array ``s`` is validated as an
+    :class:`~fermicool.matcore.OverlapMatrix` (NotPositiveDefiniteError);
+    a ``p`` of another shape raises DimensionMismatchError.
+    """
+    s = s if isinstance(s, OverlapMatrix) else OverlapMatrix(s)
+    p = np.asarray(p, dtype=float)
+    if p.shape != (s.dim, s.dim):
+        raise DimensionMismatchError(
+            f"density has shape {p.shape}, the overlap is {s.dim}-dimensional"
+        )
+    z = s.frame[2]
+    return np.linalg.eigvalsh(symmetrize(z.T @ p @ z))
 
 
 def _check_levels(values):
@@ -452,18 +469,15 @@ def _levels_mu(system: SystemSpec, levels, beta: float, n_electrons: float, norm
     """The canonical mu of the levels (lambda, C) of a frame matrix, searched from ``mu_guess``.
 
     The weight of level k, its occupation's share of Tr[S], is
-    (C^T diag(s) C)_kk.  The pencil (U^T H U, diag(s)) of the overlap's
-    eigenbasis has the levels lambda, the vectors s^-1/2 C and the inverse
-    C^T s^1/2, whose squared rows are those weights (s = 1 when S is the
-    identity); the search runs on it
+    (C^T diag(s) C)_kk, the squared norm of column k of s^1/2 C (of C when S
+    is the identity); the search runs on the levels and these weights
     (:func:`~fermicool.matcore.find_mu_for_occupation`).
     """
     lam, c = levels
     w = system.frame[0]
-    root = 1.0 if w is None else np.sqrt(w)[:, None]
-    pencil = EigenPair(lam, c / root, (c * root).T)
-    return find_mu_for_occupation(pencil, system.s, beta, n_electrons, norm,
-                                  guess=mu_guess).mu
+    x = c if w is None else c * np.sqrt(w)[:, None]
+    weights = np.einsum("ik,ik->k", x, x)
+    return find_mu_for_occupation(lam, weights, beta, n_electrons, norm, guess=mu_guess).mu
 
 
 def _frame_state(model: HamiltonianModel, q, beta: float, ensemble: Ensemble, norm: float,
@@ -482,8 +496,7 @@ def _frame_state(model: HamiltonianModel, q, beta: float, ensemble: Ensemble, no
     levels raise BracketError, a G(Q) that is not finite LinAlgError.
     """
     system = model.system
-    _, y, _, g_core = system.frame
-    n = system.dim
+    y = system.frame[1]
     grand = isinstance(ensemble, GrandCanonical)
     if beta == 0.0:
         if grand:
@@ -491,13 +504,11 @@ def _frame_state(model: HamiltonianModel, q, beta: float, ensemble: Ensemble, no
         else:
             h = effective_hamiltonian(model, q if y is None else y @ q @ y.T, norm)
             mu = infinite_temperature_mu(h, system.s)
-        return np.eye(n) * (0.5 * norm), mu, None
+        return np.eye(system.dim) * (0.5 * norm), mu, None
     if model.is_linear:
         lam, c = system.levels
     else:
-        e = q.copy()
-        e.flat[:: n + 1] -= 0.5 * norm
-        lam, c = np.linalg.eigh(g_core + model.frame_response(e))
+        lam, c = np.linalg.eigh(model.frame_response.hamiltonian(q, norm))
     if grand:
         _check_levels(lam)
         mu = ensemble.mu
@@ -599,8 +610,9 @@ def scf_fixed_point(
     :attr:`~HamiltonianModel.frame_response`, decomposes it with one
     ``eigh`` as C diag(lambda) C^T and forms F(Q) = C diag(N f) C^T
     (:func:`_frame_state`).  The residual is still taken in the S frame,
-    max |Y (F(Q) - Q) Y^T|, and P = Y F(Q) Y^T is formed once, on return; a
-    ``start`` enters as Z^T P Z.
+    max |Y (F(Q) - Q) Y^T|, and P = Y F(Q) Y^T is formed once, on return,
+    as every exact state is: (N/2) S exactly at beta = 0.  A ``start``
+    enters as Z^T P Z.
 
     With ``use_aitken`` (the name is kept from an earlier Aitken-extrapolated
     variant) the next iterate is the Newton step Q + delta on R(Q) = 0:
@@ -672,10 +684,6 @@ def scf_fixed_point(
     else:
         q = start.copy() if y is None else z.T @ start @ z
 
-    def s_frame(m):
-        # Y M Y^T, the S-frame matrix of the frame matrix M
-        return m if y is None else y @ m @ y.T
-
     def evaluate(q, mu):
         # F(Q), its mu and the eigenpairs of G(Q); the mu search starts at ``mu``
         return _frame_state(model, q, beta, ensemble, norm, mu)
@@ -688,9 +696,9 @@ def scf_fixed_point(
     stalled = 0
     for it in range(1, max_iter + 1):
         r = f - q
-        residual = float(np.abs(s_frame(r)).max())
+        residual = float(np.abs(r if y is None else y @ r @ y.T).max())
         if residual < tol:
-            return ScfResult(HermitianMatrix(s_frame(f)), mu, it)
+            return ScfResult(_density(system, f, beta, norm), mu, it)
         if residual >= prev_residual:
             stalled += 1
         elif not use_aitken:

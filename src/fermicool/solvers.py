@@ -424,8 +424,7 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     f = kernel_operator(g)
     if not model.is_linear:
         # G(Q) = G_core + Z^T dH(Y (Q - N/2) Y^T) Z in O(n^2)
-        g_core = g
-        d_g = model.frame_response
+        refresh = model.frame_response.hamiltonian
         # the weights of _frame_norm for Z C Y^T and Y C Y^T
         comm_weight, defect_weight = ((np.outer(1.0 / w, w), np.outer(w, w)) if frame
                                       else (None, None))
@@ -462,9 +461,7 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
             refreshed = not model.is_linear and i > 0
             comm_norm = refresh_defect = 0.0
             if refreshed:
-                e = q.copy()
-                e.flat[:: n + 1] -= 0.5 * norm
-                g_last, g = g, g_core + d_g(e)
+                g_last, g = g, refresh(q, norm)
                 f = kernel_operator(g)
                 if recording:  # E = G_last diag(s) (G - G_last)
                     e = (g_last if w is None else g_last * w) @ (g - g_last)

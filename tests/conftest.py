@@ -38,8 +38,18 @@ def random_symmetric(rng, dim, scale=1.0):
     return 0.5 * (a + a.T)
 
 
-def search_occupation(eig, beta, mu, normalization=1.0):
-    """Electron count N Tr[S f(S^-1 H - mu)] through the evaluator the mu search uses."""
-    w = matcore._occupation_weights(eig)
+def pencil_levels(h, s):
+    """Levels and occupation weights of the pencil (H, S) from scipy's
+    generalized solver, independent of the library: the values lambda_k and
+    w_k = ||S v_k||^2 of the S-orthonormal eigenvectors v_k, so that
+    Tr[S f(S^-1 H)] = sum_k w_k f(lambda_k)."""
+    import scipy.linalg
+
+    values, v = scipy.linalg.eigh(np.asarray(h, dtype=float), np.asarray(s, dtype=float))
+    return values, ((np.asarray(s, dtype=float) @ v) ** 2).sum(axis=0)
+
+
+def search_occupation(values, weights, beta, mu, normalization=1.0):
+    """Electron count N sum_k w_k f(beta (lambda_k - mu)) through the evaluator the mu search uses."""
     with np.errstate(over="ignore"):  # as in the search
-        return matcore._occupation_and_slope(w, eig.values, beta, mu, normalization)[0]
+        return matcore._occupation_and_slope(weights, values, beta, mu, normalization)[0]

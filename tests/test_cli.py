@@ -205,18 +205,19 @@ class TestRun:
 
     @pytest.mark.parametrize("case, extra, seam", [
         ("linear", ["--scheme", "rk4"], "_frame_state"),
-        ("nonlinear", ["--nonlinear", "0.05", "--scheme", "kraus2"], "generalized_eigh"),
+        ("nonlinear", ["--nonlinear", "0.05", "--scheme", "kraus2"], "eigh"),
     ])
     def test_mu_trace_makes_only_what_it_reads(self, tmp_path, monkeypatch, case, extra, seam):
         # a linear trace solves for mu alone on the system's cached levels
         # and makes no frame evaluation, which forms every exact density (one
         # per record after beta = 0 would be 100); a nonlinear trace iterates
-        # in the overlap frame, one eigh per evaluation, and decomposes no
-        # pencil (one per evaluation would be about 200)
-        from fermicool import cli, matcore, models, write_matrix
+        # in the overlap frame and makes one eigh per SCF evaluation after
+        # beta = 0, and no other decomposition (a pencil per evaluation
+        # besides would double the count)
+        from fermicool import cli, models, write_matrix
 
-        calls, tracing = [], []
-        trace = cli._mu_trace
+        calls, iterations, tracing = [], [], []
+        trace, scf = cli._mu_trace, cli.scf_fixed_point
 
         def trace_spy(*args):
             tracing.append(True)
@@ -225,15 +226,22 @@ class TestRun:
             finally:
                 tracing.clear()
 
-        spied = [module for module in (models, matcore) if hasattr(module, seam)]
-        assert spied, f"no {seam} to spy on"
-        for module in spied:
-            def spy(*args, _inner=getattr(module, seam), **kwargs):
-                if tracing:
-                    calls.append(1)
-                return _inner(*args, **kwargs)
+        def scf_spy(model, ensemble, beta, *args, **kwargs):
+            res = scf(model, ensemble, beta, *args, **kwargs)
+            if tracing and beta > 0.0:
+                iterations.append(res.iterations)
+            return res
 
-            monkeypatch.setattr(module, seam, spy)
+        module = models if seam == "_frame_state" else np.linalg
+        assert hasattr(module, seam), f"no {seam} to spy on"
+
+        def spy(*args, _inner=getattr(module, seam), **kwargs):
+            if tracing:
+                calls.append(1)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, seam, spy)
+        monkeypatch.setattr(cli, "scf_fixed_point", scf_spy)
         monkeypatch.setattr(cli, "_mu_trace", trace_spy)
         h, s = gaussian_chain()
         write_matrix(tmp_path / "h.mat", h)
@@ -244,7 +252,9 @@ class TestRun:
             "--out", str(tmp_path / f"{case}.csv"),
         ]) == 0
         assert len(read_csv(tmp_path / f"{case}.mu.csv")) == 102
-        assert calls == []
+        # the linear trace runs no SCF; the nonlinear one runs 100 after beta = 0
+        assert len(iterations) == (0 if case == "linear" else 100)
+        assert len(calls) == sum(iterations)
 
     def test_subnormal_entries_do_not_change_outputs(self, tmp_path):
         # the Gaussian tails of a 60-site chain hold subnormal entries;

@@ -1,6 +1,8 @@
 import ast
+import importlib
 import inspect
 import math
+import re
 from pathlib import Path
 
 import fermicool
@@ -111,3 +113,56 @@ def test_every_private_name_has_a_caller_in_src():
                 for stmt, names in _private_definitions(tree) for defined in names
                 if not any(defined in refs for other, refs in reads if other is not stmt)]
     assert sorted(uncalled) == []
+
+
+#: A Sphinx cross-reference in a docstring: :func:`name`, :attr:`~path`, ...
+_XREF = re.compile(r":(?:func|attr|meth|data|class):`~?([\w.]+)`")
+
+
+def _docstring_references():
+    # (module, docstring owner, referenced name) for every docstring of a
+    # module, class or function under src/fermicool
+    for path in sorted((ROOT / "src" / "fermicool").glob("*.py")):
+        module = "fermicool" if path.stem == "__init__" else f"fermicool.{path.stem}"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                for name in _XREF.findall(ast.get_docstring(node) or ""):
+                    yield module, getattr(node, "name", module), name
+
+
+def _resolves(module_name, name):
+    # a dotted name from the package root, or a name in the module, or a
+    # relative name found in one of the module's classes
+    if name.startswith("fermicool."):
+        head, _, rest = name.rpartition(".")
+        while head:
+            try:
+                target = importlib.import_module(head)
+            except ImportError:
+                head, _, part = head.rpartition(".")
+                rest = f"{part}.{rest}"
+                continue
+            return _lookup(target, rest)
+        return False
+    module = importlib.import_module(module_name)
+    return _lookup(module, name) or any(
+        _lookup(cls, name) for cls in vars(module).values()
+        if inspect.isclass(cls) and cls.__module__ == module_name)
+
+
+def _lookup(obj, dotted):
+    for part in dotted.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_every_docstring_reference_resolves():
+    # a docstring that cites a deleted name sends the reader nowhere
+    refs = list(_docstring_references())
+    assert len(refs) >= 60
+    unresolved = [f"{module}.{owner}: {name}" for module, owner, name in refs
+                  if not _resolves(module, name)]
+    assert unresolved == []

@@ -7,7 +7,6 @@ import scipy.linalg
 from fermicool import (
     BracketError,
     DimensionMismatchError,
-    EigenPair,
     HermitianMatrix,
     InfeasibleEnsembleError,
     NotPositiveDefiniteError,
@@ -15,9 +14,9 @@ from fermicool import (
     build_huckel,
     fermi,
     find_mu_for_occupation,
-    generalized_eigh,
+    occupation_spectrum,
 )
-from conftest import random_spd, random_symmetric, search_occupation
+from conftest import pencil_levels, random_spd, random_symmetric, search_occupation
 
 
 class TestHermitianMatrix:
@@ -99,56 +98,57 @@ def test_array_conversion_honours_copy(carrier):
 
 
 class TestGeneralizedEigh:
+    """The symmetric-definite pencil (P, S) solved for its values: the
+    occupation numbers, eigenvalues of S^-1 P, by one eigvalsh in the
+    overlap's frame."""
+
     def test_identity_overlap_diag(self):
-        eig = generalized_eigh(np.diag([0.0, 1.0]), np.eye(2))
-        np.testing.assert_allclose(eig.values, [0.0, 1.0], atol=1e-14)
-        np.testing.assert_allclose(np.abs(eig.vectors), np.eye(2), atol=1e-14)
+        occ = occupation_spectrum(np.diag([0.0, 1.0]), np.eye(2))
+        np.testing.assert_allclose(occ, [0.0, 1.0], atol=1e-14)
 
     def test_two_by_two_closed_form(self):
         a, g = 0.3, 0.2
-        eig = generalized_eigh([[a, g], [g, a]], np.eye(2))
-        np.testing.assert_allclose(eig.values, [a - g, a + g], atol=1e-14)
-        r = 1.0 / math.sqrt(2.0)
-        np.testing.assert_allclose(np.abs(eig.vectors), [[r, r], [r, r]], atol=1e-14)
+        occ = occupation_spectrum(np.array([[a, g], [g, a]]), np.eye(2))
+        np.testing.assert_allclose(occ, [a - g, a + g], atol=1e-14)
 
     def test_scaled_overlap_hand_solved(self):
-        # H v = lambda S v with H = I, S = 2I gives lambda = 1/2 and
-        # S-normalized vectors with entries 1/sqrt(2).
-        eig = generalized_eigh(np.eye(2), np.diag([2.0, 2.0]))
-        np.testing.assert_allclose(eig.values, [0.5, 0.5], atol=1e-14)
-        np.testing.assert_allclose(np.abs(eig.vectors), np.eye(2) / math.sqrt(2.0), atol=1e-14)
+        # P v = n S v with P = I, S = 2I gives n = 1/2 twice
+        occ = occupation_spectrum(HermitianMatrix(np.eye(2)), OverlapMatrix(np.diag([2.0, 2.0])))
+        np.testing.assert_allclose(occ, [0.5, 0.5], atol=1e-14)
 
     def test_matches_scipy_oracle(self, rng):
         for _ in range(5):
-            h = random_symmetric(rng, 9)
+            p = random_symmetric(rng, 9)
             s = random_spd(rng, 9)
-            eig = generalized_eigh(h, s)
-            ref = scipy.linalg.eigh(h, s, eigvals_only=True)
-            np.testing.assert_allclose(eig.values, ref, atol=1e-10)
-
-    def test_s_orthonormality_and_reconstruction(self, rng):
-        h = random_symmetric(rng, 8)
-        s = random_spd(rng, 8)
-        eig = generalized_eigh(h, s)
-        np.testing.assert_allclose(eig.vectors.T @ s @ eig.vectors, np.eye(8), atol=1e-10)
-        target = np.linalg.solve(s, h)
-        recon = (eig.vectors * eig.values) @ eig.inv
-        assert np.linalg.norm(recon - target) / np.linalg.norm(target) < 1e-9
-
-    def test_eigenvalue_equation_residual(self, rng):
-        h = random_symmetric(rng, 8)
-        s = random_spd(rng, 8)
-        eig = generalized_eigh(h, s)
-        residual = h @ eig.vectors - s @ eig.vectors * eig.values
-        assert np.abs(residual).max() / np.linalg.norm(h) < 1e-10
+            ref = scipy.linalg.eigh(p, s, eigvals_only=True)
+            np.testing.assert_allclose(occupation_spectrum(p, s), ref, atol=1e-10)
+            np.testing.assert_allclose(occupation_spectrum(HermitianMatrix(p), OverlapMatrix(s)),
+                                       ref, atol=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            generalized_eigh(np.eye(3), np.eye(2))
+            occupation_spectrum(np.eye(3), np.eye(2))
+        with pytest.raises(DimensionMismatchError):
+            occupation_spectrum(np.ones((2, 3)), OverlapMatrix(np.eye(2)))
 
     def test_rejects_indefinite_overlap(self):
         with pytest.raises(NotPositiveDefiniteError):
-            generalized_eigh(np.eye(2), np.diag([1.0, -2.0]))
+            occupation_spectrum(np.eye(2), np.diag([1.0, -2.0]))
+
+    def test_one_eigvalsh_and_no_eigenvectors(self, rng, monkeypatch):
+        s = OverlapMatrix(random_spd(rng, 6))
+        p = HermitianMatrix(random_symmetric(rng, 6))
+        ref = scipy.linalg.eigh(p.mat, s.mat, eigvals_only=True)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def spy(*args, _name=name, _inner=getattr(np.linalg, name), **kwargs):
+                calls.append(_name)
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        occ = occupation_spectrum(p, s)
+        assert calls == ["eigvalsh"]
+        np.testing.assert_allclose(occ, ref, atol=1e-10)
 
 
 class TestFermi:
@@ -168,105 +168,102 @@ class TestFermi:
 
 class TestFindMu:
     def test_two_level_midgap(self):
-        eig = generalized_eigh(np.diag([0.0, 1.0]), np.eye(2))
-        res = find_mu_for_occupation(eig, np.eye(2), beta=200.0, target_ne=1.0)
+        res = find_mu_for_occupation(np.array([0.0, 1.0]), np.ones(2), beta=200.0, target_ne=1.0)
         assert res.mu == pytest.approx(0.5, abs=1e-6)
 
     def test_beta_zero_degenerate(self, rng):
-        h = random_symmetric(rng, 4)
-        eig = generalized_eigh(h, np.eye(4))
+        values = np.linalg.eigvalsh(random_symmetric(rng, 4))
+        weights = np.ones(4)
         # the trace is mu-independent at beta = 0 and equals dim/2, so there
         # is no mu to search for (the beta = 0 state takes Tr[H] / Tr[S])
         with pytest.raises(ValueError, match="beta must be positive"):
-            find_mu_for_occupation(eig, np.eye(4), beta=0.0, target_ne=2.0)
+            find_mu_for_occupation(values, weights, beta=0.0, target_ne=2.0)
         for mu in (-5.0, 7.0):
-            assert search_occupation(eig, 0.0, mu) == pytest.approx(2.0, abs=1e-12)
+            assert search_occupation(values, weights, 0.0, mu) == pytest.approx(2.0, abs=1e-12)
 
     def test_huckel_half_filling_lands_at_band_center(self):
-        system = build_huckel(50, 0.569, 0.066)
-        eig = generalized_eigh(system.h_core, system.s)
-        res = find_mu_for_occupation(eig, system.s.mat, beta=300.0, target_ne=25.0)
+        values = np.linalg.eigvalsh(build_huckel(50, 0.569, 0.066).h_core.mat)
+        res = find_mu_for_occupation(values, np.ones(50), beta=300.0, target_ne=25.0)
         assert res.mu == pytest.approx(0.569, abs=1e-6)
 
     def test_newton_steps_converge_in_few_iterations(self):
         # bisection needs about 35 halvings of this bracket to reach 1e-10
-        system = build_huckel(50, 0.569, 0.066)
-        eig = generalized_eigh(system.h_core, system.s)
-        res = find_mu_for_occupation(eig, system.s.mat, beta=300.0, target_ne=20.0)
+        values = np.linalg.eigvalsh(build_huckel(50, 0.569, 0.066).h_core.mat)
+        weights = np.ones(50)
+        res = find_mu_for_occupation(values, weights, beta=300.0, target_ne=20.0)
         assert res.iterations <= 8
-        assert abs(search_occupation(eig, 300.0, res.mu) - 20.0) < 1e-10
+        assert abs(search_occupation(values, weights, 300.0, res.mu) - 20.0) < 1e-10
 
     def test_guess_near_root_saves_iterations(self):
-        system = build_huckel(50, 0.569, 0.066)
-        eig = generalized_eigh(system.h_core, system.s)
-        cold = find_mu_for_occupation(eig, system.s.mat, beta=300.0, target_ne=20.0)
-        warm = find_mu_for_occupation(eig, system.s.mat, beta=300.0, target_ne=20.0,
+        values = np.linalg.eigvalsh(build_huckel(50, 0.569, 0.066).h_core.mat)
+        weights = np.ones(50)
+        cold = find_mu_for_occupation(values, weights, beta=300.0, target_ne=20.0)
+        warm = find_mu_for_occupation(values, weights, beta=300.0, target_ne=20.0,
                                       guess=cold.mu + 1e-6)
         assert warm.iterations < cold.iterations
-        assert abs(search_occupation(eig, 300.0, warm.mu) - 20.0) < 1e-10
+        assert abs(search_occupation(values, weights, 300.0, warm.mu) - 20.0) < 1e-10
 
     @pytest.mark.parametrize("end", [-1, 1])
     def test_root_at_a_bracket_end_costs_no_bisection(self, end):
         # one level at 0.3 and beta = 0.01: the bracket is 0.3 -+ 10, and the
         # target is the occupation at one end, so the root lies on that end
-        eig = generalized_eigh(np.array([[0.3]]), np.eye(1))
+        values, weights = np.array([0.3]), np.ones(1)
         root = 0.3 + 10.0 * end
-        target = search_occupation(eig, 0.01, root)
-        cold = find_mu_for_occupation(eig, np.eye(1), beta=0.01, target_ne=target)
+        target = search_occupation(values, weights, 0.01, root)
+        cold = find_mu_for_occupation(values, weights, beta=0.01, target_ne=target)
         for guess in (root - 1e-6, root + 1e-6):
-            warm = find_mu_for_occupation(eig, np.eye(1), beta=0.01, target_ne=target,
+            warm = find_mu_for_occupation(values, weights, beta=0.01, target_ne=target,
                                           guess=guess)
             assert warm.iterations <= cold.iterations
             assert warm.residual < 1e-10
-            assert abs(search_occupation(eig, 0.01, warm.mu) - target) < 1e-10
+            assert abs(search_occupation(values, weights, 0.01, warm.mu) - target) < 1e-10
 
     def test_non_finite_bracket_is_a_bracket_error(self, recwarn):
-        # a pencil eigenvalue past the largest float puts the bracket end at inf
-        eig = EigenPair(values=np.array([1.0, np.inf]), vectors=np.eye(2), inv=np.eye(2))
+        # a level past the largest float puts the bracket end at inf
         with pytest.raises(BracketError, match="not finite"):
-            find_mu_for_occupation(eig, np.eye(2), beta=1.0, target_ne=1.0)
+            find_mu_for_occupation(np.array([1.0, np.inf]), np.ones(2), beta=1.0, target_ne=1.0)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_underflowed_slope_raises_no_warning(self, recwarn):
         # at the midpoint 0.72 the slope is beta e^-720, a subnormal, and the
         # Newton step overflows; a numpy target used to make that a warning
-        eig = generalized_eigh(np.diag([0.0, 1.44]), np.eye(2))
-        res = find_mu_for_occupation(eig, np.eye(2), beta=1000.0, target_ne=np.float64(0.5))
+        res = find_mu_for_occupation(np.array([0.0, 1.44]), np.ones(2), beta=1000.0,
+                                     target_ne=np.float64(0.5))
         assert res.residual < 1e-10
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("guess", [math.nan, math.inf, -math.inf, -100.0, 100.0])
     def test_guess_outside_bracket_starts_at_midpoint(self, guess):
-        system = build_huckel(50, 0.569, 0.066)
-        eig = generalized_eigh(system.h_core, system.s)
-        cold = find_mu_for_occupation(eig, system.s.mat, beta=300.0, target_ne=20.0)
-        res = find_mu_for_occupation(eig, system.s.mat, beta=300.0, target_ne=20.0,
-                                     guess=guess)
+        values = np.linalg.eigvalsh(build_huckel(50, 0.569, 0.066).h_core.mat)
+        weights = np.ones(50)
+        cold = find_mu_for_occupation(values, weights, beta=300.0, target_ne=20.0)
+        res = find_mu_for_occupation(values, weights, beta=300.0, target_ne=20.0, guess=guess)
         assert res == cold
 
     def test_occupation_monotone_in_mu(self, rng):
         for _ in range(4):
             dim = int(rng.integers(3, 9))
-            eig = generalized_eigh(random_symmetric(rng, dim), random_spd(rng, dim))
-            s = random_spd(rng, dim)
-            eig = generalized_eigh(random_symmetric(rng, dim), s)
+            values, weights = pencil_levels(random_symmetric(rng, dim), random_spd(rng, dim))
             beta = float(rng.uniform(0.1, 20.0))
             mus = rng.uniform(-6.0, 6.0, size=(100, 2))
             for a, b in mus:
                 lo, hi = min(a, b), max(a, b)
-                assert search_occupation(eig, beta, hi) >= search_occupation(eig, beta, lo) - 1e-12
+                assert (search_occupation(values, weights, beta, hi)
+                        >= search_occupation(values, weights, beta, lo) - 1e-12)
 
     def test_target_out_of_range(self):
-        eig = generalized_eigh(np.diag([0.0, 1.0]), np.eye(2))
+        values, weights = np.array([0.0, 1.0]), np.ones(2)
         with pytest.raises(InfeasibleEnsembleError):
-            find_mu_for_occupation(eig, np.eye(2), beta=1.0, target_ne=2.5)
+            find_mu_for_occupation(values, weights, beta=1.0, target_ne=2.5)
         with pytest.raises(InfeasibleEnsembleError):
-            find_mu_for_occupation(eig, np.eye(2), beta=1.0, target_ne=0.0)
+            find_mu_for_occupation(values, weights, beta=1.0, target_ne=0.0)
+        # full filling is normalization times the weights' sum, Tr[S]
+        with pytest.raises(InfeasibleEnsembleError):
+            find_mu_for_occupation(values, 0.5 * weights, beta=1.0, target_ne=1.0)
 
     def test_bracket_does_not_straddle(self):
         # at beta = 1 the bracket caps the occupation strictly below full
         # filling, so a target inside (0, Tr[S]) but above the cap must fail
-        eig = generalized_eigh(np.diag([0.0, 1.0]), np.eye(2))
         with pytest.raises(BracketError, match="range"):
-            find_mu_for_occupation(eig, np.eye(2), beta=1.0, target_ne=1.9999999)
-
+            find_mu_for_occupation(np.array([0.0, 1.0]), np.ones(2), beta=1.0,
+                                   target_ne=1.9999999)

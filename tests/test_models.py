@@ -20,13 +20,12 @@ from fermicool import (
     effective_hamiltonian,
     exact_canonical_fd,
     exact_grand_fd,
-    generalized_eigh,
     load_system,
     occupation_spectrum,
     scf_fixed_point,
 )
 from fermicool.models import exact_canonical_mu
-from conftest import random_spd, random_symmetric
+from conftest import pencil_levels, random_spd, random_symmetric
 
 
 def ring_spectrum(n, alpha, gamma):
@@ -239,7 +238,7 @@ class TestDefaultChemicalPotential:
         literal = default_chemical_potential(system)
         pencil = default_chemical_potential(system, use_pencil=True)
         assert literal != pytest.approx(pencil, abs=1e-6)
-        mid = generalized_eigh(system.h_core, system.s).values
+        mid = pencil_levels(system.h_core.mat, system.s.mat)[0]
         assert pencil == pytest.approx(0.5 * (mid[3] + mid[4]), abs=1e-12)
 
     def test_average_halves_the_sum_unless_it_overflows(self, rng):
@@ -283,8 +282,8 @@ class TestCachedLevels:
         assert len(decomposed) == 1 and decomposed[0] is g_core
         monkeypatch.undo()
         assert system.levels is system.levels
-        fresh = generalized_eigh(system.h_core, system.s)
-        np.testing.assert_array_equal(system.levels[0], fresh.values)
+        fresh = pencil_levels(system.h_core.mat, s)[0]
+        np.testing.assert_allclose(system.levels[0], fresh, rtol=0, atol=1e-13)
 
     def test_oracles_match_a_fresh_decomposition(self, rng):
         system = SystemSpec(HermitianMatrix(random_symmetric(rng, 6)),
@@ -310,6 +309,24 @@ class TestScfFixedPoint:
         np.testing.assert_allclose(
             res.density.mat, exact_grand_fd(system, mu, 1.0).mat, atol=1e-14
         )
+
+    @pytest.mark.parametrize("ensemble", [GrandCanonical(-1.0), Canonical(4.0)],
+                             ids=["grand", "canonical"])
+    def test_beta_zero_state_is_exact_bit_for_bit(self, data_dir, ensemble):
+        # at beta = 0 a nonlinear SCF returns (N/2) S itself, as the linear
+        # oracles and cool()'s first record do, not Y (N/2) Y^T
+        system = load_system(data_dir / "sample_hcore.mat", data_dir / "sample_overlap.mat")
+        canonical = isinstance(ensemble, Canonical)
+        norm = canonical_normalization(4.0, system.s.mat) if canonical else 1.0
+        expected = 0.5 * norm * system.s.mat
+        exact = (exact_canonical_fd(system, 4.0, 0.0)[0] if canonical
+                 else exact_grand_fd(system, -1.0, 0.0))
+        assert np.array_equal(exact.mat, expected)
+        rng = np.random.default_rng(7)
+        for start in (None, expected + 0.01 * random_symmetric(rng, system.dim)):
+            res = scf_fixed_point(HamiltonianModel(system, coupling_u=0.05), ensemble, 0.0,
+                                  start=start)
+            assert np.array_equal(res.density.mat, expected)
 
     def test_self_consistency_residual(self):
         system = build_huckel(6, 0.569, 0.066)
