@@ -2,7 +2,8 @@
 
 Provides validated matrix carriers (symmetric matrices, and positive-definite
 overlap metrics with the orthogonalizing frame that reduces a pencil (H, S)
-to a standard symmetric problem), the overflow-safe Fermi factor, and a
+to a standard symmetric problem), the decomposition of that problem, the
+overflow-safe Fermi factor, and a
 safeguarded Newton search for the chemical potential at fixed electron count
 on a set of levels and their weights, which can start from a guess.
 Everything is dense, real and double precision.
@@ -153,6 +154,21 @@ class OverlapMatrix:
         return f"OverlapMatrix(dim={self.dim}, min_eig={self._eigvals[0]:.3g})"
 
 
+def generalized_eigh(g):
+    """Levels and frame eigenvectors (lambda, C) of a pencil (H, S) from its frame matrix G.
+
+    The congruence by the overlap's frame Z (:attr:`OverlapMatrix.frame`)
+    takes the pencil H v = lambda S v to the standard problem G = Z^T H Z
+    (H itself when S is the identity), so the ascending eigenvalues lambda of
+    G = C diag(lambda) C^T are the pencil's levels and V = Z C its
+    S-orthonormal eigenvectors.  It is the library's one decomposition of a
+    Hamiltonian; :mod:`~fermicool.models` calls it through its module
+    global, the seam at which ``bench/tracing.py`` counts decompositions.
+    A G that is not finite raises LinAlgError.
+    """
+    return np.linalg.eigh(g)
+
+
 def fermi(x):
     """Overflow-safe Fermi factor 1 / (1 + exp(x)), elementwise.
 
@@ -231,6 +247,8 @@ def find_mu_for_occupation(
 
     Raises
     ------
+    DimensionMismatchError
+        If ``values`` and ``weights`` differ in shape.
     ValueError
         If ``beta`` is not positive: at ``beta = 0`` the occupation does not
         depend on mu, and the Fermi-Dirac state takes the limit
@@ -245,6 +263,12 @@ def find_mu_for_occupation(
         If the occupation residual is still above :data:`MU_TOL` after
         :data:`MU_MAX_ITER` iterations.
     """
+    values = np.asarray(values, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if values.shape != weights.shape:
+        raise DimensionMismatchError(
+            f"levels have shape {values.shape} but weights {weights.shape}"
+        )
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     # Python floats: a Newton step over an underflowed slope is inf, silently

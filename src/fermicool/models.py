@@ -49,6 +49,7 @@ from .matcore import (
     OverlapMatrix,
     fermi,
     find_mu_for_occupation,
+    generalized_eigh,
     maxabs_asymmetry,
     symmetrize,
 )
@@ -112,11 +113,14 @@ class SystemSpec:
 
         lambda holds the ascending levels of the pencil (H_core, S) and C the
         orthogonal eigenvectors of G_core (:attr:`frame`), whose columns are
-        the pencil's eigenvectors Z C seen in the frame.  C is kept in
-        column-major order, which fixes how the states and occupation weights
-        formed from it round.  Both are read-only.
+        the pencil's eigenvectors Z C seen in the frame
+        (:func:`~fermicool.matcore.generalized_eigh`).  C is kept in
+        column-major order, the layout of ``S V`` in the pencil formula
+        P = (S V) diag(N f) (S V)^T: with S = 1 it keeps the states and the
+        occupation weights formed from C byte-identical to that formula's
+        on ``eigh(H)``.  Both are read-only.
         """
-        lam, c = np.linalg.eigh(self.frame[3])
+        lam, c = generalized_eigh(self.frame[3])
         c = np.asfortranarray(c)
         lam.flags.writeable = c.flags.writeable = False
         return lam, c
@@ -488,12 +492,13 @@ def _frame_state(model: HamiltonianModel, q, beta: float, ensemble: Ensemble, no
     model's are the system's cached :attr:`~SystemSpec.levels` of G_core, a
     nonlinear model refreshes G(Q) = G_core + dG(Q - N/2)
     (:attr:`HamiltonianModel.frame_response`) and decomposes it by one
-    ``eigh``.  F = C diag(N f) C^T with f = fermi(beta (lambda - mu)).  A
-    canonical ensemble solves mu from ``mu_guess`` on the levels
-    (:func:`_levels_mu`).  At beta = 0, F = (N/2) 1 whatever H is, the
-    canonical mu is the limit Tr[H(P)] / Tr[S] of the S-frame Hamiltonian,
-    and no eigenpairs are formed (None is returned for them).  Non-finite
-    levels raise BracketError, a G(Q) that is not finite LinAlgError.
+    :func:`~fermicool.matcore.generalized_eigh`.  F = C diag(N f) C^T with
+    f = fermi(beta (lambda - mu)).  A canonical ensemble solves mu from
+    ``mu_guess`` on the levels (:func:`_levels_mu`).  At beta = 0,
+    F = (N/2) 1 whatever H is, the canonical mu is the limit
+    Tr[H(P)] / Tr[S] of the S-frame Hamiltonian, and no eigenpairs are
+    formed (None is returned for them).  Non-finite levels raise
+    BracketError, a G(Q) that is not finite LinAlgError.
     """
     system = model.system
     y = system.frame[1]
@@ -508,7 +513,7 @@ def _frame_state(model: HamiltonianModel, q, beta: float, ensemble: Ensemble, no
     if model.is_linear:
         lam, c = system.levels
     else:
-        lam, c = np.linalg.eigh(model.frame_response.hamiltonian(q, norm))
+        lam, c = generalized_eigh(model.frame_response.hamiltonian(q, norm))
     if grand:
         _check_levels(lam)
         mu = ensemble.mu
@@ -608,11 +613,11 @@ def scf_fixed_point(
     Q = Z^T P Z, where F(P) = Y F(Q) Y^T: the evaluation at Q refreshes
     G(Q) = G_core + dG(Q - N/2) in O(n^2) through the model's
     :attr:`~HamiltonianModel.frame_response`, decomposes it with one
-    ``eigh`` as C diag(lambda) C^T and forms F(Q) = C diag(N f) C^T
-    (:func:`_frame_state`).  The residual is still taken in the S frame,
-    max |Y (F(Q) - Q) Y^T|, and P = Y F(Q) Y^T is formed once, on return,
-    as every exact state is: (N/2) S exactly at beta = 0.  A ``start``
-    enters as Z^T P Z.
+    :func:`~fermicool.matcore.generalized_eigh` as C diag(lambda) C^T and
+    forms F(Q) = C diag(N f) C^T (:func:`_frame_state`).  The residual is
+    still taken in the S frame, max |Y (F(Q) - Q) Y^T|, and P = Y F(Q) Y^T
+    is formed once, on return, as every exact state is: (N/2) S exactly at
+    beta = 0.  A ``start`` enters as Z^T P Z.
 
     With ``use_aitken`` (the name is kept from an earlier Aitken-extrapolated
     variant) the next iterate is the Newton step Q + delta on R(Q) = 0:

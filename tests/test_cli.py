@@ -205,15 +205,14 @@ class TestRun:
 
     @pytest.mark.parametrize("case, extra, seam", [
         ("linear", ["--scheme", "rk4"], "_frame_state"),
-        ("nonlinear", ["--nonlinear", "0.05", "--scheme", "kraus2"], "eigh"),
+        ("nonlinear", ["--nonlinear", "0.05", "--scheme", "kraus2"], "generalized_eigh"),
     ])
     def test_mu_trace_makes_only_what_it_reads(self, tmp_path, monkeypatch, case, extra, seam):
         # a linear trace solves for mu alone on the system's cached levels
         # and makes no frame evaluation, which forms every exact density (one
         # per record after beta = 0 would be 100); a nonlinear trace iterates
-        # in the overlap frame and makes one eigh per SCF evaluation after
-        # beta = 0, and no other decomposition (a pencil per evaluation
-        # besides would double the count)
+        # in the overlap frame and makes one decomposition per SCF evaluation
+        # after beta = 0 (a second one per evaluation would double the count)
         from fermicool import cli, models, write_matrix
 
         calls, iterations, tracing = [], [], []
@@ -232,15 +231,14 @@ class TestRun:
                 iterations.append(res.iterations)
             return res
 
-        module = models if seam == "_frame_state" else np.linalg
-        assert hasattr(module, seam), f"no {seam} to spy on"
+        assert hasattr(models, seam), f"no {seam} to spy on"
 
-        def spy(*args, _inner=getattr(module, seam), **kwargs):
+        def spy(*args, _inner=getattr(models, seam), **kwargs):
             if tracing:
                 calls.append(1)
             return _inner(*args, **kwargs)
 
-        monkeypatch.setattr(module, seam, spy)
+        monkeypatch.setattr(models, seam, spy)
         monkeypatch.setattr(cli, "scf_fixed_point", scf_spy)
         monkeypatch.setattr(cli, "_mu_trace", trace_spy)
         h, s = gaussian_chain()

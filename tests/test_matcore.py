@@ -15,7 +15,9 @@ from fermicool import (
     fermi,
     find_mu_for_occupation,
     occupation_spectrum,
+    symmetrize,
 )
+from fermicool.matcore import generalized_eigh
 from conftest import pencil_levels, random_spd, random_symmetric, search_occupation
 
 
@@ -97,10 +99,18 @@ def test_array_conversion_honours_copy(carrier):
         np.array(m, dtype=np.float32, copy=False)
 
 
+def frame_pencil(h, s):
+    """Levels and S-orthonormal vectors V = Z C of the pencil (H, S) from
+    generalized_eigh of its frame matrix Z^T H Z."""
+    z = OverlapMatrix(s).frame[2]
+    values, c = generalized_eigh(symmetrize(z.T @ h @ z))
+    return values, z @ c
+
+
 class TestGeneralizedEigh:
-    """The symmetric-definite pencil (P, S) solved for its values: the
-    occupation numbers, eigenvalues of S^-1 P, by one eigvalsh in the
-    overlap's frame."""
+    """The symmetric-definite pencil solved in the overlap's frame: its
+    vectors from generalized_eigh, and the values of (P, S), the occupation
+    numbers, eigenvalues of S^-1 P, by one eigvalsh."""
 
     def test_identity_overlap_diag(self):
         occ = occupation_spectrum(np.diag([0.0, 1.0]), np.eye(2))
@@ -124,6 +134,24 @@ class TestGeneralizedEigh:
             np.testing.assert_allclose(occupation_spectrum(p, s), ref, atol=1e-10)
             np.testing.assert_allclose(occupation_spectrum(HermitianMatrix(p), OverlapMatrix(s)),
                                        ref, atol=1e-10)
+
+    def test_s_orthonormality_and_reconstruction(self, rng):
+        h = random_symmetric(rng, 8)
+        s = random_spd(rng, 8)
+        values, vectors = frame_pencil(h, s)
+        np.testing.assert_allclose(vectors.T @ s @ vectors, np.eye(8), atol=1e-10)
+        target = np.linalg.solve(s, h)
+        recon = (vectors * values) @ (vectors.T @ s)
+        assert np.linalg.norm(recon - target) / np.linalg.norm(target) < 1e-9
+
+    def test_eigenvalue_equation_residual(self, rng):
+        h = random_symmetric(rng, 8)
+        s = random_spd(rng, 8)
+        values, vectors = frame_pencil(h, s)
+        np.testing.assert_allclose(values, scipy.linalg.eigh(h, s, eigvals_only=True),
+                                   atol=1e-10)
+        residual = h @ vectors - s @ vectors * values
+        assert np.abs(residual).max() / np.linalg.norm(h) < 1e-10
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -260,6 +288,15 @@ class TestFindMu:
         # full filling is normalization times the weights' sum, Tr[S]
         with pytest.raises(InfeasibleEnsembleError):
             find_mu_for_occupation(values, 0.5 * weights, beta=1.0, target_ne=1.0)
+
+    def test_levels_and_weights_are_checked_arrays(self):
+        # plain lists are taken as arrays; levels and weights must pair up
+        res = find_mu_for_occupation([0.0, 1.0], [1.0, 1.0], beta=200.0, target_ne=1.0)
+        assert res == find_mu_for_occupation(np.array([0.0, 1.0]), np.ones(2), beta=200.0,
+                                             target_ne=1.0)
+        for weights in (np.ones(3), np.ones((2, 1))):
+            with pytest.raises(DimensionMismatchError, match="weights"):
+                find_mu_for_occupation(np.array([0.0, 1.0]), weights, beta=1.0, target_ne=1.0)
 
     def test_bracket_does_not_straddle(self):
         # at beta = 1 the bracket caps the occupation strictly below full

@@ -23,6 +23,7 @@ from fermicool import (
     load_system,
     occupation_spectrum,
     scf_fixed_point,
+    symmetrize,
 )
 from fermicool.models import exact_canonical_mu
 from conftest import pencil_levels, random_spd, random_symmetric
@@ -282,6 +283,11 @@ class TestCachedLevels:
         assert len(decomposed) == 1 and decomposed[0] is g_core
         monkeypatch.undo()
         assert system.levels is system.levels
+        # the levels are those of the literal reduction Z^T H Z, and the
+        # pencil's to rounding
+        z = system.s.frame[2]
+        literal = np.linalg.eigh(symmetrize(z.T @ system.h_core.mat @ z))[0]
+        np.testing.assert_array_equal(system.levels[0], literal)
         fresh = pencil_levels(system.h_core.mat, s)[0]
         np.testing.assert_allclose(system.levels[0], fresh, rtol=0, atol=1e-13)
 

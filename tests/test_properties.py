@@ -53,6 +53,7 @@ from fermicool import (  # noqa: E402
     scf_fixed_point,
     step_kraus1,
     step_kraus2,
+    symmetrize,
     write_matrix,
 )
 from fermicool import models, solvers  # noqa: E402
@@ -525,19 +526,24 @@ PENCIL_GAP = 8.0
 
 def pencil_state(system, beta, ensemble, norm, mu_guess=None):
     """The exact state as the pencil of (H_core, S) gives it, written out:
-    P = N (S V) f (S V)^T from scipy's generalized solver, and the canonical
-    mu from find_mu_for_occupation on that pencil's levels and weights
-    ||S v_k||^2 (Tr[H] / Tr[S] at beta = 0)."""
+    P = N (S V) f (S V)^T, and the canonical mu from find_mu_for_occupation
+    on that pencil's levels and weights ||S v_k||^2 (Tr[H] / Tr[S] at
+    beta = 0).  The pencil comes from scipy's generalized solver; for S = 1
+    from numpy alone, V from eigh(H) and S V laid out as (V^T S)^T."""
     s = system.s.mat
-    values, v = scipy.linalg.eigh(system.h_core.mat, s)
-    w = s @ v
+    if np.array_equal(s, np.eye(system.dim)):
+        values, v = np.linalg.eigh(symmetrize(system.h_core.mat))
+        w = (v.T @ s).T
+    else:
+        values, v = scipy.linalg.eigh(system.h_core.mat, s)
+        w = s @ v
     if isinstance(ensemble, GrandCanonical):
         mu = ensemble.mu
     elif beta == 0.0:
         mu = float(np.trace(system.h_core.mat)) / float(np.trace(s))
     else:
-        mu = find_mu_for_occupation(values, (w ** 2).sum(axis=0), beta, ensemble.n_electrons,
-                                    norm, guess=mu_guess).mu
+        mu = find_mu_for_occupation(values, np.einsum("ik,ik->k", w, w), beta,
+                                    ensemble.n_electrons, norm, guess=mu_guess).mu
     if beta == 0.0:
         return 0.5 * norm * s, mu
     with np.errstate(over="ignore"):
@@ -548,8 +554,8 @@ def pencil_state(system, beta, ensemble, norm, mu_guess=None):
 @given(data=st.data(), system=systems(), log_beta=st.floats(-1.0, 1.0))
 def test_exact_states_are_the_pencil_formula(data, system, log_beta):
     # every exact state of a linear model comes from the frame levels of
-    # G_core; it is the state of scipy's pencil solver to rounding, and bit
-    # for bit when no level is read (beta = 0)
+    # G_core; it is the pencil's state to rounding, and bit for bit when no
+    # frame change rounds (S = 1) or no level is read (beta = 0)
     ensemble = data.draw(ensembles(system))
     beta = 0.0 if data.draw(st.integers(0, 9)) == 0 else 10.0 ** log_beta
     model = HamiltonianModel(system)
@@ -573,7 +579,7 @@ def test_exact_states_are_the_pencil_formula(data, system, log_beta):
         states.append((None, models.exact_canonical_mu(system, ne, beta, guess), None, mu_warm))
         res = scf_fixed_point(model, ensemble, beta, mu_guess=guess)
         states.append((res.density.mat, res.mu, p_warm, mu_warm))
-    exact = beta == 0.0
+    exact = beta == 0.0 or np.array_equal(s, np.eye(system.dim))
     bound = PENCIL_GAP * system.dim * np.finfo(float).eps * norm * np.linalg.norm(s, 2)
     for p, mu, p_ref, mu_ref in states:
         if exact:
