@@ -169,7 +169,7 @@ def _flush_tail(x, floor, out=None):
     return mag
 
 
-def _rate(p, f, norm, mu=None, w=None):
+def _rate(p, f, norm, mu=None, frame=None):
     """dP/dbeta = B P + P B^T and sigma, in X form, for :func:`_flow`'s frame operands."""
     # B P = -(F - sigma) X / 2 with X symmetric, so
     # dP/dbeta = -(F X + (F X)^T) / 2 + sigma X; in the frame M P = Q Q^T
@@ -182,16 +182,15 @@ def _rate(p, f, norm, mu=None, w=None):
     out *= -0.5
     if mu is not None:
         return out, mu
-    diag_x, diag_fx = x.diagonal(), fx.diagonal()
-    den = float(diag_x.sum() if w is None else w @ diag_x)
+    den = frame.trace(x)
     _check_trace(den)
-    sigma = float(diag_fx.sum() if w is None else w @ diag_fx) / den
+    sigma = frame.trace(fx) / den
     x *= sigma
     out += x
     return out, sigma
 
 
-def _flow(p, f, norm, delta_beta, scheme, mu=None, w=None, t=None):
+def _flow(p, f, norm, delta_beta, scheme, mu=None, frame=None, t=None):
     """The kernel: one step of dP/dbeta = B P + P B^T and its increment of beta mu.
 
     B = (F M / N - F) / 2 for the symmetric state ``p``, its occupation
@@ -200,9 +199,10 @@ def _flow(p, f, norm, delta_beta, scheme, mu=None, w=None, t=None):
     take, t = S^-1, M = P S^-1 and F = H S^-1.  Grand canonical runs pass
     ``mu`` with ``f`` already shifted by it and N = 1.  Canonical runs
     (``mu`` None) subtract sigma = Tr[W F X] / Tr[W X], X = P - M P / N,
-    whose trace weight W = diag(w) is given by the vector ``w``, the overlap
-    eigenvalues in the frame, or None (the identity); W P is a row scaling
-    and every weighted trace an O(n) or O(n^2) sum.
+    whose trace weight W = diag(s) holds the overlap eigenvalues of the
+    system's :class:`~fermicool.models.Frame` ``frame``, which takes W P as a
+    row scaling and every weighted trace as an O(n) or O(n^2) sum; an
+    :class:`~fermicool.models.IdentityFrame` takes them unweighted.
 
     Returns (out, dz, A), ``out`` unsymmetrized (exactly symmetric for
     "rk4") and dz the step's increment
@@ -217,7 +217,7 @@ def _flow(p, f, norm, delta_beta, scheme, mu=None, w=None, t=None):
     if scheme == "rk4":
         # one accumulator and one stage buffer, which also carries each
         # weighted stage rate into the sum once the rate is computed
-        acc, total = _rate(p, f, norm, mu, w)
+        acc, total = _rate(p, f, norm, mu, frame)
         k, stage = acc, np.empty_like(p)
         floor = 0.5 * norm * TAIL_FLOOR
         # a stage entry is one rounded sum p_ij + t, which is 0 or at least
@@ -229,7 +229,7 @@ def _flow(p, f, norm, delta_beta, scheme, mu=None, w=None, t=None):
             stage += p
             if flush:
                 _flush_tail(stage, floor)
-            k, sigma = _rate(stage, f, norm, mu, w)
+            k, sigma = _rate(stage, f, norm, mu, frame)
             acc += np.multiply(k, weight, out=stage)
             total += weight * sigma
         acc *= delta_beta / 6.0
@@ -240,7 +240,7 @@ def _flow(p, f, norm, delta_beta, scheme, mu=None, w=None, t=None):
     fm = f @ m
     sigma, sdot = mu, 0.0
     if mu is None:
-        wp = p if w is None else w[:, None] * p
+        wp = frame.scale_rows(p)
         den = float(np.trace(wp) - np.vdot(m, wp) / norm)
         _check_trace(den)
         sigma = float(np.vdot(f, wp) - np.vdot(fm, wp) / norm) / den
@@ -259,7 +259,7 @@ def _flow(p, f, norm, delta_beta, scheme, mu=None, w=None, t=None):
     if mu is None:
         # d sigma/dbeta = Tr[W (F - sigma) Xdot] / Tr[W X],
         # Xdot = Pdot - (Mdot P + M Pdot) / N
-        wpd = pd if w is None else w[:, None] * pd
+        wpd = frame.scale_rows(pd)
         sdot = float(np.vdot(f, wpd) - (np.vdot(fmd, wp) + np.vdot(fm, wpd)) / norm) / den
     # A = 1 + d B + (d^2/2)(B^2 + B') with
     # B' = (sigma'/2)(1 - M/N) + (F - sigma) Mdot / (2N), built in place so
@@ -283,14 +283,6 @@ def _check_trace(den):
             f"Tr[X + X^T] = {2.0 * den:.3e} is degenerate; the state is fully "
             f"occupied or empty and the trace constraint cannot be enforced"
         )
-
-
-def _frame_norm(c, weight):
-    # the Frobenius norm of an S-frame matrix from its frame form c, where
-    # weight_ij is what the frame change multiplies c_ij^2 by (None for S = 1)
-    if weight is None:
-        return float(np.linalg.norm(c, "fro"))
-    return math.sqrt(float(np.vdot(c * c, weight)))
 
 
 def _s_frame_step(scheme, p, h, s, mu, delta_beta, s_inv):
@@ -349,14 +341,17 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
 
     The state is Q = Z^T P Z from Q(0) = (N/2) 1, stepped against
     G = Z^T H Z, where S = Y Y^T, Y = U s^1/2 and Z = Y^-T come from the
-    overlap's eigenpairs (:attr:`~fermicool.models.SystemSpec.frame`);
-    for S = 1 the frame is P itself.  The canonical trace weight is the
-    vector s, so S Q is a row scaling.  G - mu is formed once for linear
+    overlap's eigenpairs, held by the system's
+    :class:`~fermicool.models.Frame` (:attr:`~fermicool.models.SystemSpec.frame`);
+    for S = 1 it is an :class:`~fermicool.models.IdentityFrame` and Q is P
+    itself.  Every weighted operation below is the frame's, and the identity
+    frame takes it unweighted.  The canonical trace weight is the vector s,
+    so S Q is a row scaling.  G - mu is formed once for linear
     models.  Density-dependent models refresh G from Q at the start of every
     step and hold it across the step's stages.  The model is affine in P, so
     the refresh stays in the frame and costs O(n^2):
     G(Q) = G_core + u [(Q - N/2) + phi K] with K = Z^T J Z formed once per
-    run and phi from (Y^T 1)^T Q (Y^T 1) and Tr[diag(s) Q]
+    model and phi from (Y^T 1)^T Q (Y^T 1) and Tr[diag(s) Q]
     (:attr:`~fermicool.models.HamiltonianModel.frame_response`).
     P = Y Q Y^T, formed once for the final state, is the one S-frame matrix
     cool() forms.  After each congruence step Q is symmetrized (an RK4 step
@@ -406,9 +401,9 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
         norm = 1.0
         mu = kernel_mu = float(ensemble.mu)
 
-    # no frame change when S is exactly the identity
-    w, y, _, g = system.frame
-    frame = y is not None
+    # an IdentityFrame when S is exactly the identity: no frame change
+    frame = system.frame
+    g = frame.g_core
 
     def kernel_operator(g_now):
         # the kernel's F: G, or G - mu for grand runs
@@ -425,9 +420,6 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     if not model.is_linear:
         # G(Q) = G_core + Z^T dH(Y (Q - N/2) Y^T) Z in O(n^2)
         refresh = model.frame_response.hamiltonian
-        # the weights of _frame_norm for Z C Y^T and Y C Y^T
-        comm_weight, defect_weight = ((np.outer(1.0 / w, w), np.outer(w, w)) if frame
-                                      else (None, None))
 
     records = []
 
@@ -437,19 +429,13 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     # Q(0) = (N/2) 1 commutes with G, and P(0) = (N/2) S has the smallest
     # eigenvalue (N/2) s_min, so beta = 0 is recorded without a product
     first = HermitianMatrix(p0)
-    record(0.0, 0.5 * norm * (float(w[0]) if frame else 1.0), float(np.trace(first.mat)),
-           0.0, 0.0)
+    record(0.0, 0.5 * norm * float(frame.s[0]), float(np.trace(first.mat)), 0.0, 0.0)
     del p0  # the loop holds Q alone and forms P only for the final state
     q_floor = 0.5 * norm * TAIL_FLOOR
     # the RK4 result is exactly symmetric: X = Q Q^T is one symmetric rank-k
     # product, the rate adds F X to its own transpose and every other stage
     # operation is elementwise; so only the congruence results are symmetrized
     rk4 = scheme == "rk4"
-    # outer(s^1/2, s^1/2) is exactly symmetric, and so is the scaled state
-    # D^1/2 Q D^1/2 whose spectrum is that of P
-    if frame:
-        root = np.sqrt(w)
-        root_outer = np.outer(root, root)
 
     # non-finite values are detected and turned into SolverAbortError below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -463,13 +449,13 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
             if refreshed:
                 g_last, g = g, refresh(q, norm)
                 f = kernel_operator(g)
-                if recording:  # E = G_last diag(s) (G - G_last)
-                    e = (g_last if w is None else g_last * w) @ (g - g_last)
-                    refresh_defect = _frame_norm(e - e.T, defect_weight) / db
+                if recording:  # E = G_last diag(s) (G - G_last), (diag(s) G_last^T)^T on the left
+                    e = frame.scale_rows(g_last.T).T @ (g - g_last)
+                    refresh_defect = frame.norm_yy(e - e.T) / db
 
             # d(beta mu)/dbeta equals the scalar exactly; dz is the step's
             # quadrature of it at the scheme's order
-            q_raw, dz, _ = _flow(q, f, norm, db, scheme, mu=kernel_mu, w=w)
+            q_raw, dz, _ = _flow(q, f, norm, db, scheme, mu=kernel_mu, frame=frame)
             if canonical:
                 beta_mu += dz
                 mu = beta_mu / beta_next
@@ -488,14 +474,10 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
             if recording:
                 if refreshed:
                     qg = q @ g
-                    comm_norm = _frame_norm(qg - qg.T, comm_weight)
-                if frame:
-                    eigmin = np.linalg.eigvalsh(q * root_outer)[0]
-                    trace = w @ np.diagonal(q)
-                else:
-                    eigmin, trace = np.linalg.eigvalsh(q)[0], np.trace(q)
-                record(beta_next, float(eigmin), float(trace), comm_norm, refresh_defect)
-        last = HermitianMatrix(y @ q @ y.T if frame else q)
+                    comm_norm = frame.norm_zy(qg - qg.T)
+                record(beta_next, float(frame.spectrum(q)[0]), frame.trace(q), comm_norm,
+                       refresh_defect)
+        last = HermitianMatrix(frame.from_frame(q))
 
     betas, mus, mineig, trace, comm, refresh = zip(*records)
     return Trajectory(

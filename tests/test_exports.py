@@ -115,6 +115,56 @@ def test_every_private_name_has_a_caller_in_src():
     assert sorted(uncalled) == []
 
 
+#: Names that hold a part of the overlap frame, and the classes that own the
+#: one decision of how S = 1 is represented.
+FRAME_NAMES = {"w", "y", "z", "weight", "comm_weight", "defect_weight", "frame"}
+FRAME_CLASSES = {"Frame", "IdentityFrame"}
+
+
+def _is_frame_operand(node):
+    # a frame name, an attribute of that name, or a subscript of a .frame
+    if isinstance(node, ast.Name):
+        return node.id in FRAME_NAMES
+    if isinstance(node, ast.Attribute):
+        return node.attr in FRAME_NAMES
+    return (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "frame")
+
+
+def _frame_tests(node):
+    # the frame operands under node that are compared with None or tested for
+    # truth, outside the bodies of the frame classes
+    if isinstance(node, ast.ClassDef) and node.name in FRAME_CLASSES:
+        return
+    tested = []
+    if isinstance(node, ast.Compare) and any(isinstance(op, (ast.Is, ast.IsNot))
+                                             for op in node.ops):
+        operands = [node.left, *node.comparators]
+        if any(isinstance(o, ast.Constant) and o.value is None for o in operands):
+            tested = operands
+    elif isinstance(node, (ast.If, ast.IfExp, ast.While, ast.Assert)):
+        tested = [node.test]
+    elif isinstance(node, ast.BoolOp):
+        tested = node.values
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+        tested = [node.operand]
+    elif isinstance(node, ast.comprehension):
+        tested = node.ifs
+    yield from (operand for operand in tested if _is_frame_operand(operand))
+    for child in ast.iter_child_nodes(node):
+        yield from _frame_tests(child)
+
+
+def test_no_code_outside_the_frame_classes_tests_for_the_identity_overlap():
+    # S = 1 is an IdentityFrame, not a None in a tuple that every consumer
+    # branches on: outside the frame classes no code compares a frame name
+    # with None or tests its truth
+    hits = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+            for path in sorted((ROOT / "src" / "fermicool").glob("*.py"))
+            for node in _frame_tests(ast.parse(path.read_text(encoding="utf-8")))]
+    assert hits == []
+
+
 #: A Sphinx cross-reference in a docstring: :func:`name`, :attr:`~path`, ...
 _XREF = re.compile(r":(?:func|attr|meth|data|class):`~?([\w.]+)`")
 

@@ -264,7 +264,7 @@ class TestCachedLevels:
         # decomposition of G_core = Z^T H Z, the one the frame already holds
         s = np.eye(6) if identity else random_spd(rng, 6)
         system = SystemSpec(HermitianMatrix(random_symmetric(rng, 6)), OverlapMatrix(s))
-        g_core = system.frame[3]
+        g_core = system.frame.g_core
         eigh, decomposed = np.linalg.eigh, []
 
         def spy(a, *args, **kwargs):

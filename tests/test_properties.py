@@ -365,13 +365,11 @@ def test_newton_jacobian_matches_a_finite_difference(data, coupling, log_beta):
     n = system.dim
     p = 0.5 * norm * system.s.mat + 0.05 * random_symmetric(rng, n)
     dp = random_symmetric(rng, n)
-    _, y, z, _ = system.frame
-    if y is None:  # S is the identity, and the frame is P itself
-        y = z = np.eye(n)
-    _, mu, eig = _frame_state(model, z.T @ p @ z, beta, ensemble, norm)
+    frame = system.frame
+    _, mu, eig = _frame_state(model, frame.to_frame(p), beta, ensemble, norm)
     jacobian = _fd_jacobian(model, eig, beta, mu, norm, isinstance(ensemble, Canonical))
     c = eig[1]
-    j_dp = y @ c @ jacobian(c.T @ (z.T @ dp @ z) @ c) @ c.T @ y.T
+    j_dp = frame.from_frame(c @ jacobian(c.T @ frame.to_frame(dp) @ c) @ c.T)
     step = 1e-4
 
     def fd(sign):
@@ -516,6 +514,43 @@ def test_frame_refresh_is_the_s_frame_hamiltonian(data, coupling):
     g = model.frame_response.hamiltonian(q, norm)
     ref = z.T @ effective_hamiltonian(model, y @ q @ y.T, norm).mat @ z
     assert np.abs(g - ref).max() <= 1e-13 * max(np.abs(ref).max(), 1.0)
+
+
+@given(data=st.data(), system=systems(), coupling=st.floats(-1.0, 1.0))
+def test_frame_operations_are_the_overlap_algebra(data, system, coupling):
+    # each operation of the system's frame against the overlap's (s, Y, Z)
+    # formed explicitly, and an IdentityFrame's against the plain numpy call
+    # it stands for, bit for bit; the frame is an IdentityFrame exactly when
+    # S is the identity (only a unit diagonal is nonzero)
+    n = system.dim
+    s_mat = system.s.mat
+    frame = system.frame
+    identity = bool(np.count_nonzero(s_mat) == n and (np.diagonal(s_mat) == 1.0).all())
+    assert isinstance(frame, models.IdentityFrame) == identity
+    w, y, z = system.s.frame
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    p = random_symmetric(rng, n)
+    c = rng.normal(size=(n, n))
+    q = frame.to_frame(p)
+    tol = 1e-12 * max(fro(p), fro(c), 1.0)
+    assert np.abs(frame.from_frame(q) - p).max() <= tol
+    assert abs(frame.trace(q) - np.trace(p)) <= tol
+    assert np.abs(frame.spectrum(q) - np.linalg.eigvalsh(p)).max() <= tol
+    assert abs(frame.norm_zy(c) - fro(z @ c @ y.T)) <= tol * fro(c)
+    assert abs(frame.norm_yy(c) - fro(y @ c @ y.T)) <= tol * fro(c)
+    gram = c.T @ np.diag(w) @ c
+    assert np.abs(c.T @ frame.scale_rows(c) - gram).max() <= tol * fro(c)
+    if identity:
+        model = HamiltonianModel(system, coupling_u=coupling)
+        assert q is not p and q.tobytes() == p.tobytes()
+        assert frame.from_frame(q) is q and frame.scale_rows(c) is c
+        assert frame.trace(p) == float(np.trace(p))
+        assert frame.spectrum(p).tobytes() == np.linalg.eigvalsh(p).tobytes()
+        assert frame.norm_zy(c) == frame.norm_yy(c) == float(np.linalg.norm(c, "fro"))
+        assert frame.g_core is system.h_core.mat
+        ones, k, response = frame.response(model)
+        assert response == model.response
+        assert np.array_equal(ones, np.ones(n)) and np.array_equal(k, np.diag(model._stagger))
 
 
 #: Density gap allowed between the exact states and the pencil formula, in

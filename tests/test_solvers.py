@@ -56,14 +56,22 @@ def logistic(p0, a, beta):
     return 1.0 / (1.0 + (1.0 - p0) / p0 * math.exp(a * beta))
 
 
+def overlap_frame(s, h=None):
+    """The frame of the system with overlap ``s`` and core Hamiltonian ``h``
+    (zero when only the frame's overlap algebra is used)."""
+    h = np.zeros(np.shape(s)) if h is None else h
+    return SystemSpec(HermitianMatrix(h), OverlapMatrix(s)).frame
+
+
 def frame_operands(p, h, s, mu=None):
     """The kernel's operands in the frame of S = Y Y^T, Z = Y^-T:
-    Q = Z^T P Z, F = Z^T H Z - mu, the trace weight s, and Y."""
-    w, y, z = OverlapMatrix(s).frame
-    f = symmetrize(z.T @ np.asarray(h, dtype=float) @ z)
+    Q = Z^T P Z, F = Z^T H Z - mu, and the frame, which holds the trace
+    weight s and Y."""
+    frame = overlap_frame(s, h)
+    f = frame.g_core.copy()
     if mu is not None:
         f.flat[:: f.shape[0] + 1] -= mu
-    return symmetrize(z.T @ np.asarray(p, dtype=float) @ z), f, w, y
+    return symmetrize(frame.to_frame(np.asarray(p, dtype=float))), f, frame
 
 
 def s_frame_flow(p, h, s, mu=None, norm=1.0):
@@ -71,10 +79,10 @@ def s_frame_flow(p, h, s, mu=None, norm=1.0):
     rate, taken in the frame and brought back as Y _rate(Q, F, ...) Y^T.  A
     grand flow passes ``mu``; a canonical one leaves it None and passes N as
     ``norm``."""
-    q, f, w, y = frame_operands(p, h, s, mu)
-    rhs, sigma = _rate(q, f, norm, mu, w=w)
+    q, f, frame = frame_operands(p, h, s, mu)
+    rhs, sigma = _rate(q, f, norm, mu, frame=frame)
     p = np.asarray(p, dtype=float)
-    return y @ rhs @ y.T, sigma, p - (p @ np.linalg.inv(s) @ p) / norm
+    return frame.from_frame(rhs), sigma, p - (p @ np.linalg.inv(s) @ p) / norm
 
 
 class TestSolverConfig:
@@ -143,8 +151,8 @@ class TestGrandRhs:
         h = random_symmetric(rng, 6)
         s = random_spd(rng, 6)
         # the frame rate; Y R Y^T is symmetric only to rounding
-        q, f, w, _ = frame_operands(p, h, s, -0.2)
-        out, _ = _rate(q, f, 1.0, -0.2, w=w)
+        q, f, frame = frame_operands(p, h, s, -0.2)
+        out, _ = _rate(q, f, 1.0, -0.2, frame=frame)
         assert np.abs(out - out.T).max() == 0.0
 
     def test_matches_exact_flow_derivative(self, rng):
@@ -218,26 +226,27 @@ class TestFlowRk4:
 
     @staticmethod
     def operands(rng, operands, mu):
-        # (Q, F, M, N, w) in the eigenbasis frame of a random S
+        # (Q, F, M, N, frame) in the eigenbasis frame of a random S
         n = 7
-        overlap = OverlapMatrix(random_spd(rng, n))
+        s = random_spd(rng, n)
         h = random_symmetric(rng, n)
         norm = 1.0 if mu is not None else 0.8
-        vals, _, z = overlap.frame
+        frame = overlap_frame(s, h)
         q = random_spd(rng, n, lo=0.1, hi=0.7)
-        f = z.T @ h @ z
+        f = frame.z.T @ h @ frame.z
         if mu is not None:
             f = f - mu * np.eye(n)
-        return q, f, q, norm, vals
+        return q, f, q, norm, frame
 
     @staticmethod
-    def literal(p, f, m, norm, w, mu):
-        # grand runs pass F already shifted by mu
+    def literal(p, f, m, norm, frame, mu):
+        # grand runs pass F already shifted by mu; the trace weight is diag(s)
         n = p.shape[0]
         sigma = mu
         if mu is None:
             x = p - m @ p / norm
-            sigma = np.trace(np.diag(w) @ f @ x) / np.trace(np.diag(w) @ x)
+            w = np.diag(frame.s)
+            sigma = np.trace(w @ f @ x) / np.trace(w @ x)
             f = f - sigma * np.eye(n)
         b = -0.5 * f @ (np.eye(n) - m / norm)
         return b @ p + p @ b.T, sigma
@@ -245,9 +254,9 @@ class TestFlowRk4:
     @pytest.mark.parametrize("operands", ["frame"])
     @pytest.mark.parametrize("mu", [None, 0.3])
     def test_matches_literal_derivative(self, rng, operands, mu):
-        p, f, m, norm, w = self.operands(rng, operands, mu)
-        out, sigma = _rate(p, f, norm, mu, w=w)
-        ref, ref_sigma = self.literal(p, f, m, norm, w, mu)
+        p, f, m, norm, frame = self.operands(rng, operands, mu)
+        out, sigma = _rate(p, f, norm, mu, frame=frame)
+        ref, ref_sigma = self.literal(p, f, m, norm, frame, mu)
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
         assert sigma == pytest.approx(ref_sigma, rel=1e-13)
 
@@ -257,18 +266,18 @@ class TestFlowRk4:
         # the kernel's in-place stages give the bits of the textbook
         # combination, and its increment of beta mu weights the stage scalars
         # the same way
-        p, f, _, norm, w = self.operands(rng, operands, mu)
+        p, f, _, norm, frame = self.operands(rng, operands, mu)
         db = 0.37
 
         def rate(y):
-            return _rate(y, f, norm, mu, w=w)
+            return _rate(y, f, norm, mu, frame=frame)
 
         k1, s1 = rate(p)
         k2, s2 = rate(p + 0.5 * db * k1)
         k3, s3 = rate(p + 0.5 * db * k2)
         k4, s4 = rate(p + db * k3)
         ref = p + (db / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out, dz, a = _flow(p, f, norm, db, "rk4", mu=mu, w=w)
+        out, dz, a = _flow(p, f, norm, db, "rk4", mu=mu, frame=frame)
         assert out.tobytes() == ref.tobytes()
         assert dz == (db / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
         assert a is None
@@ -288,8 +297,10 @@ class TestFlowRk4:
             for m in (q, f):
                 m[:half, half:] = m[half:, :half] = 0.0
             q[0, -1] = q[-1, 0] = 1e-90
-        w = rng.uniform(0.5, 2.0, n) if weighted else None
-        out, _, _ = _flow(q, f, 1.0 if mu is not None else 0.8, 0.37, "rk4", mu=mu, w=w)
+        # the trace weight of a random overlap's frame, or the identity frame
+        frame = overlap_frame(random_spd(rng, n) if weighted else np.eye(n))
+        out, _, _ = _flow(q, f, 1.0 if mu is not None else 0.8, 0.37, "rk4", mu=mu,
+                          frame=frame)
         assert np.array_equal(out, out.T)
 
 
@@ -456,7 +467,7 @@ class TestCool:
         flow = solvers._flow
 
         def spy(*args, **kwargs):
-            weights.append(kwargs["w"])
+            weights.append(kwargs["frame"].s)
             return flow(*args, **kwargs)
 
         monkeypatch.setattr(solvers, "_flow", spy)
@@ -688,22 +699,20 @@ def unfloored_final_state(system, ensemble, scheme, beta, n_steps):
     canonical = isinstance(ensemble, Canonical)
     norm = canonical_normalization(ensemble.n_electrons, system.s.mat) if canonical else 1.0
     kernel_mu = None if canonical else float(ensemble.mu)
-    frame = not np.array_equal(system.s.mat, np.eye(n))
-    w, y, z = system.s.frame if frame else (None, None, None)
-    f = system.h_core.mat
-    if frame:
-        f = symmetrize(z.T @ f @ z)
+    frame = system.frame
+    f = frame.g_core
     if not canonical:
         f = f.copy()
         f.flat[:: n + 1] -= kernel_mu
     q, beta_mu, mu = np.eye(n) * (0.5 * norm), 0.0, None
     for i in range(n_steps):
-        q_raw, dz, _ = solvers._flow(q, f, norm, beta / n_steps, scheme, mu=kernel_mu, w=w)
+        q_raw, dz, _ = solvers._flow(q, f, norm, beta / n_steps, scheme, mu=kernel_mu,
+                                     frame=frame)
         beta_mu += dz
         if canonical:
             mu = beta_mu / (beta * (i + 1) / n_steps)
         q = 0.5 * (q_raw + q_raw.T)
-    return HermitianMatrix(y @ q @ y.T if frame else q).mat, mu
+    return HermitianMatrix(frame.from_frame(q)).mat, mu
 
 
 class TestTailFloor:
