@@ -132,7 +132,7 @@ class Frame:
         Because Z^T Y = 1 the map is u (E + phi K) with K = Z^T J Z and
         phi = (c^T E c - s . diag(E)) / n, c = Y^T 1; K, c and the weight of
         phi are formed here once, so each application costs O(n^2)
-        (:class:`FrameResponse`).
+        (:class:`FrameResponse`).  The map may update E in place.
         """
         c = self.y.sum(axis=0)
         weight = np.outer(c, c)
@@ -140,7 +140,13 @@ class Frame:
         weight /= self.s.size
         k = symmetrize((self.z.T * model._stagger) @ self.z)
         u = model.coupling_u
-        return c, k, lambda e: u * (e + float(np.vdot(weight, e)) * k)
+
+        def apply(e):  # in place: E is the caller's own copy
+            e += float(np.vdot(weight, e)) * k
+            e *= u
+            return e
+
+        return c, k, apply
 
 
 class IdentityFrame(Frame):
@@ -320,7 +326,8 @@ class HamiltonianModel:
         phi = (float(dp.sum()) - float(np.trace(dp))) / n
         out = np.array(dp, dtype=float)
         out.flat[:: n + 1] += phi * self._stagger
-        return self.coupling_u * out
+        out *= self.coupling_u
+        return out
 
     @cached_property
     def frame_response(self) -> "FrameResponse":
@@ -348,7 +355,9 @@ class FrameResponse:
         """The frame Hamiltonian G(Q) = G_core + response(Q - N/2) of a frame state Q."""
         e = q.copy()
         e.flat[:: q.shape[0] + 1] -= 0.5 * norm
-        return self._g_core + self._map(e)
+        g = self._map(e)
+        g += self._g_core
+        return g
 
     def eigenbasis(self, c, gram):
         """The response in an eigenbasis C of a frame matrix, X -> C^T dG(C X C^T) C.

@@ -229,6 +229,7 @@ def _flow(p, f, norm, delta_beta, scheme, mu=None, frame=None, t=None):
             stage += p
             if flush:
                 _flush_tail(stage, floor)
+            k = None  # the previous rate is in acc; it goes before the next one is made
             k, sigma = _rate(stage, f, norm, mu, frame)
             acc += np.multiply(k, weight, out=stage)
             total += weight * sigma
@@ -246,33 +247,43 @@ def _flow(p, f, norm, delta_beta, scheme, mu=None, frame=None, t=None):
         sigma = float(np.vdot(f, wp) - np.vdot(fm, wp) / norm) / den
         f = f.copy()
         f.flat[:: n + 1] -= sigma
-        fm = fm - sigma * m
-    b = 0.5 * (fm / norm - f)
+        fm -= sigma * m
+    b = fm / norm  # B = (F M / N - F) / 2, in place
+    b -= f
+    b *= 0.5
     if scheme == "kraus1":
-        a = delta_beta * b
-        a.flat[:: n + 1] += 1.0
-        _flush_tail(a, TAIL_FLOOR, out=b)
-        return (a @ p) @ a.T, delta_beta * sigma, a
-    bp = b @ p
-    pd = bp + bp.T
+        del fm, f  # F M and the shifted F go before the products
+        b *= delta_beta  # B becomes A = 1 + db B in place
+        b.flat[:: n + 1] += 1.0
+        _flush_tail(b, TAIL_FLOOR)
+        return (b @ p) @ b.T, delta_beta * sigma, b
+    pd = b @ p
+    # numpy buffers an operand that overlaps the output, so this is pd + pd.T exactly
+    pd += pd.T
     fmd = f @ (pd if t is None else pd @ t)
     if mu is None:
         # d sigma/dbeta = Tr[W (F - sigma) Xdot] / Tr[W X],
         # Xdot = Pdot - (Mdot P + M Pdot) / N
         wpd = frame.scale_rows(pd)
         sdot = float(np.vdot(f, wpd) - (np.vdot(fmd, wp) + np.vdot(fm, wpd)) / norm) / den
+        del wp, wpd
+    del pd, fm
     # A = 1 + d B + (d^2/2)(B^2 + B') with
     # B' = (sigma'/2)(1 - M/N) + (F - sigma) Mdot / (2N), built in place so
     # that few n x n temporaries are alive at once
+    fmd /= 2.0 * norm
     a = b @ b
-    a += fmd / (2.0 * norm)
+    a += fmd
+    del fmd
     if mu is None:
         a -= (0.5 * sdot / norm) * m
         a.flat[:: n + 1] += 0.5 * sdot
     a *= 0.5 * delta_beta**2
-    a += delta_beta * b
+    b *= delta_beta
+    a += b
     a.flat[:: n + 1] += 1.0
     _flush_tail(a, TAIL_FLOOR, out=b)
+    del b
     return (a @ p) @ a.T, delta_beta * (sigma + 0.5 * delta_beta * sdot), a
 
 
@@ -375,7 +386,14 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     positivity violations are the (beta, smallest eigenvalue) of the records
     whose smallest eigenvalue is below ``-config.positivity_tol``.  The
     trajectory keeps two densities, P(0) = (N/2) S and the final P, whatever
-    the number of records.
+    the number of records; both are formed after the loop.
+
+    The loop's working set is Q, F (and G apart from it on grand runs of a
+    density-dependent model), G_last only across a refresh, and at most five
+    n x n step temporaries, seven in a canonical kraus2 step with S != 1,
+    whose row scalings diag(s) P and diag(s) Pdot are arrays of their own.
+    Every elementwise update is made in place, and each temporary is dropped
+    at its last use.
 
     Raises
     ------
@@ -413,7 +431,6 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
         f_now.flat[:: n + 1] -= mu
         return f_now
 
-    p0 = 0.5 * norm * s_mat
     q = np.eye(n) * (0.5 * norm)
     # G = Z^T H Z; the model's correction vanishes at P(0)
     f = kernel_operator(g)
@@ -424,13 +441,12 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     records = []
 
     def record(beta, eigmin, trace, comm_norm, refresh_defect):
-        records.append((beta, mu, eigmin, trace, comm_norm, refresh_defect))
+        records.append([beta, mu, eigmin, trace, comm_norm, refresh_defect])
 
     # Q(0) = (N/2) 1 commutes with G, and P(0) = (N/2) S has the smallest
-    # eigenvalue (N/2) s_min, so beta = 0 is recorded without a product
-    first = HermitianMatrix(p0)
-    record(0.0, 0.5 * norm * float(frame.s[0]), float(np.trace(first.mat)), 0.0, 0.0)
-    del p0  # the loop holds Q alone and forms P only for the final state
+    # eigenvalue (N/2) s_min, so beta = 0 is recorded without a product; its
+    # trace is filled in once P(0) is formed, after the loop
+    record(0.0, 0.5 * norm * float(frame.s[0]), None, 0.0, 0.0)
     q_floor = 0.5 * norm * TAIL_FLOOR
     # the RK4 result is exactly symmetric: X = Q Q^T is one symmetric rank-k
     # product, the rate adds F X to its own transpose and every other stage
@@ -451,33 +467,40 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
                 f = kernel_operator(g)
                 if recording:  # E = G_last diag(s) (G - G_last), (diag(s) G_last^T)^T on the left
                     e = frame.scale_rows(g_last.T).T @ (g - g_last)
-                    refresh_defect = frame.norm_yy(e - e.T) / db
+                    e -= e.T  # exact: numpy buffers an operand that overlaps the output
+                    refresh_defect = frame.norm_yy(e) / db
+                    del e
+                del g_last  # the old G is not held across the step
 
             # d(beta mu)/dbeta equals the scalar exactly; dz is the step's
             # quadrature of it at the scheme's order
-            q_raw, dz, _ = _flow(q, f, norm, db, scheme, mu=kernel_mu, frame=frame)
+            q_raw, dz, a = _flow(q, f, norm, db, scheme, mu=kernel_mu, frame=frame)
+            del a  # the congruence factor is not kept
             if canonical:
                 beta_mu += dz
                 mu = beta_mu / beta_next
 
-            # the matrix that Q no longer needs takes the flush's |Q|
-            if rk4:
-                q, spare = q_raw, q
-            else:
-                q, spare = q_raw + q_raw.T, q_raw
-                q *= 0.5
-            # the flush's |Q| also serves the finiteness test: its largest
-            # entry is NaN or inf exactly when some entry is
-            mag = _flush_tail(q, q_floor, out=spare)
-            if not (math.isfinite(mag.max()) and math.isfinite(mu)):
+            if not rk4:
+                q_raw += q_raw.T  # exact: numpy buffers an operand that overlaps the output
+                q_raw *= 0.5
+            # the old Q takes the flush's |Q|, which also serves the finiteness
+            # test: its largest entry is NaN or inf exactly when some entry is
+            if not (math.isfinite(_flush_tail(q_raw, q_floor, out=q).max())
+                    and math.isfinite(mu)):
                 raise SolverAbortError(beta_i)
+            q = q_raw
             if recording:
                 if refreshed:
                     qg = q @ g
-                    comm_norm = frame.norm_zy(qg - qg.T)
+                    qg -= qg.T  # exact: numpy buffers an operand that overlaps the output
+                    comm_norm = frame.norm_zy(qg)
+                    del qg
                 record(beta_next, float(frame.spectrum(q)[0]), frame.trace(q), comm_norm,
                        refresh_defect)
         last = HermitianMatrix(frame.from_frame(q))
+    del q, f, g  # P(0) is formed once the loop's arrays are gone
+    first = HermitianMatrix(0.5 * norm * s_mat)
+    records[0][3] = float(np.trace(first.mat))
 
     betas, mus, mineig, trace, comm, refresh = zip(*records)
     return Trajectory(

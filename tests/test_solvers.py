@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from unittest import mock
@@ -302,6 +303,53 @@ class TestFlowRk4:
         out, _, _ = _flow(q, f, 1.0 if mu is not None else 0.8, 0.37, "rk4", mu=mu,
                           frame=frame)
         assert np.array_equal(out, out.T)
+
+
+def read_only(*arrays):
+    """Copies of ``arrays`` whose ``flags.writeable`` is False."""
+    copies = [np.array(a, dtype=float) for a in arrays]
+    for a in copies:
+        a.flags.writeable = False
+    return copies
+
+
+def assert_same_bits(got, want):
+    for x, y in zip(got, want, strict=True):
+        if isinstance(y, np.ndarray):
+            assert x.tobytes() == y.tobytes()
+        else:
+            assert x == y
+
+
+class TestOperandsStayUntouched:
+    """The in-place updates of the step loop land in the callee's own arrays:
+    read-only operands give the bits of writable copies."""
+
+    @pytest.mark.parametrize("scheme", solvers.SCHEMES)
+    @pytest.mark.parametrize("mu", [None, 0.3], ids=["canonical", "grand"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["identity-frame", "frame"])
+    def test_flow(self, rng, scheme, mu, weighted):
+        n = 7
+        s = random_spd(rng, n) if weighted else np.eye(n)
+        q, f, frame = frame_operands(random_spd(rng, n, lo=0.1, hi=0.7), random_symmetric(rng, n),
+                                     s, mu)
+        norm = 1.0 if mu is not None else 0.8
+        got = _flow(*read_only(q, f), norm, 0.37, scheme, mu=mu, frame=frame)
+        assert_same_bits(got, _flow(q.copy(), f.copy(), norm, 0.37, scheme, mu=mu, frame=frame))
+
+    @pytest.mark.parametrize("step", [step_kraus1, step_kraus2])
+    def test_s_frame_steps(self, rng, step):
+        p, h, s = random_spd(rng, 6, lo=0.1, hi=0.4), random_symmetric(rng, 6), random_spd(rng, 6)
+        assert_same_bits(step(*read_only(p, h, s), 0.3, 0.05), step(p, h, s, 0.3, 0.05))
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["identity-frame", "frame"])
+    def test_frame_hamiltonian(self, rng, weighted):
+        s = random_spd(rng, 6) if weighted else np.eye(6)
+        system = SystemSpec(HermitianMatrix(random_symmetric(rng, 6)), OverlapMatrix(s))
+        response = HamiltonianModel(system, coupling_u=0.1).frame_response
+        q = random_spd(rng, 6, lo=0.1, hi=0.7)
+        (q_ro,) = read_only(q)
+        assert_same_bits([response.hamiltonian(q_ro, 0.8)], [response.hamiltonian(q, 0.8)])
 
 
 class TestMuRhs:
@@ -661,6 +709,41 @@ class TestCool:
                 tracemalloc.stop()
             assert len(traj.betas) == (201 if record_every == 1 else 2)
         assert peaks[1] <= 1.2 * peaks[0]
+
+    @staticmethod
+    @functools.cache
+    def working_set_system(name):
+        # a linear ring with S = 1, and the cli-nonorth chain recipe at n = 200, u = 0.05
+        if name == "ring":
+            return build_huckel(200, 0.569, 0.066), 0.0, 10.0, 1.0
+        i = np.arange(200)
+        d2 = (i[:, None] - i[None, :]) ** 2.0
+        h = -0.35 * np.exp(-0.4 * d2)
+        h[i, i] = -1.2 + 0.05 * i
+        return SystemSpec(HermitianMatrix(h), OverlapMatrix(np.exp(-0.5 * d2))), 0.05, 0.1, 0.01
+
+    @pytest.mark.parametrize("scheme", solvers.SCHEMES)
+    @pytest.mark.parametrize("canonical", [False, True], ids=["grand", "canonical"])
+    @pytest.mark.parametrize("name, bound", [("ring", 8.5), ("chain", 11.5)])
+    def test_step_loop_working_set(self, name, bound, canonical, scheme):
+        # the loop holds Q, F and G, G_last only across a refresh, and a
+        # step's temporaries; P(0) is formed after it.  n = 200 keeps numpy's
+        # 64 KB ufunc buffer at 0.2 arrays (about 0.5 at n = 128)
+        system, u, beta, db = self.working_set_system(name)
+        n = system.dim
+        ensemble = Canonical(n / 2) if canonical else GrandCanonical(
+            default_chemical_potential(system))
+        args = (HamiltonianModel(system, u), ensemble,
+                SolverConfig(scheme, beta, db, record_every=3))
+        cool(*args)  # builds the frame, its levels and the model's frame response
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            cool(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / (8.0 * n * n) <= bound
 
     def test_refresh_defect_independent_of_record_interval(self):
         # the defect is computed only at recording steps, from the same pair
