@@ -1,9 +1,11 @@
 """Dense real-symmetric linear algebra for the cooling solvers.
 
 Provides validated matrix carriers (symmetric matrices, and positive-definite
-overlap metrics with the orthogonalizing frame that reduces a pencil (H, S)
-to a standard symmetric problem), the decomposition of that problem, the
-overflow-safe Fermi factor, and a
+overlap metrics), the orthogonalizing frame that each overlap owns and that
+reduces a pencil (H, S) to a standard symmetric problem (a :class:`Frame`,
+or an :class:`IdentityFrame` with no frame change when S is exactly the
+identity), the decomposition of that problem, the overflow-safe Fermi
+factor, and a
 safeguarded Newton search for the chemical potential at fixed electron count
 on a set of levels and their weights, which can start from a guess.
 Everything is dense, real and double precision.
@@ -12,7 +14,6 @@ Everything is dense, real and double precision.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -105,12 +106,144 @@ class HermitianMatrix:
         return f"HermitianMatrix(dim={self.dim})"
 
 
+class Frame:
+    """The canonical-orthogonalization frame of an overlap S = U diag(s) U^T.
+
+    Each overlap owns one (:attr:`OverlapMatrix.frame`).  ``s`` holds the
+    ascending eigenvalues, Y = U s^1/2 and Z = Y^-T = U s^-1/2, so that
+    Y Y^T = S, Z^T Y = 1 and Y^T Y = diag(s).  The congruence by Z takes a
+    pencil (H, S) to the standard problem G = Z^T H Z (:meth:`congruent`),
+    and a density P is carried as Q = Z^T P Z against it.  The methods are
+    the operations that the cooling flow, the oracles and the S-frame steps
+    take on frame matrices; :class:`IdentityFrame` makes each of them with
+    the plain numpy call when S is exactly the identity.  The arrays are
+    read-only.
+    """
+
+    def __init__(self, s, u):
+        root = np.sqrt(s)
+        self.s, self.y, self.z = s, u * root, u / root
+        self.y.flags.writeable = self.z.flags.writeable = False
+
+    def to_frame(self, p):
+        """The frame form Q = Z^T P Z of an S-frame matrix P."""
+        return self.z.T @ p @ self.z
+
+    def from_frame(self, q):
+        """The S-frame matrix P = Y Q Y^T of a frame matrix Q."""
+        return self.y @ q @ self.y.T
+
+    def congruent(self, h):
+        """The frame matrix G = Z^T H Z of a symmetric H, symmetrized and read-only."""
+        g = symmetrize(self.to_frame(h))
+        g.flags.writeable = False
+        return g
+
+    def inverse(self):
+        """S^-1 = Z Z^T."""
+        return self.z @ self.z.T
+
+    def trace(self, q) -> float:
+        """Tr[Y Q Y^T] = s . diag(Q), an O(n) sum."""
+        return float(self.s @ np.diagonal(q))
+
+    def scale_rows(self, m):
+        """The row scaling diag(s) M; C^T diag(s) C is ``c.T @ scale_rows(c)``."""
+        return m * self.s[:, None]
+
+    def spectrum(self, q):
+        """The ascending eigenvalues of Y Q Y^T, those of D^1/2 Q D^1/2 with D = diag(s)."""
+        # outer(s^1/2, s^1/2) is exactly symmetric, and so is D^1/2 Q D^1/2
+        root = np.sqrt(self.s)
+        return np.linalg.eigvalsh(q * np.outer(root, root))
+
+    def norm_zy(self, c) -> float:
+        """||Z C Y^T||_F, such as that of [S^-1 P, S^-1 H] = Z [Q, G] Y^T, from C alone.
+
+        It is the sum of c_ij^2 s_j / s_i, since Z^T Z = diag(1/s) and
+        Y^T Y = diag(s).
+        """
+        return math.sqrt(float(np.vdot(c * c, np.outer(1.0 / self.s, self.s))))
+
+    def norm_yy(self, c) -> float:
+        """||Y C Y^T||_F from C alone: the sum of c_ij^2 s_i s_j."""
+        return math.sqrt(float(np.vdot(c * c, np.outer(self.s, self.s))))
+
+    def response(self, model):
+        """A model's response seen in the frame, E -> Z^T dH(Y E Y^T) Z, as (c, K, map).
+
+        ``model`` is a :class:`~fermicool.models.HamiltonianModel`.  Because
+        Z^T Y = 1 the map is u (E + phi K) with K = Z^T J Z and
+        phi = (c^T E c - s . diag(E)) / n, c = Y^T 1; K, c and the weight of
+        phi are formed here once, so each application costs O(n^2)
+        (:class:`~fermicool.models.FrameResponse`).  The map may update E in
+        place.
+        """
+        c = self.y.sum(axis=0)
+        weight = np.outer(c, c)
+        weight -= self.y.T @ self.y
+        weight /= self.s.size
+        k = symmetrize((self.z.T * model._stagger) @ self.z)
+        u = model.coupling_u
+
+        def apply(e):  # in place: E is the caller's own copy
+            e += float(np.vdot(weight, e)) * k
+            e *= u
+            return e
+
+        return c, k, apply
+
+
+class IdentityFrame(Frame):
+    """The frame of an overlap that is exactly the identity: Q is P itself.
+
+    ``s`` is 1, and there is no Y or Z.  Each operation is the unweighted
+    numpy call on the matrix it is given, so that every S = 1 result keeps
+    the bits and the cost of the plain formula: G is H itself, and the
+    response is the model's own :meth:`~fermicool.models.HamiltonianModel.response`,
+    with c = 1 and K = J.
+    """
+
+    def __init__(self, n):
+        self.s = np.ones(n)
+        self.s.flags.writeable = False
+
+    def to_frame(self, p):
+        return p.copy()
+
+    def from_frame(self, q):
+        return q
+
+    def congruent(self, h):
+        return h
+
+    def inverse(self):
+        return np.eye(self.s.size)
+
+    def trace(self, q) -> float:
+        return float(np.trace(q))
+
+    def scale_rows(self, m):
+        return m
+
+    def spectrum(self, q):
+        return np.linalg.eigvalsh(q)
+
+    def norm_zy(self, c) -> float:
+        return float(np.linalg.norm(c, "fro"))
+
+    norm_yy = norm_zy
+
+    def response(self, model):
+        return np.ones(self.s.size), np.diag(model._stagger), model.response
+
+
 class OverlapMatrix:
     """Symmetric positive-definite overlap metric of a (possibly non-orthonormal) basis.
 
-    Positive definiteness is checked at construction.  The orthogonalizing
-    :attr:`frame` is computed lazily from the cached eigendecomposition;
-    S^-1 = Z Z^T follows from it.
+    Positive definiteness is checked at construction, by the smallest
+    eigenvalue of one ``eigh``, which also gives the orthogonalizing
+    :attr:`frame`.
     """
 
     def __init__(self, entries):
@@ -120,8 +253,11 @@ class OverlapMatrix:
             raise NotPositiveDefiniteError(vals[0])
         vals.flags.writeable = False
         self.base = base
-        self._eigvals = vals
-        self._eigvecs = vecs
+        s = base.mat
+        if np.count_nonzero(s) == base.dim and (np.diagonal(s) == 1.0).all():
+            self._frame = IdentityFrame(base.dim)  # the identity's eigenvectors are not kept
+        else:
+            self._frame = Frame(vals, vecs)
 
     @property
     def mat(self) -> np.ndarray:
@@ -131,36 +267,31 @@ class OverlapMatrix:
     def dim(self) -> int:
         return self.base.dim
 
-    @cached_property
-    def frame(self) -> tuple:
-        """The canonical-orthogonalization frame (s, Y, Z) of S = U diag(s) U^T.
+    @property
+    def frame(self) -> Frame:
+        """The :class:`Frame` of S = U diag(s) U^T in which densities are carried.
 
-        ``s`` holds the ascending eigenvalues, ``Y = U s^1/2`` and
-        ``Z = Y^-T = U s^-1/2``, so that ``Y Y^T = S``, ``Z^T Y = 1`` and
-        ``Y^T Y = diag(s)``.  The congruence by Z takes a pencil (H, S) to
-        the standard problem Z^T H Z; the cooling flow carries its state in
-        the same frame.  All three are read-only.
+        It is an :class:`IdentityFrame` exactly when S is the identity (its
+        only nonzero entries are a unit diagonal): there is no frame change,
+        and no Y or Z is formed.
         """
-        root = np.sqrt(self._eigvals)
-        y = self._eigvecs * root
-        z = self._eigvecs / root
-        y.flags.writeable = z.flags.writeable = False
-        return self._eigvals, y, z
+        return self._frame
 
     def __array__(self, dtype=None, copy=None):
         return self.base.__array__(dtype, copy)
 
     def __repr__(self):
-        return f"OverlapMatrix(dim={self.dim}, min_eig={self._eigvals[0]:.3g})"
+        return f"OverlapMatrix(dim={self.dim}, min_eig={self.frame.s[0]:.3g})"
 
 
 def generalized_eigh(g):
     """Levels and frame eigenvectors (lambda, C) of a pencil (H, S) from its frame matrix G.
 
-    The congruence by the overlap's frame Z (:attr:`OverlapMatrix.frame`)
-    takes the pencil H v = lambda S v to the standard problem G = Z^T H Z
-    (H itself when S is the identity), so the ascending eigenvalues lambda of
-    G = C diag(lambda) C^T are the pencil's levels and V = Z C its
+    The congruence by the overlap's frame Z (:attr:`OverlapMatrix.frame`,
+    :meth:`Frame.congruent`) takes the pencil H v = lambda S v to the
+    standard problem G = Z^T H Z (H itself when S is the identity), so the
+    ascending eigenvalues lambda of G = C diag(lambda) C^T are the pencil's
+    levels and V = Z C its
     S-orthonormal eigenvectors.  It is the library's one decomposition of a
     Hamiltonian; :mod:`~fermicool.models` calls it through its module
     global, the seam at which ``bench/tracing.py`` counts decompositions.

@@ -19,17 +19,20 @@ of the Fermi factor; in the canonical ensemble a d mu term keeps
 Tr[J dP] = 0).  The SCF takes Newton steps (1 - J) delta = F(P) - P and falls
 back to the Picard step P -> F(P) whenever the residual did not fall.
 
-A system fixes the overlap frame (:attr:`SystemSpec.frame`): Y = U s^1/2 and
-Z = Y^-T from the overlap's eigenpairs S = U diag(s) U^T, in which a density
-is carried as Q = Z^T P Z against G = Z^T H Z, with the standard eigenproblem
-of G in place of the pencil (H, S).  The cooling flow in
+A system's overlap owns its frame
+(:attr:`~fermicool.matcore.OverlapMatrix.frame`): Y = U s^1/2 and Z = Y^-T
+from the overlap's eigenpairs S = U diag(s) U^T, in which a density is
+carried as Q = Z^T P Z against G = Z^T H Z (the system's
+:attr:`SystemSpec.g_core` for H_core), with the standard eigenproblem of G
+in place of the pencil (H, S).  The cooling flow in
 :mod:`fermicool.solvers` and every exact state work there, through the few
-operations of one :class:`Frame` object per system: to the frame and back,
-the weighted trace, the row scaling by diag(s), the spectrum and the two
-S-frame norms of a frame matrix, and the model's response.  An overlap that
-is exactly the identity gets an :class:`IdentityFrame`, which makes each of
-them with the plain unweighted numpy call, so that no other code tests how
-S = 1 is represented.  One evaluation,
+operations of that one :class:`~fermicool.matcore.Frame` object: to the
+frame and back, the weighted trace, the row scaling by diag(s), the
+spectrum and the two S-frame norms of a frame matrix, and the model's
+response.  An overlap that is exactly the identity has an
+:class:`~fermicool.matcore.IdentityFrame`, which makes each of them with
+the plain unweighted numpy call and forms no Y or Z, so that no other code
+tests how S = 1 is represented.  One evaluation,
 F(Q) = C diag(N f) C^T from the levels G = C diag(lambda) C^T, serves the
 SCF and the linear oracles :func:`exact_grand_fd`, :func:`exact_canonical_fd`
 and :func:`exact_canonical_mu` alike; a linear model's levels are those of
@@ -76,117 +79,6 @@ NEWTON_SWEEPS = 3
 TIE_TOL = 1e-6
 
 
-class Frame:
-    """The overlap frame in which a system's densities are carried (:attr:`SystemSpec.frame`).
-
-    ``s``, Y and Z come from the overlap's eigenpairs S = U diag(s) U^T
-    (:attr:`~fermicool.matcore.OverlapMatrix.frame`): Y = U s^1/2 and
-    Z = Y^-T, so that Y Y^T = S, Z^T Y = 1 and Y^T Y = diag(s).  A density P
-    is carried as Q = Z^T P Z against ``g_core`` = Z^T H_core Z, symmetrized.
-    The methods are the operations that the cooling flow and the oracles
-    take on frame matrices; :class:`IdentityFrame` makes each of them with
-    the plain numpy call when S is exactly the identity.  The arrays are
-    read-only.
-    """
-
-    def __init__(self, s, y, z, g_core):
-        self.s, self.y, self.z, self.g_core = s, y, z, g_core
-
-    def to_frame(self, p):
-        """The frame form Q = Z^T P Z of an S-frame matrix P."""
-        return self.z.T @ p @ self.z
-
-    def from_frame(self, q):
-        """The S-frame matrix P = Y Q Y^T of a frame matrix Q."""
-        return self.y @ q @ self.y.T
-
-    def trace(self, q) -> float:
-        """Tr[Y Q Y^T] = s . diag(Q), an O(n) sum."""
-        return float(self.s @ np.diagonal(q))
-
-    def scale_rows(self, m):
-        """The row scaling diag(s) M; C^T diag(s) C is ``c.T @ scale_rows(c)``."""
-        return m * self.s[:, None]
-
-    def spectrum(self, q):
-        """The ascending eigenvalues of Y Q Y^T, those of D^1/2 Q D^1/2 with D = diag(s)."""
-        # outer(s^1/2, s^1/2) is exactly symmetric, and so is D^1/2 Q D^1/2
-        root = np.sqrt(self.s)
-        return np.linalg.eigvalsh(q * np.outer(root, root))
-
-    def norm_zy(self, c) -> float:
-        """||Z C Y^T||_F, such as that of [S^-1 P, S^-1 H] = Z [Q, G] Y^T, from C alone.
-
-        It is the sum of c_ij^2 s_j / s_i, since Z^T Z = diag(1/s) and
-        Y^T Y = diag(s).
-        """
-        return math.sqrt(float(np.vdot(c * c, np.outer(1.0 / self.s, self.s))))
-
-    def norm_yy(self, c) -> float:
-        """||Y C Y^T||_F from C alone: the sum of c_ij^2 s_i s_j."""
-        return math.sqrt(float(np.vdot(c * c, np.outer(self.s, self.s))))
-
-    def response(self, model: "HamiltonianModel"):
-        """The model's response seen in the frame, E -> Z^T dH(Y E Y^T) Z, as (c, K, map).
-
-        Because Z^T Y = 1 the map is u (E + phi K) with K = Z^T J Z and
-        phi = (c^T E c - s . diag(E)) / n, c = Y^T 1; K, c and the weight of
-        phi are formed here once, so each application costs O(n^2)
-        (:class:`FrameResponse`).  The map may update E in place.
-        """
-        c = self.y.sum(axis=0)
-        weight = np.outer(c, c)
-        weight -= self.y.T @ self.y
-        weight /= self.s.size
-        k = symmetrize((self.z.T * model._stagger) @ self.z)
-        u = model.coupling_u
-
-        def apply(e):  # in place: E is the caller's own copy
-            e += float(np.vdot(weight, e)) * k
-            e *= u
-            return e
-
-        return c, k, apply
-
-
-class IdentityFrame(Frame):
-    """The frame of an overlap that is exactly the identity: Q is P itself.
-
-    ``s`` is 1 and ``g_core`` is H_core, and there is no Y or Z.  Each
-    operation is the unweighted numpy call on the matrix it is given, so
-    that every S = 1 result keeps the bits and the cost of the plain
-    formula: the response is :meth:`HamiltonianModel.response`, with c = 1
-    and K = J.
-    """
-
-    def __init__(self, h_core):
-        self.s, self.g_core = np.ones(len(h_core)), h_core
-        self.s.flags.writeable = False
-
-    def to_frame(self, p):
-        return p.copy()
-
-    def from_frame(self, q):
-        return q
-
-    def trace(self, q) -> float:
-        return float(np.trace(q))
-
-    def scale_rows(self, m):
-        return m
-
-    def spectrum(self, q):
-        return np.linalg.eigvalsh(q)
-
-    def norm_zy(self, c) -> float:
-        return float(np.linalg.norm(c, "fro"))
-
-    norm_yy = norm_zy
-
-    def response(self, model: "HamiltonianModel"):
-        return np.ones(self.s.size), np.diag(model._stagger), model.response
-
-
 @dataclass(frozen=True)
 class SystemSpec:
     """A physical problem statement: core Hamiltonian plus overlap metric."""
@@ -206,40 +98,30 @@ class SystemSpec:
         return self.h_core.dim
 
     @cached_property
-    def frame(self) -> Frame:
-        """The :class:`Frame` in which densities are carried, built on first use.
+    def g_core(self) -> np.ndarray:
+        """G_core = Z^T H_core Z, H_core in the overlap's frame, formed on first use.
 
-        It holds the overlap's canonical-orthogonalization frame (s, Y, Z)
-        (:attr:`~fermicool.matcore.OverlapMatrix.frame`) and
-        ``G_core = Z^T H_core Z``, symmetrized: a density P is carried as
-        ``Q = Z^T P Z``, so that ``P = Y Q Y^T`` and ``Tr[P] = s . diag(Q)``.
-        When S is exactly the identity (its only nonzero entries are a unit
-        diagonal) it is an :class:`IdentityFrame`: there is no frame change,
-        Q is P itself and G_core is H_core.
+        The frame is :attr:`~fermicool.matcore.OverlapMatrix.frame`, and G_core
+        is symmetrized and read-only (:meth:`~fermicool.matcore.Frame.congruent`).
+        When S is exactly the identity it is H_core itself.
         """
-        s_mat = self.s.mat
-        if np.count_nonzero(s_mat) == self.dim and (np.diagonal(s_mat) == 1.0).all():
-            return IdentityFrame(self.h_core.mat)
-        w, y, z = self.s.frame
-        g_core = symmetrize(z.T @ self.h_core.mat @ z)
-        g_core.flags.writeable = False
-        return Frame(w, y, z, g_core)
+        return self.s.frame.congruent(self.h_core.mat)
 
     @cached_property
     def levels(self):
         """The eigenpairs (lambda, C) of G_core = C diag(lambda) C^T, computed on first use.
 
         lambda holds the ascending levels of the pencil (H_core, S) and C the
-        orthogonal eigenvectors of the :attr:`frame`'s G_core, whose columns
-        are the pencil's eigenvectors Z C seen in the frame
+        orthogonal eigenvectors of :attr:`g_core`, whose columns are the
+        pencil's eigenvectors Z C seen in the frame
         (:func:`~fermicool.matcore.generalized_eigh`).  C is kept in
         column-major order, the layout of ``S V`` in the pencil formula
-        P = (S V) diag(N f) (S V)^T: with S = 1 (an :class:`IdentityFrame`,
-        whose G_core is H_core) it keeps the states and the occupation
-        weights formed from C byte-identical to that formula's on ``eigh(H)``.
-        Both are read-only.
+        P = (S V) diag(N f) (S V)^T: with S = 1 (an
+        :class:`~fermicool.matcore.IdentityFrame`, whose G_core is H_core)
+        it keeps the states and the occupation weights formed from C
+        byte-identical to that formula's on ``eigh(H)``.  Both are read-only.
         """
-        lam, c = generalized_eigh(self.frame.g_core)
+        lam, c = generalized_eigh(self.g_core)
         c = np.asfortranarray(c)
         lam.flags.writeable = c.flags.writeable = False
         return lam, c
@@ -341,15 +223,15 @@ class FrameResponse:
     Because ``Z^T Y = 1`` this is ``u (E + phi K)`` with ``K = Z^T J Z`` and
     ``phi = (c^T E c - s . diag(E)) / n``, ``c = Y^T 1``: the refresh
     ``G(Q) = G_core + response(Q - N/2)`` of the frame Hamiltonian.  The
-    system's :class:`Frame` forms K, c and the weight of phi once
-    (:meth:`Frame.response`), so each application costs O(n^2).  In an
-    :class:`IdentityFrame` the map is :meth:`HamiltonianModel.response`,
-    c = 1 and K = J.
+    overlap's :class:`~fermicool.matcore.Frame` forms K, c and the weight of
+    phi once (:meth:`~fermicool.matcore.Frame.response`), so each application
+    costs O(n^2).  In an :class:`~fermicool.matcore.IdentityFrame` the map
+    is :meth:`HamiltonianModel.response`, c = 1 and K = J.
     """
 
     def __init__(self, model: HamiltonianModel):
-        self._g_core = model.system.frame.g_core
-        self.c, self.k, self._map = model.system.frame.response(model)
+        self._g_core = model.system.g_core
+        self.c, self.k, self._map = model.system.s.frame.response(model)
 
     def hamiltonian(self, q, norm: float) -> np.ndarray:
         """The frame Hamiltonian G(Q) = G_core + response(Q - N/2) of a frame state Q."""
@@ -484,8 +366,7 @@ def occupation_spectrum(p, s) -> np.ndarray:
         raise DimensionMismatchError(
             f"density has shape {p.shape}, the overlap is {s.dim}-dimensional"
         )
-    z = s.frame[2]
-    return np.linalg.eigvalsh(symmetrize(z.T @ p @ z))
+    return np.linalg.eigvalsh(symmetrize(s.frame.to_frame(p)))
 
 
 def _check_levels(values):
@@ -573,7 +454,7 @@ def _density(system: SystemSpec, f, beta: float, norm: float) -> HermitianMatrix
     # the S-frame density P = Y F Y^T of a frame state F; (N/2) S exactly at beta = 0
     if beta == 0.0:
         return HermitianMatrix(0.5 * norm * system.s.mat)
-    return HermitianMatrix(system.frame.from_frame(f))
+    return HermitianMatrix(system.s.frame.from_frame(f))
 
 
 def _levels_mu(system: SystemSpec, levels, beta: float, n_electrons: float, norm: float,
@@ -581,13 +462,13 @@ def _levels_mu(system: SystemSpec, levels, beta: float, n_electrons: float, norm
     """The canonical mu of the levels (lambda, C) of a frame matrix, searched from ``mu_guess``.
 
     The weight of level k, its occupation's share of Tr[S], is
-    (C^T diag(s) C)_kk, the squared norm of column k of s^1/2 C with the
-    :attr:`~SystemSpec.frame`'s s (1 for S = 1, an exact scaling); the
-    search runs on the levels and these weights
-    (:func:`~fermicool.matcore.find_mu_for_occupation`).
+    (C^T diag(s) C)_kk, the squared norm of column k of s^1/2 C with the s
+    of the overlap's :attr:`~fermicool.matcore.OverlapMatrix.frame` (1 for
+    S = 1, an exact scaling); the search runs on the levels and these
+    weights (:func:`~fermicool.matcore.find_mu_for_occupation`).
     """
     lam, c = levels
-    x = c * np.sqrt(system.frame.s)[:, None]
+    x = c * np.sqrt(system.s.frame.s)[:, None]
     weights = np.einsum("ik,ik->k", x, x)
     return find_mu_for_occupation(lam, weights, beta, n_electrons, norm, guess=mu_guess).mu
 
@@ -614,7 +495,7 @@ def _frame_state(model: HamiltonianModel, q, beta: float, ensemble: Ensemble, no
         if grand:
             mu = ensemble.mu
         else:
-            h = effective_hamiltonian(model, system.frame.from_frame(q), norm)
+            h = effective_hamiltonian(model, system.s.frame.from_frame(q), norm)
             mu = infinite_temperature_mu(h, system.s)
         return np.eye(system.dim) * (0.5 * norm), mu, None
     if model.is_linear:
@@ -656,7 +537,7 @@ def _fd_jacobian(model: HamiltonianModel, eig, beta: float, mu: float, norm: flo
     k *= norm
     np.copyto(k, -0.5 * np.add.outer(rate, rate), where=tie)
     # C^T diag(s) C: Tr[P] for dQ = C X C^T is <gram, X>
-    gram = c.T @ model.system.frame.scale_rows(c)
+    gram = c.T @ model.system.s.frame.scale_rows(c)
     # K o C^T dG(C X C^T) C = (u K) o X + <W, X> (u K) o C^T K C
     weight, k_rank1 = model.frame_response.eigenbasis(c, gram)
     k *= model.coupling_u
@@ -715,7 +596,8 @@ def scf_fixed_point(
     iteration evaluates F once and stops when the max-abs change
     ``R = F(P) - P`` drops below ``tol``, returning F(P).
 
-    The iteration runs in the system's frame (:attr:`SystemSpec.frame`) on
+    The iteration runs in the overlap's frame
+    (:attr:`~fermicool.matcore.OverlapMatrix.frame`) on
     Q = Z^T P Z, where F(P) = Y F(Q) Y^T: the evaluation at Q refreshes
     G(Q) = G_core + dG(Q - N/2) in O(n^2) through the model's
     :attr:`~HamiltonianModel.frame_response`, decomposes it with one
@@ -789,7 +671,7 @@ def scf_fixed_point(
             raise ValueError(
                 f"start density has shape {start.shape}, system dimension is {n}"
             )
-    frame = system.frame
+    frame = system.s.frame
     q = np.eye(n) * (0.5 * norm) if start is None else frame.to_frame(start)
 
     def evaluate(q, mu):

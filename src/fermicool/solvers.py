@@ -200,9 +200,9 @@ def _flow(p, f, norm, delta_beta, scheme, mu=None, frame=None, t=None):
     ``mu`` with ``f`` already shifted by it and N = 1.  Canonical runs
     (``mu`` None) subtract sigma = Tr[W F X] / Tr[W X], X = P - M P / N,
     whose trace weight W = diag(s) holds the overlap eigenvalues of the
-    system's :class:`~fermicool.models.Frame` ``frame``, which takes W P as a
-    row scaling and every weighted trace as an O(n) or O(n^2) sum; an
-    :class:`~fermicool.models.IdentityFrame` takes them unweighted.
+    overlap's :class:`~fermicool.matcore.Frame` ``frame``, which takes W P as
+    a row scaling and every weighted trace as an O(n) or O(n^2) sum; an
+    :class:`~fermicool.matcore.IdentityFrame` takes them unweighted.
 
     Returns (out, dz, A), ``out`` unsymmetrized (exactly symmetric for
     "rk4") and dz the step's increment
@@ -306,9 +306,8 @@ def _s_frame_step(scheme, p, h, s, mu, delta_beta, s_inv):
     dims = {d for m in (p, h, s, si) if m is not None for d in np.shape(m)}
     if len(dims) != 1:
         raise DimensionMismatchError(f"matrix dimensions differ: {sorted(dims)}")
-    if si is None:  # S^-1 = Z Z^T from the overlap's frame, cached by an OverlapMatrix
-        z = (s if isinstance(s, OverlapMatrix) else OverlapMatrix(s)).frame[2]
-        si = z @ z.T
+    if si is None:  # S^-1 from the overlap's frame: Z Z^T, or the identity for S = 1
+        si = (s if isinstance(s, OverlapMatrix) else OverlapMatrix(s)).frame.inverse()
     f = h @ si
     f.flat[:: p.shape[0] + 1] -= mu
     out, _, a = _flow(p, f, 1.0, delta_beta, scheme, mu=mu, t=si)
@@ -320,8 +319,10 @@ def step_kraus1(p, h, s, mu, delta_beta, s_inv=None):
 
     A = 1 + K with K = -(delta_beta / 2)(H S^-1 - mu)(1 - P S^-1).  The
     update is a congruence, so positive semidefiniteness of P is preserved
-    exactly.  ``s_inv``, when given, is used as S^-1; otherwise S^-1 = Z Z^T
-    comes from the overlap's :attr:`~fermicool.matcore.OverlapMatrix.frame`.
+    exactly.  ``s_inv``, when given, is used as S^-1; otherwise S^-1 comes
+    from the overlap's :attr:`~fermicool.matcore.OverlapMatrix.frame`
+    (:meth:`~fermicool.matcore.Frame.inverse`: Z Z^T, or the identity for
+    S = 1).
     Returns the symmetrized P' and A.
     """
     return _s_frame_step("kraus1", p, h, s, mu, delta_beta, s_inv)
@@ -352,12 +353,13 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
 
     The state is Q = Z^T P Z from Q(0) = (N/2) 1, stepped against
     G = Z^T H Z, where S = Y Y^T, Y = U s^1/2 and Z = Y^-T come from the
-    overlap's eigenpairs, held by the system's
-    :class:`~fermicool.models.Frame` (:attr:`~fermicool.models.SystemSpec.frame`);
-    for S = 1 it is an :class:`~fermicool.models.IdentityFrame` and Q is P
-    itself.  Every weighted operation below is the frame's, and the identity
-    frame takes it unweighted.  The canonical trace weight is the vector s,
-    so S Q is a row scaling.  G - mu is formed once for linear
+    overlap's eigenpairs, held by its :class:`~fermicool.matcore.Frame`
+    (:attr:`~fermicool.matcore.OverlapMatrix.frame`), and G_core is the
+    system's :attr:`~fermicool.models.SystemSpec.g_core`; for S = 1 the frame
+    is an :class:`~fermicool.matcore.IdentityFrame`, Q is P itself and no Y
+    or Z exists.  Every weighted operation below is the frame's, and the
+    identity frame takes it unweighted.  The canonical trace weight is the
+    vector s, so S Q is a row scaling.  G - mu is formed once for linear
     models.  Density-dependent models refresh G from Q at the start of every
     step and hold it across the step's stages.  The model is affine in P, so
     the refresh stays in the frame and costs O(n^2):
@@ -420,8 +422,8 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
         mu = kernel_mu = float(ensemble.mu)
 
     # an IdentityFrame when S is exactly the identity: no frame change
-    frame = system.frame
-    g = frame.g_core
+    frame = system.s.frame
+    g = system.g_core
 
     def kernel_operator(g_now):
         # the kernel's F: G, or G - mu for grand runs

@@ -38,6 +38,16 @@ def random_symmetric(rng, dim, scale=1.0):
     return 0.5 * (a + a.T)
 
 
+def explicit_frame(s):
+    """The canonical-orthogonalization frame (s, Y, Z) of the overlap ``s``,
+    formed here and not by the library: from np.linalg.eigh(S) =
+    U diag(s) U^T, Y = U s^1/2 and Z = U s^-1/2, so that Y Y^T = S and
+    Z^T S Z = 1."""
+    vals, u = np.linalg.eigh(np.asarray(s, dtype=float))
+    root = np.sqrt(vals)
+    return vals, u * root, u / root
+
+
 def pencil_levels(h, s):
     """Levels and occupation weights of the pencil (H, S) from scipy's
     generalized solver, independent of the library: the values lambda_k and

@@ -165,6 +165,35 @@ def test_no_code_outside_the_frame_classes_tests_for_the_identity_overlap():
     assert hits == []
 
 
+def _is_frame(node):
+    return isinstance(node, ast.Attribute) and node.attr == "frame"
+
+
+def _frame_tuple_uses(node, in_frame_class=False):
+    # a .frame subscripted or unpacked into a tuple anywhere, and a .y or .z
+    # read outside the bodies of the frame classes
+    in_frame_class = in_frame_class or (isinstance(node, ast.ClassDef)
+                                        and node.name in FRAME_CLASSES)
+    if isinstance(node, ast.Subscript) and _is_frame(node.value):
+        yield node
+    elif (isinstance(node, ast.Assign) and _is_frame(node.value)
+          and any(isinstance(t, (ast.Tuple, ast.List)) for t in node.targets)):
+        yield node
+    elif isinstance(node, ast.Attribute) and node.attr in ("y", "z") and not in_frame_class:
+        yield node
+    for child in ast.iter_child_nodes(node):
+        yield from _frame_tuple_uses(child, in_frame_class)
+
+
+def test_the_overlap_frame_is_one_object_not_a_tuple():
+    # OverlapMatrix.frame is a Frame or an IdentityFrame: no code takes it
+    # apart as (s, Y, Z), and only the frame classes read its Y and Z
+    hits = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+            for path in sorted((ROOT / "src" / "fermicool").glob("*.py"))
+            for node in _frame_tuple_uses(ast.parse(path.read_text(encoding="utf-8")))]
+    assert hits == []
+
+
 #: A Sphinx cross-reference in a docstring: :func:`name`, :attr:`~path`, ...
 _XREF = re.compile(r":(?:func|attr|meth|data|class):`~?([\w.]+)`")
 

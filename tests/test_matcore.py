@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from fermicool import (
     fermi,
     find_mu_for_occupation,
     occupation_spectrum,
+    step_kraus1,
+    step_kraus2,
     symmetrize,
 )
-from fermicool.matcore import generalized_eigh
-from conftest import pencil_levels, random_spd, random_symmetric, search_occupation
+from fermicool.matcore import IdentityFrame, generalized_eigh
+from conftest import explicit_frame, pencil_levels, random_spd, random_symmetric, search_occupation
 
 
 class TestHermitianMatrix:
@@ -71,7 +74,7 @@ class TestOverlapMatrix:
 
     def test_frame_factors_the_overlap(self, rng):
         s = OverlapMatrix(random_spd(rng, 5))
-        vals, y, z = s.frame
+        vals, y, z = s.frame.s, s.frame.y, s.frame.z
         np.testing.assert_allclose(y @ y.T, s.mat, atol=1e-12)
         np.testing.assert_allclose(z.T @ y, np.eye(5), atol=1e-12)
         np.testing.assert_allclose(y.T @ y, np.diag(vals), atol=1e-12)
@@ -79,9 +82,34 @@ class TestOverlapMatrix:
 
     def test_frame_orthogonalizes(self, rng):
         s = OverlapMatrix(random_spd(rng, 5))
-        z = s.frame[2]
+        z = s.frame.z
         np.testing.assert_allclose(z.T @ s.mat @ z, np.eye(5), atol=1e-12)
-        assert not (z.flags.writeable or s.frame[1].flags.writeable)
+        assert not (z.flags.writeable or s.frame.y.flags.writeable)
+
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    def test_identity_overlap_has_no_frame_change(self, rng, n):
+        # the identity's frame forms no Y or Z: its occupation spectrum is
+        # eigvalsh(P) itself, retains nothing, and its S^-1 is the identity
+        s = OverlapMatrix(np.eye(n))
+        assert isinstance(s.frame, IdentityFrame)
+        assert not (hasattr(s.frame, "y") or hasattr(s.frame, "z"))
+        p = random_symmetric(rng, n)
+        assert occupation_spectrum(p, s).tobytes() == np.linalg.eigvalsh(p).tobytes()
+        if n == 200:
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                occupation_spectrum(p, s)
+                occupation_spectrum(p, s)
+                retained = tracemalloc.get_traced_memory()[0] - start
+            finally:
+                tracemalloc.stop()
+            assert retained < 8 * n * n
+        p, h = random_spd(rng, n, lo=0.1, hi=0.4), random_symmetric(rng, n)
+        for step in (step_kraus1, step_kraus2):
+            got = step(p, h, np.eye(n), 0.3, 0.05)
+            want = step(p, h, np.eye(n), 0.3, 0.05, s_inv=np.eye(n))
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 @pytest.mark.parametrize("carrier", [HermitianMatrix, OverlapMatrix])
@@ -102,7 +130,7 @@ def test_array_conversion_honours_copy(carrier):
 def frame_pencil(h, s):
     """Levels and S-orthonormal vectors V = Z C of the pencil (H, S) from
     generalized_eigh of its frame matrix Z^T H Z."""
-    z = OverlapMatrix(s).frame[2]
+    z = explicit_frame(OverlapMatrix(s))[2]
     values, c = generalized_eigh(symmetrize(z.T @ h @ z))
     return values, z @ c
 

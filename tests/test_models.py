@@ -26,7 +26,7 @@ from fermicool import (
     symmetrize,
 )
 from fermicool.models import exact_canonical_mu
-from conftest import pencil_levels, random_spd, random_symmetric
+from conftest import explicit_frame, pencil_levels, random_spd, random_symmetric
 
 
 def ring_spectrum(n, alpha, gamma):
@@ -261,10 +261,10 @@ class TestCachedLevels:
     @pytest.mark.parametrize("identity", [False, True], ids=["overlap", "identity"])
     def test_one_eigh_serves_every_linear_oracle(self, rng, monkeypatch, identity):
         # every exact state and oracle mu of a linear model reads one
-        # decomposition of G_core = Z^T H Z, the one the frame already holds
+        # decomposition of G_core = Z^T H Z, the one the system already holds
         s = np.eye(6) if identity else random_spd(rng, 6)
         system = SystemSpec(HermitianMatrix(random_symmetric(rng, 6)), OverlapMatrix(s))
-        g_core = system.frame.g_core
+        g_core = system.g_core
         eigh, decomposed = np.linalg.eigh, []
 
         def spy(a, *args, **kwargs):
@@ -285,7 +285,7 @@ class TestCachedLevels:
         assert system.levels is system.levels
         # the levels are those of the literal reduction Z^T H Z, and the
         # pencil's to rounding
-        z = system.s.frame[2]
+        z = explicit_frame(system.s)[2]
         literal = np.linalg.eigh(symmetrize(z.T @ system.h_core.mat @ z))[0]
         np.testing.assert_array_equal(system.levels[0], literal)
         fresh = pencil_levels(system.h_core.mat, s)[0]

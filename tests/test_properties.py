@@ -56,10 +56,11 @@ from fermicool import (  # noqa: E402
     symmetrize,
     write_matrix,
 )
-from fermicool import models, solvers  # noqa: E402
+from fermicool import matcore, models, solvers  # noqa: E402
 from fermicool.cli import main  # noqa: E402
 from fermicool.models import _fd_jacobian, _frame_state  # noqa: E402
-from conftest import pencil_levels, random_spd, random_symmetric, search_occupation  # noqa: E402
+from conftest import (explicit_frame, pencil_levels, random_spd, random_symmetric,  # noqa: E402
+                      search_occupation)
 
 #: Largest relative gap between cool() and the S-frame reference, fixed
 #: before the comparison is run.
@@ -365,7 +366,7 @@ def test_newton_jacobian_matches_a_finite_difference(data, coupling, log_beta):
     n = system.dim
     p = 0.5 * norm * system.s.mat + 0.05 * random_symmetric(rng, n)
     dp = random_symmetric(rng, n)
-    frame = system.frame
+    frame = system.s.frame
     _, mu, eig = _frame_state(model, frame.to_frame(p), beta, ensemble, norm)
     jacobian = _fd_jacobian(model, eig, beta, mu, norm, isinstance(ensemble, Canonical))
     c = eig[1]
@@ -509,7 +510,7 @@ def test_frame_refresh_is_the_s_frame_hamiltonian(data, coupling):
     system, ensemble, norm = data.draw(affine_systems())
     model = HamiltonianModel(system, coupling_u=coupling)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    _, y, z = system.s.frame
+    _, y, z = explicit_frame(system.s)
     q = random_symmetric(rng, system.dim)
     g = model.frame_response.hamiltonian(q, norm)
     ref = z.T @ effective_hamiltonian(model, y @ q @ y.T, norm).mat @ z
@@ -524,10 +525,10 @@ def test_frame_operations_are_the_overlap_algebra(data, system, coupling):
     # S is the identity (only a unit diagonal is nonzero)
     n = system.dim
     s_mat = system.s.mat
-    frame = system.frame
+    frame = system.s.frame
     identity = bool(np.count_nonzero(s_mat) == n and (np.diagonal(s_mat) == 1.0).all())
-    assert isinstance(frame, models.IdentityFrame) == identity
-    w, y, z = system.s.frame
+    assert isinstance(frame, matcore.IdentityFrame) == identity
+    w, y, z = explicit_frame(system.s)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     p = random_symmetric(rng, n)
     c = rng.normal(size=(n, n))
@@ -547,7 +548,7 @@ def test_frame_operations_are_the_overlap_algebra(data, system, coupling):
         assert frame.trace(p) == float(np.trace(p))
         assert frame.spectrum(p).tobytes() == np.linalg.eigvalsh(p).tobytes()
         assert frame.norm_zy(c) == frame.norm_yy(c) == float(np.linalg.norm(c, "fro"))
-        assert frame.g_core is system.h_core.mat
+        assert system.g_core is system.h_core.mat
         ones, k, response = frame.response(model)
         assert response == model.response
         assert np.array_equal(ones, np.ones(n)) and np.array_equal(k, np.diag(model._stagger))
@@ -656,7 +657,7 @@ def test_recorded_commutators_are_the_s_frame_formulas(data, system, scheme, cou
     with mock.patch.object(solvers, "_flow", spy):
         traj = cool(HamiltonianModel(system, coupling_u=coupling), ensemble,
                     SolverConfig(scheme, n_steps * db, db))
-    _, y, _ = system.s.frame
+    _, y, _ = explicit_frame(system.s)
     identity = np.array_equal(system.s.mat, np.eye(n))
     hs = [g if identity else y @ g @ y.T for g in operators]
     # the record of step k is taken from Q_k, the state step k + 1 starts
@@ -700,7 +701,7 @@ def test_recorded_spectrum_and_trace_are_those_of_p(data, dim, s_min, scheme, co
     with mock.patch.object(solvers, "_flow", spy):
         traj = cool(HamiltonianModel(system, coupling_u=coupling), ensemble,
                     SolverConfig(scheme, n_steps * db, db))
-    _, y, _ = s.frame
+    _, y, _ = explicit_frame(s)
     ps = ([traj.densities[0].mat] + [y @ q @ y.T for q in states[1:]]
           + [traj.final_density.mat])
     assert len(ps) == len(traj.betas) == n_steps + 1

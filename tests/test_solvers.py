@@ -31,7 +31,7 @@ from fermicool import (
 from fermicool import solvers
 from fermicool.matcore import symmetrize
 from fermicool.solvers import MAX_STEPS, _flow, _rate
-from conftest import random_spd, random_symmetric
+from conftest import explicit_frame, random_spd, random_symmetric
 
 EPS = np.finfo(float).eps
 
@@ -57,19 +57,13 @@ def logistic(p0, a, beta):
     return 1.0 / (1.0 + (1.0 - p0) / p0 * math.exp(a * beta))
 
 
-def overlap_frame(s, h=None):
-    """The frame of the system with overlap ``s`` and core Hamiltonian ``h``
-    (zero when only the frame's overlap algebra is used)."""
-    h = np.zeros(np.shape(s)) if h is None else h
-    return SystemSpec(HermitianMatrix(h), OverlapMatrix(s)).frame
-
-
 def frame_operands(p, h, s, mu=None):
     """The kernel's operands in the frame of S = Y Y^T, Z = Y^-T:
     Q = Z^T P Z, F = Z^T H Z - mu, and the frame, which holds the trace
     weight s and Y."""
-    frame = overlap_frame(s, h)
-    f = frame.g_core.copy()
+    system = SystemSpec(HermitianMatrix(h), OverlapMatrix(s))
+    frame = system.s.frame
+    f = system.g_core.copy()
     if mu is not None:
         f.flat[:: f.shape[0] + 1] -= mu
     return symmetrize(frame.to_frame(np.asarray(p, dtype=float))), f, frame
@@ -232,7 +226,7 @@ class TestFlowRk4:
         s = random_spd(rng, n)
         h = random_symmetric(rng, n)
         norm = 1.0 if mu is not None else 0.8
-        frame = overlap_frame(s, h)
+        frame = OverlapMatrix(s).frame
         q = random_spd(rng, n, lo=0.1, hi=0.7)
         f = frame.z.T @ h @ frame.z
         if mu is not None:
@@ -299,7 +293,7 @@ class TestFlowRk4:
                 m[:half, half:] = m[half:, :half] = 0.0
             q[0, -1] = q[-1, 0] = 1e-90
         # the trace weight of a random overlap's frame, or the identity frame
-        frame = overlap_frame(random_spd(rng, n) if weighted else np.eye(n))
+        frame = OverlapMatrix(random_spd(rng, n) if weighted else np.eye(n)).frame
         out, _, _ = _flow(q, f, 1.0 if mu is not None else 0.8, 0.37, "rk4", mu=mu,
                           frame=frame)
         assert np.array_equal(out, out.T)
@@ -661,7 +655,7 @@ class TestCool:
         s = OverlapMatrix(random_spd(rng, n))
         system = SystemSpec(HermitianMatrix(random_symmetric(rng, n)), s)
         model = HamiltonianModel(system, coupling_u=0.3)
-        _, y, _ = s.frame
+        _, y, _ = explicit_frame(s)
         si = np.linalg.inv(s.mat)
         tol = 4 * n * EPS
         for ensemble, norm in ((GrandCanonical(0.1), 1.0),
@@ -782,8 +776,8 @@ def unfloored_final_state(system, ensemble, scheme, beta, n_steps):
     canonical = isinstance(ensemble, Canonical)
     norm = canonical_normalization(ensemble.n_electrons, system.s.mat) if canonical else 1.0
     kernel_mu = None if canonical else float(ensemble.mu)
-    frame = system.frame
-    f = frame.g_core
+    frame = system.s.frame
+    f = system.g_core
     if not canonical:
         f = f.copy()
         f.flat[:: n + 1] -= kernel_mu
