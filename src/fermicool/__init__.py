@@ -38,7 +38,6 @@ from .models import (
     build_huckel,
     canonical_normalization,
     default_chemical_potential,
-    effective_hamiltonian,
     exact_canonical_fd,
     exact_grand_fd,
     load_system,
@@ -83,7 +82,6 @@ __all__ = [
     "canonical_normalization",
     "cool",
     "default_chemical_potential",
-    "effective_hamiltonian",
     "exact_canonical_fd",
     "exact_grand_fd",
     "fermi",

@@ -410,17 +410,20 @@ def _add_common(parser: argparse.ArgumentParser, with_solver: bool) -> None:
                         help="SCF oracle steps: Newton steps with a Picard fallback "
                              "(--aitken, the default) or plain Picard iteration "
                              "(--no-aitken)")
-    parser.add_argument("--scf-tol", type=float, default=1e-10)
-    parser.add_argument("--scf-max-iter", type=int, default=200)
+    parser.add_argument("--scf-tol", type=float, default=1e-10, metavar="TOL",
+                        help="SCF oracle stops once the max-abs change of P is below TOL")
+    parser.add_argument("--scf-max-iter", type=int, default=200, metavar="K",
+                        help="SCF oracle iterations before non-convergence (exit 6)")
     parser.add_argument("--beta", type=float, required=True, metavar="B",
                         help="target inverse temperature")
     if with_solver:
-        parser.add_argument("--scheme", choices=SCHEMES, default="rk4")
+        parser.add_argument("--scheme", choices=SCHEMES, default="rk4", help="integration scheme")
         parser.add_argument("--dbeta", type=float, required=True, metavar="DB",
                             help="integration step in beta")
         parser.add_argument("--record-every", type=int, default=None, metavar="K",
                             help="record every K steps (default: about 100 records per run)")
-        parser.add_argument("--positivity-tol", type=float, default=1e-10)
+        parser.add_argument("--positivity-tol", type=float, default=1e-10, metavar="TOL",
+                            help="count a smallest eigenvalue below -TOL as a violation")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -437,22 +440,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="integrate a cooling flow and compare to the oracle",
                            epilog=_EPILOG, formatter_class=argparse.RawDescriptionHelpFormatter)
     _add_common(p_run, with_solver=True)
-    p_run.add_argument("--out", default="run.csv", metavar="PATH")
+    p_run.add_argument("--out", default="run.csv", metavar="PATH",
+                       help="spectra CSV; the side files are named after it")
     p_run.set_defaults(func=cmd_run)
 
     p_oracle = sub.add_parser("oracle", help="evaluate the exact state directly",
                               epilog=_EPILOG, formatter_class=argparse.RawDescriptionHelpFormatter)
     _add_common(p_oracle, with_solver=False)
-    p_oracle.add_argument("--out", default="oracle.csv", metavar="PATH")
+    p_oracle.add_argument("--out", default="oracle.csv", metavar="PATH",
+                          help="spectra CSV; the .meta is named after it")
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_conv = sub.add_parser("convergence", help="observed convergence orders by step halving",
                             epilog=_EPILOG, formatter_class=argparse.RawDescriptionHelpFormatter)
     _add_common(p_conv, with_solver=False)
-    p_conv.add_argument("--scheme", choices=SCHEMES, required=True)
+    p_conv.add_argument("--scheme", choices=SCHEMES, required=True, help="integration scheme")
     p_conv.add_argument("--dbeta-list", nargs="+", type=float, required=True,
                         metavar="DB", help="step sizes in halving progression (>= 3)")
-    p_conv.add_argument("--out", default="convergence.csv", metavar="PATH")
+    p_conv.add_argument("--out", default="convergence.csv", metavar="PATH",
+                        help="error and order CSV; the .meta is named after it")
     p_conv.set_defaults(func=cmd_convergence)
     return parser
 

@@ -4,10 +4,11 @@ Provides validated matrix carriers (symmetric matrices, and positive-definite
 overlap metrics), the orthogonalizing frame that each overlap owns and that
 reduces a pencil (H, S) to a standard symmetric problem (a :class:`Frame`,
 or an :class:`IdentityFrame` with no frame change when S is exactly the
-identity), the decomposition of that problem, the overflow-safe Fermi
-factor, and a
-safeguarded Newton search for the chemical potential at fixed electron count
-on a set of levels and their weights, which can start from a guess.
+identity; its operations are plain linear algebra, and no model enters this
+module), the decomposition of that problem, the overflow-safe Fermi factor,
+and a safeguarded Newton search for the chemical potential at fixed
+electron count on a set of levels and their weights, which can start from a
+guess.
 Everything is dense, real and double precision.
 """
 
@@ -111,19 +112,21 @@ class Frame:
 
     Each overlap owns one (:attr:`OverlapMatrix.frame`).  ``s`` holds the
     ascending eigenvalues, Y = U s^1/2 and Z = Y^-T = U s^-1/2, so that
-    Y Y^T = S, Z^T Y = 1 and Y^T Y = diag(s).  The congruence by Z takes a
-    pencil (H, S) to the standard problem G = Z^T H Z (:meth:`congruent`),
-    and a density P is carried as Q = Z^T P Z against it.  The methods are
-    the operations that the cooling flow, the oracles and the S-frame steps
-    take on frame matrices; :class:`IdentityFrame` makes each of them with
-    the plain numpy call when S is exactly the identity.  The arrays are
-    read-only.
+    Y Y^T = S, Z^T Y = 1 and Y^T Y = diag(s), and ``ones`` is c = Y^T 1, the
+    column sums of Y.  The congruence by Z takes a pencil (H, S) to the
+    standard problem G = Z^T H Z (:meth:`congruent`), and a density P is
+    carried as Q = Z^T P Z against it.  The methods are the plain linear
+    algebra that the cooling flow, the oracles, the model's refresh and the
+    S-frame steps take on frame matrices, and know nothing of any model;
+    :class:`IdentityFrame` makes each of them with the plain numpy call when
+    S is exactly the identity.  The arrays are read-only.
     """
 
     def __init__(self, s, u):
         root = np.sqrt(s)
         self.s, self.y, self.z = s, u * root, u / root
-        self.y.flags.writeable = self.z.flags.writeable = False
+        self.ones = self.y.sum(axis=0)
+        self.y.flags.writeable = self.z.flags.writeable = self.ones.flags.writeable = False
 
     def to_frame(self, p):
         """The frame form Q = Z^T P Z of an S-frame matrix P."""
@@ -147,6 +150,10 @@ class Frame:
         """Tr[Y Q Y^T] = s . diag(Q), an O(n) sum."""
         return float(self.s @ np.diagonal(q))
 
+    def total(self, q) -> float:
+        """The entry sum of Y Q Y^T, c^T Q c with c = Y^T 1 (``ones``), in O(n^2)."""
+        return float(self.ones @ q @ self.ones)
+
     def scale_rows(self, m):
         """The row scaling diag(s) M; C^T diag(s) C is ``c.T @ scale_rows(c)``."""
         return m * self.s[:, None]
@@ -169,43 +176,18 @@ class Frame:
         """||Y C Y^T||_F from C alone: the sum of c_ij^2 s_i s_j."""
         return math.sqrt(float(np.vdot(c * c, np.outer(self.s, self.s))))
 
-    def response(self, model):
-        """A model's response seen in the frame, E -> Z^T dH(Y E Y^T) Z, as (c, K, map).
-
-        ``model`` is a :class:`~fermicool.models.HamiltonianModel`.  Because
-        Z^T Y = 1 the map is u (E + phi K) with K = Z^T J Z and
-        phi = (c^T E c - s . diag(E)) / n, c = Y^T 1; K, c and the weight of
-        phi are formed here once, so each application costs O(n^2)
-        (:class:`~fermicool.models.FrameResponse`).  The map may update E in
-        place.
-        """
-        c = self.y.sum(axis=0)
-        weight = np.outer(c, c)
-        weight -= self.y.T @ self.y
-        weight /= self.s.size
-        k = symmetrize((self.z.T * model._stagger) @ self.z)
-        u = model.coupling_u
-
-        def apply(e):  # in place: E is the caller's own copy
-            e += float(np.vdot(weight, e)) * k
-            e *= u
-            return e
-
-        return c, k, apply
-
 
 class IdentityFrame(Frame):
     """The frame of an overlap that is exactly the identity: Q is P itself.
 
-    ``s`` is 1, and there is no Y or Z.  Each operation is the unweighted
-    numpy call on the matrix it is given, so that every S = 1 result keeps
-    the bits and the cost of the plain formula: G is H itself, and the
-    response is the model's own :meth:`~fermicool.models.HamiltonianModel.response`,
-    with c = 1 and K = J.
+    ``s`` and ``ones`` are 1, and there is no Y or Z.  Each operation is the
+    unweighted numpy call on the matrix it is given, so that every S = 1
+    result keeps the bits and the cost of the plain formula: G is H itself,
+    the trace is ``np.trace`` and the entry sum ``Q.sum()``.
     """
 
     def __init__(self, n):
-        self.s = np.ones(n)
+        self.s = self.ones = np.ones(n)
         self.s.flags.writeable = False
 
     def to_frame(self, p):
@@ -223,6 +205,9 @@ class IdentityFrame(Frame):
     def trace(self, q) -> float:
         return float(np.trace(q))
 
+    def total(self, q) -> float:
+        return float(q.sum())
+
     def scale_rows(self, m):
         return m
 
@@ -233,9 +218,6 @@ class IdentityFrame(Frame):
         return float(np.linalg.norm(c, "fro"))
 
     norm_yy = norm_zy
-
-    def response(self, model):
-        return np.ones(self.s.size), np.diag(model._stagger), model.response
 
 
 class OverlapMatrix:

@@ -12,8 +12,9 @@ cooling integrators in :mod:`fermicool.solvers` are validated:
 
 For density-dependent Hamiltonians ``H = H_core + H_exc(P)`` the exact state
 is the fixed point of ``F(P) = FermiDirac(H(P))``, found by
-:func:`scf_fixed_point`.  The toy model is affine in P, with the linear part
-:meth:`HamiltonianModel.response`, so the derivative J of F comes from the
+:func:`scf_fixed_point`.  The toy model (:class:`HamiltonianModel`) is
+affine in P, with its one definition the frame refresh
+:class:`FrameResponse`, so the derivative J of F comes from the
 eigendecomposition each evaluation of F already makes (divided differences
 of the Fermi factor; in the canonical ensemble a d mu term keeps
 Tr[J dP] = 0).  The SCF takes Newton steps (1 - J) delta = F(P) - P and falls
@@ -27,9 +28,10 @@ carried as Q = Z^T P Z against G = Z^T H Z (the system's
 in place of the pencil (H, S).  The cooling flow in
 :mod:`fermicool.solvers` and every exact state work there, through the few
 operations of that one :class:`~fermicool.matcore.Frame` object: to the
-frame and back, the weighted trace, the row scaling by diag(s), the
-spectrum and the two S-frame norms of a frame matrix, and the model's
-response.  An overlap that is exactly the identity has an
+frame and back, the weighted trace and entry sum, the row scaling by
+diag(s), the spectrum and the two S-frame norms of a frame matrix.  The
+frame knows no model: the toy model's refresh is built here from those
+operations.  An overlap that is exactly the identity has an
 :class:`~fermicool.matcore.IdentityFrame`, which makes each of them with
 the plain unweighted numpy call and forms no Y or Z, so that no other code
 tests how S = 1 is represented.  One evaluation,
@@ -39,6 +41,8 @@ and :func:`exact_canonical_mu` alike; a linear model's levels are those of
 G_core, decomposed once per system (:attr:`SystemSpec.levels`), and a
 nonlinear model refreshes G through its response seen in the frame
 (:attr:`HamiltonianModel.frame_response`) in O(n^2), as the cooling flow does.
+At beta = 0 every model's state is (N/2) S, where H = H_core, and the
+canonical mu is Tr[H_core] / Tr[S] (:func:`infinite_temperature_mu`).
 """
 
 from __future__ import annotations
@@ -185,9 +189,10 @@ class HamiltonianModel:
     that the cooling flow's ``h_refresh_defect`` diagnostic watches.
 
     The model is affine in P: ``H(P) = H_core + dH(P - (N/2) S)`` with the
-    linear response ``dH(dP) = u (dP + phi(dP) J)`` (:meth:`response`).  Its
-    image in the system's frame (:attr:`frame_response`) is what the cooling
-    flow's refresh and the SCF apply.
+    linear response ``dH(dP) = u (dP + phi(dP) J)``.  The library forms it
+    only in the system's frame, where the cooling flow's refresh and the SCF
+    apply it (:attr:`frame_response`, a :class:`FrameResponse`); with S = 1
+    that refresh is the formula above itself.
     """
 
     system: SystemSpec
@@ -202,15 +207,6 @@ class HamiltonianModel:
         # diagonal of J: +1, -1, ...
         return 1.0 - 2.0 * (np.arange(self.system.dim) % 2)
 
-    def response(self, dp) -> np.ndarray:
-        """The linear part of the model, dH(dP) = u (dP + phi(dP) J)."""
-        n = self.system.dim
-        phi = (float(dp.sum()) - float(np.trace(dp))) / n
-        out = np.array(dp, dtype=float)
-        out.flat[:: n + 1] += phi * self._stagger
-        out *= self.coupling_u
-        return out
-
     @cached_property
     def frame_response(self) -> "FrameResponse":
         """The response seen in the system's frame, E -> Z^T dH(Y E Y^T) Z, formed on first use."""
@@ -218,62 +214,51 @@ class HamiltonianModel:
 
 
 class FrameResponse:
-    """A model's response in its system's frame, E -> Z^T dH(Y E Y^T) Z.
+    """A model's response in its system's frame, E -> Z^T dH(Y E Y^T) Z, and its refresh.
 
-    Because ``Z^T Y = 1`` this is ``u (E + phi K)`` with ``K = Z^T J Z`` and
-    ``phi = (c^T E c - s . diag(E)) / n``, ``c = Y^T 1``: the refresh
-    ``G(Q) = G_core + response(Q - N/2)`` of the frame Hamiltonian.  The
-    overlap's :class:`~fermicool.matcore.Frame` forms K, c and the weight of
-    phi once (:meth:`~fermicool.matcore.Frame.response`), so each application
-    costs O(n^2).  In an :class:`~fermicool.matcore.IdentityFrame` the map
-    is :meth:`HamiltonianModel.response`, c = 1 and K = J.
+    Because ``Z^T Y = 1`` the response is ``u (E + phi K)`` with
+    ``K = Z^T J Z`` and ``phi = (c^T E c - s . diag(E)) / n``,
+    ``c = Y^T 1``: phi is the off-diagonal sum of Y E Y^T over n.  It is
+    built from the operations of the overlap's
+    :class:`~fermicool.matcore.Frame`: K is the frame's congruence of J,
+    formed once, c is the frame's ``ones``, and phi takes the frame's entry
+    sum and trace (:meth:`~fermicool.matcore.Frame.total`,
+    :meth:`~fermicool.matcore.Frame.trace`), so each refresh costs O(n^2).
+    In an :class:`~fermicool.matcore.IdentityFrame` K is J itself and c = 1,
+    so the refresh is the S-frame formula of :class:`HamiltonianModel`.
     """
 
     def __init__(self, model: HamiltonianModel):
-        self._g_core = model.system.g_core
-        self.c, self.k, self._map = model.system.s.frame.response(model)
+        system = model.system
+        self._frame, self._g_core, self._u = system.s.frame, system.g_core, model.coupling_u
+        self.k = self._frame.congruent(np.diag(model._stagger))
 
     def hamiltonian(self, q, norm: float) -> np.ndarray:
-        """The frame Hamiltonian G(Q) = G_core + response(Q - N/2) of a frame state Q."""
+        """The frame Hamiltonian G(Q) = G_core + u (E + phi K), E = Q - N/2, of a frame state Q."""
+        n = q.shape[0]
         e = q.copy()
-        e.flat[:: q.shape[0] + 1] -= 0.5 * norm
-        g = self._map(e)
-        g += self._g_core
-        return g
+        e.flat[:: n + 1] -= 0.5 * norm
+        phi = (self._frame.total(e) - self._frame.trace(e)) / n
+        e += phi * self.k
+        e *= self._u
+        e += self._g_core
+        return e
 
     def eigenbasis(self, c, gram):
         """The response in an eigenbasis C of a frame matrix, X -> C^T dG(C X C^T) C.
 
         ``c`` is orthogonal and ``gram = C^T diag(s) C`` (``C^T C`` when S is
         the identity), so that ``s . diag(C X C^T) = <gram, X>``.  The map is
-        ``u (X + <W, X> C^T K C)`` with ``W = ((C^T c)(C^T c)^T - gram) / n``;
-        returns (W, C^T K C), whose forming takes two products.
+        ``u (X + <W, X> C^T K C)`` with ``W = ((C^T 1_Y)(C^T 1_Y)^T - gram) / n``
+        and ``1_Y = Y^T 1``, the frame's ``ones``; returns (W, C^T K C), whose
+        forming takes two products.
         """
         n = c.shape[0]
-        d = c.T @ self.c
+        d = c.T @ self._frame.ones
         weight = np.outer(d, d)
         weight -= gram
         weight /= n
         return weight, c.T @ self.k @ c
-
-
-def effective_hamiltonian(model: HamiltonianModel, p, normalization: float = 1.0) -> HermitianMatrix:
-    """Hamiltonian seen by the electrons at density ``p``.
-
-    ``normalization`` is 1 for grand canonical use and the canonical
-    normalization 2 Ne / Tr[S] otherwise, so the correction vanishes at the
-    respective initial value and H(beta = 0) equals H_core exactly.
-    """
-    system = model.system
-    pm = np.asarray(p, dtype=float)
-    if pm.shape != (system.dim, system.dim):
-        raise DimensionMismatchError(
-            f"density has shape {pm.shape}, system dimension is {system.dim}"
-        )
-    if model.is_linear:
-        return system.h_core
-    return HermitianMatrix(system.h_core.mat
-                           + model.response(pm - 0.5 * normalization * system.s.mat))
 
 
 def build_huckel(n: int, alpha: float, gamma: float) -> SystemSpec:
@@ -484,19 +469,17 @@ def _frame_state(model: HamiltonianModel, q, beta: float, ensemble: Ensemble, no
     :func:`~fermicool.matcore.generalized_eigh`.  F = C diag(N f) C^T with
     f = fermi(beta (lambda - mu)).  A canonical ensemble solves mu from
     ``mu_guess`` on the levels (:func:`_levels_mu`).  At beta = 0,
-    F = (N/2) 1 whatever H is, the canonical mu is the limit
-    Tr[H(P)] / Tr[S] of the S-frame Hamiltonian, and no eigenpairs are
-    formed (None is returned for them).  Non-finite levels raise
-    BracketError, a G(Q) that is not finite LinAlgError.
+    F = (N/2) 1 whatever Q is, so the fixed point is P = (N/2) S, where
+    H = H_core by construction: the canonical mu of every model is the limit
+    Tr[H_core] / Tr[S] (:func:`infinite_temperature_mu`), as in
+    :func:`~fermicool.solvers.cool` and :func:`exact_canonical_mu`; no H is
+    formed, and no eigenpairs (None is returned for them).  Non-finite
+    levels raise BracketError, a G(Q) that is not finite LinAlgError.
     """
     system = model.system
     grand = isinstance(ensemble, GrandCanonical)
     if beta == 0.0:
-        if grand:
-            mu = ensemble.mu
-        else:
-            h = effective_hamiltonian(model, system.s.frame.from_frame(q), norm)
-            mu = infinite_temperature_mu(h, system.s)
+        mu = ensemble.mu if grand else infinite_temperature_mu(system.h_core, system.s)
         return np.eye(system.dim) * (0.5 * norm), mu, None
     if model.is_linear:
         lam, c = system.levels
@@ -605,7 +588,10 @@ def scf_fixed_point(
     forms F(Q) = C diag(N f) C^T (:func:`_frame_state`).  The residual is
     still taken in the S frame, max |Y (F(Q) - Q) Y^T|, and P = Y F(Q) Y^T
     is formed once, on return, as every exact state is: (N/2) S exactly at
-    beta = 0.  A ``start`` enters as Z^T P Z.
+    beta = 0.  A ``start`` enters as Z^T P Z.  At beta = 0 the fixed point
+    is (N/2) S for every model and start, where H = H_core, so the
+    canonical mu is Tr[H_core] / Tr[S] (:func:`infinite_temperature_mu`)
+    bit for bit, whatever the coupling.
 
     With ``use_aitken`` (the name is kept from an earlier Aitken-extrapolated
     variant) the next iterate is the Newton step Q + delta on R(Q) = 0:

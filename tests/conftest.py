@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fermicool import matcore
+from fermicool import HermitianMatrix, matcore
 
 try:
     from hypothesis import settings
@@ -46,6 +46,28 @@ def explicit_frame(s):
     vals, u = np.linalg.eigh(np.asarray(s, dtype=float))
     root = np.sqrt(vals)
     return vals, u * root, u / root
+
+
+def s_frame_response(model, dp):
+    """The toy model's linear response dH(dP) = u (dP + phi(dP) J), written
+    out here and not by the library: phi(dP) is the sum of the off-diagonal
+    entries of dP over n, and the stagger J = diag(+1, -1, ...) is filled by
+    a Python loop."""
+    n = dp.shape[0]
+    phi = (float(dp.sum()) - float(np.trace(dp))) / n
+    stagger = np.zeros((n, n))
+    np.fill_diagonal(stagger, [(-1.0) ** i for i in range(n)])
+    return model.coupling_u * (dp + phi * stagger)
+
+
+def s_frame_hamiltonian(model, p, normalization=1.0):
+    """The model's Hamiltonian H(P) = H_core + dH(P - (N/2) S) at an S-frame
+    density P (:func:`s_frame_response`); H_core itself for a linear model."""
+    system = model.system
+    if model.is_linear:
+        return system.h_core
+    delta = np.asarray(p, dtype=float) - 0.5 * normalization * system.s.mat
+    return HermitianMatrix(system.h_core.mat + s_frame_response(model, delta))
 
 
 def pencil_levels(h, s):

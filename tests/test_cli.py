@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from fermicool import build_huckel, default_chemical_potential
-from fermicool.cli import main
+from fermicool import build_huckel, default_chemical_potential, load_system
+from fermicool.cli import build_parser, main
+from fermicool.models import infinite_temperature_mu
 
 
 def gaussian_chain(n=60):
@@ -377,6 +378,19 @@ class TestOracle:
             for key in keys:
                 assert meta[key].isdigit() if counted else meta[key] == "n/a"
 
+    @pytest.mark.parametrize("coupling", ["1e10", "1e200"])
+    def test_beta_zero_mu_is_the_core_limit(self, tmp_path, capsys, data_dir, coupling):
+        # the state at beta = 0 is (N/2) S, where H = H_core: mu is
+        # Tr[H_core] / Tr[S] = -1.025 whatever the coupling
+        h, s = data_dir / "sample_hcore.mat", data_dir / "sample_overlap.mat"
+        out = tmp_path / "o.csv"
+        assert main(["oracle", "--files", str(h), str(s), "--canonical", "4",
+                     "--nonlinear", coupling, "--beta", "0", "--out", str(out)]) == 0
+        assert "oracle mu at beta=0: -1.025\n" in capsys.readouterr().out
+        system = load_system(h, s)
+        meta = dict(line.split(": ", 1) for line in (tmp_path / "o.meta").read_text().splitlines())
+        assert meta["mu_oracle"] == format(infinite_temperature_mu(system.h_core, system.s), ".17g")
+
     def test_aitken_toggle_same_spectra(self, tmp_path):
         base = [
             "oracle", "--huckel", "6", "0.569", "0.066", "--grand",
@@ -436,6 +450,15 @@ class TestConvergence:
         ])
         assert code == 2
         assert "halve" in capsys.readouterr().err
+
+
+def test_every_option_has_help_text():
+    # every action of every subcommand but -h says what it does in --help
+    subcommands = next(a for a in build_parser()._actions if a.choices and a.dest == "command")
+    missing = [f"{name} {'/'.join(action.option_strings)}"
+               for name, sub in subcommands.choices.items() for action in sub._actions
+               if action.help is None and action.dest != "help"]
+    assert missing == []
 
 
 class TestExitCodes:

@@ -245,3 +245,22 @@ def test_every_docstring_reference_resolves():
     unresolved = [f"{module}.{owner}: {name}" for module, owner, name in refs
                   if not _resolves(module, name)]
     assert unresolved == []
+
+
+#: What a model brings to the frame: the model itself, and the members of
+#: HamiltonianModel that the frame refresh reads.
+MODEL_NAMES = {"model"}
+MODEL_ATTRIBUTES = {"_stagger", "coupling_u", "response"}
+
+
+def test_the_frame_module_names_no_model():
+    # the toy model has one definition, the frame refresh in models; matcore's
+    # frames are plain linear algebra and never see a model
+    tree = ast.parse((ROOT / "src" / "fermicool" / "matcore.py").read_text(encoding="utf-8"))
+    hits = [f"matcore.py:{node.lineno}: {getattr(node, 'name', None) or ast.unparse(node)}"
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id in MODEL_NAMES)
+            or (isinstance(node, ast.arg) and node.arg in MODEL_NAMES)
+            or (isinstance(node, ast.Attribute) and node.attr in MODEL_ATTRIBUTES)
+            or (isinstance(node, ast.FunctionDef) and node.name in MODEL_ATTRIBUTES)]
+    assert hits == []

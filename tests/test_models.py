@@ -17,7 +17,6 @@ from fermicool import (
     build_huckel,
     canonical_normalization,
     default_chemical_potential,
-    effective_hamiltonian,
     exact_canonical_fd,
     exact_grand_fd,
     load_system,
@@ -25,8 +24,9 @@ from fermicool import (
     scf_fixed_point,
     symmetrize,
 )
-from fermicool.models import exact_canonical_mu
-from conftest import explicit_frame, pencil_levels, random_spd, random_symmetric
+from fermicool.models import _frame_state, exact_canonical_mu, infinite_temperature_mu
+from conftest import (explicit_frame, pencil_levels, random_spd, random_symmetric,
+                      s_frame_hamiltonian)
 
 
 def ring_spectrum(n, alpha, gamma):
@@ -89,50 +89,59 @@ class TestEnsembles:
 
 
 class TestEffectiveHamiltonian:
-    def test_linear_ignores_density(self, rng):
-        system = build_huckel(6, 0.5, 0.1)
-        model = HamiltonianModel(system)
-        p = HermitianMatrix(random_symmetric(rng, 6))
-        assert effective_hamiltonian(model, p) is system.h_core
+    """The frame refresh G(Q) = G_core + u (E + phi K), E = Q - N/2, of
+    :class:`~fermicool.models.FrameResponse`: the one definition of the toy
+    model, checked against the S-frame formula written out in conftest."""
 
-    def test_correction_vanishes_at_initial_value(self):
-        system = build_huckel(6, 0.5, 0.1)
-        model = HamiltonianModel(system, coupling_u=0.3)
-        h = effective_hamiltonian(model, 0.5 * system.s.mat, normalization=1.0)
-        np.testing.assert_array_equal(h.mat, system.h_core.mat)
+    @staticmethod
+    def systems(rng, n):
+        # one core Hamiltonian with S = 1 (an IdentityFrame) and with S != 1
+        h = HermitianMatrix(random_symmetric(rng, n))
+        return [SystemSpec(h, OverlapMatrix(np.eye(n))),
+                SystemSpec(h, OverlapMatrix(random_spd(rng, n)))]
+
+    def test_linear_ignores_density(self, rng):
+        # a linear model's F(Q) reads the cached levels of G_core, whatever Q is
+        for system in self.systems(rng, 6):
+            model = HamiltonianModel(system)
+            states = [_frame_state(model, q, 2.0, GrandCanonical(0.1), 1.0)[0]
+                      for q in (0.5 * np.eye(6), random_symmetric(rng, 6))]
+            assert np.array_equal(*states)
+
+    def test_correction_vanishes_at_initial_value(self, rng):
+        # G((N/2) 1) = G_core bit for bit, so H(beta = 0) = H_core
+        for system in self.systems(rng, 6):
+            response = HamiltonianModel(system, coupling_u=0.3).frame_response
+            for norm in (1.0, 0.7):
+                assert np.array_equal(response.hamiltonian(0.5 * norm * np.eye(6), norm),
+                                      system.g_core)
 
     def test_diagonal_density_direct_arithmetic(self):
-        # u = 1, S = I, h_core = 0, P = diag(1, 0): correction is P - S/2
+        # u = 1, S = I, h_core = 0, Q = diag(1, 0): the refresh is Q - 1/2
         system = SystemSpec(HermitianMatrix(np.zeros((2, 2))), OverlapMatrix(np.eye(2)))
         model = HamiltonianModel(system, coupling_u=1.0)
-        h = effective_hamiltonian(model, np.diag([1.0, 0.0]))
-        np.testing.assert_allclose(h.mat, np.diag([0.5, -0.5]), atol=1e-15)
+        q = np.diag([1.0, 0.0])
+        g = model.frame_response.hamiltonian(q, 1.0)
+        np.testing.assert_array_equal(g, np.diag([0.5, -0.5]))
+        np.testing.assert_array_equal(g, s_frame_hamiltonian(model, q).mat)
 
     def test_symmetric_for_symmetric_density(self, rng):
-        system = build_huckel(8, 0.2, 0.4)
-        model = HamiltonianModel(system, coupling_u=0.7)
-        h = effective_hamiltonian(model, random_symmetric(rng, 8))
-        assert np.abs(h.mat - h.mat.T).max() == 0.0
-
-    def test_dimension_mismatch(self):
-        system = build_huckel(4, 0.0, 1.0)
-        with pytest.raises(Exception):
-            effective_hamiltonian(HamiltonianModel(system), np.eye(3))
+        for system in self.systems(rng, 8):
+            g = HamiltonianModel(system, coupling_u=0.7).frame_response.hamiltonian(
+                random_symmetric(rng, 8), 1.0)
+            assert np.abs(g - g.T).max() == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 5, 60])
     def test_matches_loop_reference_bit_for_bit(self, rng, n):
-        # the stagger J = diag(+1, -1, ...) written out with a Python loop
-        system = SystemSpec(HermitianMatrix(random_symmetric(rng, n)),
-                            OverlapMatrix(random_spd(rng, n)))
-        u, norm = -0.3, 0.7
+        # for S = 1 the frame state is the S-frame density, and the refresh is
+        # the S-frame formula with the stagger J = diag(+1, -1, ...) written
+        # out by a Python loop
+        system = SystemSpec(HermitianMatrix(random_symmetric(rng, n)), OverlapMatrix(np.eye(n)))
+        model = HamiltonianModel(system, coupling_u=-0.3)
+        norm = 0.7
         p = random_symmetric(rng, n)
-        delta = p - 0.5 * norm * system.s.mat
-        phi = (float(delta.sum()) - float(np.trace(delta))) / n
-        stagger = np.zeros((n, n))
-        np.fill_diagonal(stagger, [(-1.0) ** i for i in range(n)])
-        reference = HermitianMatrix(system.h_core.mat + u * (delta + phi * stagger))
-        h = effective_hamiltonian(HamiltonianModel(system, coupling_u=u), p, norm)
-        np.testing.assert_array_equal(h.mat, reference.mat)
+        np.testing.assert_array_equal(model.frame_response.hamiltonian(p, norm),
+                                      s_frame_hamiltonian(model, p, norm).mat)
 
 
 class TestExactGrandFd:
@@ -334,12 +343,32 @@ class TestScfFixedPoint:
                                   start=start)
             assert np.array_equal(res.density.mat, expected)
 
+    @pytest.mark.parametrize("u", [0.05, 1e10, 1e200])
+    @pytest.mark.parametrize("overlap", ["sample", "random"])
+    def test_beta_zero_mu_is_the_core_limit_bit_for_bit(self, data_dir, overlap, u):
+        # at beta = 0 the fixed point is (N/2) S, where H = H_core, so the
+        # canonical mu is Tr[H_core] / Tr[S] whatever the coupling; the trace
+        # of H(Y (N/2) Y^T) would carry the rounding of Y Y^T - S scaled by u
+        if overlap == "sample":
+            system = load_system(data_dir / "sample_hcore.mat", data_dir / "sample_overlap.mat")
+        else:
+            rng = np.random.default_rng(11)
+            system = SystemSpec(HermitianMatrix(random_symmetric(rng, 8)),
+                                OverlapMatrix(random_spd(rng, 8, lo=0.8)))
+        expected = infinite_temperature_mu(system.h_core, system.s)
+        near = (0.5 * canonical_normalization(4.0, system.s.mat) * system.s.mat
+                + 0.01 * random_symmetric(np.random.default_rng(5), system.dim))
+        for start in (None, near):
+            res = scf_fixed_point(HamiltonianModel(system, coupling_u=u), Canonical(4.0), 0.0,
+                                  start=start)
+            assert res.mu == expected
+
     def test_self_consistency_residual(self):
         system = build_huckel(6, 0.569, 0.066)
         mu = default_chemical_potential(system)
         model = HamiltonianModel(system, coupling_u=0.1)
         res = scf_fixed_point(model, GrandCanonical(mu), 1.0, tol=1e-11)
-        h_eff = effective_hamiltonian(model, res.density)
+        h_eff = s_frame_hamiltonian(model, res.density)
         back = exact_grand_fd(SystemSpec(h_eff, system.s), mu, 1.0)
         assert np.abs(res.density.mat - back.mat).max() < 1e-10
 

@@ -21,7 +21,6 @@ from fermicool import (
     canonical_normalization,
     cool,
     default_chemical_potential,
-    effective_hamiltonian,
     exact_canonical_fd,
     exact_grand_fd,
     occupation_spectrum,
@@ -31,7 +30,7 @@ from fermicool import (
 from fermicool import solvers
 from fermicool.matcore import symmetrize
 from fermicool.solvers import MAX_STEPS, _flow, _rate
-from conftest import explicit_frame, random_spd, random_symmetric
+from conftest import explicit_frame, random_spd, random_symmetric, s_frame_hamiltonian
 
 EPS = np.finfo(float).eps
 
@@ -673,7 +672,7 @@ class TestCool:
                 if k < 2:
                     assert diag.commutator_norm[k] == diag.h_refresh_defect[k] == 0.0
                     continue
-                h_last, h = (effective_hamiltonian(model, ps[j], norm).mat for j in (k - 2, k - 1))
+                h_last, h = (s_frame_hamiltonian(model, ps[j], norm).mat for j in (k - 2, k - 1))
                 si_p, si_h = si @ p, si @ h
                 comm = np.linalg.norm(si_p @ si_h - si_h @ si_p, "fro")
                 size = np.linalg.norm(si_p, "fro") * np.linalg.norm(si_h, "fro")

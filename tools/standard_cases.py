@@ -1,0 +1,213 @@
+"""Run the standard CLI cases against a source tree, or compare two such runs.
+
+    python tools/standard_cases.py TREE OUTDIR
+    python tools/standard_cases.py --compare OLD_OUTDIR NEW_OUTDIR
+
+The first form imports fermicool from ``TREE/src`` and runs the 32 standard
+cases (:func:`cases`) in this process with one BLAS thread, each as one
+``cli.main`` call whose ``--out`` is ``OUTDIR/<case>.csv``.  The inputs are
+this checkout's ``data/sample_*.mat`` and the seed-902 chain of the
+benchmark's ``cli-nonorth`` workload, taken from ``bench/workloads.py``
+(imported, never written) and written to ``OUTDIR/chain_h.mat`` and
+``OUTDIR/chain_s.mat`` by the tree's own writer.  It prints each case's exit
+code and time, and exits 1 if any case exits non-zero.
+
+The second form compares every file of two output directories.  A file is
+identical when its bytes are, a ``.meta`` with its ``elapsed_seconds`` line
+dropped; for any other file it prints the largest absolute move of each
+numeric column (each ``.meta`` key).  It exits 1 unless every file is
+identical.  Run both trees into fresh directories, then compare them:
+
+    git archive HEAD~1 | tar -x -C /tmp/parent
+    python tools/standard_cases.py /tmp/parent /tmp/out-parent
+    python tools/standard_cases.py . /tmp/out-head
+    python tools/standard_cases.py --compare /tmp/out-parent /tmp/out-head
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import csv
+import importlib
+import io
+import math
+import os
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SAMPLE_H, SAMPLE_S = ROOT / "data" / "sample_hcore.mat", ROOT / "data" / "sample_overlap.mat"
+CHAIN_SEED = 902
+SCHEMES = ("kraus1", "kraus2", "rk4")
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def bench_workloads():
+    """This checkout's ``bench/workloads.py``, imported without writing bytecode beside it.
+
+    It imports fermicool, so the tree to run must be importable first.
+    """
+    if str(ROOT / "bench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "bench"))
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.dont_write_bytecode = dont_write
+
+
+def cases(workloads, chain_h, chain_s):
+    """The standard cases as (name, argv without --out), 32 of them.
+
+    * the two ``cli-nonorth`` runs on the chain files;
+    * ``run`` on the sample files at ``--canonical 4`` and ``--grand``, each
+      linear and at ``--nonlinear 0.05``, ``--beta 3 --dbeta 0.003``;
+    * ``run`` on the 300-ring at ``--canonical 150`` and ``--grand``,
+      ``--beta 10 --dbeta 0.5``;
+    * ``run`` on the 6-ring at ``--nonlinear 0.05``, ``--canonical 3`` and
+      ``--grand``, ``--beta 5 --dbeta 0.01``;
+    * every ``run`` above under kraus1, kraus2 and rk4;
+    * four ``oracle`` cases: the sample files at ``--canonical 4 --beta 3``,
+      linear and nonlinear, the nonlinear 6-ring at ``--beta 5``, and the
+      sample files at ``--nonlinear 1e200 --beta 0``;
+    * two ``convergence`` cases on a 6-ring (rk4) and the sample files (kraus2).
+    """
+    sample = ["--files", str(SAMPLE_H), str(SAMPLE_S)]
+    ring6 = ["--huckel", "6", "0.569", "0.066", "--nonlinear", "0.05"]
+    out = [(f"run-chain-{case}-{scheme}",
+            ["run", "--files", str(chain_h), str(chain_s), *workloads.CHAIN_ARGS, *extra])
+           for case, scheme, extra in workloads.CLI_CASES]
+    groups = [
+        ("sample-canonical", [*sample, "--canonical", "4", "--beta", "3", "--dbeta", "0.003"]),
+        ("sample-canonical-nonlinear",
+         [*sample, "--canonical", "4", "--nonlinear", "0.05", "--beta", "3", "--dbeta", "0.003"]),
+        ("sample-grand", [*sample, "--grand", "--beta", "3", "--dbeta", "0.003"]),
+        ("sample-grand-nonlinear",
+         [*sample, "--grand", "--nonlinear", "0.05", "--beta", "3", "--dbeta", "0.003"]),
+        ("ring300-canonical",
+         ["--huckel", "300", "0.569", "0.066", "--canonical", "150", "--beta", "10",
+          "--dbeta", "0.5"]),
+        ("ring300-grand",
+         ["--huckel", "300", "0.569", "0.066", "--grand", "--beta", "10", "--dbeta", "0.5"]),
+        ("ring6-canonical-nonlinear", [*ring6, "--canonical", "3", "--beta", "5", "--dbeta", "0.01"]),
+        ("ring6-grand-nonlinear", [*ring6, "--grand", "--beta", "5", "--dbeta", "0.01"]),
+    ]
+    out += [(f"run-{name}-{scheme}", ["run", *argv, "--scheme", scheme])
+            for name, argv in groups for scheme in SCHEMES]
+    out += [
+        ("oracle-sample-canonical", ["oracle", *sample, "--canonical", "4", "--beta", "3"]),
+        ("oracle-sample-canonical-nonlinear",
+         ["oracle", *sample, "--canonical", "4", "--nonlinear", "0.05", "--beta", "3"]),
+        ("oracle-ring6-canonical-nonlinear", ["oracle", *ring6, "--canonical", "3", "--beta", "5"]),
+        ("oracle-sample-beta0-u1e200",
+         ["oracle", *sample, "--canonical", "4", "--nonlinear", "1e200", "--beta", "0"]),
+        ("convergence-ring6-rk4",
+         ["convergence", "--huckel", "6", "0", "1", "--grand", "--beta", "1", "--scheme", "rk4",
+          "--dbeta-list", "0.1", "0.05", "0.025"]),
+        ("convergence-sample-kraus2",
+         ["convergence", *sample, "--canonical", "4", "--beta", "1", "--scheme", "kraus2",
+          "--dbeta-list", "0.1", "0.05", "0.025"]),
+    ]
+    return out
+
+
+def run_tree(tree: Path, outdir: Path) -> int:
+    for var in THREAD_VARS:
+        os.environ[var] = "1"
+    src = (tree / "src").resolve()
+    sys.path.insert(0, str(src))
+    import fermicool
+    from fermicool import cli, matio
+
+    if Path(fermicool.__file__).resolve().parent != src / "fermicool":
+        raise ImportError(f"fermicool was imported from {fermicool.__file__}, not {src}")
+    workloads = bench_workloads()
+    outdir.mkdir(parents=True, exist_ok=True)
+    h, s = workloads.chain_inputs(CHAIN_SEED)
+    chain_h, chain_s = outdir / "chain_h.mat", outdir / "chain_s.mat"
+    matio.write_matrix(chain_h, h, comment="benchmark chain core Hamiltonian")
+    matio.write_matrix(chain_s, s, comment="benchmark chain overlap")
+    failed = 0
+    for name, argv in cases(workloads, chain_h, chain_s):
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([*argv, "--out", str(outdir / f"{name}.csv")])
+        failed += code != 0
+        print(f"exit {code}  {time.perf_counter() - start:6.2f} s  {name}")
+    return 1 if failed else 0
+
+
+def _meta(text):
+    return {key: value for key, _, value in (line.partition(": ") for line in text.splitlines())
+            if key != "elapsed_seconds"}
+
+
+def _number(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _columns(path: Path, text: str):
+    # column name -> list of cells; a .mat file is one column of its values
+    if path.suffix == ".meta":
+        return {key: [value] for key, value in _meta(text).items()}
+    if path.suffix == ".mat":
+        lines = [line for line in text.splitlines() if line.strip() and not line.startswith("#")]
+        return {"values": [v for line in lines[1:] for v in line.split()]}
+    header, *rows = list(csv.reader(io.StringIO(text)))
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+
+def _largest_move(old_cells, new_cells):
+    # the largest |new - old| over paired numeric cells; inf when the cells
+    # cannot be paired or a non-number differs
+    if len(old_cells) != len(new_cells):
+        return math.inf
+    move = 0.0
+    for a, b in zip(old_cells, new_cells):
+        x, y = _number(a), _number(b)
+        if a == b or (x is not None and y is not None and math.isnan(x) and math.isnan(y)):
+            continue
+        move = max(move, abs(y - x) if x is not None and y is not None else math.inf)
+    return move
+
+
+def compare(old: Path, new: Path) -> int:
+    names = sorted({p.name for p in old.iterdir()} | {p.name for p in new.iterdir()})
+    same = 0
+    for name in names:
+        a, b = old / name, new / name
+        if not (a.is_file() and b.is_file()):
+            print(f"missing   {name}: only in {a.parent if a.is_file() else b.parent}")
+            continue
+        ta, tb = a.read_text(encoding="utf-8"), b.read_text(encoding="utf-8")
+        if ta == tb or (a.suffix == ".meta" and _meta(ta) == _meta(tb)):
+            same += 1
+            print(f"identical {name}")
+            continue
+        ca, cb = _columns(a, ta), _columns(b, tb)
+        moves = {col: _largest_move(ca.get(col, []), cb.get(col, [])) for col in {*ca, *cb}}
+        print(f"moved     {name}: " + ", ".join(f"{col} {move:.3g}"
+                                              for col, move in sorted(moves.items()) if move))
+    print(f"{same} of {len(names)} files identical")
+    return 0 if same == len(names) else 1
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", action="store_true",
+                        help="compare two output directories instead of running a tree")
+    parser.add_argument("first", type=Path, help="TREE to run, or the old OUTDIR with --compare")
+    parser.add_argument("second", type=Path, help="OUTDIR to write, or the new one with --compare")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(args.first, args.second)
+    return run_tree(args.first, args.second)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
