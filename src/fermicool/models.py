@@ -58,6 +58,7 @@ import numpy as np
 from .errors import (BracketError, DimensionMismatchError, InfeasibleEnsembleError,
                      MuConvergenceError, ScfConvergenceError)
 from .matcore import (
+    Diagonals,
     HermitianMatrix,
     OverlapMatrix,
     fermi,
@@ -225,13 +226,17 @@ class FrameResponse:
     sum and trace (:meth:`~fermicool.matcore.Frame.total`,
     :meth:`~fermicool.matcore.Frame.trace`), so each refresh costs O(n^2).
     In an :class:`~fermicool.matcore.IdentityFrame` K is J itself and c = 1,
-    so the refresh is the S-frame formula of :class:`HamiltonianModel`.
+    so the refresh is the S-frame formula of :class:`HamiltonianModel`; a K
+    of few diagonals is kept by them and added in place
+    (:meth:`~fermicool.matcore.Diagonals.of`).
     """
 
     def __init__(self, model: HamiltonianModel):
         system = model.system
         self._frame, self._g_core, self._u = system.s.frame, system.g_core, model.coupling_u
-        self.k = self._frame.congruent(np.diag(model._stagger))
+        k = self._frame.congruent(np.diag(model._stagger))
+        diagonals = Diagonals.of(k)
+        self.k = k if diagonals is None else diagonals
 
     def hamiltonian(self, q, norm: float) -> np.ndarray:
         """The frame Hamiltonian G(Q) = G_core + u (E + phi K), E = Q - N/2, of a frame state Q."""
@@ -239,7 +244,10 @@ class FrameResponse:
         e = q.copy()
         e.flat[:: n + 1] -= 0.5 * norm
         phi = (self._frame.total(e) - self._frame.trace(e)) / n
-        e += phi * self.k
+        if isinstance(self.k, Diagonals):
+            self.k.add_to(e, phi)
+        else:
+            e += phi * self.k
         e *= self._u
         e += self._g_core
         return e
@@ -258,7 +266,7 @@ class FrameResponse:
         weight = np.outer(d, d)
         weight -= gram
         weight /= n
-        return weight, c.T @ self.k @ c
+        return weight, c.T @ np.asarray(self.k) @ c
 
 
 def build_huckel(n: int, alpha: float, gamma: float) -> SystemSpec:
@@ -428,10 +436,8 @@ def exact_canonical_mu(system: SystemSpec, n_electrons: float, beta: float,
 
 
 def _exact_state(system: SystemSpec, beta: float, ensemble: Ensemble, norm: float):
-    # the linear model's state (P, mu): F(Q) does not depend on Q, so one
-    # evaluation at the start Q = N/2 is the fixed point
-    f, mu, _ = _frame_state(HamiltonianModel(system), np.eye(system.dim) * (0.5 * norm),
-                            beta, ensemble, norm)
+    # the linear model's state (P, mu): F(Q) reads no Q, so one evaluation is the fixed point
+    f, mu, _ = _frame_state(HamiltonianModel(system), None, beta, ensemble, norm)
     return _density(system, f, beta, norm), mu
 
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateTraceError, DimensionMismatchError, SolverAbortError
-from .matcore import HermitianMatrix, OverlapMatrix, symmetrize
+from .matcore import Diagonals, HermitianMatrix, OverlapMatrix, symmetrize
 from .models import (
     Canonical,
     Ensemble,
@@ -190,7 +190,7 @@ def _rate(p, f, norm, mu=None, frame=None):
     return out, sigma
 
 
-def _flow(p, f, norm, delta_beta, scheme, mu=None, frame=None, t=None):
+def _flow(p, f, norm, delta_beta, scheme, mu=None, frame=None, t=None, f_diagonals=None):
     """The kernel: one step of dP/dbeta = B P + P B^T and its increment of beta mu.
 
     B = (F M / N - F) / 2 for the symmetric state ``p``, its occupation
@@ -213,11 +213,14 @@ def _flow(p, f, norm, delta_beta, scheme, mu=None, frame=None, t=None):
     and A None for "rk4".  Entries of A below :data:`TAIL_FLOOR` and of an
     RK4 stage state below TAIL_FLOOR * N/2 are zeroed before they enter a
     product; zeroing entries of A keeps the step a congruence.
+    ``f_diagonals``, F's :class:`~fermicool.matcore.Diagonals`, takes F's
+    products in the frame in place of ``f``.
     """
+    f_product = f if f_diagonals is None else f_diagonals
     if scheme == "rk4":
         # one accumulator and one stage buffer, which also carries each
         # weighted stage rate into the sum once the rate is computed
-        acc, total = _rate(p, f, norm, mu, frame)
+        acc, total = _rate(p, f_product, norm, mu, frame)
         k, stage = acc, np.empty_like(p)
         floor = 0.5 * norm * TAIL_FLOOR
         # a stage entry is one rounded sum p_ij + t, which is 0 or at least
@@ -230,7 +233,7 @@ def _flow(p, f, norm, delta_beta, scheme, mu=None, frame=None, t=None):
             if flush:
                 _flush_tail(stage, floor)
             k = None  # the previous rate is in acc; it goes before the next one is made
-            k, sigma = _rate(stage, f, norm, mu, frame)
+            k, sigma = _rate(stage, f_product, norm, mu, frame)
             acc += np.multiply(k, weight, out=stage)
             total += weight * sigma
         acc *= delta_beta / 6.0
@@ -238,7 +241,7 @@ def _flow(p, f, norm, delta_beta, scheme, mu=None, frame=None, t=None):
         return acc, (delta_beta / 6.0) * total, None
     n = p.shape[0]
     m = p if t is None else p @ t
-    fm = f @ m
+    fm = f_product @ m
     sigma, sdot = mu, 0.0
     if mu is None:
         wp = frame.scale_rows(p)
@@ -248,11 +251,12 @@ def _flow(p, f, norm, delta_beta, scheme, mu=None, frame=None, t=None):
         f = f.copy()
         f.flat[:: n + 1] -= sigma
         fm -= sigma * m
+        f_product = f if f_diagonals is None else f_diagonals.on(f)
     b = fm / norm  # B = (F M / N - F) / 2, in place
     b -= f
     b *= 0.5
     if scheme == "kraus1":
-        del fm, f  # F M and the shifted F go before the products
+        del fm, f, f_product  # F M and the shifted F go before the products
         b *= delta_beta  # B becomes A = 1 + db B in place
         b.flat[:: n + 1] += 1.0
         _flush_tail(b, TAIL_FLOOR)
@@ -260,14 +264,18 @@ def _flow(p, f, norm, delta_beta, scheme, mu=None, frame=None, t=None):
     pd = b @ p
     # numpy buffers an operand that overlaps the output, so this is pd + pd.T exactly
     pd += pd.T
-    fmd = f @ (pd if t is None else pd @ t)
     if mu is None:
         # d sigma/dbeta = Tr[W (F - sigma) Xdot] / Tr[W X],
-        # Xdot = Pdot - (Mdot P + M Pdot) / N
+        # Xdot = Pdot - (Mdot P + M Pdot) / N; F M and F go before the product
         wpd = frame.scale_rows(pd)
-        sdot = float(np.vdot(f, wpd) - (np.vdot(fmd, wp) + np.vdot(fm, wpd)) / norm) / den
-        del wp, wpd
-    del pd, fm
+        f_wpd, fm_wpd = np.vdot(f, wpd), np.vdot(fm, wpd)
+        del wpd
+    del fm, f
+    fmd = f_product @ (pd if t is None else pd @ t)
+    if mu is None:
+        sdot = float(f_wpd - (np.vdot(fmd, wp) + fm_wpd) / norm) / den
+        del wp
+    del pd, f_product
     # A = 1 + d B + (d^2/2)(B^2 + B') with
     # B' = (sigma'/2)(1 - M/N) + (F - sigma) Mdot / (2N), built in place so
     # that few n x n temporaries are alive at once
@@ -360,8 +368,10 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     or Z exists.  Every weighted operation below is the frame's, and the
     identity frame takes it unweighted.  The canonical trace weight is the
     vector s, so S Q is a row scaling.  G - mu is formed once for linear
-    models.  Density-dependent models refresh G from Q at the start of every
-    step and hold it across the step's stages.  The model is affine in P, so
+    models, with its :class:`~fermicool.matcore.Diagonals` for the products
+    when it has few (:meth:`~fermicool.matcore.Diagonals.of`).
+    Density-dependent models refresh G from Q at the start of every step
+    and hold it across the step's stages.  The model is affine in P, so
     the refresh stays in the frame and costs O(n^2):
     G(Q) = G_core + u [(Q - N/2) + phi K] with K = Z^T J Z formed once per
     model and phi from (Y^T 1)^T Q (Y^T 1) and Tr[diag(s) Q]
@@ -436,6 +446,8 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     q = np.eye(n) * (0.5 * norm)
     # G = Z^T H Z; the model's correction vanishes at P(0)
     f = kernel_operator(g)
+    # a linear run's F is fixed: its products go by its diagonals if few
+    f_diagonals = Diagonals.of(f) if model.is_linear else None
     if not model.is_linear:
         # G(Q) = G_core + Z^T dH(Y (Q - N/2) Y^T) Z in O(n^2)
         refresh = model.frame_response.hamiltonian
@@ -476,7 +488,8 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
 
             # d(beta mu)/dbeta equals the scalar exactly; dz is the step's
             # quadrature of it at the scheme's order
-            q_raw, dz, a = _flow(q, f, norm, db, scheme, mu=kernel_mu, frame=frame)
+            q_raw, dz, a = _flow(q, f, norm, db, scheme, mu=kernel_mu, frame=frame,
+                                 f_diagonals=f_diagonals)
             del a  # the congruence factor is not kept
             if canonical:
                 beta_mu += dz
@@ -500,7 +513,7 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
                 record(beta_next, float(frame.spectrum(q)[0]), frame.trace(q), comm_norm,
                        refresh_defect)
         last = HermitianMatrix(frame.from_frame(q))
-    del q, f, g  # P(0) is formed once the loop's arrays are gone
+    del q, f, f_diagonals, g  # P(0) is formed once the loop's arrays are gone
     first = HermitianMatrix(0.5 * norm * s_mat)
     records[0][3] = float(np.trace(first.mat))
 

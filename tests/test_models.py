@@ -131,17 +131,20 @@ class TestEffectiveHamiltonian:
                 random_symmetric(rng, 8), 1.0)
             assert np.abs(g - g.T).max() == 0.0
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 60])
+    @pytest.mark.parametrize("n", [1, 2, 5, 60, 300])
     def test_matches_loop_reference_bit_for_bit(self, rng, n):
         # for S = 1 the frame state is the S-frame density, and the refresh is
         # the S-frame formula with the stagger J = diag(+1, -1, ...) written
-        # out by a Python loop
+        # out by a Python loop; at n = 300 K = J is held by its one diagonal
+        # and phi K is added in place
         system = SystemSpec(HermitianMatrix(random_symmetric(rng, n)), OverlapMatrix(np.eye(n)))
         model = HamiltonianModel(system, coupling_u=-0.3)
         norm = 0.7
         p = random_symmetric(rng, n)
         np.testing.assert_array_equal(model.frame_response.hamiltonian(p, norm),
                                       s_frame_hamiltonian(model, p, norm).mat)
+        stagger = np.diag([(-1.0) ** i for i in range(n)])
+        assert np.asarray(model.frame_response.k).tobytes() == stagger.tobytes()
 
 
 class TestExactGrandFd:

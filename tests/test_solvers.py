@@ -28,7 +28,7 @@ from fermicool import (
     step_kraus2,
 )
 from fermicool import solvers
-from fermicool.matcore import symmetrize
+from fermicool.matcore import Diagonals, symmetrize
 from fermicool.solvers import MAX_STEPS, _flow, _rate
 from conftest import explicit_frame, random_spd, random_symmetric, s_frame_hamiltonian
 
@@ -764,11 +764,97 @@ class TestCool:
         assert math.log2(errs[0] / errs[1]) == pytest.approx(1.0, abs=0.2)
 
 
+class TestDiagonalProducts:
+    """A linear run whose F has few nonzero diagonals for its size takes F's
+    products by them (matcore.Diagonals.of); every other run takes the gemm."""
+
+    @staticmethod
+    def kernel_diagonals(monkeypatch, model, ensemble):
+        # what cool() passes to _flow as F's diagonals, step by step
+        seen = []
+        flow = solvers._flow
+
+        def spy(q, f, norm, delta_beta, step_scheme, **kwargs):
+            seen.append((f, kwargs["f_diagonals"]))
+            return flow(q, f, norm, delta_beta, step_scheme, **kwargs)
+
+        monkeypatch.setattr(solvers, "_flow", spy)
+        cool(model, ensemble, SolverConfig("kraus1", 0.2, 0.1))
+        monkeypatch.undo()
+        assert len(seen) == 2
+        return seen
+
+    @staticmethod
+    def chain(n):
+        # the recipe of the benchmark's non-orthogonal chain
+        i = np.arange(n)
+        d2 = (i[:, None] - i[None, :]) ** 2.0
+        h = -0.35 * np.exp(-0.4 * d2)
+        h[i, i] = -1.2 + 0.05 * i
+        return SystemSpec(HermitianMatrix(h), OverlapMatrix(np.exp(-0.5 * d2)))
+
+    @pytest.mark.parametrize("canonical", [False, True], ids=["grand", "canonical"])
+    @pytest.mark.parametrize("n", [240, 300])
+    def test_linear_rings_at_the_crossover_take_the_diagonals(self, monkeypatch, n, canonical):
+        # five diagonals: 0, +-1 and the periodic corners +-(n - 1)
+        system = build_huckel(n, 0.569, 0.066)
+        ensemble = (Canonical(n / 2) if canonical
+                    else GrandCanonical(default_chemical_potential(system)))
+        for f, diagonals in self.kernel_diagonals(monkeypatch, HamiltonianModel(system),
+                                                  ensemble):
+            assert isinstance(diagonals, Diagonals)
+            assert diagonals.offsets == (0, 1 - n, -1, 1, n - 1)
+            assert np.asarray(diagonals).tobytes() == f.tobytes()
+
+    @pytest.mark.parametrize("canonical", [False, True], ids=["grand", "canonical"])
+    @pytest.mark.parametrize("name", ["ring-239", "ring-200", "nonlinear-ring-300", "chain",
+                                      "sample"])
+    def test_other_runs_take_the_gemm(self, monkeypatch, data_dir, name, canonical):
+        from fermicool import load_system
+
+        coupling = 0.0
+        if name == "chain":
+            system = self.chain(60)
+        elif name == "sample":
+            system = load_system(data_dir / "sample_hcore.mat", data_dir / "sample_overlap.mat")
+        else:
+            system = build_huckel(int(name.rpartition("-")[2]), 0.569, 0.066)
+            coupling = 0.05 if name.startswith("nonlinear") else 0.0
+        ensemble = (Canonical(2.0) if canonical
+                    else GrandCanonical(default_chemical_potential(system)))
+        seen = self.kernel_diagonals(monkeypatch, HamiltonianModel(system, coupling), ensemble)
+        assert [diagonals for _, diagonals in seen] == [None, None]
+
+    @pytest.mark.parametrize("scheme", solvers.SCHEMES)
+    @pytest.mark.parametrize("mu", [None, 0.3], ids=["canonical", "grand"])
+    def test_kernel_by_diagonals_is_the_dense_kernel(self, rng, scheme, mu):
+        # a step with F's products by its diagonals differs from the gemm's by
+        # rounding only, and leaves its read-only operands as they were; at
+        # n = 40 the product forms its terms in the rows of its output
+        n = 40
+        f = np.diag(rng.normal(size=n))
+        i = np.arange(n - 1)
+        f[i, i + 1] = f[i + 1, i] = rng.normal(size=n - 1)
+        f[0, -1] = f[-1, 0] = 0.3
+        offsets = (0, 1 - n, -1, 1, n - 1)
+        q, f = read_only(symmetrize(random_spd(rng, n, lo=0.1, hi=0.7)), f)
+        diagonals = Diagonals(f, offsets)
+        frame = OverlapMatrix(np.eye(n)).frame
+        norm = 1.0 if mu is not None else 0.8
+        out, dz, a = _flow(q, f, norm, 0.37, scheme, mu=mu, frame=frame, f_diagonals=diagonals)
+        ref, ref_dz, ref_a = _flow(q, f, norm, 0.37, scheme, mu=mu, frame=frame)
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert dz == pytest.approx(ref_dz, rel=1e-13, abs=1e-15)
+        if scheme == "rk4":
+            assert np.array_equal(out, out.T) and a is None and ref_a is None
+
+
 def unfloored_final_state(system, ensemble, scheme, beta, n_steps):
     """Final density and mu of cool()'s step loop with nothing zeroed: Q from
     (N/2) 1 in the overlap's eigenbasis frame, each kernel result symmetrized
-    as (Q + Q^T) / 2.  Call it with solvers.TAIL_FLOOR set to 0, which keeps
-    the kernel's own flushes out."""
+    as (Q + Q^T) / 2, and F's products by its diagonals wherever cool() takes
+    them so (Diagonals.of).  Call it with solvers.TAIL_FLOOR set to 0, which
+    keeps the kernel's own flushes out."""
     from fermicool import solvers
 
     n = system.dim
@@ -780,10 +866,11 @@ def unfloored_final_state(system, ensemble, scheme, beta, n_steps):
     if not canonical:
         f = f.copy()
         f.flat[:: n + 1] -= kernel_mu
+    f_diagonals = Diagonals.of(f)
     q, beta_mu, mu = np.eye(n) * (0.5 * norm), 0.0, None
     for i in range(n_steps):
         q_raw, dz, _ = solvers._flow(q, f, norm, beta / n_steps, scheme, mu=kernel_mu,
-                                     frame=frame)
+                                     frame=frame, f_diagonals=f_diagonals)
         beta_mu += dz
         if canonical:
             mu = beta_mu / (beta * (i + 1) / n_steps)

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -63,3 +64,41 @@ class A:
 @pytest.mark.parametrize("source, lines", [(SOURCE, 6), ("", 0), ('"""Only a docstring."""\n', 0)])
 def test_code_lines_count_code_only(source, lines):
     assert load_tool("code_lines").code_lines(source) == lines
+
+
+def result_line(**values):
+    # one bench/run.py result object, as its last output line
+    return json.dumps({"correct": True, "attempted": 12, "failed": 0,
+                       "metrics": {k: {"value": v, "unit": "s"} for k, v in values.items()}})
+
+
+def test_bench_pairs_summary_arithmetic():
+    tool = load_tool("bench_pairs")
+    old_walls = [0.40, 0.42, 0.38, 0.41, 0.45]
+    new_walls = [0.35, 0.42, 0.33, 0.36, 0.37]
+    old = [tool.parse_result(f"env\n{result_line(wall_s=w, bytes=1.0)}\n")
+           for w in old_walls]
+    new = [tool.parse_result(result_line(wall_s=w, bytes=2.0)) for w in new_walls]
+    wall, size = tool.summarize(old, new, [("wall_s", "lower"), ("bytes", "higher")])
+    # inclusive quartiles of 0.38 0.40 0.41 0.42 0.45
+    quartiles = (wall["old_q1"], wall["old_median"], wall["old_q3"])
+    assert quartiles == pytest.approx((0.40, 0.41, 0.42))
+    assert wall["iqr"] == pytest.approx(0.02)
+    assert wall["new_median"] == pytest.approx(0.36)
+    assert wall["change"] == pytest.approx(0.36 / 0.41 - 1.0)
+    assert (wall["wins"], wall["ties"], wall["pairs"]) == (4, 1, 5)
+    assert not wall["gain"]  # 4 of 5 wins is below nine in ten
+    # higher is better here: every pair wins, and the parent has no spread
+    assert (size["wins"], size["ties"], size["iqr"], size["gain"]) == (5, 0, 0.0, True)
+    assert size["change"] == pytest.approx(1.0)
+    lines = tool.format_rows([wall])
+    assert lines == ["wall_s       0.41 [0.4, 0.42] IQR 0.02 (4.9%) -> 0.36 s (-12.2%); "
+                     "wins 4/5, ties 1"]
+    new[1] = tool.parse_result(result_line(wall_s=0.30, bytes=2.0))
+    assert tool.summarize(old, new, [("wall_s", "lower")])[0]["gain"]
+    assert tool.failures(old) == (0, 60)
+
+
+def test_bench_pairs_reads_the_declared_metrics():
+    names = [name for name, _ in load_tool("bench_pairs").end_to_end_metrics()]
+    assert names == ["wall_s", "solve_s_p50", "setup_s", "peak_rss_mb"]
