@@ -14,6 +14,7 @@ Everything is dense, real and double precision.
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import NamedTuple
 
@@ -73,37 +74,69 @@ def maxabs_asymmetry(m):
     return float(np.abs(a - a.T).max())
 
 
+class Dense:
+    """A square matrix M as a kernel operator (:func:`operator`), by plain numpy calls.
+
+    Its four operations are those that the kernel and the frame refresh
+    take on F: ``F @ X``, :meth:`shifted`, :meth:`add_to` and :meth:`dot`.
+    """
+
+    def __init__(self, m):
+        self.m = m
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.m, dtype=dtype, copy=copy)
+
+    def __matmul__(self, x):
+        return self.m @ x
+
+    def shifted(self, sigma):
+        """M - sigma 1, in a copy of M."""
+        m = self.m.copy()
+        m.flat[:: m.shape[0] + 1] -= sigma
+        return Dense(m)
+
+    def add_to(self, out, scale):
+        """``out += scale * M`` in place; at scale -1 the subtraction, with no temporary."""
+        if scale == -1.0:
+            out -= self.m
+        else:
+            out += scale * self.m
+
+    def dot(self, w):
+        """<M, W>, the entry sum of M * W."""
+        return float(np.vdot(self.m, w))
+
+
+def operator(m):
+    """The kernel operator of a square matrix ``m``: its :class:`Diagonals`
+    if count <= n / :data:`DIAGONAL_CROSSOVER` - 1, count its nonzero
+    diagonals with the main one, else its :class:`Dense` form."""
+    n = m.shape[0]
+    most = n // DIAGONAL_CROSSOVER - 1
+    if most < 1 or np.count_nonzero(m) > most * n:  # too many entries: no index formed
+        return Dense(m)
+    rows, cols = np.nonzero(m)
+    # counted, not np.unique, which imports numpy.ma: 1.7 MB of resident memory
+    present = np.flatnonzero(np.bincount(cols - rows + (n - 1))) - (n - 1)
+    offsets = [0, *(int(k) for k in present if k != 0)]
+    return Diagonals(m, offsets) if len(offsets) <= most else Dense(m)
+
+
 class Diagonals:
     """A square matrix M held by its main and its other nonzero diagonals.
 
-    ``values[i]`` is a read-only view of M's diagonal at offset
-    ``offsets[i]``, 0 first, so M must not change.  The product ``D @ X``
-    sums X's rows shifted by each offset and scaled by its diagonal, in
-    cached row blocks, and allocates little beyond its output:
-    O(count n^2) in place of the gemm's O(n^3), equal to M X within
-    (count + n) eps (|M| |X|).
+    ``values[i]`` is M's diagonal at offset ``offsets[i]``, 0 first, a
+    read-only view of M, except a :meth:`shifted` main diagonal, which is
+    its own array.  The :class:`Dense` operations take O(count n) here, and
+    ``D @ X`` O(count n^2): it sums X's rows shifted by each offset and
+    scaled by its diagonal, in cached row blocks, allocates little beyond
+    its output, and equals M X within (count + n) eps (|M| |X|).
     """
 
     def __init__(self, m, offsets):
         self.offsets, self.n = tuple(offsets), m.shape[0]
         self.values = tuple(np.diagonal(m, k) for k in self.offsets)
-
-    @classmethod
-    def of(cls, m):
-        """``m`` by its diagonals if count <= n / :data:`DIAGONAL_CROSSOVER` - 1, else None."""
-        n = m.shape[0]
-        most = n // DIAGONAL_CROSSOVER - 1
-        if most < 1 or np.count_nonzero(m) > most * n:  # too many entries: no index formed
-            return None
-        rows, cols = np.nonzero(m)
-        # counted, not np.unique, which imports numpy.ma: 1.7 MB of resident memory
-        present = np.flatnonzero(np.bincount(cols - rows + (n - 1))) - (n - 1)
-        offsets = [0, *(int(k) for k in present if k != 0)]
-        return cls(m, offsets) if len(offsets) <= most else None
-
-    def on(self, m):
-        """The same diagonals of another matrix ``m``, such as M - sigma 1."""
-        return Diagonals(m, self.offsets)
 
     def _flat(self, k, d):
         # the diagonal's flat indices in a C-ordered n x n array
@@ -139,10 +172,20 @@ class Diagonals:
             start = stop
         return out
 
+    def shifted(self, sigma):
+        """M - sigma 1: a new main diagonal, the others shared."""
+        other = copy.copy(self)
+        other.values = (self.values[0] - sigma, *self.values[1:])
+        return other
+
     def add_to(self, out, scale):
         """``out += scale * M`` in place, with the dense update's bits, in O(n) per diagonal."""
         for k, d in zip(self.offsets, self.values):
             out.flat[self._flat(k, d)] += scale * d
+
+    def dot(self, w):
+        """<M, W>, summed over M's diagonals."""
+        return sum(float(d @ np.diagonal(w, k)) for k, d in zip(self.offsets, self.values))
 
 
 class HermitianMatrix:

@@ -58,13 +58,13 @@ import numpy as np
 from .errors import (BracketError, DimensionMismatchError, InfeasibleEnsembleError,
                      MuConvergenceError, ScfConvergenceError)
 from .matcore import (
-    Diagonals,
     HermitianMatrix,
     OverlapMatrix,
     fermi,
     find_mu_for_occupation,
     generalized_eigh,
     maxabs_asymmetry,
+    operator,
     symmetrize,
 )
 from .matio import read_matrix
@@ -226,17 +226,15 @@ class FrameResponse:
     sum and trace (:meth:`~fermicool.matcore.Frame.total`,
     :meth:`~fermicool.matcore.Frame.trace`), so each refresh costs O(n^2).
     In an :class:`~fermicool.matcore.IdentityFrame` K is J itself and c = 1,
-    so the refresh is the S-frame formula of :class:`HamiltonianModel`; a K
-    of few diagonals is kept by them and added in place
-    (:meth:`~fermicool.matcore.Diagonals.of`).
+    so the refresh is the S-frame formula of :class:`HamiltonianModel`.  K
+    is held as a kernel operator (:func:`~fermicool.matcore.operator`), by
+    its diagonals if it has few, and ``phi K`` is added in place.
     """
 
     def __init__(self, model: HamiltonianModel):
         system = model.system
         self._frame, self._g_core, self._u = system.s.frame, system.g_core, model.coupling_u
-        k = self._frame.congruent(np.diag(model._stagger))
-        diagonals = Diagonals.of(k)
-        self.k = k if diagonals is None else diagonals
+        self.k = operator(self._frame.congruent(np.diag(model._stagger)))
 
     def hamiltonian(self, q, norm: float) -> np.ndarray:
         """The frame Hamiltonian G(Q) = G_core + u (E + phi K), E = Q - N/2, of a frame state Q."""
@@ -244,10 +242,7 @@ class FrameResponse:
         e = q.copy()
         e.flat[:: n + 1] -= 0.5 * norm
         phi = (self._frame.total(e) - self._frame.trace(e)) / n
-        if isinstance(self.k, Diagonals):
-            self.k.add_to(e, phi)
-        else:
-            e += phi * self.k
+        self.k.add_to(e, phi)
         e *= self._u
         e += self._g_core
         return e

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateTraceError, DimensionMismatchError, SolverAbortError
-from .matcore import Diagonals, HermitianMatrix, OverlapMatrix, symmetrize
+from .matcore import Dense, HermitianMatrix, OverlapMatrix, operator, symmetrize
 from .models import (
     Canonical,
     Ensemble,
@@ -190,11 +190,12 @@ def _rate(p, f, norm, mu=None, frame=None):
     return out, sigma
 
 
-def _flow(p, f, norm, delta_beta, scheme, mu=None, frame=None, t=None, f_diagonals=None):
+def _flow(p, f, norm, delta_beta, scheme, mu=None, frame=None, t=None):
     """The kernel: one step of dP/dbeta = B P + P B^T and its increment of beta mu.
 
     B = (F M / N - F) / 2 for the symmetric state ``p``, its occupation
-    operator M = P t and the Hamiltonian operator ``f``: in the frame ``t`` is
+    operator M = P t and the Hamiltonian operator ``f``, a kernel operator
+    (:func:`~fermicool.matcore.operator`): in the frame ``t`` is
     None, M = Q and F = G; in the S frame, which only the congruence schemes
     take, t = S^-1, M = P S^-1 and F = H S^-1.  Grand canonical runs pass
     ``mu`` with ``f`` already shifted by it and N = 1.  Canonical runs
@@ -213,14 +214,11 @@ def _flow(p, f, norm, delta_beta, scheme, mu=None, frame=None, t=None, f_diagona
     and A None for "rk4".  Entries of A below :data:`TAIL_FLOOR` and of an
     RK4 stage state below TAIL_FLOOR * N/2 are zeroed before they enter a
     product; zeroing entries of A keeps the step a congruence.
-    ``f_diagonals``, F's :class:`~fermicool.matcore.Diagonals`, takes F's
-    products in the frame in place of ``f``.
     """
-    f_product = f if f_diagonals is None else f_diagonals
     if scheme == "rk4":
         # one accumulator and one stage buffer, which also carries each
         # weighted stage rate into the sum once the rate is computed
-        acc, total = _rate(p, f_product, norm, mu, frame)
+        acc, total = _rate(p, f, norm, mu, frame)
         k, stage = acc, np.empty_like(p)
         floor = 0.5 * norm * TAIL_FLOOR
         # a stage entry is one rounded sum p_ij + t, which is 0 or at least
@@ -233,7 +231,7 @@ def _flow(p, f, norm, delta_beta, scheme, mu=None, frame=None, t=None, f_diagona
             if flush:
                 _flush_tail(stage, floor)
             k = None  # the previous rate is in acc; it goes before the next one is made
-            k, sigma = _rate(stage, f_product, norm, mu, frame)
+            k, sigma = _rate(stage, f, norm, mu, frame)
             acc += np.multiply(k, weight, out=stage)
             total += weight * sigma
         acc *= delta_beta / 6.0
@@ -241,22 +239,20 @@ def _flow(p, f, norm, delta_beta, scheme, mu=None, frame=None, t=None, f_diagona
         return acc, (delta_beta / 6.0) * total, None
     n = p.shape[0]
     m = p if t is None else p @ t
-    fm = f_product @ m
+    fm = f @ m
     sigma, sdot = mu, 0.0
     if mu is None:
         wp = frame.scale_rows(p)
         den = float(np.trace(wp) - np.vdot(m, wp) / norm)
         _check_trace(den)
-        sigma = float(np.vdot(f, wp) - np.vdot(fm, wp) / norm) / den
-        f = f.copy()
-        f.flat[:: n + 1] -= sigma
+        sigma = float(f.dot(wp) - np.vdot(fm, wp) / norm) / den
+        f = f.shifted(sigma)
         fm -= sigma * m
-        f_product = f if f_diagonals is None else f_diagonals.on(f)
     b = fm / norm  # B = (F M / N - F) / 2, in place
-    b -= f
+    f.add_to(b, -1.0)
     b *= 0.5
     if scheme == "kraus1":
-        del fm, f, f_product  # F M and the shifted F go before the products
+        del fm, f  # F M and the shifted F go before the products
         b *= delta_beta  # B becomes A = 1 + db B in place
         b.flat[:: n + 1] += 1.0
         _flush_tail(b, TAIL_FLOOR)
@@ -266,16 +262,16 @@ def _flow(p, f, norm, delta_beta, scheme, mu=None, frame=None, t=None, f_diagona
     pd += pd.T
     if mu is None:
         # d sigma/dbeta = Tr[W (F - sigma) Xdot] / Tr[W X],
-        # Xdot = Pdot - (Mdot P + M Pdot) / N; F M and F go before the product
+        # Xdot = Pdot - (Mdot P + M Pdot) / N; F M goes before the product
         wpd = frame.scale_rows(pd)
-        f_wpd, fm_wpd = np.vdot(f, wpd), np.vdot(fm, wpd)
+        f_wpd, fm_wpd = f.dot(wpd), np.vdot(fm, wpd)
         del wpd
-    del fm, f
-    fmd = f_product @ (pd if t is None else pd @ t)
+    del fm
+    fmd = f @ (pd if t is None else pd @ t)
     if mu is None:
         sdot = float(f_wpd - (np.vdot(fmd, wp) + fm_wpd) / norm) / den
         del wp
-    del pd, f_product
+    del pd, f
     # A = 1 + d B + (d^2/2)(B^2 + B') with
     # B' = (sigma'/2)(1 - M/N) + (F - sigma) Mdot / (2N), built in place so
     # that few n x n temporaries are alive at once
@@ -316,9 +312,7 @@ def _s_frame_step(scheme, p, h, s, mu, delta_beta, s_inv):
         raise DimensionMismatchError(f"matrix dimensions differ: {sorted(dims)}")
     if si is None:  # S^-1 from the overlap's frame: Z Z^T, or the identity for S = 1
         si = (s if isinstance(s, OverlapMatrix) else OverlapMatrix(s)).frame.inverse()
-    f = h @ si
-    f.flat[:: p.shape[0] + 1] -= mu
-    out, _, a = _flow(p, f, 1.0, delta_beta, scheme, mu=mu, t=si)
+    out, _, a = _flow(p, operator(h @ si).shifted(mu), 1.0, delta_beta, scheme, mu=mu, t=si)
     return symmetrize(out), a
 
 
@@ -367,9 +361,10 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     is an :class:`~fermicool.matcore.IdentityFrame`, Q is P itself and no Y
     or Z exists.  Every weighted operation below is the frame's, and the
     identity frame takes it unweighted.  The canonical trace weight is the
-    vector s, so S Q is a row scaling.  G - mu is formed once for linear
-    models, with its :class:`~fermicool.matcore.Diagonals` for the products
-    when it has few (:meth:`~fermicool.matcore.Diagonals.of`).
+    vector s, so S Q is a row scaling.  F = G - mu (G if canonical) is
+    formed once for linear models as a kernel operator
+    (:func:`~fermicool.matcore.operator`), by its diagonals if it has few;
+    a refreshed F is dense.
     Density-dependent models refresh G from Q at the start of every step
     and hold it across the step's stages.  The model is affine in P, so
     the refresh stays in the frame and costs O(n^2):
@@ -401,11 +396,11 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     the number of records; both are formed after the loop.
 
     The loop's working set is Q, F (and G apart from it on grand runs of a
-    density-dependent model), G_last only across a refresh, and at most five
-    n x n step temporaries, seven in a canonical kraus2 step with S != 1,
-    whose row scalings diag(s) P and diag(s) Pdot are arrays of their own.
-    Every elementwise update is made in place, and each temporary is dropped
-    at its last use.
+    density-dependent model; F by its diagonals is O(n)), G_last only
+    across a refresh, and at most five n x n step temporaries, seven in a
+    canonical kraus2 step with S != 1, whose row scalings diag(s) P and
+    diag(s) Pdot are arrays of their own.  Every elementwise update is made
+    in place, and each temporary is dropped at its last use.
 
     Raises
     ------
@@ -435,19 +430,15 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     frame = system.s.frame
     g = system.g_core
 
-    def kernel_operator(g_now):
-        # the kernel's F: G, or G - mu for grand runs
-        if canonical:
-            return g_now
-        f_now = g_now.copy()
-        f_now.flat[:: n + 1] -= mu
-        return f_now
+    def kernel_operator(g_now, form=Dense):
+        # the kernel's F in the given form: G, or G - mu for grand runs
+        f_now = form(g_now)
+        return f_now if canonical else f_now.shifted(mu)
 
     q = np.eye(n) * (0.5 * norm)
-    # G = Z^T H Z; the model's correction vanishes at P(0)
-    f = kernel_operator(g)
-    # a linear run's F is fixed: its products go by its diagonals if few
-    f_diagonals = Diagonals.of(f) if model.is_linear else None
+    # G = Z^T H Z; the model's correction vanishes at P(0).  A linear run's F
+    # is fixed, and held by its diagonals if it has few; a refreshed F is dense
+    f = kernel_operator(g, operator if model.is_linear else Dense)
     if not model.is_linear:
         # G(Q) = G_core + Z^T dH(Y (Q - N/2) Y^T) Z in O(n^2)
         refresh = model.frame_response.hamiltonian
@@ -488,8 +479,7 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
 
             # d(beta mu)/dbeta equals the scalar exactly; dz is the step's
             # quadrature of it at the scheme's order
-            q_raw, dz, a = _flow(q, f, norm, db, scheme, mu=kernel_mu, frame=frame,
-                                 f_diagonals=f_diagonals)
+            q_raw, dz, a = _flow(q, f, norm, db, scheme, mu=kernel_mu, frame=frame)
             del a  # the congruence factor is not kept
             if canonical:
                 beta_mu += dz
@@ -513,7 +503,7 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
                 record(beta_next, float(frame.spectrum(q)[0]), frame.trace(q), comm_norm,
                        refresh_defect)
         last = HermitianMatrix(frame.from_frame(q))
-    del q, f, f_diagonals, g  # P(0) is formed once the loop's arrays are gone
+    del q, f, g  # P(0) is formed once the loop's arrays are gone
     first = HermitianMatrix(0.5 * norm * s_mat)
     records[0][3] = float(np.trace(first.mat))
 

@@ -165,6 +165,42 @@ def test_no_code_outside_the_frame_classes_tests_for_the_identity_overlap():
     assert hits == []
 
 
+#: The kernel operator's forms, and the names of the pair of forms that it
+#: replaced: a matrix F beside its diagonals, picked between at each use.
+OPERATOR_CLASSES = {"Dense", "Diagonals"}
+OPERATOR_PAIR_NAMES = {"Diagonals", "f_diagonals"}
+
+
+def _operator_form_uses(node):
+    # an isinstance test of an operator class, a name of the pair, or a
+    # call to .on(
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "isinstance" and len(node.args) == 2:
+            types = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(getattr(t, "id", getattr(t, "attr", None)) in OPERATOR_CLASSES for t in types):
+                yield node
+        elif isinstance(func, ast.Attribute) and func.attr == "on":
+            yield node
+    names = {ast.Name: "id", ast.Attribute: "attr", ast.arg: "arg", ast.keyword: "arg",
+             ast.alias: "name"}
+    if getattr(node, names.get(type(node), ""), None) in OPERATOR_PAIR_NAMES:
+        yield node
+    for child in ast.iter_child_nodes(node):
+        yield from _operator_form_uses(child)
+
+
+def test_no_code_outside_matcore_picks_a_form_of_the_kernel_operator():
+    # F is one kernel operator, dense or by its diagonals, chosen once in
+    # matcore: no other module tests which form it has, names the diagonal
+    # form, or passes it beside the dense matrix
+    hits = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+            for path in sorted((ROOT / "src" / "fermicool").glob("*.py"))
+            if path.name != "matcore.py"
+            for node in _operator_form_uses(ast.parse(path.read_text(encoding="utf-8")))]
+    assert hits == []
+
+
 def _is_frame(node):
     return isinstance(node, ast.Attribute) and node.attr == "frame"
 

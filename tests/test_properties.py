@@ -557,9 +557,10 @@ def test_frame_operations_are_the_overlap_algebra(data, system):
 def test_diagonal_product_is_the_gemm(data, n, corners):
     # a symmetric F held by its diagonals, built directly and not through the
     # size rule, on random offsets and the periodic corners +-(n - 1): the
-    # product is F X within the rounding of two sums of at most count and n
-    # terms; the dense form, the same diagonals of F - sigma 1 and the
-    # in-place update are those of the dense matrices bit for bit
+    # product is F X and <F, W> is vdot(F, W), each within the rounding of
+    # two sums of at most count and n terms; the dense form, F - sigma 1 and
+    # the in-place update are those of the dense matrices bit for bit, and
+    # the Dense form's four operations are numpy's own
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     upper = data.draw(st.sets(st.integers(1, n - 1), max_size=4)) if n > 1 else set()
     if corners and n > 1:
@@ -574,13 +575,22 @@ def test_diagonal_product_is_the_gemm(data, n, corners):
     bound = (len(offsets) + n) * np.finfo(float).eps * (np.abs(f) @ np.abs(x))
     assert (np.abs(d @ x - f @ x) <= bound).all()
     assert np.asarray(d).tobytes() == f.tobytes()
+    eps = np.finfo(float).eps
+    size = np.vdot(np.abs(f), np.abs(x))
+    assert abs(d.dot(x) - np.vdot(f, x)) <= (len(offsets) + n) * eps * size
     sigma, scale = rng.normal(size=2)
     shifted = f.copy()
     shifted.flat[:: n + 1] -= sigma
-    assert np.asarray(d.on(shifted)).tobytes() == shifted.tobytes()
-    out = x.copy()
-    d.add_to(out, scale)
-    np.testing.assert_array_equal(out, x + scale * f)
+    dense = matcore.Dense(f)
+    for op in (d, dense):
+        assert np.asarray(op.shifted(sigma)).tobytes() == shifted.tobytes()
+        for c in (scale, -1.0):
+            out = x.copy()
+            op.add_to(out, c)
+            assert out.tobytes() == (x + c * f).tobytes()
+    assert np.asarray(d).tobytes() == f.tobytes()  # the shift took a copy
+    assert (dense @ x).tobytes() == (f @ x).tobytes()
+    assert dense.dot(x) == np.vdot(f, x)
 
 
 #: Density gap allowed between the exact states and the pencil formula, in
@@ -676,7 +686,7 @@ def test_recorded_commutators_are_the_s_frame_formulas(data, system, scheme, cou
     flow = solvers._flow
 
     def spy(q, f, *args, mu=None, **kwargs):
-        g = f.copy()
+        g = np.array(f)
         if mu is not None:
             g.flat[:: n + 1] += mu
         operators.append(g)
