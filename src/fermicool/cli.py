@@ -11,8 +11,8 @@ convergence  measure observed convergence orders by step halving
 Outputs are deterministic CSV files (LF line endings, 17 significant digits);
 run metadata including timestamps goes to a separate ``.meta`` sidecar.
 
-Exit codes: 0 success, 2 argument error, 3 parse error, 4 infeasible
-ensemble, 5 solver abort, 6 SCF non-convergence.
+Exit codes: :data:`EXITS`, the table that ``main`` reads and ``--help``
+lists.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .errors import (
     MatrixParseError,
     MuConvergenceError,
     NotPositiveDefiniteError,
+    OverlapTraceError,
     ScfConvergenceError,
     SolverAbortError,
 )
@@ -56,25 +58,51 @@ from .models import (
 )
 from .solvers import SCHEMES, SolverConfig, cool
 
-EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_PARSE = 3
-EXIT_INFEASIBLE = 4
-EXIT_SOLVER_ABORT = 5
-EXIT_SCF = 6
 
-_EPILOG = """\
-exit codes:
-  0  success
-  2  argument error (also an --out with no file name, or a problem too large
-     for memory)
-  3  parse error (unreadable or malformed matrix file, H and S of different sizes,
-     an --out naming a directory)
-  4  infeasible ensemble (electron count out of range, degenerate constraint,
-     failed chemical potential search)
-  5  solver abort (non-finite values during integration)
-  6  SCF non-convergence
+class ArgumentSemanticsError(FermicoolError):
+    """Arguments parsed but are mutually inconsistent."""
 
+
+class Exit(NamedTuple):
+    """One row of :data:`EXITS`: the errors that end a command with ``code``.
+
+    ``main`` prints such an error as one ``fermicool: error[kind]: ...``
+    line, with ``prefix`` before the error's own text.  ``help`` is the
+    code's ``--help`` line, on the first row of each code only; a newline in
+    it continues the line under the text.
+    """
+
+    errors: tuple
+    code: int
+    kind: str
+    help: str = ""
+    prefix: str = ""
+
+
+#: Every error that leaves a command, by exit code; ``main`` takes the first
+#: row that an error matches, and an error that no row names propagates.
+EXITS = (
+    Exit((ArgumentSemanticsError,), 2, "argument",
+         "argument error (also an --out with no file name, or a problem too large\n"
+         "for memory)"),
+    Exit((MemoryError,), 2, "memory", prefix="out of memory: "),
+    Exit((MatrixParseError, NotPositiveDefiniteError, OverlapTraceError, DimensionMismatchError),
+         3, "parse",
+         "parse error (unreadable or malformed matrix file, H and S of different sizes,\n"
+         "an --out naming a directory)"),
+    Exit((OSError,), 3, "io"),
+    Exit((InfeasibleEnsembleError, DegenerateTraceError, BracketError, MuConvergenceError),
+         4, "infeasible",
+         "infeasible ensemble (electron count out of range, degenerate constraint,\n"
+         "failed chemical potential search)"),
+    Exit((SolverAbortError,), 5, "solver-abort",
+         "solver abort (non-finite values during integration)"),
+    Exit((ScfConvergenceError,), 6, "scf", "SCF non-convergence"),
+)
+
+_EPILOG = "exit codes:\n  0  success\n" + "".join(
+    f"  {row.code}  " + row.help.replace("\n", "\n     ") + "\n" for row in EXITS if row.help
+) + """
 outputs (relative to --out PATH, e.g. results.csv; the side files drop only
 a final .csv from PATH):
   results.csv       occupation spectra
@@ -139,10 +167,6 @@ def _build_system(args):
     h_path = args.files[0]
     s_path = args.files[1] if len(args.files) > 1 else None
     return load_system(h_path, s_path)
-
-
-class ArgumentSemanticsError(FermicoolError):
-    """Arguments parsed but are mutually inconsistent."""
 
 
 def _resolve_mu(args, system) -> float:
@@ -316,7 +340,7 @@ def cmd_run(args) -> int:
         ("elapsed_seconds", f"{time.time() - started:.3f}"),
     ]
     _write_meta(paths["meta"], meta)
-    return EXIT_OK
+    return 0
 
 
 def cmd_oracle(args) -> int:
@@ -341,7 +365,7 @@ def cmd_oracle(args) -> int:
         print(f"oracle mu at beta={beta:g}: {oracle.mu:.12g}")
     if not req.model.is_linear:
         print(f"scf converged in {oracle.iterations} iterations (aitken={req.use_aitken})")
-    return EXIT_OK
+    return 0
 
 
 def cmd_convergence(args) -> int:
@@ -386,7 +410,7 @@ def cmd_convergence(args) -> int:
         ("scheme", args.scheme),
         ("beta", _fmt(beta)),
     ])
-    return EXIT_OK
+    return 0
 
 
 def _add_common(parser: argparse.ArgumentParser, with_solver: bool) -> None:
@@ -463,31 +487,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(code: int, kind: str, exc: Exception) -> int:
-    print(f"fermicool: error[{kind}]: {exc}", file=sys.stderr)
-    return code
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ArgumentSemanticsError as exc:
-        return _fail(EXIT_USAGE, "argument", exc)
-    except (MatrixParseError, NotPositiveDefiniteError, DimensionMismatchError) as exc:
-        return _fail(EXIT_PARSE, "parse", exc)
-    except (InfeasibleEnsembleError, DegenerateTraceError, BracketError,
-            MuConvergenceError) as exc:
-        return _fail(EXIT_INFEASIBLE, "infeasible", exc)
-    except SolverAbortError as exc:
-        return _fail(EXIT_SOLVER_ABORT, "solver-abort", exc)
-    except ScfConvergenceError as exc:
-        return _fail(EXIT_SCF, "scf", exc)
-    except OSError as exc:
-        return _fail(EXIT_PARSE, "io", exc)
-    except MemoryError as exc:
-        return _fail(EXIT_USAGE, "memory", f"out of memory: {exc}")
+    except tuple(error for row in EXITS for error in row.errors) as exc:
+        row = next(row for row in EXITS if isinstance(exc, row.errors))
+        print(f"fermicool: error[{row.kind}]: {row.prefix}{exc}", file=sys.stderr)
+        return row.code
 
 
 if __name__ == "__main__":

@@ -19,6 +19,18 @@ class NotPositiveDefiniteError(FermicoolError):
         )
 
 
+class OverlapTraceError(FermicoolError):
+    """An overlap's trace Tr[S], the full filling of its basis, passes the largest float."""
+
+    def __init__(self, largest_diagonal):
+        self.largest_diagonal = float(largest_diagonal)
+        super().__init__(
+            f"the overlap's trace Tr[S] passes the largest float (its largest "
+            f"diagonal entry is {self.largest_diagonal:.6g}): full filling and "
+            f"the trace of a state are not defined"
+        )
+
+
 class MatrixParseError(FermicoolError):
     """A dense matrix text file failed to parse."""
 

@@ -26,6 +26,7 @@ from .errors import (
     InfeasibleEnsembleError,
     MuConvergenceError,
     NotPositiveDefiniteError,
+    OverlapTraceError,
 )
 
 #: Occupation residual at which the mu search stops.
@@ -348,11 +349,16 @@ class OverlapMatrix:
 
     Positive definiteness is checked at construction, by the smallest
     eigenvalue of one ``eigh``, which also gives the orthogonalizing
-    :attr:`frame`.
+    :attr:`frame`.  So is the trace Tr[S]: one past the largest float
+    raises OverlapTraceError.
     """
 
     def __init__(self, entries):
         base = entries if isinstance(entries, HermitianMatrix) else HermitianMatrix(entries)
+        diagonal = np.diagonal(base.mat)
+        with np.errstate(over="ignore"):
+            if not math.isfinite(diagonal.sum()):
+                raise OverlapTraceError(diagonal.max())
         vals, vecs = np.linalg.eigh(base.mat)
         if vals[0] <= 0.0:
             raise NotPositiveDefiniteError(vals[0])

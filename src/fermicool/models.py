@@ -108,9 +108,20 @@ class SystemSpec:
 
         The frame is :attr:`~fermicool.matcore.OverlapMatrix.frame`, and G_core
         is symmetrized and read-only (:meth:`~fermicool.matcore.Frame.congruent`).
-        When S is exactly the identity it is H_core itself.
+        When S is exactly the identity it is H_core itself.  A G_core that
+        passes the largest float, as Z^T H Z can for finite H when S has
+        eigenvalues below 1, raises BracketError, as a level past the largest
+        float does.
         """
-        return self.s.frame.congruent(self.h_core.mat)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = self.s.frame.congruent(self.h_core.mat)
+        # its extremes are finite exactly when every entry is; no n x n mask is formed
+        if not (math.isfinite(g.max()) and math.isfinite(g.min())):
+            raise BracketError(
+                "H in the overlap's frame, Z^T H Z, passes the largest float: "
+                "the pencil's levels are not finite"
+            )
+        return g
 
     @cached_property
     def levels(self):

@@ -22,9 +22,13 @@ def rng():
     return np.random.default_rng(1234)
 
 
+#: The sample matrix files of the repository.
+DATA_DIR = Path(__file__).resolve().parents[1] / "data"
+
+
 @pytest.fixture(scope="session")
 def data_dir():
-    return Path(__file__).resolve().parents[1] / "data"
+    return DATA_DIR
 
 
 def random_spd(rng, dim, lo=0.5, hi=2.0):

@@ -1,13 +1,15 @@
 import csv
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fermicool import build_huckel, default_chemical_potential, load_system
+from fermicool import build_huckel, default_chemical_potential, load_system, write_matrix
 from fermicool.cli import build_parser, main
 from fermicool.models import infinite_temperature_mu
+from conftest import DATA_DIR
 
 
 def gaussian_chain(n=60):
@@ -24,6 +26,29 @@ def gaussian_chain(n=60):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+SAMPLE_S = DATA_DIR / "sample_overlap.mat"
+#: a 2 x 2 H whose entries are near the largest float, the levels 0, ..., 7,
+#: and an overlap whose trace passes the largest float
+TWO_BIG = "2 2\n0 1.7e308\n1.7e308 0\n"
+LEVELS_0_TO_7 = np.diag(np.arange(8.0))
+HUGE_S = 1e308 * np.eye(8)
+
+
+def input_files(tmp_path, h, s=None):
+    """The --files paths of H and S (None: no S), each given as file text, an
+    array to write or the path of an existing file."""
+    paths = []
+    for name, m in (("h.mat", h), ("s.mat", s)):
+        path = m if isinstance(m, Path) else tmp_path / name
+        if isinstance(m, str):
+            path.write_text(m)
+        elif isinstance(m, np.ndarray):
+            write_matrix(path, m)
+        if m is not None:
+            paths.append(str(path))
+    return paths
 
 
 def write_two_level(tmp_path):
@@ -503,39 +528,71 @@ class TestExitCodes:
         assert code == 5
         assert "error[solver-abort]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, code", [
-        (["oracle", "--grand", "--mu", "0", "--beta", "1"], 0),
-        (["oracle", "--canonical", "1", "--beta", "1"], 0),
-        (["run", "--grand", "--mu", "0", "--beta", "1", "--dbeta", "0.1"], 5),
-    ], ids=["oracle-grand", "oracle-canonical", "run"])
-    def test_entries_near_the_largest_float(self, tmp_path, capsys, argv, code):
-        big = tmp_path / "big.mat"
-        big.write_text("2 2\n0 1.7e308\n1.7e308 0\n")
+    @pytest.mark.parametrize("h, s, argv, code, cause", [
+        (TWO_BIG, None, ["oracle", "--grand", "--mu", "0", "--beta", "1"], 0, None),
+        (TWO_BIG, None, ["oracle", "--canonical", "1", "--beta", "1"], 0, None),
+        (TWO_BIG, None, ["run", "--grand", "--mu", "0", "--beta", "1", "--dbeta", "0.1"], 5,
+         "error[solver-abort]: non-finite values"),
+        # Tr[S] = 8e308: full filling, the canonical normalization 2 Ne / Tr[S]
+        # and the trace of the beta = 0 state S / 2 are not finite
+        *[(LEVELS_0_TO_7, HUGE_S, argv, 3, "error[parse]: the overlap's trace Tr[S] passes")
+          for argv in (
+              ["run", "--canonical", "4", "--beta", "1", "--dbeta", "0.5"],
+              ["run", "--grand", "--beta", "1", "--dbeta", "0.5"],
+              ["oracle", "--canonical", "4", "--beta", "1"],
+              ["oracle", "--grand", "--beta", "1"],
+              ["convergence", "--canonical", "4", "--beta", "1", "--scheme", "kraus1",
+               "--dbeta-list", "0.1", "0.05", "0.025"])],
+    ], ids=["oracle-grand", "oracle-canonical", "run", "trace-s-run-canonical",
+            "trace-s-run-grand", "trace-s-oracle-canonical", "trace-s-oracle-grand",
+            "trace-s-convergence"])
+    def test_entries_near_the_largest_float(self, tmp_path, capsys, h, s, argv, code, cause):
+        out = tmp_path / "out" / "x.csv"
+        out.parent.mkdir()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main([*argv, "--files", str(big), "--out", str(tmp_path / "x.csv")]) == code
+            assert main([*argv, "--files", *input_files(tmp_path, h, s),
+                         "--out", str(out)]) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err and "Warning" not in err
+        if code:
+            assert err.startswith("fermicool: " + cause) and err.count("\n") == 1
+            assert list(out.parent.iterdir()) == []
 
-    @pytest.mark.parametrize("text, argv, cause", [
-        ("2 2\n1.7e308 0\n0 1.0e308\n",
+    @pytest.mark.parametrize("h, s, argv, cause", [
+        ("2 2\n1.7e308 0\n0 1.0e308\n", None,
          ["run", "--canonical", "1", "--beta", "1", "--dbeta", "0.1"], "Tr[H]/Tr[S]"),
-        ("2 2\n1.7e308 1e308\n1e308 1.6e308\n",
+        ("2 2\n1.7e308 1e308\n1e308 1.6e308\n", None,
          ["oracle", "--canonical", "1", "--beta", "1"], "mu bracket"),
         # the SCF's start density keeps the error of its first evaluation
-        ("2 2\n1.7e308 1e308\n1e308 1.6e308\n",
+        ("2 2\n1.7e308 1e308\n1e308 1.6e308\n", None,
          ["oracle", "--canonical", "1", "--nonlinear", "0.1", "--beta", "1"], "mu bracket"),
-    ], ids=["trace-overflow", "pencil-overflow", "scf-start-pencil-overflow"])
-    def test_finite_entries_whose_trace_or_spectrum_overflows(self, tmp_path, capsys, text,
+        # finite H whose frame form Z^T H Z passes the largest float, since
+        # the sample overlap has eigenvalues below 1
+        *[(1e308 * np.ones((8, 8)), SAMPLE_S, argv, "H in the overlap's frame")
+          for argv in (
+              ["oracle", "--grand", "--mu", "0", "--beta", "1"],
+              ["oracle", "--grand", "--mu-pencil", "--beta", "1"],
+              ["oracle", "--canonical", "4", "--beta", "1"],
+              ["oracle", "--canonical", "4", "--nonlinear", "1", "--beta", "1"],
+              ["run", "--grand", "--beta", "1", "--dbeta", "0.5"],
+              ["convergence", "--grand", "--mu", "0", "--beta", "1", "--scheme", "kraus1",
+               "--dbeta-list", "0.1", "0.05", "0.025"])],
+    ], ids=["trace-overflow", "pencil-overflow", "scf-start-pencil-overflow",
+            "frame-oracle-grand", "frame-oracle-mu-pencil", "frame-oracle-canonical",
+            "frame-oracle-nonlinear", "frame-run-grand", "frame-convergence"])
+    def test_finite_entries_whose_trace_or_spectrum_overflows(self, tmp_path, capsys, h, s,
                                                               argv, cause):
-        big = tmp_path / "big.mat"
-        big.write_text(text)
+        out = tmp_path / "out" / "x.csv"
+        out.parent.mkdir()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main([*argv, "--files", str(big), "--out", str(tmp_path / "x.csv")]) == 4
+            assert main([*argv, "--files", *input_files(tmp_path, h, s),
+                         "--out", str(out)]) == 4
         err = capsys.readouterr().err
         assert "error[infeasible]" in err and cause in err and "not finite" in err
         assert "Traceback" not in err and "Warning" not in err
+        assert list(out.parent.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["run", "--dbeta", "0.1"],

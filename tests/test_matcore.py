@@ -20,6 +20,7 @@ from fermicool import (
     step_kraus2,
     symmetrize,
 )
+from fermicool.errors import OverlapTraceError
 from fermicool.matcore import IdentityFrame, generalized_eigh
 from conftest import explicit_frame, pencil_levels, random_spd, random_symmetric, search_occupation
 
@@ -71,6 +72,13 @@ class TestOverlapMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="not finite"):
             OverlapMatrix(np.diag([1.0, np.nan]))
+
+    def test_rejects_a_trace_past_the_largest_float(self):
+        # every entry and eigenvalue is finite, but full filling Tr[S] is not
+        with np.errstate(all="raise"):
+            with pytest.raises(OverlapTraceError, match=r"Tr\[S\] passes the largest float"):
+                OverlapMatrix(1e308 * np.eye(8))
+            assert OverlapMatrix(1e307 * np.eye(8)).frame.s[0] == pytest.approx(1e307)
 
     def test_frame_factors_the_overlap(self, rng):
         s = OverlapMatrix(random_spd(rng, 5))

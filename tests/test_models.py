@@ -303,6 +303,14 @@ class TestCachedLevels:
         fresh = pencil_levels(system.h_core.mat, s)[0]
         np.testing.assert_allclose(system.levels[0], fresh, rtol=0, atol=1e-13)
 
+    def test_frame_form_past_the_largest_float_is_bracket_error(self, data_dir):
+        # H is finite, but Z^T H Z is not: the sample overlap has eigenvalues below 1
+        system = load_system(data_dir / "sample_hcore.mat", data_dir / "sample_overlap.mat")
+        system = SystemSpec(HermitianMatrix(1e308 * np.ones((8, 8))), system.s)
+        with np.errstate(all="raise"):
+            with pytest.raises(BracketError, match="H in the overlap's frame"):
+                system.levels
+
     def test_oracles_match_a_fresh_decomposition(self, rng):
         system = SystemSpec(HermitianMatrix(random_symmetric(rng, 6)),
                             OverlapMatrix(random_spd(rng, 6)))

@@ -16,6 +16,7 @@ which the safeguarded Newton search must agree on every failure.
 import contextlib
 import io
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -56,10 +57,11 @@ from fermicool import (  # noqa: E402
     write_matrix,
 )
 from fermicool import matcore, models, solvers  # noqa: E402
-from fermicool.cli import main  # noqa: E402
+from fermicool.cli import EXITS, main  # noqa: E402
 from fermicool.models import _fd_jacobian, _frame_state  # noqa: E402
-from conftest import (explicit_frame, pencil_levels, random_spd, random_symmetric,  # noqa: E402
-                      s_frame_hamiltonian, s_frame_response, search_occupation)
+from conftest import (DATA_DIR, explicit_frame, pencil_levels, random_spd,  # noqa: E402
+                      random_symmetric, s_frame_hamiltonian, s_frame_response,
+                      search_occupation)
 
 #: Largest relative gap between cool() and the S-frame reference, fixed
 #: before the comparison is run.
@@ -813,7 +815,8 @@ def test_read_matrix_raises_only_parse_errors(tmp_path_factory, content):
 
 # --- command line ------------------------------------------------------------
 
-EXIT_CODES = {0, 2, 3, 4, 5, 6}
+#: The (code, kind) pairs of the CLI's exit table, the one map the CLI prints from.
+EXIT_KINDS = {(row.code, row.kind) for row in EXITS}
 
 #: A value a user would pass for each numeric flag; the other kinds drawn are
 #: NaN, the infinities, its negative, zero and 1e-300.  --beta 1 with
@@ -835,18 +838,36 @@ def _optional(flag):
     return st.one_of(st.none(), _values(flag))
 
 
-def run_cli(argv):
-    """Exit code and stderr of an in-process CLI call; any exception or
-    warning that escapes ``main`` fails the test."""
+def run_cli(argv, outdir):
+    """Run ``main(argv)`` in process and check how it ended; any exception or
+    warning that escapes ``main`` fails the test.
+
+    A nonzero exit of ``main`` prints exactly one ``fermicool: error[kind]:``
+    line whose (code, kind) is a row of :data:`~fermicool.cli.EXITS`.
+    argparse's own rejections, a ``SystemExit(2)`` after its usage text, are
+    told apart.  An exit 2 leaves ``outdir`` empty.  Returns the exit code and
+    the stderr text.
+    """
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         try:
             code = main(argv)
+            by_argparse = False
         except SystemExit as exc:  # argparse rejects the value
-            code = exc.code
+            code, by_argparse = exc.code, True
     assert [str(w.message) for w in caught] == []
-    return code, err.getvalue()
+    err = err.getvalue()
+    if by_argparse:
+        assert code == 2 and err.startswith("usage: ")
+    elif code:
+        line = re.fullmatch(r"fermicool: error\[([a-z-]+)\]: [^\n]*\n", err)
+        assert line and (code, line[1]) in EXIT_KINDS, (code, err)
+    else:
+        assert err == ""
+    if code == 2:
+        assert list(outdir.iterdir()) == []
+    return code, err
 
 
 @given(command=st.sampled_from(["run", "oracle", "convergence"]),
@@ -875,22 +896,57 @@ def test_cli_on_malformed_arguments(tmp_path_factory, command, beta, dbeta, cano
                 argv += [flag, value]
     elif command == "convergence":
         argv += ["--scheme", "kraus1", "--dbeta-list", dbeta, repr(db / 2), repr(db / 4)]
-    argv += ["--out", str(tmp_path_factory.mktemp("cli") / "x.csv")]
-    code, err = run_cli(argv)
-    assert code in EXIT_CODES
-    assert "Traceback" not in err
+    outdir = tmp_path_factory.mktemp("cli")
+    run_cli([*argv, "--out", str(outdir / "x.csv")], outdir)
 
 
-@given(text=_MATRIX_TEXT)
-def test_cli_on_arbitrary_matrix_text(tmp_path_factory, text):
-    path = tmp_path_factory.mktemp("cli_files") / "h.mat"
-    path.write_text(text, encoding="utf-8", errors="surrogatepass")
-    code, err = run_cli(["oracle", "--files", str(path), "--grand", "--beta", "1",
-                         "--out", str(path.with_suffix(".csv"))])
+SAMPLE_S = DATA_DIR / "sample_overlap.mat"
+
+#: The overlap files the matrix-text property pairs with H: the sample
+#: overlap, a random SPD matrix of the drawn size, and the identity scaled to
+#: 1e308 (whose trace passes the largest float from size 2 on) and to 1e-300.
+_OVERLAPS = st.one_of(
+    st.none(), st.just("sample"),
+    st.tuples(st.just("spd"), st.integers(1, 4), st.integers(0, 2 ** 32 - 1)),
+    st.tuples(st.sampled_from([1e308, 1e-300]), st.integers(1, 4)),
+)
+
+#: H as arbitrary text, or as a (scale, seed) for a well-formed symmetric
+#: matrix of the overlap's size (3 with no overlap) with uniform entries in
+#: [-scale, scale]
+_H = st.one_of(_MATRIX_TEXT,
+               st.tuples(st.sampled_from([1.0, 1e308]), st.integers(0, 2 ** 32 - 1)))
+
+
+def _overlap_file(path, overlap):
+    """The path and size of the overlap file that ``overlap`` draws."""
+    if overlap == "sample":
+        return SAMPLE_S, read_matrix(SAMPLE_S).shape[0]
+    kind, n, *seed = overlap
+    write_matrix(path, random_spd(np.random.default_rng(seed[0]), n) if kind == "spd"
+                 else kind * np.eye(n))
+    return path, n
+
+
+@given(h=_H, overlap=_OVERLAPS,
+       command=st.sampled_from([["oracle", "--grand"], ["oracle", "--canonical", "1"],
+                                ["run", "--grand", "--dbeta", "0.1"],
+                                ["run", "--canonical", "1", "--dbeta", "0.1"]]))
+def test_cli_on_arbitrary_matrix_text(tmp_path_factory, h, overlap, command):
+    inputs, outdir = tmp_path_factory.mktemp("cli_files"), tmp_path_factory.mktemp("cli_out")
+    path, files, n = inputs / "h.mat", [], 3
+    if overlap is not None:
+        s_path, n = _overlap_file(inputs / "s.mat", overlap)
+        files = [str(s_path)]
+    if isinstance(h, str):
+        path.write_text(h, encoding="utf-8", errors="surrogatepass")
+    else:
+        scale, seed = h
+        a = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n))
+        write_matrix(path, scale * (0.5 * (a + a.T)))
+    code, err = run_cli([command[0], "--files", str(path), *files, *command[1:], "--beta", "1",
+                         "--out", str(outdir / "x.csv")], outdir)
     try:
         read_matrix(path)
     except MatrixParseError:
         assert code == 3 and "error[parse]" in err
-    else:
-        assert code in EXIT_CODES
-    assert "Traceback" not in err

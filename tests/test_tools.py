@@ -102,3 +102,46 @@ def test_bench_pairs_summary_arithmetic():
 def test_bench_pairs_reads_the_declared_metrics():
     names = [name for name, _ in load_tool("bench_pairs").end_to_end_metrics()]
     assert names == ["wall_s", "solve_s_p50", "setup_s", "peak_rss_mb"]
+
+
+#: How far a standard-case number may move, relative to its file's scale
+#: (tools/standard_cases.py, fingerprint_moves): BLAS rounding moves the
+#: outputs by about 1e-15 of it, and real changes by far more than 1e-12.
+RELATIVE_MOVE = 1e-12
+
+
+def test_standard_case_outputs_match_the_fingerprint(tmp_path):
+    # the 32 standard cases, run in process, against the committed fingerprint
+    tool = load_tool("standard_cases")
+    codes = tool.run_cases(tmp_path)
+    moves = tool.fingerprint_moves(tool.FINGERPRINT.read_text(encoding="utf-8"),
+                                   tool.fingerprint(tmp_path, codes), rel=RELATIVE_MOVE)
+    assert moves == []
+
+
+def test_fingerprint_bounds_each_number_by_its_file_scale(tmp_path):
+    tool = load_tool("standard_cases")
+    (tmp_path / "a.csv").write_text("index,x,err\n0,0.5,1e-5\n1,1,2e-5\n2,nan,0\n")
+    (tmp_path / "a.meta").write_text("command: run\nmu: 0.5\nelapsed_seconds: 3.0\n")
+    old = tool.fingerprint(tmp_path, {"case": 0})
+    assert old.splitlines() == [
+        "exit case 0",
+        "column a.csv index 3 0 2 3 3",
+        "column a.csv x 2 0.5 1 1.5 1.5",
+        "column a.csv err 3 0 2.0000000000000002e-05 3.0000000000000004e-05 "
+        "3.0000000000000004e-05",
+        "meta a.meta command run",
+        "meta a.meta mu 0.5",
+    ]
+    assert tool.fingerprint_moves(old, old, rel=1e-12) == []
+    # the scale of a.csv is 1, its largest |x| outside the index: err may
+    # move by 1e-12, not by 1e-12 of its own size, and its sum by 3e-12
+    for err, moved in (("2.00000009e-5", False), ("2.0000002e-5", True)):
+        (tmp_path / "a.csv").write_text(f"index,x,err\n0,0.5,1e-5\n1,1,{err}\n2,nan,0\n")
+        moves = tool.fingerprint_moves(old, tool.fingerprint(tmp_path, {"case": 0}), rel=1e-12)
+        assert (moves != []) == moved
+    (tmp_path / "a.csv").write_text("index,x,err\n0,0.5,1e-5\n1,1,2e-5\n2,0,0\n")
+    (tmp_path / "a.meta").write_text("command: oracle\nmu: 0.5\n")
+    moves = tool.fingerprint_moves(old, tool.fingerprint(tmp_path, {"case": 2}), rel=1e-12)
+    assert [move.split(":")[0] for move in moves] == [
+        "exit case", "column a.csv x", "meta a.meta command"]

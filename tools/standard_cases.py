@@ -2,6 +2,7 @@
 
     python tools/standard_cases.py TREE OUTDIR
     python tools/standard_cases.py --compare OLD_OUTDIR NEW_OUTDIR
+    python tools/standard_cases.py --fingerprint OUTDIR
 
 The first form imports fermicool from ``TREE/src`` and runs the 32 standard
 cases (:func:`cases`) in this process with one BLAS thread, each as one
@@ -22,6 +23,14 @@ identical.  Run both trees into fresh directories, then compare them:
     python tools/standard_cases.py /tmp/parent /tmp/out-parent
     python tools/standard_cases.py . /tmp/out-head
     python tools/standard_cases.py --compare /tmp/out-parent /tmp/out-head
+
+The third form runs this checkout into OUTDIR as the first does and writes
+the fingerprint of the run to :data:`FINGERPRINT`, which Tier-1 holds the
+outputs to (``tests/test_tools.py``).  It has one line per case with its
+exit code, one per numeric column of each file with the count, min, max,
+sum and sum of |x| of its non-NaN cells at 17 significant digits, and one
+per ``.meta`` line but ``elapsed_seconds``.  A change that moves the outputs
+on purpose rewrites it with this form and says which numbers moved and why.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SAMPLE_H, SAMPLE_S = ROOT / "data" / "sample_hcore.mat", ROOT / "data" / "sample_overlap.mat"
+FINGERPRINT = ROOT / "tests" / "standard_cases.fingerprint"
 CHAIN_SEED = 902
 SCHEMES = ("kraus1", "kraus2", "rk4")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -113,30 +123,37 @@ def cases(workloads, chain_h, chain_s):
     return out
 
 
-def run_tree(tree: Path, outdir: Path) -> int:
+def run_tree(tree: Path, outdir: Path):
+    """Run the cases with fermicool imported from ``TREE/src`` and one BLAS
+    thread; returns :func:`run_cases`'s exit codes."""
     for var in THREAD_VARS:
         os.environ[var] = "1"
     src = (tree / "src").resolve()
     sys.path.insert(0, str(src))
     import fermicool
-    from fermicool import cli, matio
 
     if Path(fermicool.__file__).resolve().parent != src / "fermicool":
         raise ImportError(f"fermicool was imported from {fermicool.__file__}, not {src}")
+    return run_cases(outdir)
+
+
+def run_cases(outdir: Path):
+    """Run every case with the fermicool already imported; returns {case: exit code}."""
+    from fermicool import cli, matio
+
     workloads = bench_workloads()
     outdir.mkdir(parents=True, exist_ok=True)
     h, s = workloads.chain_inputs(CHAIN_SEED)
     chain_h, chain_s = outdir / "chain_h.mat", outdir / "chain_s.mat"
     matio.write_matrix(chain_h, h, comment="benchmark chain core Hamiltonian")
     matio.write_matrix(chain_s, s, comment="benchmark chain overlap")
-    failed = 0
+    codes = {}
     for name, argv in cases(workloads, chain_h, chain_s):
         start = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main([*argv, "--out", str(outdir / f"{name}.csv")])
-        failed += code != 0
-        print(f"exit {code}  {time.perf_counter() - start:6.2f} s  {name}")
-    return 1 if failed else 0
+            codes[name] = cli.main([*argv, "--out", str(outdir / f"{name}.csv")])
+        print(f"exit {codes[name]}  {time.perf_counter() - start:6.2f} s  {name}")
+    return codes
 
 
 def _meta(text):
@@ -197,16 +214,108 @@ def compare(old: Path, new: Path) -> int:
     return 0 if same == len(names) else 1
 
 
+def fingerprint(outdir: Path, codes) -> str:
+    """The fingerprint text of a run: ``codes`` and the files of ``outdir``."""
+    lines = [f"exit {name} {code}" for name, code in codes.items()]
+    for path in sorted(outdir.iterdir()):
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".meta":
+            lines += [f"meta {path.name} {key} {value}" for key, value in _meta(text).items()]
+            continue
+        for col, cells in _columns(path, text).items():
+            values = [x for x in map(_number, cells) if x is not None and not math.isnan(x)]
+            stats = ((min(values), max(values), math.fsum(values),
+                      math.fsum(map(abs, values))) if values else (math.nan,) * 4)
+            lines.append(f"column {path.name} {col} {len(values)} "
+                         + " ".join(format(x, ".17g") for x in stats))
+    return "".join(line + "\n" for line in lines)
+
+
+def _parse_fingerprint(text):
+    # {case: code}, {(file, column): (count, min, max, sum, sum|x|)}, {(file, key): value}
+    exits, columns, meta = {}, {}, {}
+    for line in text.splitlines():
+        kind, rest = line.split(" ", 1)
+        if kind == "exit":
+            name, code = rest.split()
+            exits[name] = int(code)
+        elif kind == "column":
+            name, col, count, *stats = rest.split()
+            columns[name, col] = (int(count), *map(float, stats))
+        else:
+            name, key, value = rest.split(" ", 2)
+            meta[name, key] = value
+    return exits, columns, meta
+
+
+def _scales(columns, meta):
+    # each file's scale: the largest |x| of its numeric cells outside an index column
+    scales = {}
+    for (name, col), (_, low, high, *_) in columns.items():
+        if col != "index":
+            scales[name] = max(scales.get(name, 0.0), abs(low), abs(high))
+    for (name, _), value in meta.items():
+        x = _number(value)
+        if x is not None:
+            scales[name] = max(scales.get(name, 0.0), abs(x))
+    return scales
+
+
+def fingerprint_moves(expected: str, actual: str, rel: float = 1e-12):
+    """What moved between two fingerprint texts, as a list of lines; empty when none did.
+
+    The exit codes, the file and column sets, the counts and every
+    non-numeric ``.meta`` value must be equal.  A number may move by ``rel``
+    times its file's scale, the largest |x| of the file's numeric cells
+    outside an ``index`` column in ``expected``, and a sum by ``count`` times
+    that.  So a column such as ``abs_error``, a difference of occupations,
+    is held to the size of the occupations, not to its own.
+    """
+    (exits, columns, meta), (exits_new, columns_new, meta_new) = (
+        _parse_fingerprint(expected), _parse_fingerprint(actual))
+    moves = [f"exit {name}: {exits.get(name)} -> {exits_new.get(name)}"
+             for name in sorted({*exits, *exits_new}) if exits.get(name) != exits_new.get(name)]
+    moves += [f"only in one fingerprint: {' '.join(key)}"
+              for key in sorted({*columns, *meta} ^ {*columns_new, *meta_new})]
+    scales = _scales(columns, meta)
+
+    def moved(old, new, bound):
+        return not (old == new or (math.isnan(old) and math.isnan(new))
+                    or abs(new - old) <= bound)
+
+    for key in sorted(columns.keys() & columns_new.keys()):
+        (count, *old), (count_new, *new) = columns[key], columns_new[key]
+        bounds = [rel * scales.get(key[0], 0.0) * k for k in (1, 1, count, count)]
+        if count != count_new or any(map(moved, old, new, bounds)):
+            moves.append(f"column {' '.join(key)}: {columns[key]} -> {columns_new[key]}")
+    for key in sorted(meta.keys() & meta_new.keys()):
+        old, new = _number(meta[key]), _number(meta_new[key])
+        if (meta[key] != meta_new[key] if old is None or new is None
+                else moved(old, new, rel * scales[key[0]])):
+            moves.append(f"meta {' '.join(key)}: {meta[key]} -> {meta_new[key]}")
+    return moves
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--compare", action="store_true",
                         help="compare two output directories instead of running a tree")
-    parser.add_argument("first", type=Path, help="TREE to run, or the old OUTDIR with --compare")
-    parser.add_argument("second", type=Path, help="OUTDIR to write, or the new one with --compare")
+    parser.add_argument("--fingerprint", type=Path, metavar="OUTDIR",
+                        help=f"run this checkout into OUTDIR and write {FINGERPRINT.name}")
+    parser.add_argument("first", type=Path, nargs="?",
+                        help="TREE to run, or the old OUTDIR with --compare")
+    parser.add_argument("second", type=Path, nargs="?",
+                        help="OUTDIR to write, or the new one with --compare")
     args = parser.parse_args(argv)
+    if args.fingerprint is not None:
+        codes = run_tree(ROOT, args.fingerprint)
+        FINGERPRINT.write_text(fingerprint(args.fingerprint, codes), encoding="utf-8")
+        return 0
+    if args.second is None:
+        parser.error("TREE and OUTDIR, or --compare with two OUTDIRs, are required")
     if args.compare:
         return compare(args.first, args.second)
-    return run_tree(args.first, args.second)
+    return 1 if any(run_tree(args.first, args.second).values()) else 0
 
 
 if __name__ == "__main__":
