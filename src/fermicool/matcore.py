@@ -19,6 +19,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     BracketError,
@@ -35,13 +36,11 @@ MU_TOL = 1e-10
 #: Occupation evaluations after which the mu search gives up.
 MU_MAX_ITER = 200
 
-#: A matrix is held by its diagonals when n >= DIAGONAL_CROSSOVER (count + 1),
-#: count its nonzero diagonals; measured in docs/second_order_scheme.md.
-DIAGONAL_CROSSOVER = 40
-
-#: Entries of a diagonal product's row block, about 128 KB, and the rows
-#: left at which its last block takes a temporary.
-_BLOCK_ENTRIES, _TAIL_ROWS = 16384, 8
+#: A matrix is held by its cyclic band of half-width h when
+#: n >= BAND_CROSSOVER (2h + 1) + 100: the band product costs about as much
+#: as BAND_CROSSOVER band columns per gemm column, and a gemm below n = 100
+#: less than its fixed cost; measured in docs/second_order_scheme.md.
+BAND_CROSSOVER = 5
 
 
 def _as_square(m, name="matrix"):
@@ -110,83 +109,82 @@ class Dense:
 
 
 def operator(m):
-    """The kernel operator of a square matrix ``m``: its :class:`Diagonals`
-    if count <= n / :data:`DIAGONAL_CROSSOVER` - 1, count its nonzero
-    diagonals with the main one, else its :class:`Dense` form."""
+    """The kernel operator of a square matrix ``m``: its :class:`Diagonals` if
+    n >= :data:`BAND_CROSSOVER` (2h + 1) + 100, h the half-width of its cyclic
+    band, else its :class:`Dense` form.  One count of the nonzeros turns a
+    dense matrix down; a banded one is then scanned out to h, in O(h n)."""
     n = m.shape[0]
-    most = n // DIAGONAL_CROSSOVER - 1
-    if most < 1 or np.count_nonzero(m) > most * n:  # too many entries: no index formed
+    most = ((n - 100) // BAND_CROSSOVER - 1) // 2  # the widest band taken
+    left = np.count_nonzero(m)
+    if most < 0 or left > (2 * most + 1) * n:  # too many entries: no band is scanned
         return Dense(m)
-    rows, cols = np.nonzero(m)
-    # counted, not np.unique, which imports numpy.ma: 1.7 MB of resident memory
-    present = np.flatnonzero(np.bincount(cols - rows + (n - 1))) - (n - 1)
-    offsets = [0, *(int(k) for k in present if k != 0)]
-    return Diagonals(m, offsets) if len(offsets) <= most else Dense(m)
+    h = 0
+    while True:
+        # the band of half-width h holds every nonzero entry once none is left
+        left -= sum(np.count_nonzero(np.diagonal(m, k)) for k in {h, h - n, -h, n - h})
+        if left == 0:
+            return Diagonals(m, h)
+        if h == most:
+            return Dense(m)
+        h += 1
+
+
+def _windows(x, size):
+    # the read-only view whose r-th matrix is the rows r .. r + size - 1 of x
+    return as_strided(x, (x.shape[0] - size + 1, size, x.shape[1]), (x.strides[0], *x.strides),
+                      writeable=False)
 
 
 class Diagonals:
-    """A square matrix M held by its main and its other nonzero diagonals.
+    """A square matrix M held by its cyclic band of half-width h, 2h < n.
 
-    ``values[i]`` is M's diagonal at offset ``offsets[i]``, 0 first, a
-    read-only view of M, except a :meth:`shifted` main diagonal, which is
-    its own array.  The :class:`Dense` operations take O(count n) here, and
-    ``D @ X`` O(count n^2): it sums X's rows shifted by each offset and
-    scaled by its diagonal, in cached row blocks, allocates little beyond
-    its output, and equals M X within (count + n) eps (|M| |X|).
+    ``band[i, h + k]`` is M's entry (i, (i + k) mod n) for |k| <= h, an
+    n x (2h + 1) array formed once; ``at`` holds those entries' flat
+    indices, shared with every :meth:`shifted` copy, whose centre column
+    is its own.  The :class:`Dense` operations take O(h n) here, and
+    ``D @ X`` is one batched product of each band row with the 2h + 1 rows
+    of X that it meets: the interior rows read a window view of X, and the
+    2h wrapped rows a gathered block of 4h rows.  It allocates its output
+    and O(h cols) else, and equals M X within (2h + 1 + n) eps (|M| |X|).
     """
 
-    def __init__(self, m, offsets):
-        self.offsets, self.n = tuple(offsets), m.shape[0]
-        self.values = tuple(np.diagonal(m, k) for k in self.offsets)
-
-    def _flat(self, k, d):
-        # the diagonal's flat indices in a C-ordered n x n array
-        n = self.n
-        start = k if k >= 0 else -k * n
-        return slice(start, start + d.size * (n + 1), n + 1)
+    def __init__(self, m, h):
+        n = m.shape[0]
+        rows = np.arange(n)[:, None]
+        self.h, self.at = h, rows * n + (rows + np.arange(-h, h + 1)) % n
+        self.band = np.take(m, self.at)
 
     def __array__(self, dtype=None, copy=None):
-        m = np.zeros((self.n, self.n), dtype=dtype)
-        for k, d in zip(self.offsets, self.values):
-            m.flat[self._flat(k, d)] = d
+        n = self.band.shape[0]
+        m = np.zeros((n, n), dtype=dtype)
+        m.flat[self.at] = self.band
         return m
 
     def __matmul__(self, x):
-        n, cols = self.n, x.shape[1]
-        out = np.empty((n, cols))
-        step = max(1, _BLOCK_ENTRIES // cols)
-        start = 0
-        while start < n:
-            # a block of at most half the rows left, whose terms are formed in
-            # the rows below it, not yet written; the last few take a temporary
-            left = n - start
-            stop = start + (min(step, left // 2) if left >= 2 * _TAIL_ROWS else left)
-            np.multiply(self.values[0][start:stop, None], x[start:stop], out=out[start:stop])
-            for k, d in zip(self.offsets[1:], self.values[1:]):
-                # the block's rows i with a column i + k
-                lo, hi = max(start, -k), min(stop, n - k)
-                if lo < hi:
-                    first = max(0, -k)
-                    spare = out[stop:stop + hi - lo] if stop < n else None
-                    out[lo:hi] += np.multiply(d[lo - first:hi - first, None], x[lo + k:hi + k],
-                                              out=spare)
-            start = stop
+        n, h, band = self.band.shape[0], self.h, self.band
+        out = np.empty((n, x.shape[1]))
+        np.matmul(band[h:n - h, None], _windows(x, 2 * h + 1), out=out[h:n - h, None])
+        if h:
+            # X's rows n - 2h .. n + 2h - 1, mod n, meet the output rows n - h .. n + h - 1
+            ends = np.arange(n - h, n + h) % n
+            block = x[np.arange(n - 2 * h, n + 2 * h) % n]
+            out[ends] = np.matmul(band[ends, None], _windows(block, 2 * h + 1))[:, 0]
         return out
 
     def shifted(self, sigma):
-        """M - sigma 1: a new main diagonal, the others shared."""
+        """M - sigma 1: a new band, the flat indices shared."""
         other = copy.copy(self)
-        other.values = (self.values[0] - sigma, *self.values[1:])
+        other.band = self.band.copy()
+        other.band[:, self.h] -= sigma
         return other
 
     def add_to(self, out, scale):
-        """``out += scale * M`` in place, with the dense update's bits, in O(n) per diagonal."""
-        for k, d in zip(self.offsets, self.values):
-            out.flat[self._flat(k, d)] += scale * d
+        """``out += scale * M`` in place, with the dense update's bits, in O(h n)."""
+        out.flat[self.at] += scale * self.band
 
     def dot(self, w):
-        """<M, W>, summed over M's diagonals."""
-        return sum(float(d @ np.diagonal(w, k)) for k, d in zip(self.offsets, self.values))
+        """<M, W>, summed over M's band."""
+        return float(np.vdot(self.band, np.take(w, self.at)))
 
 
 class HermitianMatrix:
@@ -283,10 +281,14 @@ class Frame:
         return m * self.s[:, None]
 
     def spectrum(self, q):
-        """The ascending eigenvalues of Y Q Y^T, those of D^1/2 Q D^1/2 with D = diag(s)."""
+        """The ascending eigenvalues of Y Q Y^T, those of D^1/2 Q D^1/2 with
+        D = diag(s), or NaN when that matrix is not finite."""
         # outer(s^1/2, s^1/2) is exactly symmetric, and so is D^1/2 Q D^1/2
         root = np.sqrt(self.s)
-        return np.linalg.eigvalsh(q * np.outer(root, root))
+        scaled = q * np.outer(root, root)
+        if not (math.isfinite(scaled.min()) and math.isfinite(scaled.max())):
+            return np.full(len(q), np.nan)
+        return np.linalg.eigvalsh(scaled)
 
     def norm_zy(self, c) -> float:
         """||Z C Y^T||_F, such as that of [S^-1 P, S^-1 H] = Z [Q, G] Y^T, from C alone.

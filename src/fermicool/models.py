@@ -239,7 +239,7 @@ class FrameResponse:
     In an :class:`~fermicool.matcore.IdentityFrame` K is J itself and c = 1,
     so the refresh is the S-frame formula of :class:`HamiltonianModel`.  K
     is held as a kernel operator (:func:`~fermicool.matcore.operator`), by
-    its diagonals if it has few, and ``phi K`` is added in place.
+    its band if that is narrow for its size, and ``phi K`` is added in place.
     """
 
     def __init__(self, model: HamiltonianModel):

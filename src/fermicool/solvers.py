@@ -57,13 +57,15 @@ SCHEMES = ("kraus1", "kraus2", "rk4")
 #: |Tr[X + X^T]| below this is a degenerate canonical constraint.
 TRACE_DEGENERACY_TOL = 1e-14
 
-#: The step loop's floor: entries of the state below TAIL_FLOOR * N/2 and of a
-#: congruence factor below TAIL_FLOOR are zeroed before they feed a product.
+#: The step loop's floor: entries of the state below about TAIL_FLOOR * N/2 and
+#: of a congruence factor below about TAIL_FLOOR are zeroed (:func:`_flush_tail`)
+#: before they feed a product, and no other entry is left below the floor.
 #: No product in the step multiplies more than three floored factors, and
 #: TAIL_FLOOR**3 = 1e-240 keeps such a product some 60 orders of magnitude
 #: above the smallest normal float, so no gemm reads or makes a subnormal;
-#: zeroing moves each eigenvalue by at most n * TAIL_FLOOR * N/2
-#: (docs/second_order_scheme.md, "Underflow in the step loop").
+#: a flush of the state moves each eigenvalue by less than
+#: 2^55 n * TAIL_FLOOR * N/2 (docs/second_order_scheme.md, "Underflow in the
+#: step loop").
 TAIL_FLOOR = 1e-80
 
 #: Largest step count a SolverConfig accepts: 100x the most that any test, demo
@@ -156,17 +158,19 @@ class Trajectory:
         return None if self.mu_trace is None else float(self.mu_trace[-1])
 
 
-def _flush_tail(x, floor, out=None):
-    """Zero, in place, the entries of ``x`` below ``floor`` in magnitude.
+def _flush_tail(x, floor):
+    """Zero, in place, the entries of ``x`` below about ``floor`` in magnitude.
 
-    Returns |x|, written to ``out`` when given (a temporary the caller no
-    longer needs); the masked pass runs only when some entry lies below the
-    floor.
+    Two passes add and subtract c = 2^53 2^e, with 2^e in (floor, 2 floor]
+    the power of two above the floor.  Entries in [-2^(e - 1), 2^e] become
+    0, every entry after is 0 or at least 2^e in magnitude, and one above
+    2^54 c keeps its bits; NaN and infinities pass.  A zero floor changes
+    nothing (docs/second_order_scheme.md, "Underflow in the step loop").
     """
-    mag = np.abs(x, out=out)
-    if mag.min() < floor:
-        np.putmask(x, mag < floor, 0.0)
-    return mag
+    if floor:
+        big = 2.0 ** (math.frexp(floor)[1] + 53)
+        x += big
+        x -= big
 
 
 def _rate(p, f, norm, mu=None, frame=None):
@@ -211,9 +215,9 @@ def _flow(p, f, norm, delta_beta, scheme, mu=None, frame=None, t=None):
     A P A^T with A = 1 + db B + (db^2 / 2)(B^2 + B') and
     dz = db (sigma + db sigma' / 2) for "kraus2"; the classic RK4 update over
     :func:`_rate`, dz = db/6 (s1 + 2 s2 + 2 s3 + s4) over the stage scalars
-    and A None for "rk4".  Entries of A below :data:`TAIL_FLOOR` and of an
-    RK4 stage state below TAIL_FLOOR * N/2 are zeroed before they enter a
-    product; zeroing entries of A keeps the step a congruence.
+    and A None for "rk4".  A and each RK4 stage state are flushed to
+    :data:`TAIL_FLOOR` and TAIL_FLOOR * N/2 (:func:`_flush_tail`) before
+    they enter a product; a flushed A keeps the step a congruence.
     """
     if scheme == "rk4":
         # one accumulator and one stage buffer, which also carries each
@@ -286,8 +290,8 @@ def _flow(p, f, norm, delta_beta, scheme, mu=None, frame=None, t=None):
     b *= delta_beta
     a += b
     a.flat[:: n + 1] += 1.0
-    _flush_tail(a, TAIL_FLOOR, out=b)
     del b
+    _flush_tail(a, TAIL_FLOOR)
     return (a @ p) @ a.T, delta_beta * (sigma + 0.5 * delta_beta * sdot), a
 
 
@@ -363,8 +367,8 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     identity frame takes it unweighted.  The canonical trace weight is the
     vector s, so S Q is a row scaling.  F = G - mu (G if canonical) is
     formed once for linear models as a kernel operator
-    (:func:`~fermicool.matcore.operator`), by its diagonals if it has few;
-    a refreshed F is dense.
+    (:func:`~fermicool.matcore.operator`), by its cyclic band if that is
+    narrow for its size; a refreshed F is dense.
     Density-dependent models refresh G from Q at the start of every step
     and hold it across the step's stages.  The model is affine in P, so
     the refresh stays in the frame and costs O(n^2):
@@ -373,10 +377,11 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     (:attr:`~fermicool.models.HamiltonianModel.frame_response`).
     P = Y Q Y^T, formed once for the final state, is the one S-frame matrix
     cool() forms.  After each congruence step Q is symmetrized (an RK4 step
-    keeps it exactly symmetric), and after every step its
-    entries below :data:`TAIL_FLOOR` * N/2 are zeroed, so that no product of
-    the next step underflows; this moves each eigenvalue by less than
-    n * TAIL_FLOOR * N/2.
+    keeps it exactly symmetric), and after every step its entries below
+    about :data:`TAIL_FLOOR` * N/2 are zeroed (:func:`_flush_tail`), so that
+    no product of the next step underflows; this moves each eigenvalue by
+    less than 2^55 n * TAIL_FLOOR * N/2.  Q is finite when its smallest and
+    largest entries are, which two reductions test.
 
     Recorded every ``config.record_every`` steps, at beta = 0 (from the exact
     initial P) and at the final step, as scalars: mu, the smallest
@@ -391,12 +396,13 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     beta = 0 the smallest eigenvalue is (N/2) s_min, from the overlap's
     spectrum, so that record takes no matrix product or decomposition.  The
     positivity violations are the (beta, smallest eigenvalue) of the records
-    whose smallest eigenvalue is below ``-config.positivity_tol``.  The
+    whose smallest eigenvalue is below ``-config.positivity_tol``.  A record
+    whose D^1/2 Q D^1/2 is not finite aborts the run as a Q that is not.  The
     trajectory keeps two densities, P(0) = (N/2) S and the final P, whatever
     the number of records; both are formed after the loop.
 
     The loop's working set is Q, F (and G apart from it on grand runs of a
-    density-dependent model; F by its diagonals is O(n)), G_last only
+    density-dependent model; F by its band is O(h n)), G_last only
     across a refresh, and at most five n x n step temporaries, seven in a
     canonical kraus2 step with S != 1, whose row scalings diag(s) P and
     diag(s) Pdot are arrays of their own.  Every elementwise update is made
@@ -405,7 +411,8 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     Raises
     ------
     SolverAbortError
-        If the state stops being finite; carries the last good beta.
+        If the state, or the D^1/2 Q D^1/2 of a record, stops being finite;
+        carries the last good beta.
     InfeasibleEnsembleError, DegenerateTraceError
         Propagated from the canonical constraint machinery.
     """
@@ -437,7 +444,7 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
 
     q = np.eye(n) * (0.5 * norm)
     # G = Z^T H Z; the model's correction vanishes at P(0).  A linear run's F
-    # is fixed, and held by its diagonals if it has few; a refreshed F is dense
+    # is fixed, and held by its band if that is narrow; a refreshed F is dense
     f = kernel_operator(g, operator if model.is_linear else Dense)
     if not model.is_linear:
         # G(Q) = G_core + Z^T dH(Y (Q - N/2) Y^T) Z in O(n^2)
@@ -488,9 +495,9 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
             if not rk4:
                 q_raw += q_raw.T  # exact: numpy buffers an operand that overlaps the output
                 q_raw *= 0.5
-            # the old Q takes the flush's |Q|, which also serves the finiteness
-            # test: its largest entry is NaN or inf exactly when some entry is
-            if not (math.isfinite(_flush_tail(q_raw, q_floor, out=q).max())
+            _flush_tail(q_raw, q_floor)
+            # the extremes are NaN or infinite exactly when some entry is
+            if not (math.isfinite(q_raw.min()) and math.isfinite(q_raw.max())
                     and math.isfinite(mu)):
                 raise SolverAbortError(beta_i)
             q = q_raw
@@ -500,8 +507,10 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
                     qg -= qg.T  # exact: numpy buffers an operand that overlaps the output
                     comm_norm = frame.norm_zy(qg)
                     del qg
-                record(beta_next, float(frame.spectrum(q)[0]), frame.trace(q), comm_norm,
-                       refresh_defect)
+                eigmin = float(frame.spectrum(q)[0])
+                if not math.isfinite(eigmin):  # D^1/2 Q D^1/2 is not finite
+                    raise SolverAbortError(beta_i)
+                record(beta_next, eigmin, frame.trace(q), comm_norm, refresh_defect)
         last = HermitianMatrix(frame.from_frame(q))
     del q, f, g  # P(0) is formed once the loop's arrays are gone
     first = HermitianMatrix(0.5 * norm * s_mat)

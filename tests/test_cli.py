@@ -683,6 +683,23 @@ class TestExitCodes:
             assert not out.exists()
         assert "Warning" not in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("scheme", ["kraus1", "kraus2", "rk4"])
+    def test_record_of_a_state_whose_s_frame_form_overflows(self, tmp_path, capsys, scheme):
+        # Q stays finite, but D^1/2 Q D^1/2, whose spectrum the record takes,
+        # passes the largest float: a solver abort, not a failed eigvalsh
+        a = np.random.default_rng(1).uniform(-1.0, 1.0, (4, 4))
+        files = input_files(tmp_path, 1e300 * (a + a.T) / 2, 1e200 * np.eye(4))
+        out = tmp_path / "out" / "x.csv"
+        out.parent.mkdir()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--files", *files, "--canonical", "2", "--nonlinear", "0.5",
+                         "--beta", "1", "--dbeta", "0.1", "--scheme", scheme, "--out", str(out)])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("fermicool: error[solver-abort]: non-finite values")
+        assert err.count("\n") == 1 and list(out.parent.iterdir()) == []
+
     def test_run_at_a_finite_mu_auto_near_the_largest_float(self, tmp_path, capsys):
         # mu resolves to 1.5e308; a step of 0.5 over levels 4e307 apart then
         # overflows the state, which is a solver abort

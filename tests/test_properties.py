@@ -555,31 +555,33 @@ def test_frame_operations_are_the_overlap_algebra(data, system):
         assert frame.total(p) == float(p.sum())
 
 
-@given(data=st.data(), n=st.integers(1, 64), corners=st.booleans())
-def test_diagonal_product_is_the_gemm(data, n, corners):
-    # a symmetric F held by its diagonals, built directly and not through the
-    # size rule, on random offsets and the periodic corners +-(n - 1): the
+@given(data=st.data(), n=st.integers(1, 64), transposed=st.booleans())
+def test_diagonal_product_is_the_gemm(data, n, transposed):
+    # a matrix F held by its cyclic band of half-width h, 2h < n, built
+    # directly and not through the size rule: from h = 0 to past n / 4, where
+    # the wrapped rows read most of X, some of the band's diagonals zero.  The
     # product is F X and <F, W> is vdot(F, W), each within the rounding of
-    # two sums of at most count and n terms; the dense form, F - sigma 1 and
-    # the in-place update are those of the dense matrices bit for bit, and
-    # the Dense form's four operations are numpy's own
+    # two sums of at most 2h + 1 and n terms, also on a transposed view of X;
+    # the dense form, F - sigma 1 and the in-place update are those of the
+    # dense matrices bit for bit, and the Dense form's four operations are
+    # numpy's own
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    upper = data.draw(st.sets(st.integers(1, n - 1), max_size=4)) if n > 1 else set()
-    if corners and n > 1:
-        upper.add(n - 1)
+    h = data.draw(st.integers(0, (n - 1) // 2))
     f = np.zeros((n, n))
-    for k in {0, *upper}:
-        i = np.arange(n - k)
-        f[i, i + k] = f[i + k, i] = rng.normal(size=n - k)
-    offsets = [0, *sorted(upper | {-k for k in upper})]
-    d = matcore.Diagonals(f, offsets)
-    x = random_symmetric(rng, n)
-    bound = (len(offsets) + n) * np.finfo(float).eps * (np.abs(f) @ np.abs(x))
+    i = np.arange(n)
+    for k in range(-h, h + 1):
+        if data.draw(st.booleans()) or abs(k) == h:
+            f[i, (i + k) % n] = rng.normal(size=n)
+    d = matcore.Diagonals(f, h)
+    x = rng.normal(size=(n, n))
+    if transposed:
+        x = x.T
+    eps = np.finfo(float).eps
+    bound = (2 * h + 1 + n) * eps * (np.abs(f) @ np.abs(x))
     assert (np.abs(d @ x - f @ x) <= bound).all()
     assert np.asarray(d).tobytes() == f.tobytes()
-    eps = np.finfo(float).eps
     size = np.vdot(np.abs(f), np.abs(x))
-    assert abs(d.dot(x) - np.vdot(f, x)) <= (len(offsets) + n) * eps * size
+    assert abs(d.dot(x) - np.vdot(f, x)) <= (2 * h + 1 + n) * eps * size
     sigma, scale = rng.normal(size=2)
     shifted = f.copy()
     shifted.flat[:: n + 1] -= sigma
@@ -593,6 +595,56 @@ def test_diagonal_product_is_the_gemm(data, n, corners):
     assert np.asarray(d).tobytes() == f.tobytes()  # the shift took a copy
     assert (dense @ x).tobytes() == (f @ x).tobytes()
     assert dense.dot(x) == np.vdot(f, x)
+
+
+@given(n=st.integers(1, 400), h=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
+def test_operator_holds_a_band_the_rule_admits(n, h, seed):
+    # a cyclic band of half-width h (a random matrix when 2h + 1 >= n) is held
+    # by its band exactly when n >= 5 (2h + 1) + 100, and by that band
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=(n, n))
+    if 2 * h + 1 < n:
+        distance = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        f[np.minimum(distance, n - distance) > h] = 0.0
+    op = matcore.operator(f)
+    if n >= matcore.BAND_CROSSOVER * (2 * h + 1) + 100:
+        assert isinstance(op, matcore.Diagonals) and op.h == h
+    else:
+        assert isinstance(op, matcore.Dense) and op.m is f
+
+
+def _around(e):
+    # values of every magnitude around 2^e, the binade edges and the
+    # non-finite values included
+    return st.one_of(
+        st.builds(lambda m, k: math.ldexp(m, e + k), st.floats(-1.0, 1.0), st.integers(-60, 130)),
+        st.builds(lambda k, sign: sign * np.nextafter(math.ldexp(1.0, e + k), 0.0),
+                  st.integers(-60, 130), st.sampled_from([1.0, -1.0])),
+        st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+
+
+@given(data=st.data(), floor=st.one_of(st.just(0.0), st.floats(1e-300, 1e200)))
+def test_flush_zeroes_below_the_floor_and_keeps_large_entries(data, floor):
+    # every entry after is 0 or at least the floor in magnitude, and moves by
+    # at most 2 floor or one unit in its last place; entries past 2^108
+    # floor, NaN and infinities keep their bits, and a zero floor changes no
+    # bit, signed zeros included
+    e = math.frexp(floor)[1] if floor else -1000
+    x = np.array(data.draw(st.lists(_around(e), min_size=1, max_size=40)))
+    y = x.copy()
+    solvers._flush_tail(y, floor)
+    if not floor:
+        assert y.tobytes() == x.tobytes()
+        return
+    finite = np.isfinite(x)
+    assert np.array_equal(np.isnan(y), np.isnan(x))
+    assert (y[np.isinf(x)] == x[np.isinf(x)]).all()
+    mag = np.abs(y[finite])
+    assert ((mag == 0.0) | (mag >= floor)).all()
+    moved = np.abs(y[finite] - x[finite])
+    assert (moved <= np.maximum(2.0 * floor, np.spacing(np.abs(x[finite])))).all()
+    large = np.abs(x) >= 2.0**108 * floor
+    assert y[large].tobytes() == x[large].tobytes()
 
 
 #: Density gap allowed between the exact states and the pencil formula, in

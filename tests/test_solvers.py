@@ -781,8 +781,8 @@ class TestCool:
 
 
 class TestDiagonalProducts:
-    """A linear run whose F has few nonzero diagonals for its size holds F by
-    them (matcore.operator); every other run holds it dense."""
+    """A linear run whose F has a narrow cyclic band for its size holds F by
+    it (matcore.operator); every other run holds it dense."""
 
     @staticmethod
     def kernel_operators(monkeypatch, model, ensemble):
@@ -810,9 +810,10 @@ class TestDiagonalProducts:
         return SystemSpec(HermitianMatrix(h), OverlapMatrix(np.exp(-0.5 * d2)))
 
     @pytest.mark.parametrize("canonical", [False, True], ids=["grand", "canonical"])
-    @pytest.mark.parametrize("n", [240, 300])
+    @pytest.mark.parametrize("n", [115, 240, 300])
     def test_linear_rings_at_the_crossover_take_the_diagonals(self, monkeypatch, n, canonical):
-        # five diagonals: 0, +-1 and the periodic corners +-(n - 1)
+        # a cyclic band of half-width 1, the periodic corners included; the
+        # rule n >= 5 (2h + 1) + 100 takes it from n = 115
         system = build_huckel(n, 0.569, 0.066)
         ensemble = (Canonical(n / 2) if canonical
                     else GrandCanonical(default_chemical_potential(system)))
@@ -821,11 +822,11 @@ class TestDiagonalProducts:
             want.flat[:: n + 1] -= ensemble.mu
         for f in self.kernel_operators(monkeypatch, HamiltonianModel(system), ensemble):
             assert isinstance(f, Diagonals)
-            assert f.offsets == (0, 1 - n, -1, 1, n - 1)
+            assert f.h == 1 and f.band.shape == (n, 3)
             assert np.asarray(f).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("canonical", [False, True], ids=["grand", "canonical"])
-    @pytest.mark.parametrize("name", ["ring-239", "ring-200", "nonlinear-ring-300", "chain",
+    @pytest.mark.parametrize("name", ["ring-114", "ring-104", "nonlinear-ring-300", "chain",
                                       "sample"])
     def test_other_runs_take_the_gemm(self, monkeypatch, data_dir, name, canonical):
         from fermicool import load_system
@@ -846,19 +847,18 @@ class TestDiagonalProducts:
     @pytest.mark.parametrize("scheme", solvers.SCHEMES)
     @pytest.mark.parametrize("mu", [None, 0.3], ids=["canonical", "grand"])
     def test_kernel_by_diagonals_is_the_dense_kernel(self, rng, monkeypatch, scheme, mu):
-        # a step with F by its diagonals differs from the dense F's by
+        # a step with F by its band differs from the dense F's by
         # rounding only, reads no dense form of F and leaves its read-only
-        # operands as they were; at n = 40 the product forms its terms in the
-        # rows of its output
+        # operands as they were; the ring's band has half-width 1 with the
+        # corners, which the wrapped rows read
         n = 40
         f = np.diag(rng.normal(size=n))
         i = np.arange(n - 1)
         f[i, i + 1] = f[i + 1, i] = rng.normal(size=n - 1)
         f[0, -1] = f[-1, 0] = 0.3
-        offsets = (0, 1 - n, -1, 1, n - 1)
         q, f = read_only(symmetrize(random_spd(rng, n, lo=0.1, hi=0.7)), f)
         before = q.tobytes(), f.tobytes()
-        diagonals = Diagonals(f, offsets)
+        diagonals = Diagonals(f, 1)
         frame = OverlapMatrix(np.eye(n)).frame
         norm = 1.0 if mu is not None else 0.8
         ref, ref_dz, ref_a = _flow(q, Dense(f), norm, 0.37, scheme, mu=mu, frame=frame)
@@ -875,6 +875,25 @@ class TestDiagonalProducts:
         assert dz == pytest.approx(ref_dz, rel=1e-13, abs=1e-15)
         if scheme == "rk4":
             assert np.array_equal(out, out.T) and a is None and ref_a is None
+
+    def test_band_product_allocates_its_output_and_little_else(self, rng):
+        # the ring-dense size: the window view and the wrap block of 4 rows
+        # are all the product takes beside its output
+        n = 300
+        f = build_huckel(n, 0.569, 0.066).g_core
+        x = rng.normal(size=(n, n))
+        band = operator(f)
+        assert isinstance(band, Diagonals) and band.h == 1
+        band @ x  # numpy's first call of a kind may cache what it needs
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = band @ x
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / (8.0 * n * n) < 1.1
+        assert np.abs(out - f @ x).max() <= 1e-13 * np.abs(f).max() * np.abs(x).max()
 
 
 def unfloored_final_state(system, ensemble, scheme, beta, n_steps):

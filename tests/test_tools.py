@@ -99,6 +99,49 @@ def test_bench_pairs_summary_arithmetic():
     assert tool.failures(old) == (0, 60)
 
 
+def environment(digest):
+    # one bench/run.py environment, as its record line before the result
+    return {"python": "3.11.7", "numpy": "2.4.6", "blas": "openblas 0.3", "nproc": 2,
+            "threads": {"OPENBLAS_NUM_THREADS": "1"}, "git_commit": "unknown",
+            "source_sha256": digest, "seed": 5}
+
+
+def test_bench_pairs_writes_the_bench_record():
+    tool = load_tool("bench_pairs")
+    stdout = f"{json.dumps({'env': environment('aa')})}\n{result_line(wall_s=0.4)}\n"
+    assert tool.parse_environment(stdout) == environment("aa")
+    old = [json.loads(result_line(wall_s=w)) for w in (0.40, 0.42, 0.38)]
+    new = [json.loads(result_line(wall_s=w)) for w in (0.35, 0.42, 0.30)]
+    old[1]["failed"] = 2
+    entry = tool.workload_record(range(7, 10), old, new, [("wall_s", "lower")])
+    assert entry["seeds"] == [7, 8, 9] and entry["pairs"] == 3
+    assert entry["order"] == "alternating, parent first on even pair index"
+    assert entry["failed_solves"] == {"parent": 2, "change": 0}
+    assert entry["attempted_solves"] == {"parent": 36, "change": 36}
+    wall = entry["metrics"]["wall_s"]
+    assert wall["unit"] == "s"
+    assert wall["parent"] == pytest.approx({"median": 0.40, "q1": 0.39, "q3": 0.41})
+    assert wall["change"] == pytest.approx({"median": 0.35, "q1": 0.325, "q3": 0.385})
+    assert (wall["change_wins"], wall["change_ties"], wall["gain"]) == ("2/3", 1, False)
+    assert wall["runs"] == {"parent": [0.40, 0.42, 0.38], "change": [0.35, 0.42, 0.30]}
+    environments = {"parent": [environment("aa")] * 2, "change": [environment("bb")]}
+    record = tool.bench_record(28, "a claim", 55.0, environments,
+                               {"parent": "f503baa", "change": None}, {"ring-dense": entry})
+    assert json.loads(json.dumps(record)) == record
+    assert record["pr"] == 28 and record["claim"] == "a claim"
+    assert record["command"] == ("python3 bench/run.py --workload W --seed S --seconds 55 "
+                                 "--trace 0")
+    assert record["environment"] == {
+        "python": "3.11.7", "numpy": "2.4.6", "blas": "openblas 0.3", "nproc": 2,
+        "threads": {"OPENBLAS_NUM_THREADS": "1"},
+        "source_sha256": {"parent": "aa", "change": "bb"}}
+    assert record["git"] == {"parent": "f503baa", "change": None}
+    assert record["workloads"] == {"ring-dense": entry}
+    environments["change"].append(environment("cc"))
+    with pytest.raises(ValueError, match="change runs read more than one source tree"):
+        tool.bench_record(28, "a claim", 55.0, environments, {}, {})
+
+
 def test_bench_pairs_reads_the_declared_metrics():
     names = [name for name, _ in load_tool("bench_pairs").end_to_end_metrics()]
     assert names == ["wall_s", "solve_s_p50", "setup_s", "peak_rss_mb"]
