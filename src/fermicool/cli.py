@@ -89,7 +89,7 @@ EXITS = (
     Exit((MatrixParseError, NotPositiveDefiniteError, OverlapTraceError, DimensionMismatchError),
          3, "parse",
          "parse error (unreadable or malformed matrix file, H and S of different sizes,\n"
-         "an --out naming a directory)"),
+         "an --out naming a directory or under no directory)"),
     Exit((OSError,), 3, "io"),
     Exit((InfeasibleEnsembleError, DegenerateTraceError, BracketError, MuConvergenceError),
          4, "infeasible",
@@ -185,10 +185,15 @@ def _resolve_mu(args, system) -> float:
 
 
 def _build_request(args) -> RunRequest:
-    if not Path(args.out).name:
+    out = Path(args.out)
+    if not out.name:
         raise ArgumentSemanticsError(f"--out expects a file path, got {args.out!r}")
-    if Path(args.out).is_dir():  # the io error that writing it would end in, before any solve
+    # the io errors that writing it would end in, before any solve
+    if out.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
+    if not out.parent.is_dir():  # OSError makes these a FileNotFoundError or NotADirectoryError
+        code = errno.ENOTDIR if out.parent.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), args.out)
     system = _build_system(args)
     if args.canonical is not None:
         ensemble = Canonical(args.canonical)
@@ -209,7 +214,7 @@ def _build_request(args) -> RunRequest:
     return RunRequest(
         ensemble=ensemble,
         model=HamiltonianModel(system, coupling_u=args.nonlinear),
-        output_path=Path(args.out),
+        output_path=out,
         scf_tol=args.scf_tol,
         scf_max_iter=args.scf_max_iter,
         use_aitken=args.aitken,
@@ -401,8 +406,10 @@ def cmd_convergence(args) -> int:
 
     rows = []
     for i, (db, err) in enumerate(zip(dbetas, errors)):
-        order = math.log2(errors[i - 1] / err) if i > 0 and err > 0 else float("nan")
-        rows.append((_fmt(db), _fmt(err), _fmt(order)))
+        # the order needs a coarser step and two nonzero errors
+        defined = i > 0 and err > 0 and errors[i - 1] > 0
+        order = _fmt(math.log2(errors[i - 1] / err)) if defined else "n/a"
+        rows.append((_fmt(db), _fmt(err), order))
     _write_csv(paths["spectra"], ["dbeta", "global_error", "observed_order"], rows)
     _write_meta(paths["meta"], [
         ("command", "convergence"),

@@ -14,11 +14,12 @@ For density-dependent Hamiltonians ``H = H_core + H_exc(P)`` the exact state
 is the fixed point of ``F(P) = FermiDirac(H(P))``, found by
 :func:`scf_fixed_point`.  The toy model (:class:`HamiltonianModel`) is
 affine in P, with its one definition the frame refresh
-:class:`FrameResponse`, so the derivative J of F comes from the
-eigendecomposition each evaluation of F already makes (divided differences
-of the Fermi factor; in the canonical ensemble a d mu term keeps
-Tr[J dP] = 0).  The SCF takes Newton steps (1 - J) delta = F(P) - P and falls
-back to the Picard step P -> F(P) whenever the residual did not fall.
+:meth:`HamiltonianModel.frame_hamiltonian`, so the derivative J of F comes
+from the eigendecomposition each evaluation of F already makes (divided
+differences of the Fermi factor; in the canonical ensemble a d mu term
+keeps Tr[J dP] = 0).  The SCF takes Newton steps (1 - J) delta = F(P) - P
+and falls back to the Picard step P -> F(P) whenever the residual did not
+fall.
 
 A system's overlap owns its frame
 (:attr:`~fermicool.matcore.OverlapMatrix.frame`): Y = U s^1/2 and Z = Y^-T
@@ -39,8 +40,8 @@ F(Q) = C diag(N f) C^T from the levels G = C diag(lambda) C^T, serves the
 SCF and the linear oracles :func:`exact_grand_fd`, :func:`exact_canonical_fd`
 and :func:`exact_canonical_mu` alike; a linear model's levels are those of
 G_core, decomposed once per system (:attr:`SystemSpec.levels`), and a
-nonlinear model refreshes G through its response seen in the frame
-(:attr:`HamiltonianModel.frame_response`) in O(n^2), as the cooling flow does.
+nonlinear model refreshes G in the frame
+(:meth:`HamiltonianModel.frame_hamiltonian`) in O(n^2), as the cooling flow does.
 At beta = 0 every model's state is (N/2) S, where H = H_core, and the
 canonical mu is Tr[H_core] / Tr[S] (:func:`infinite_temperature_mu`).
 """
@@ -202,9 +203,21 @@ class HamiltonianModel:
 
     The model is affine in P: ``H(P) = H_core + dH(P - (N/2) S)`` with the
     linear response ``dH(dP) = u (dP + phi(dP) J)``.  The library forms it
-    only in the system's frame, where the cooling flow's refresh and the SCF
-    apply it (:attr:`frame_response`, a :class:`FrameResponse`); with S = 1
-    that refresh is the formula above itself.
+    only in the system's frame, where the cooling flow and the SCF refresh
+    G(Q) (:meth:`frame_hamiltonian`) and the SCF's Newton step takes its
+    response in an eigenbasis (:meth:`eigenbasis`); with S = 1 that refresh
+    is the formula above itself.
+
+    Because ``Z^T Y = 1`` the response seen in the frame,
+    E -> Z^T dH(Y E Y^T) Z, is ``u (E + phi K)`` with ``K = Z^T J Z``
+    (:attr:`frame_stagger`) and ``phi = (c^T E c - s . diag(E)) / n``,
+    ``c = Y^T 1``: phi is the off-diagonal sum of Y E Y^T over n.  It is
+    built from the operations of the overlap's
+    :class:`~fermicool.matcore.Frame`: K is the frame's congruence of J, c
+    is the frame's ``ones``, and phi takes the frame's entry sum and trace
+    (:meth:`~fermicool.matcore.Frame.total`,
+    :meth:`~fermicool.matcore.Frame.trace`), so each refresh costs O(n^2).
+    In an :class:`~fermicool.matcore.IdentityFrame` K is J itself and c = 1.
     """
 
     system: SystemSpec
@@ -214,48 +227,27 @@ class HamiltonianModel:
     def is_linear(self) -> bool:
         return self.coupling_u == 0.0
 
-    @property
-    def _stagger(self) -> np.ndarray:
-        # diagonal of J: +1, -1, ...
-        return 1.0 - 2.0 * (np.arange(self.system.dim) % 2)
-
     @cached_property
-    def frame_response(self) -> "FrameResponse":
-        """The response seen in the system's frame, E -> Z^T dH(Y E Y^T) Z, formed on first use."""
-        return FrameResponse(self)
+    def frame_stagger(self):
+        """K = Z^T J Z, J = diag(+1, -1, ...), in the system's frame, formed on first use.
 
+        K is held as a kernel operator (:func:`~fermicool.matcore.operator`),
+        by its band if that is narrow for its size, so that ``phi K`` is
+        added in place.
+        """
+        stagger = 1.0 - 2.0 * (np.arange(self.system.dim) % 2)
+        return operator(self.system.s.frame.congruent(np.diag(stagger)))
 
-class FrameResponse:
-    """A model's response in its system's frame, E -> Z^T dH(Y E Y^T) Z, and its refresh.
-
-    Because ``Z^T Y = 1`` the response is ``u (E + phi K)`` with
-    ``K = Z^T J Z`` and ``phi = (c^T E c - s . diag(E)) / n``,
-    ``c = Y^T 1``: phi is the off-diagonal sum of Y E Y^T over n.  It is
-    built from the operations of the overlap's
-    :class:`~fermicool.matcore.Frame`: K is the frame's congruence of J,
-    formed once, c is the frame's ``ones``, and phi takes the frame's entry
-    sum and trace (:meth:`~fermicool.matcore.Frame.total`,
-    :meth:`~fermicool.matcore.Frame.trace`), so each refresh costs O(n^2).
-    In an :class:`~fermicool.matcore.IdentityFrame` K is J itself and c = 1,
-    so the refresh is the S-frame formula of :class:`HamiltonianModel`.  K
-    is held as a kernel operator (:func:`~fermicool.matcore.operator`), by
-    its band if that is narrow for its size, and ``phi K`` is added in place.
-    """
-
-    def __init__(self, model: HamiltonianModel):
-        system = model.system
-        self._frame, self._g_core, self._u = system.s.frame, system.g_core, model.coupling_u
-        self.k = operator(self._frame.congruent(np.diag(model._stagger)))
-
-    def hamiltonian(self, q, norm: float) -> np.ndarray:
+    def frame_hamiltonian(self, q, norm: float) -> np.ndarray:
         """The frame Hamiltonian G(Q) = G_core + u (E + phi K), E = Q - N/2, of a frame state Q."""
+        frame = self.system.s.frame
         n = q.shape[0]
         e = q.copy()
         e.flat[:: n + 1] -= 0.5 * norm
-        phi = (self._frame.total(e) - self._frame.trace(e)) / n
-        self.k.add_to(e, phi)
-        e *= self._u
-        e += self._g_core
+        phi = (frame.total(e) - frame.trace(e)) / n
+        self.frame_stagger.add_to(e, phi)
+        e *= self.coupling_u
+        e += self.system.g_core
         return e
 
     def eigenbasis(self, c, gram):
@@ -268,11 +260,11 @@ class FrameResponse:
         forming takes two products.
         """
         n = c.shape[0]
-        d = c.T @ self._frame.ones
+        d = c.T @ self.system.s.frame.ones
         weight = np.outer(d, d)
         weight -= gram
         weight /= n
-        return weight, c.T @ np.asarray(self.k) @ c
+        return weight, c.T @ np.asarray(self.frame_stagger) @ c
 
 
 def build_huckel(n: int, alpha: float, gamma: float) -> SystemSpec:
@@ -477,7 +469,7 @@ def _frame_state(model: HamiltonianModel, q, beta: float, ensemble: Ensemble, no
     The levels are the eigenpairs G(Q) = C diag(lambda) C^T: a linear
     model's are the system's cached :attr:`~SystemSpec.levels` of G_core, a
     nonlinear model refreshes G(Q) = G_core + dG(Q - N/2)
-    (:attr:`HamiltonianModel.frame_response`) and decomposes it by one
+    (:meth:`HamiltonianModel.frame_hamiltonian`) and decomposes it by one
     :func:`~fermicool.matcore.generalized_eigh`.  F = C diag(N f) C^T with
     f = fermi(beta (lambda - mu)).  A canonical ensemble solves mu from
     ``mu_guess`` on the levels (:func:`_levels_mu`).  At beta = 0,
@@ -496,7 +488,7 @@ def _frame_state(model: HamiltonianModel, q, beta: float, ensemble: Ensemble, no
     if model.is_linear:
         lam, c = system.levels
     else:
-        lam, c = generalized_eigh(model.frame_response.hamiltonian(q, norm))
+        lam, c = generalized_eigh(model.frame_hamiltonian(q, norm))
     if grand:
         _check_levels(lam)
         mu = ensemble.mu
@@ -534,7 +526,7 @@ def _fd_jacobian(model: HamiltonianModel, eig, beta: float, mu: float, norm: flo
     # C^T diag(s) C: Tr[P] for dQ = C X C^T is <gram, X>
     gram = c.T @ model.system.s.frame.scale_rows(c)
     # K o C^T dG(C X C^T) C = (u K) o X + <W, X> (u K) o C^T K C
-    weight, k_rank1 = model.frame_response.eigenbasis(c, gram)
+    weight, k_rank1 = model.eigenbasis(c, gram)
     k *= model.coupling_u
     k_rank1 *= k
     slope = float(np.dot(np.diagonal(gram), rate)) if canonical else 0.0
@@ -595,7 +587,7 @@ def scf_fixed_point(
     (:attr:`~fermicool.matcore.OverlapMatrix.frame`) on
     Q = Z^T P Z, where F(P) = Y F(Q) Y^T: the evaluation at Q refreshes
     G(Q) = G_core + dG(Q - N/2) in O(n^2) through the model's
-    :attr:`~HamiltonianModel.frame_response`, decomposes it with one
+    :meth:`~HamiltonianModel.frame_hamiltonian`, decomposes it with one
     :func:`~fermicool.matcore.generalized_eigh` as C diag(lambda) C^T and
     forms F(Q) = C diag(N f) C^T (:func:`_frame_state`).  The residual is
     still taken in the S frame, max |Y (F(Q) - Q) Y^T|, and P = Y F(Q) Y^T

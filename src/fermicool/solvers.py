@@ -374,7 +374,7 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     the refresh stays in the frame and costs O(n^2):
     G(Q) = G_core + u [(Q - N/2) + phi K] with K = Z^T J Z formed once per
     model and phi from (Y^T 1)^T Q (Y^T 1) and Tr[diag(s) Q]
-    (:attr:`~fermicool.models.HamiltonianModel.frame_response`).
+    (:meth:`~fermicool.models.HamiltonianModel.frame_hamiltonian`).
     P = Y Q Y^T, formed once for the final state, is the one S-frame matrix
     cool() forms.  After each congruence step Q is symmetrized (an RK4 step
     keeps it exactly symmetric), and after every step its entries below
@@ -446,9 +446,6 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     # G = Z^T H Z; the model's correction vanishes at P(0).  A linear run's F
     # is fixed, and held by its band if that is narrow; a refreshed F is dense
     f = kernel_operator(g, operator if model.is_linear else Dense)
-    if not model.is_linear:
-        # G(Q) = G_core + Z^T dH(Y (Q - N/2) Y^T) Z in O(n^2)
-        refresh = model.frame_response.hamiltonian
 
     records = []
 
@@ -474,8 +471,8 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
 
             refreshed = not model.is_linear and i > 0
             comm_norm = refresh_defect = 0.0
-            if refreshed:
-                g_last, g = g, refresh(q, norm)
+            if refreshed:  # G(Q) = G_core + Z^T dH(Y (Q - N/2) Y^T) Z in O(n^2)
+                g_last, g = g, model.frame_hamiltonian(q, norm)
                 f = kernel_operator(g)
                 if recording:  # E = G_last diag(s) (G - G_last), (diag(s) G_last^T)^T on the left
                     e = frame.scale_rows(g_last.T).T @ (g - g_last)

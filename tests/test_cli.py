@@ -35,6 +35,22 @@ TWO_BIG = "2 2\n0 1.7e308\n1.7e308 0\n"
 LEVELS_0_TO_7 = np.diag(np.arange(8.0))
 HUGE_S = 1e308 * np.eye(8)
 
+#: The three commands that write an --out, with their solve arguments.
+OUT_COMMANDS = {
+    "run": ["run", "--dbeta", "0.1"],
+    "oracle": ["oracle"],
+    "convergence": ["convergence", "--scheme", "kraus1", "--dbeta-list", "0.1", "0.05", "0.025"],
+}
+
+#: --out paths, under a directory holding an empty directory ``results`` and
+#: an empty file ``file``, that no CSV can be written to: (path, the cause
+#: that the io error names, test id suffix).
+BAD_OUTS = [
+    ("results", "Is a directory", ""),
+    ("missing/x.csv", "No such file or directory", "-missing-parent"),
+    ("file/x.csv", "Not a directory", "-file-parent"),
+]
+
 
 def input_files(tmp_path, h, s=None):
     """The --files paths of H and S (None: no S), each given as file text, an
@@ -440,7 +456,7 @@ class TestConvergence:
         assert code == 0
         rows = read_csv(out)
         assert rows[0] == ["dbeta", "global_error", "observed_order"]
-        assert math.isnan(float(rows[1][2]))
+        assert rows[1][2] == "n/a"  # the first step size has no coarser one
         orders = [float(r[2]) for r in rows[2:]]
         assert all(abs(o - 1.0) < 0.2 for o in orders)
 
@@ -841,8 +857,7 @@ class TestExitCodes:
         solves = []
         monkeypatch.setattr(cli, "cool", lambda *args: solves.append(args))
         monkeypatch.setattr(cli, "scf_fixed_point", lambda *args, **kw: solves.append(args))
-        for argv in (["run", "--dbeta", "0.1"], ["oracle"],
-                     ["convergence", "--scheme", "kraus1", "--dbeta-list", "0.1", "0.05", "0.025"]):
+        for argv in OUT_COMMANDS.values():
             code = main([argv[0], "--huckel", "6", "0", "1", "--grand", "--beta", "1",
                          *argv[1:], "--out", out])
             assert code == 2
@@ -850,15 +865,14 @@ class TestExitCodes:
             assert "error[argument]" in err and "--out" in err and "Traceback" not in err
         assert solves == [] and list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("argv", [
-        ["run", "--dbeta", "0.1"],
-        ["oracle"],
-        ["convergence", "--scheme", "kraus1", "--dbeta-list", "0.1", "0.05", "0.025"],
-    ], ids=["run", "oracle", "convergence"])
+    @pytest.mark.parametrize("argv, out, cause", [
+        (argv, out, cause) for out, cause, _ in BAD_OUTS for argv in OUT_COMMANDS.values()
+    ], ids=[name + suffix for _, _, suffix in BAD_OUTS for name in OUT_COMMANDS])
     def test_out_naming_a_directory_fails_before_any_solve(self, tmp_path, capsys,
-                                                           monkeypatch, argv):
-        # a directory cannot take the spectra CSV: the io error comes before
-        # the cooling run and the mu trace, not after them
+                                                           monkeypatch, argv, out, cause):
+        # a directory, or a path under a missing directory or under a file,
+        # cannot take the spectra CSV: the io error comes before the cooling
+        # run and the mu trace, not after them
         from fermicool import cli
 
         def solve(*args, **kwargs):
@@ -866,14 +880,16 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "cool", solve)
         monkeypatch.setattr(cli, "scf_fixed_point", solve)
-        target = tmp_path / "results"
-        target.mkdir()
+        (tmp_path / "results").mkdir()
+        (tmp_path / "file").write_text("")
         code = main([argv[0], "--huckel", "6", "0", "1", "--canonical", "3", "--beta", "1",
-                     *argv[1:], "--out", str(target)])
+                     *argv[1:], "--out", str(tmp_path / out)])
         assert code == 3
         err = capsys.readouterr().err
-        assert "error[io]" in err and "Is a directory" in err and "Traceback" not in err
-        assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
+        assert "error[io]" in err and cause in err and "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "file", tmp_path / "results"]
+        assert list((tmp_path / "results").iterdir()) == []
+        assert (tmp_path / "file").read_text() == ""
 
     def test_problem_too_large_for_memory(self, tmp_path, capsys):
         # 1e9 sites ask for a 6.9 EiB matrix, whose allocation fails at once

@@ -284,9 +284,9 @@ def test_every_docstring_reference_resolves():
 
 
 #: What a model brings to the frame: the model itself, and the members of
-#: HamiltonianModel that the frame refresh reads.
+#: HamiltonianModel that refresh and respond in the frame.
 MODEL_NAMES = {"model"}
-MODEL_ATTRIBUTES = {"_stagger", "coupling_u", "response"}
+MODEL_ATTRIBUTES = {"coupling_u", "frame_stagger", "frame_hamiltonian", "eigenbasis"}
 
 
 def test_the_frame_module_names_no_model():

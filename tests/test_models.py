@@ -90,7 +90,7 @@ class TestEnsembles:
 
 class TestEffectiveHamiltonian:
     """The frame refresh G(Q) = G_core + u (E + phi K), E = Q - N/2, of
-    :class:`~fermicool.models.FrameResponse`: the one definition of the toy
+    :meth:`~fermicool.models.HamiltonianModel.frame_hamiltonian`: the one definition of the toy
     model, checked against the S-frame formula written out in conftest."""
 
     @staticmethod
@@ -111,9 +111,9 @@ class TestEffectiveHamiltonian:
     def test_correction_vanishes_at_initial_value(self, rng):
         # G((N/2) 1) = G_core bit for bit, so H(beta = 0) = H_core
         for system in self.systems(rng, 6):
-            response = HamiltonianModel(system, coupling_u=0.3).frame_response
+            model = HamiltonianModel(system, coupling_u=0.3)
             for norm in (1.0, 0.7):
-                assert np.array_equal(response.hamiltonian(0.5 * norm * np.eye(6), norm),
+                assert np.array_equal(model.frame_hamiltonian(0.5 * norm * np.eye(6), norm),
                                       system.g_core)
 
     def test_diagonal_density_direct_arithmetic(self):
@@ -121,13 +121,13 @@ class TestEffectiveHamiltonian:
         system = SystemSpec(HermitianMatrix(np.zeros((2, 2))), OverlapMatrix(np.eye(2)))
         model = HamiltonianModel(system, coupling_u=1.0)
         q = np.diag([1.0, 0.0])
-        g = model.frame_response.hamiltonian(q, 1.0)
+        g = model.frame_hamiltonian(q, 1.0)
         np.testing.assert_array_equal(g, np.diag([0.5, -0.5]))
         np.testing.assert_array_equal(g, s_frame_hamiltonian(model, q).mat)
 
     def test_symmetric_for_symmetric_density(self, rng):
         for system in self.systems(rng, 8):
-            g = HamiltonianModel(system, coupling_u=0.7).frame_response.hamiltonian(
+            g = HamiltonianModel(system, coupling_u=0.7).frame_hamiltonian(
                 random_symmetric(rng, 8), 1.0)
             assert np.abs(g - g.T).max() == 0.0
 
@@ -141,10 +141,10 @@ class TestEffectiveHamiltonian:
         model = HamiltonianModel(system, coupling_u=-0.3)
         norm = 0.7
         p = random_symmetric(rng, n)
-        np.testing.assert_array_equal(model.frame_response.hamiltonian(p, norm),
+        np.testing.assert_array_equal(model.frame_hamiltonian(p, norm),
                                       s_frame_hamiltonian(model, p, norm).mat)
         stagger = np.diag([(-1.0) ** i for i in range(n)])
-        assert np.asarray(model.frame_response.k).tobytes() == stagger.tobytes()
+        assert np.asarray(model.frame_stagger).tobytes() == stagger.tobytes()
 
 
 class TestExactGrandFd:

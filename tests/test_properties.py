@@ -11,13 +11,21 @@ grand-as-canonical reduction and the kernel's RK4 stages.
 
 The second is the plain bisection for mu over the same bracket, against
 which the safeguarded Newton search must agree on every failure.
+
+The third is exact for the discrete flow of a linear model, whose state
+stays a function of H: each scheme's step is a scalar recurrence for each
+level's occupation, coupled only through sigma (:func:`scalar_map`).  It
+shares no formula with the library, so a wrong coefficient of any order in
+a step shows against it.
 """
 
 import contextlib
+import csv
 import io
 import math
 import re
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -49,6 +57,7 @@ from fermicool import (  # noqa: E402
     exact_grand_fd,
     fermi,
     find_mu_for_occupation,
+    occupation_spectrum,
     read_matrix,
     scf_fixed_point,
     step_kraus1,
@@ -229,6 +238,107 @@ def test_canonical_rk4_conserves_trace_per_step(system, coupling, n_steps, db, f
                 SolverConfig("rk4", n_steps * db, db, record_every=1))
     assert len(traj.diagnostics.trace) == n_steps + 1
     assert np.abs(np.diff(traj.diagnostics.trace)).max() <= 1e-12 * ne
+
+
+# --- exact discrete map of linear runs -------------------------------------
+
+def scalar_map(levels, weights, scheme, ensemble, norm, db, n_steps):
+    """The final occupations (ascending) and mu of a linear run, level by level.
+
+    A linear model's state stays a function of G, so in the eigenbasis of the
+    pencil (H, S) every step of every scheme is a scalar recurrence for each
+    level's occupation q_k, from q_k = N/2 (docs/second_order_scheme.md).
+    The levels meet only in sigma, whose weights ``weights`` are the shares
+    c_k of Tr[S], ||S v_k||^2 for the S-orthonormal eigenvectors v_k.  With
+    x = q (1 - q/N), sigma = sum c lambda x / sum c x (mu and N = 1 for a
+    grand ensemble) and b = -(lambda - sigma)(1 - q/N) / 2:
+
+    * kraus1: q <- (1 + db b)^2 q, dz = db sigma;
+    * kraus2: pdot = 2 b q, sigma' = sum c (lambda - sigma) pdot (1 - 2q/N) / sum c x
+      (0 when grand), b' = (sigma'/2)(1 - q/N) + (lambda - sigma) pdot / (2N),
+      a = 1 + db b + (db^2/2)(b^2 + b'), q <- a^2 q, dz = db (sigma + db sigma'/2);
+    * rk4: classic RK4 on dq/dbeta = -(lambda - sigma(q)) q (1 - q/N), and dz
+      the RK4 weights over the four stage sigmas.
+
+    mu is the sum of dz over the final beta; None for a grand ensemble.
+    """
+    lam, c = levels, weights
+    grand = isinstance(ensemble, GrandCanonical)
+
+    def sigma_of(q):
+        x = q * (1.0 - q / norm)
+        return ensemble.mu if grand else float(np.dot(c, lam * x) / np.dot(c, x))
+
+    def rate(q):
+        sigma = sigma_of(q)
+        return -(lam - sigma) * q * (1.0 - q / norm), sigma
+
+    q = np.full(lam.size, 0.5 * norm)
+    beta_mu = 0.0
+    for _ in range(n_steps):
+        if scheme == "rk4":
+            k1, s1 = rate(q)
+            k2, s2 = rate(q + 0.5 * db * k1)
+            k3, s3 = rate(q + 0.5 * db * k2)
+            k4, s4 = rate(q + db * k3)
+            q = q + db / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            beta_mu += db / 6.0 * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+            continue
+        sigma = sigma_of(q)
+        b = -0.5 * (lam - sigma) * (1.0 - q / norm)
+        if scheme == "kraus1":
+            a, dz = 1.0 + db * b, db * sigma
+        else:
+            pdot = 2.0 * b * q
+            x = q * (1.0 - q / norm)
+            sdot = 0.0 if grand else float(
+                np.dot(c, (lam - sigma) * pdot * (1.0 - 2.0 * q / norm)) / np.dot(c, x))
+            bdot = 0.5 * sdot * (1.0 - q / norm) + (lam - sigma) * pdot / (2.0 * norm)
+            a = 1.0 + db * b + 0.5 * db**2 * (b * b + bdot)
+            dz = db * (sigma + 0.5 * db * sdot)
+        q = a * a * q
+        beta_mu += dz
+    return np.sort(q), None if grand else beta_mu / (n_steps * db)
+
+
+@st.composite
+def linear_systems(draw):
+    """A system for the scalar map: one time in four a cyclic band ring with
+    S = 1 and 115-140 sites, whose F cool() takes by its diagonals, and
+    otherwise dimension 1-9 with S = 1 or SPD; the levels lie within about
+    [-3, 3]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.integers(0, 3)) == 0:
+        n = draw(st.integers(115, 140))
+        h = np.diag(rng.uniform(-1.0, 1.0, n))
+        site = np.arange(n)
+        hop = rng.uniform(-0.5, 0.5, n)
+        h[site, (site + 1) % n] = h[(site + 1) % n, site] = hop
+        return SystemSpec(HermitianMatrix(h), OverlapMatrix(np.eye(n)))
+    n = draw(st.integers(1, 9))
+    s = np.eye(n) if draw(st.booleans()) else random_spd(rng, n)
+    return SystemSpec(HermitianMatrix(random_symmetric(rng, n, scale=n**-0.5)),
+                      OverlapMatrix(s))
+
+
+@given(data=st.data(), system=linear_systems(), scheme=st.sampled_from(solvers.SCHEMES),
+       n_steps=st.integers(1, 12), db=st.floats(0.01, 0.8))
+def test_linear_cool_is_the_scalar_map_of_each_level(data, system, scheme, n_steps, db):
+    # the scalar map is an exact reference for the discrete flow, not only
+    # for its O(db^p) limit: a wrong coefficient of any order shows
+    ensemble = data.draw(ensembles(system))
+    if system.dim >= 115:  # the diagonal path of the kernel runs
+        assert isinstance(matcore.operator(system.g_core), matcore.Diagonals)
+    canonical = isinstance(ensemble, Canonical)
+    norm = canonical_normalization(ensemble.n_electrons, system.s.mat) if canonical else 1.0
+    traj = cool(HamiltonianModel(system), ensemble,
+                SolverConfig(scheme, n_steps * db, db, record_every=n_steps))
+    levels, weights = pencil_levels(system.h_core.mat, system.s.mat)
+    occ, mu = scalar_map(levels, weights, scheme, ensemble, norm, traj.delta_beta, n_steps)
+    got = occupation_spectrum(traj.final_density, system.s)
+    assert np.abs(got - occ).max() <= 1e-12 * norm
+    if canonical:
+        assert abs(traj.final_mu - mu) <= 1e-12 * norm
 
 
 # --- mu search ---------------------------------------------------------------
@@ -513,7 +623,7 @@ def test_frame_refresh_is_the_s_frame_hamiltonian(data, coupling):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     _, y, z = explicit_frame(system.s)
     q = random_symmetric(rng, system.dim)
-    g = model.frame_response.hamiltonian(q, norm)
+    g = model.frame_hamiltonian(q, norm)
     ref = z.T @ s_frame_hamiltonian(model, y @ q @ y.T, norm).mat @ z
     assert np.abs(g - ref).max() <= 1e-13 * max(np.abs(ref).max(), 1.0)
 
@@ -890,6 +1000,33 @@ def _optional(flag):
     return st.one_of(st.none(), _values(flag))
 
 
+#: The --out name under a call's output directory: in a missing directory
+#: one time in four.
+_OUT_NAMES = st.sampled_from(["x.csv", "x.csv", "x.csv", "missing/x.csv"])
+
+
+def listed_outputs(argv):
+    """The files README lists for a call that exits 0: the spectra CSV and
+    its ``.meta``, and for ``run`` the ``.diag.csv``, and the ``.mu.csv``
+    when canonical; the side files drop only a final ``.csv`` from --out."""
+    out = argv[argv.index("--out") + 1]
+    base = out[: -len(".csv")] if out.endswith(".csv") else out
+    names = [out, base + ".meta"]
+    if argv[0] == "run":
+        names.append(base + ".diag.csv")
+        if "--canonical" in argv:
+            names.append(base + ".mu.csv")
+    return {Path(name) for name in names}
+
+
+def as_number(text):
+    """``text`` as a float, or None when it does not parse as one."""
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
 def run_cli(argv, outdir):
     """Run ``main(argv)`` in process and check how it ended; any exception or
     warning that escapes ``main`` fails the test.
@@ -897,8 +1034,12 @@ def run_cli(argv, outdir):
     A nonzero exit of ``main`` prints exactly one ``fermicool: error[kind]:``
     line whose (code, kind) is a row of :data:`~fermicool.cli.EXITS`.
     argparse's own rejections, a ``SystemExit(2)`` after its usage text, are
-    told apart.  An exit 2 leaves ``outdir`` empty.  Returns the exit code and
-    the stderr text.
+    told apart.  An exit 2 leaves ``outdir`` empty, and so does an --out
+    under a missing directory, which main ends in an io error (exit 3).  An
+    exit 0 writes exactly the files README lists (:func:`listed_outputs`),
+    every CSV cell below the header finite or ``n/a``, and every ``.meta``
+    value that parses as a number finite.  Returns the exit code and the
+    stderr text.
     """
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
@@ -917,8 +1058,23 @@ def run_cli(argv, outdir):
         assert line and (code, line[1]) in EXIT_KINDS, (code, err)
     else:
         assert err == ""
-    if code == 2:
+    missing = not Path(argv[argv.index("--out") + 1]).parent.is_dir()
+    if missing and not by_argparse:
+        assert code == 3 and "error[io]" in err, (code, err)
+    if code == 2 or missing:
         assert list(outdir.iterdir()) == []
+    if code == 0:
+        assert set(outdir.iterdir()) == listed_outputs(argv)
+        for path in listed_outputs(argv):
+            text = path.read_text(encoding="utf-8")
+            if path.suffix == ".csv":
+                rows = list(csv.reader(io.StringIO(text)))[1:]
+                numbers = [as_number(cell) for row in rows for cell in row if cell != "n/a"]
+                assert None not in numbers
+            else:
+                numbers = [as_number(line.partition(": ")[2]) for line in text.splitlines()]
+                numbers = [x for x in numbers if x is not None]
+            assert all(map(math.isfinite, numbers)), path
     return code, err
 
 
@@ -927,10 +1083,18 @@ def run_cli(argv, outdir):
        canonical=_optional("--canonical"), mu=_optional("--mu"),
        nonlinear=_optional("--nonlinear"), scf_tol=_optional("--scf-tol"),
        scf_max_iter=_optional("--scf-max-iter"), record_every=_optional("--record-every"),
-       positivity_tol=_optional("--positivity-tol"))
+       positivity_tol=_optional("--positivity-tol"), out=_OUT_NAMES)
+# every command once with ordinary values, whose exit 0 the draws reach rarely
+@example(command="run", beta="1", dbeta="0.1", canonical="3", mu=None, nonlinear="0.05",
+         scf_tol=None, scf_max_iter=None, record_every=None, positivity_tol=None, out="x.csv")
+@example(command="oracle", beta="1", dbeta="0.1", canonical=None, mu="0.5", nonlinear=None,
+         scf_tol=None, scf_max_iter=None, record_every=None, positivity_tol=None, out="x.csv")
+@example(command="convergence", beta="1", dbeta="0.1", canonical=None, mu=None,
+         nonlinear=None, scf_tol=None, scf_max_iter=None, record_every=None,
+         positivity_tol=None, out="x.csv")
 def test_cli_on_malformed_arguments(tmp_path_factory, command, beta, dbeta, canonical, mu,
                                     nonlinear, scf_tol, scf_max_iter, record_every,
-                                    positivity_tol):
+                                    positivity_tol, out):
     # a valid call integrates at most 200 steps
     b, db = float(beta), float(dbeta)
     assume(not (math.isfinite(b) and b > 0 and db > 0 and b / db > 200))
@@ -949,7 +1113,7 @@ def test_cli_on_malformed_arguments(tmp_path_factory, command, beta, dbeta, cano
     elif command == "convergence":
         argv += ["--scheme", "kraus1", "--dbeta-list", dbeta, repr(db / 2), repr(db / 4)]
     outdir = tmp_path_factory.mktemp("cli")
-    run_cli([*argv, "--out", str(outdir / "x.csv")], outdir)
+    run_cli([*argv, "--out", str(outdir / out)], outdir)
 
 
 SAMPLE_S = DATA_DIR / "sample_overlap.mat"
@@ -983,8 +1147,9 @@ def _overlap_file(path, overlap):
 @given(h=_H, overlap=_OVERLAPS,
        command=st.sampled_from([["oracle", "--grand"], ["oracle", "--canonical", "1"],
                                 ["run", "--grand", "--dbeta", "0.1"],
-                                ["run", "--canonical", "1", "--dbeta", "0.1"]]))
-def test_cli_on_arbitrary_matrix_text(tmp_path_factory, h, overlap, command):
+                                ["run", "--canonical", "1", "--dbeta", "0.1"]]),
+       out=_OUT_NAMES)
+def test_cli_on_arbitrary_matrix_text(tmp_path_factory, h, overlap, command, out):
     inputs, outdir = tmp_path_factory.mktemp("cli_files"), tmp_path_factory.mktemp("cli_out")
     path, files, n = inputs / "h.mat", [], 3
     if overlap is not None:
@@ -997,8 +1162,9 @@ def test_cli_on_arbitrary_matrix_text(tmp_path_factory, h, overlap, command):
         a = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n))
         write_matrix(path, scale * (0.5 * (a + a.T)))
     code, err = run_cli([command[0], "--files", str(path), *files, *command[1:], "--beta", "1",
-                         "--out", str(outdir / "x.csv")], outdir)
+                         "--out", str(outdir / out)], outdir)
     try:
         read_matrix(path)
     except MatrixParseError:
-        assert code == 3 and "error[parse]" in err
+        # an --out under a missing directory ends the call before H is read
+        assert out.startswith("missing/") or (code == 3 and "error[parse]" in err)

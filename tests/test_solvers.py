@@ -341,10 +341,10 @@ class TestOperandsStayUntouched:
     def test_frame_hamiltonian(self, rng, weighted):
         s = random_spd(rng, 6) if weighted else np.eye(6)
         system = SystemSpec(HermitianMatrix(random_symmetric(rng, 6)), OverlapMatrix(s))
-        response = HamiltonianModel(system, coupling_u=0.1).frame_response
+        model = HamiltonianModel(system, coupling_u=0.1)
         q = random_spd(rng, 6, lo=0.1, hi=0.7)
         (q_ro,) = read_only(q)
-        assert_same_bits([response.hamiltonian(q_ro, 0.8)], [response.hamiltonian(q, 0.8)])
+        assert_same_bits([model.frame_hamiltonian(q_ro, 0.8)], [model.frame_hamiltonian(q, 0.8)])
 
 
 class TestMuRhs:

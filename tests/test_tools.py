@@ -66,6 +66,29 @@ def test_code_lines_count_code_only(source, lines):
     assert load_tool("code_lines").code_lines(source) == lines
 
 
+DEFINITIONS = SOURCE + '''
+
+@property
+def g(self):
+    def inner():
+        return 1
+    return inner
+'''
+
+
+def test_code_lines_by_definition(tmp_path, capsys):
+    # each module-level def and class counts its code lines under the same
+    # rule, from its first decorator on, nested definitions included
+    tool = load_tool("code_lines")
+    assert tool.by_definition(DEFINITIONS) == [("f", 3), ("A", 2), ("g", 5)]
+    assert tool.by_definition("x = 1\n") == []
+    path = tmp_path / "mod.py"
+    path.write_text(DEFINITIONS)
+    assert tool.main(["--by-definition", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "     5  mod.g", "     3  mod.f", "     2  mod.A", "    11  total"]
+
+
 def result_line(**values):
     # one bench/run.py result object, as its last output line
     return json.dumps({"correct": True, "attempted": 12, "failed": 0,
