@@ -4,8 +4,8 @@ The congruence update A P A^T cannot create negative eigenvalues, for any
 operator and any step size.  Driving the first-order scheme with a step far
 too crude to be accurate makes that concrete: the answer degrades in
 accuracy, never in physicality.  Runge-Kutta carries no such guarantee, so
-the integrator monitors the smallest eigenvalue at every recorded step and
-reports violations instead of clipping them.
+the integrator monitors the smallest occupation, the smallest eigenvalue of
+S^-1 P, at every recorded step and reports violations instead of clipping them.
 """
 
 import numpy as np
@@ -38,8 +38,8 @@ for scheme in ("kraus1", "kraus2", "rk4"):
         print( "          operator is expansive at this step, so norms overflow;")
         print( "          every iterate before the overflow was still positive\n")
         continue
-    occ = occupation_spectrum(traj.final_density, system.s)
-    print(f"{scheme:8s}  smallest eigenvalue along the run: "
+    occ = traj.final_occupations
+    print(f"{scheme:8s}  smallest occupation along the run: "
           f"{traj.diagnostics.min_eigenvalue.min():+.3e}")
     print(f"          occupations stay in [{occ.min():+.3e}, {occ.max():.6f}]")
     print(f"          max error vs the exact state: {np.abs(occ - exact).max():.3e}"

@@ -53,7 +53,6 @@ from .models import (
     default_chemical_potential,
     exact_canonical_mu,
     load_system,
-    occupation_spectrum,
     scf_fixed_point,
 )
 from .solvers import SCHEMES, SolverConfig, cool
@@ -312,8 +311,7 @@ def cmd_run(args) -> int:
     traj = cool(req.model, req.ensemble, config)
     oracle = _oracle_state(req, config.beta_final)
 
-    occ_run = occupation_spectrum(traj.final_density, req.model.system.s)
-    occ_exact = occupation_spectrum(oracle.density, req.model.system.s)
+    occ_run, occ_exact = traj.final_occupations, oracle.occupations
     rows = [(i, _fmt(a), _fmt(b), _fmt(abs(a - b)))
             for i, (a, b) in enumerate(zip(occ_run, occ_exact))]
     _write_csv(paths["spectra"], ["index", "dmm_eigenvalue", "exact_eigenvalue", "abs_error"], rows)
@@ -354,9 +352,8 @@ def cmd_oracle(args) -> int:
     beta = args.beta
 
     oracle = _oracle_state(req, beta)
-    occ = occupation_spectrum(oracle.density, req.model.system.s)
     _write_csv(paths["spectra"], ["index", "exact_eigenvalue"],
-               [(i, _fmt(v)) for i, v in enumerate(occ)])
+               [(i, _fmt(v)) for i, v in enumerate(oracle.occupations)])
     meta = [
         ("command", "oracle"),
         ("version", __version__),
@@ -387,7 +384,7 @@ def cmd_convergence(args) -> int:
             config = SolverConfig(scheme=args.scheme, beta_final=beta, delta_beta=db)
         except ValueError as exc:
             raise ArgumentSemanticsError(f"--dbeta-list entry {db}: {exc}") from None
-        # only the final density is read: record beta = 0 and the last step
+        # only the final occupations are read: record beta = 0 and the last step
         configs.append(replace(config, record_every=config.n_steps))
     for a, b in zip(dbetas, dbetas[1:]):
         if not math.isclose(a / b, 2.0, rel_tol=1e-9):
@@ -396,12 +393,11 @@ def cmd_convergence(args) -> int:
             )
     paths = _out_paths(req.output_path)
 
-    occ_exact = occupation_spectrum(_oracle_state(req, beta).density, req.model.system.s)
+    occ_exact = _oracle_state(req, beta).occupations
 
     errors = []
     for config in configs:
-        traj = cool(req.model, req.ensemble, config)
-        occ = occupation_spectrum(traj.final_density, req.model.system.s)
+        occ = cool(req.model, req.ensemble, config).final_occupations
         errors.append(float(np.abs(occ - occ_exact).max()))
 
     rows = []
@@ -454,7 +450,8 @@ def _add_common(parser: argparse.ArgumentParser, with_solver: bool) -> None:
         parser.add_argument("--record-every", type=int, default=None, metavar="K",
                             help="record every K steps (default: about 100 records per run)")
         parser.add_argument("--positivity-tol", type=float, default=1e-10, metavar="TOL",
-                            help="count a smallest eigenvalue below -TOL as a violation")
+                            help="count a smallest occupation (eigenvalue of S^-1 P) "
+                                 "below -TOL as a violation")
 
 
 def build_parser() -> argparse.ArgumentParser:

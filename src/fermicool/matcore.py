@@ -69,9 +69,11 @@ def symmetrize(m):
 
 
 def maxabs_asymmetry(m):
-    """Largest absolute entry of M - M^T."""
+    """Largest absolute entry of M - M^T; inf, with no numpy warning, where
+    a difference passes the largest float."""
     a = np.asarray(m, dtype=float)
-    return float(np.abs(a - a.T).max())
+    with np.errstate(over="ignore"):
+        return float(np.abs(a - a.T).max())
 
 
 class Dense:
@@ -280,16 +282,6 @@ class Frame:
         """The row scaling diag(s) M; C^T diag(s) C is ``c.T @ scale_rows(c)``."""
         return m * self.s[:, None]
 
-    def spectrum(self, q):
-        """The ascending eigenvalues of Y Q Y^T, those of D^1/2 Q D^1/2 with
-        D = diag(s), or NaN when that matrix is not finite."""
-        # outer(s^1/2, s^1/2) is exactly symmetric, and so is D^1/2 Q D^1/2
-        root = np.sqrt(self.s)
-        scaled = q * np.outer(root, root)
-        if not (math.isfinite(scaled.min()) and math.isfinite(scaled.max())):
-            return np.full(len(q), np.nan)
-        return np.linalg.eigvalsh(scaled)
-
     def norm_zy(self, c) -> float:
         """||Z C Y^T||_F, such as that of [S^-1 P, S^-1 H] = Z [Q, G] Y^T, from C alone.
 
@@ -336,9 +328,6 @@ class IdentityFrame(Frame):
 
     def scale_rows(self, m):
         return m
-
-    def spectrum(self, q):
-        return np.linalg.eigvalsh(q)
 
     def norm_zy(self, c) -> float:
         return float(np.linalg.norm(c, "fro"))

@@ -30,7 +30,7 @@ in place of the pencil (H, S).  The cooling flow in
 :mod:`fermicool.solvers` and every exact state work there, through the few
 operations of that one :class:`~fermicool.matcore.Frame` object: to the
 frame and back, the weighted trace and entry sum, the row scaling by
-diag(s), the spectrum and the two S-frame norms of a frame matrix.  The
+diag(s) and the two S-frame norms of a frame matrix.  The
 frame knows no model: the toy model's refresh is built here from those
 operations.  An overlap that is exactly the identity has an
 :class:`~fermicool.matcore.IdentityFrame`, which makes each of them with
@@ -38,7 +38,9 @@ the plain unweighted numpy call and forms no Y or Z, so that no other code
 tests how S = 1 is represented.  One evaluation,
 F(Q) = C diag(N f) C^T from the levels G = C diag(lambda) C^T, serves the
 SCF and the linear oracles :func:`exact_grand_fd`, :func:`exact_canonical_fd`
-and :func:`exact_canonical_mu` alike; a linear model's levels are those of
+and :func:`exact_canonical_mu` alike, and its N f are the state's
+occupations, the eigenvalues of S^-1 P (:attr:`ScfResult.occupations`), so
+that no oracle reads them back from P; a linear model's levels are those of
 G_core, decomposed once per system (:attr:`SystemSpec.levels`), and a
 nonlinear model refreshes G in the frame
 (:meth:`HamiltonianModel.frame_hamiltonian`) in O(n^2), as the cooling flow does.
@@ -435,7 +437,7 @@ def exact_canonical_mu(system: SystemSpec, n_electrons: float, beta: float,
 
 def _exact_state(system: SystemSpec, beta: float, ensemble: Ensemble, norm: float):
     # the linear model's state (P, mu): F(Q) reads no Q, so one evaluation is the fixed point
-    f, mu, _ = _frame_state(HamiltonianModel(system), None, beta, ensemble, norm)
+    f, mu, _, _ = _frame_state(HamiltonianModel(system), None, beta, ensemble, norm)
     return _density(system, f, beta, norm), mu
 
 
@@ -464,27 +466,29 @@ def _levels_mu(system: SystemSpec, levels, beta: float, n_electrons: float, norm
 
 def _frame_state(model: HamiltonianModel, q, beta: float, ensemble: Ensemble, norm: float,
                  mu_guess=None):
-    """F(Q), the frame form of FD(H(P)) at P = Y Q Y^T: (F, mu, (lambda, C)).
+    """F(Q), the frame form of FD(H(P)) at P = Y Q Y^T: (F, mu, (lambda, C), occupations).
 
     The levels are the eigenpairs G(Q) = C diag(lambda) C^T: a linear
     model's are the system's cached :attr:`~SystemSpec.levels` of G_core, a
     nonlinear model refreshes G(Q) = G_core + dG(Q - N/2)
     (:meth:`HamiltonianModel.frame_hamiltonian`) and decomposes it by one
     :func:`~fermicool.matcore.generalized_eigh`.  F = C diag(N f) C^T with
-    f = fermi(beta (lambda - mu)).  A canonical ensemble solves mu from
-    ``mu_guess`` on the levels (:func:`_levels_mu`).  At beta = 0,
-    F = (N/2) 1 whatever Q is, so the fixed point is P = (N/2) S, where
-    H = H_core by construction: the canonical mu of every model is the limit
-    Tr[H_core] / Tr[S] (:func:`infinite_temperature_mu`), as in
-    :func:`~fermicool.solvers.cool` and :func:`exact_canonical_mu`; no H is
-    formed, and no eigenpairs (None is returned for them).  Non-finite
-    levels raise BracketError, a G(Q) that is not finite LinAlgError.
+    f = fermi(beta (lambda - mu)); the occupations are N f sorted ascending,
+    the eigenvalues of F and of S^-1 P for P = Y F Y^T.  A canonical
+    ensemble solves mu from ``mu_guess`` on the levels (:func:`_levels_mu`).
+    At beta = 0, F = (N/2) 1 whatever Q is, so the fixed point is
+    P = (N/2) S, where H = H_core by construction: the canonical mu of every
+    model is the limit Tr[H_core] / Tr[S] (:func:`infinite_temperature_mu`),
+    as in :func:`~fermicool.solvers.cool` and :func:`exact_canonical_mu`; no
+    H is formed, and no eigenpairs (None is returned for them), and every
+    occupation is N/2.  Non-finite levels raise BracketError, a G(Q) that is
+    not finite LinAlgError.
     """
     system = model.system
     grand = isinstance(ensemble, GrandCanonical)
     if beta == 0.0:
         mu = ensemble.mu if grand else infinite_temperature_mu(system.h_core, system.s)
-        return np.eye(system.dim) * (0.5 * norm), mu, None
+        return np.eye(system.dim) * (0.5 * norm), mu, None, np.full(system.dim, 0.5 * norm)
     if model.is_linear:
         lam, c = system.levels
     else:
@@ -497,7 +501,7 @@ def _frame_state(model: HamiltonianModel, q, beta: float, ensemble: Ensemble, no
     # an argument that overflows to +-inf saturates the Fermi factor exactly
     with np.errstate(over="ignore"):
         occ = norm * fermi(beta * (lam - mu))
-    return (c * occ) @ c.T, mu, (lam, c)
+    return (c * occ) @ c.T, mu, (lam, c), np.sort(occ)
 
 
 def _fd_jacobian(model: HamiltonianModel, eig, beta: float, mu: float, norm: float,
@@ -558,11 +562,16 @@ _FAILED_ITERATE = (ValueError, BracketError, MuConvergenceError)
 
 
 class ScfResult(NamedTuple):
-    """Converged self-consistent state."""
+    """Converged self-consistent state.
+
+    ``occupations`` are the ascending N f(beta (lambda - mu)) over the levels
+    of its last evaluation, the eigenvalues of S^-1 P; N/2 each at beta = 0.
+    """
 
     density: HermitianMatrix
     mu: float
     iterations: int
+    occupations: np.ndarray
 
 
 def scf_fixed_point(
@@ -665,20 +674,21 @@ def scf_fixed_point(
     q = np.eye(n) * (0.5 * norm) if start is None else frame.to_frame(start)
 
     def evaluate(q, mu):
-        # F(Q), its mu and the eigenpairs of G(Q); the mu search starts at ``mu``
+        # F(Q), its mu, the eigenpairs of G(Q) and the occupations; the mu
+        # search starts at ``mu``
         return _frame_state(model, q, beta, ensemble, norm, mu)
 
     # failures at the start density keep their own errors
-    f, mu, eig = evaluate(q, mu_guess)
+    f, mu, eig, occ = evaluate(q, mu_guess)
     if model.is_linear:  # F does not depend on Q: F(start) is the fixed point
-        return ScfResult(_density(system, f, beta, norm), mu, 1)
+        return ScfResult(_density(system, f, beta, norm), mu, 1, occ)
     prev_residual = np.inf
     stalled = 0
     for it in range(1, max_iter + 1):
         r = f - q
         residual = float(np.abs(frame.from_frame(r)).max())
         if residual < tol:
-            return ScfResult(_density(system, f, beta, norm), mu, it)
+            return ScfResult(_density(system, f, beta, norm), mu, it, occ)
         if residual >= prev_residual:
             stalled += 1
         elif not use_aitken:
@@ -714,6 +724,6 @@ def scf_fixed_point(
                         residual, it,
                         f"SCF iterate {it + 1}, a Picard step, has no Fermi-Dirac state: {cause}",
                     ) from None
-        f, mu, eig = state
+        f, mu, eig, occ = state
         prev_residual = residual
     raise ScfConvergenceError(residual, max_iter)

@@ -13,7 +13,7 @@ where B' is the total beta-derivative of B along the flow.  Both updates are
 congruences and preserve positive semidefiniteness exactly, for any step
 size; docs/second_order_scheme.md derives A and shows why a single
 congruence is used.  Classic RK4 is provided as well; it has no congruence
-structure, so the smallest eigenvalue is monitored at every recorded step.
+structure, so the smallest occupation is monitored at every recorded step.
 
 Canonical flows use the trace-preserving scalar sigma = Tr[X S^-1 H] / Tr[X],
 X = P (1 - S^-1 P / N), which makes d Tr[P] / dbeta = 0 identically.  The
@@ -81,8 +81,8 @@ class SolverConfig:
     (``n_steps = round(beta_final / delta_beta)``, at most :data:`MAX_STEPS`);
     the snapped value is recorded in the resulting trajectory.
     ``positivity_tol`` is the finite, non-negative amount by which the
-    smallest recorded eigenvalue may fall below zero before the step is
-    counted as a positivity violation.
+    smallest recorded occupation, the smallest eigenvalue of S^-1 P, may
+    fall below zero before the step is counted as a positivity violation.
     """
 
     scheme: str
@@ -123,7 +123,11 @@ class SolverConfig:
 
 @dataclass
 class TrajectoryDiagnostics:
-    """Per-recorded-step health indicators, aligned with ``Trajectory.betas``."""
+    """Per-recorded-step health indicators, aligned with ``Trajectory.betas``.
+
+    ``min_eigenvalue`` holds the smallest occupation, the smallest
+    eigenvalue of S^-1 P, which is N/2 at beta = 0.
+    """
 
     min_eigenvalue: np.ndarray
     trace: np.ndarray
@@ -137,7 +141,8 @@ class Trajectory:
 
     ``betas``, ``mu_trace`` and ``diagnostics`` hold one entry per record;
     ``densities`` holds only the initial and the final density, P(0) and
-    P(beta_final).
+    P(beta_final), and ``final_occupations`` the ascending eigenvalues of
+    S^-1 P(beta_final) that the final record took.
     """
 
     betas: np.ndarray
@@ -147,6 +152,7 @@ class Trajectory:
     scheme: str
     delta_beta: float
     beta_final: float
+    final_occupations: np.ndarray
     positivity_violations: list = field(default_factory=list)
 
     @property
@@ -385,21 +391,21 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
 
     Recorded every ``config.record_every`` steps, at beta = 0 (from the exact
     initial P) and at the final step, as scalars: mu, the smallest
-    eigenvalue of P, Tr[P], the commutator norm ||[S^-1 P, S^-1 H]||_F, and
+    occupation, Tr[P], the commutator norm ||[S^-1 P, S^-1 H]||_F, and
     the Hamiltonian refresh defect ||[H, dH/dbeta]||_F of the step's refresh.
-    Since Y^T Y = D = diag(s), P = Y Q Y^T has the spectrum of
-    D^1/2 Q D^1/2 and the trace s . diag(Q), from which both are taken (from
-    Q itself when S = 1).  Both norms are weighted sums over frame matrices,
+    The occupations are the eigenvalues of S^-1 P = Z Q Y^T, which are
+    those of Q, so a record takes one ``eigvalsh(Q)``; the final record's
+    ascending array is the trajectory's ``final_occupations``.  The trace
+    is s . diag(Q).  Both norms are weighted sums over frame matrices,
     one product each (docs/second_order_scheme.md); until G is first
     refreshed Q is a function of G, so both read exactly 0 for linear models
-    and at the first step.  At
-    beta = 0 the smallest eigenvalue is (N/2) s_min, from the overlap's
-    spectrum, so that record takes no matrix product or decomposition.  The
-    positivity violations are the (beta, smallest eigenvalue) of the records
-    whose smallest eigenvalue is below ``-config.positivity_tol``.  A record
-    whose D^1/2 Q D^1/2 is not finite aborts the run as a Q that is not.  The
+    and at the first step.  At beta = 0 every occupation is N/2, so that
+    record takes no matrix product or decomposition.  The positivity
+    violations are the (beta, smallest occupation) of the records whose
+    smallest occupation is below ``-config.positivity_tol``.  The
     trajectory keeps two densities, P(0) = (N/2) S and the final P, whatever
-    the number of records; both are formed after the loop.
+    the number of records; both are formed after the loop, and a final
+    P = Y Q Y^T that is not finite aborts the run as a Q that is not.
 
     The loop's working set is Q, F (and G apart from it on grand runs of a
     density-dependent model; F by its band is O(h n)), G_last only
@@ -411,8 +417,8 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     Raises
     ------
     SolverAbortError
-        If the state, or the D^1/2 Q D^1/2 of a record, stops being finite;
-        carries the last good beta.
+        If the state, its occupations or the final P = Y Q Y^T stop being
+        finite; carries the beta the failing step started from.
     InfeasibleEnsembleError, DegenerateTraceError
         Propagated from the canonical constraint machinery.
     """
@@ -452,10 +458,10 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
     def record(beta, eigmin, trace, comm_norm, refresh_defect):
         records.append([beta, mu, eigmin, trace, comm_norm, refresh_defect])
 
-    # Q(0) = (N/2) 1 commutes with G, and P(0) = (N/2) S has the smallest
-    # eigenvalue (N/2) s_min, so beta = 0 is recorded without a product; its
-    # trace is filled in once P(0) is formed, after the loop
-    record(0.0, 0.5 * norm * float(frame.s[0]), None, 0.0, 0.0)
+    # Q(0) = (N/2) 1 commutes with G and its every occupation is N/2, so
+    # beta = 0 is recorded without a product; its trace is filled in once
+    # P(0) is formed, after the loop
+    record(0.0, 0.5 * norm, None, 0.0, 0.0)
     q_floor = 0.5 * norm * TAIL_FLOOR
     # the RK4 result is exactly symmetric: X = Q Q^T is one symmetric rank-k
     # product, the rate adds F X to its own transpose and every other stage
@@ -504,12 +510,16 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
                     qg -= qg.T  # exact: numpy buffers an operand that overlaps the output
                     comm_norm = frame.norm_zy(qg)
                     del qg
-                eigmin = float(frame.spectrum(q)[0])
-                if not math.isfinite(eigmin):  # D^1/2 Q D^1/2 is not finite
+                occupations = np.linalg.eigvalsh(q)
+                if not np.isfinite(occupations).all():  # past the largest float
                     raise SolverAbortError(beta_i)
-                record(beta_next, eigmin, frame.trace(q), comm_norm, refresh_defect)
-        last = HermitianMatrix(frame.from_frame(q))
-    del q, f, g  # P(0) is formed once the loop's arrays are gone
+                record(beta_next, float(occupations[0]), frame.trace(q), comm_norm,
+                       refresh_defect)
+        p = frame.from_frame(q)
+        if not (math.isfinite(p.min()) and math.isfinite(p.max())):
+            raise SolverAbortError(beta_i)
+        last = HermitianMatrix(p)
+    del p, q, f, g  # P(0) is formed once the loop's arrays are gone
     first = HermitianMatrix(0.5 * norm * s_mat)
     records[0][3] = float(np.trace(first.mat))
 
@@ -527,6 +537,7 @@ def cool(model: HamiltonianModel, ensemble: Ensemble, config: SolverConfig) -> T
         scheme=scheme,
         delta_beta=db,
         beta_final=config.beta_final,
+        final_occupations=occupations,
         positivity_violations=[(b, m) for b, m in zip(betas, mineig)
                                if m < -config.positivity_tol],
     )

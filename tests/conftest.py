@@ -52,6 +52,15 @@ def explicit_frame(s):
     return vals, u * root, u / root
 
 
+def cholesky_occupations(p, s):
+    """The ascending eigenvalues of S^-1 P, formed here and not by the
+    library: with the Cholesky factor S = L L^T they are those of the
+    symmetric L^-1 P L^-T, symmetrized before its ``eigvalsh``."""
+    chol = np.linalg.cholesky(np.asarray(s, dtype=float))
+    x = np.linalg.solve(chol, np.linalg.solve(chol, np.asarray(p, dtype=float)).T)
+    return np.linalg.eigvalsh(0.5 * (x + x.T))
+
+
 def s_frame_response(model, dp):
     """The toy model's linear response dH(dP) = u (dP + phi(dP) J), written
     out here and not by the library: phi(dP) is the sum of the off-diagonal

@@ -381,6 +381,21 @@ class TestOracle:
         assert len(rows) == 51
         assert all(float(r[1]) == 0.5 for r in rows[1:])
 
+    def test_occupations_of_degenerate_levels_are_analytic(self, tmp_path):
+        # the 6-ring's levels -2, -1, -1, 1, 1, 2 at half filling: mu = 0, so
+        # the three highest levels hold f(60) = e^-60 / (1 + e^-60) and f(30)
+        # twice, read from the levels and not back from the density; eigh
+        # may return the degenerate pair an ulp apart, so their occupations
+        # agree to rounding (3.5e-15 relative with levels 1 - 2^-53 and 1),
+        # not always bit for bit
+        out = tmp_path / "o.csv"
+        assert main(["oracle", "--huckel", "6", "0", "1", "--canonical", "3", "--beta", "30",
+                     "--out", str(out)]) == 0
+        occ = [float(row[1]) for row in read_csv(out)[1:]]
+        assert occ[0] == pytest.approx(8.7565107626965832e-27, rel=1e-15, abs=0.0)
+        assert occ[1] == pytest.approx(9.3576229688393e-14, rel=1e-14, abs=0.0)
+        assert occ[2] == pytest.approx(occ[1], rel=1e-14, abs=0.0)
+
     def test_nonlinear_scf_reports_iterations(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
         code = main([
@@ -701,8 +716,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("scheme", ["kraus1", "kraus2", "rk4"])
     def test_record_of_a_state_whose_s_frame_form_overflows(self, tmp_path, capsys, scheme):
-        # Q stays finite, but D^1/2 Q D^1/2, whose spectrum the record takes,
-        # passes the largest float: a solver abort, not a failed eigvalsh
+        # Q's S-frame form P = Y Q Y^T passes the largest float, and Q itself
+        # at the next step: a solver abort, not a failed eigvalsh
         a = np.random.default_rng(1).uniform(-1.0, 1.0, (4, 4))
         files = input_files(tmp_path, 1e300 * (a + a.T) / 2, 1e200 * np.eye(4))
         out = tmp_path / "out" / "x.csv"
@@ -711,6 +726,23 @@ class TestExitCodes:
             warnings.simplefilter("error")
             code = main(["run", "--files", *files, "--canonical", "2", "--nonlinear", "0.5",
                          "--beta", "1", "--dbeta", "0.1", "--scheme", scheme, "--out", str(out)])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("fermicool: error[solver-abort]: non-finite values")
+        assert err.count("\n") == 1 and list(out.parent.iterdir()) == []
+
+    @pytest.mark.parametrize("scheme", ["kraus1", "kraus2", "rk4"])
+    def test_final_state_whose_s_frame_form_overflows(self, tmp_path, capsys, scheme):
+        # one step of db = 1 at mu = 40 over the level 0 takes the occupation
+        # from 1/2 to a finite value past 2, and P = 1e308 q passes the
+        # largest float: a solver abort before the final density is formed
+        out = tmp_path / "out" / "x.csv"
+        out.parent.mkdir()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--files", *input_files(tmp_path, "1 1\n0\n", "1 1\n1e308\n"),
+                         "--grand", "--mu", "40", "--beta", "1", "--dbeta", "1",
+                         "--scheme", scheme, "--out", str(out)])
         assert code == 5
         err = capsys.readouterr().err
         assert err.startswith("fermicool: error[solver-abort]: non-finite values")

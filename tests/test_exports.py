@@ -300,3 +300,17 @@ def test_the_frame_module_names_no_model():
             or (isinstance(node, ast.Attribute) and node.attr in MODEL_ATTRIBUTES)
             or (isinstance(node, ast.FunctionDef) and node.name in MODEL_ATTRIBUTES)]
     assert hits == []
+
+
+def test_no_library_code_reads_occupations_back_from_a_density():
+    # a state's occupations are read where they are made, eig(Q) in cool()
+    # and N f in the oracle's evaluation; occupation_spectrum, which takes
+    # them back from an S-frame density, is defined in models for users,
+    # re-exported by the package, and named by no other library code
+    names = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    hits = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+            for path in sorted((ROOT / "src" / "fermicool").glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if getattr(node, names.get(type(node), ""), None) == "occupation_spectrum"
+            and not (path.name == "__init__.py" and isinstance(node, ast.alias))]
+    assert hits == []

@@ -30,7 +30,8 @@ from fermicool import (
 from fermicool import solvers
 from fermicool.matcore import Dense, Diagonals, operator, symmetrize
 from fermicool.solvers import MAX_STEPS, _flow, _rate
-from conftest import explicit_frame, random_spd, random_symmetric, s_frame_hamiltonian
+from conftest import (cholesky_occupations, explicit_frame, random_spd, random_symmetric,
+                      s_frame_hamiltonian)
 
 EPS = np.finfo(float).eps
 
@@ -651,9 +652,12 @@ class TestCool:
         # by symmetry; step k uses the Hamiltonian of the density recorded at
         # step k - 1, and step 1 the core Hamiltonian, of which its P is a
         # function.  Each gap is bounded by 4 n eps times the size of the
-        # products it differences, the scale of their rounding.
+        # products it differences, the scale of their rounding; the smallest
+        # occupation is that of S^-1 P, whose Cholesky reference
+        # (L^-1 P L^-T, S = L L^T) rounds by up to 1 / s_min times more.
         n = 6
         s = OverlapMatrix(random_spd(rng, n))
+        s_lo = float(np.linalg.eigvalsh(s.mat)[0])
         system = SystemSpec(HermitianMatrix(random_symmetric(rng, n)), s)
         model = HamiltonianModel(system, coupling_u=0.3)
         _, y, _ = explicit_frame(s)
@@ -670,7 +674,8 @@ class TestCool:
             for k, p in enumerate(ps):
                 size = np.linalg.norm(p, "fro")
                 assert abs(diag.trace[k] - np.trace(p)) <= tol * size
-                assert abs(diag.min_eigenvalue[k] - np.linalg.eigvalsh(p)[0]) <= tol * size
+                occupations, bound = cholesky_occupations(p, s.mat), tol * size / s_lo
+                assert abs(diag.min_eigenvalue[k] - occupations[0]) <= bound
                 if k < 2:
                     assert diag.commutator_norm[k] == diag.h_refresh_defect[k] == 0.0
                     continue
@@ -684,6 +689,7 @@ class TestCool:
                 size = (np.linalg.norm(h_last, "fro")
                         * (np.linalg.norm(h_last, "fro") + np.linalg.norm(h, "fro")) / 0.05)
                 assert abs(diag.h_refresh_defect[k] - defect) <= tol * size
+            assert np.abs(traj.final_occupations - occupations).max() <= bound
             assert diag.commutator_norm[-1] > 1e-4
 
     @pytest.mark.parametrize("identity_overlap", [True, False])
@@ -1002,8 +1008,8 @@ class TestTailFloor:
     @pytest.mark.parametrize("identity_overlap", [True, False])
     def test_beta_zero_is_recorded_without_a_decomposition(self, rng, monkeypatch,
                                                            identity_overlap):
-        # P(0) = (N/2) S has the smallest eigenvalue (N/2) s_min, and
-        # Q(0) = (N/2) 1 commutes with G
+        # every occupation of P(0) = (N/2) S, an eigenvalue of S^-1 P(0), is
+        # N/2, and Q(0) = (N/2) 1 commutes with G
         n = 6
         s = OverlapMatrix(np.eye(n) if identity_overlap else random_spd(rng, n))
         system = SystemSpec(HermitianMatrix(random_symmetric(rng, n)), s)
@@ -1020,8 +1026,9 @@ class TestTailFloor:
         monkeypatch.undo()
         assert len(calls) == 2  # the two steps, not beta = 0
         assert traj.diagnostics.commutator_norm[0] == 0.0
-        reference = eigvalsh(traj.densities[0].mat)[0]
+        reference = cholesky_occupations(traj.densities[0].mat, s.mat)
+        assert traj.diagnostics.min_eigenvalue[0] == 0.5 * norm
         if identity_overlap:
-            assert traj.diagnostics.min_eigenvalue[0] == 0.5 * norm == reference
+            assert (reference == 0.5 * norm).all()
         else:
-            assert traj.diagnostics.min_eigenvalue[0] == pytest.approx(reference, rel=1e-13)
+            assert reference == pytest.approx(np.full(n, 0.5 * norm), rel=1e-13)
