@@ -51,9 +51,9 @@ from .models import (
     ScfResult,
     build_huckel,
     default_chemical_potential,
-    exact_canonical_mu,
     load_system,
     scf_fixed_point,
+    scf_mu_trace,
 )
 from .solvers import SCHEMES, SolverConfig, cool
 
@@ -236,18 +236,12 @@ def _run_config(args) -> SolverConfig:
         raise ArgumentSemanticsError(str(exc)) from None
 
 
-def _oracle_state(req: RunRequest, beta: float, start=None, mu_guess=None) -> ScfResult:
+def _oracle_state(req: RunRequest, beta: float) -> ScfResult:
     """Exact reference state: the fixed point of :func:`scf_fixed_point`, which
-    takes one evaluation for a linear model.
-
-    ``start`` is the SCF start density (None: the cold start); linear models
-    ignore it.  ``mu_guess`` is where a canonical mu search starts (the first
-    one of an SCF).
-    """
+    takes one evaluation for a linear model."""
     return scf_fixed_point(
         req.model, req.ensemble, beta,
         tol=req.scf_tol, max_iter=req.scf_max_iter, use_aitken=req.use_aitken,
-        start=start, mu_guess=mu_guess,
     )
 
 
@@ -256,50 +250,15 @@ def _scf_count(req: RunRequest, iterations) -> str:
     return "n/a" if iterations is None or req.model.is_linear else str(iterations)
 
 
-def _continuation_start(points, beta: float):
-    """Start at ``beta``: the Lagrange polynomial in beta through the kept
-    points ``(beta_i, x_i)``, or None (cold start) when there are none.  The
-    x_i are SCF fixed points P_i or oracle chemical potentials mu_i.
-
-    With three points this is the quadratic extrapolation, with two the
-    secant, and with one the last point itself.
-    """
-    if not points:
-        return None
-    start = 0.0
-    for i, (b_i, x_i) in enumerate(points):
-        weight = math.prod((beta - b_j) / (b_i - b_j)
-                           for j, (b_j, _) in enumerate(points) if j != i)
-        start = start + weight * x_i
-    return start
-
-
 def _mu_trace(req: RunRequest, betas, mu_integrated):
     """Rows of the mu CSV of a canonical run and the total SCF iterations.
 
-    The oracle walks the record betas in order.  Each mu search starts from
-    the quadratic extrapolation in beta of the previous three oracle mu.  A
-    linear model solves for mu alone on the system's cached levels
-    (:func:`~fermicool.models.exact_canonical_mu`), forms no density and
-    runs no SCF; a nonlinear model continues its SCF from the extrapolation
-    of the previous three fixed points.  Only those three are kept (see
-    :func:`_continuation_start`).
+    The oracle's mu comes from one walk over the record betas that continues
+    each SCF from the previous ones (:func:`~fermicool.models.scf_mu_trace`).
     """
-    rows, fixed_points, mus, total = [], [], [], 0
-    system, n_electrons = req.model.system, req.ensemble.n_electrons
-    for beta, mu_int in zip(betas, mu_integrated):
-        beta = float(beta)
-        mu_guess = _continuation_start(mus, beta)
-        if req.model.is_linear:
-            mu = exact_canonical_mu(system, n_electrons, beta, mu_guess)
-        else:
-            res = _oracle_state(req, beta, _continuation_start(fixed_points, beta), mu_guess)
-            mu = res.mu
-            fixed_points = [*fixed_points[-2:], (beta, res.density.mat)]
-            total += res.iterations
-        rows.append((_fmt(beta), _fmt(mu_int), _fmt(mu)))
-        mus = [*mus[-2:], (beta, mu)]
-    return rows, total
+    mus, total = scf_mu_trace(req.model, req.ensemble, betas, req.scf_tol, req.scf_max_iter,
+                              req.use_aitken)
+    return [tuple(map(_fmt, row)) for row in zip(betas, mu_integrated, mus)], total
 
 
 def cmd_run(args) -> int:

@@ -8,13 +8,16 @@ cooling integrators in :mod:`fermicool.solvers` are validated:
   normalization ``N = 2 Ne / Tr[S]`` fixing ``Tr[P(0)] = Ne`` and ``mu(beta)``
   solved by a safeguarded Newton search so the trace stays at ``Ne``; the
   search can start from a guess, which the SCF loop takes from its previous
-  iterate
+  iterate and :func:`scf_mu_trace` from the mu of the previous temperatures
 
 For density-dependent Hamiltonians ``H = H_core + H_exc(P)`` the exact state
 is the fixed point of ``F(P) = FermiDirac(H(P))``, found by
-:func:`scf_fixed_point`.  The toy model (:class:`HamiltonianModel`) is
-affine in P, with its one definition the frame refresh
-:meth:`HamiltonianModel.frame_hamiltonian`, so the derivative J of F comes
+:func:`scf_fixed_point`; :func:`scf_mu_trace` walks an ascending list of
+temperatures with the same SCF loop, continuing each fixed point from the
+previous ones in the frame, for the canonical mu trace of a run.  The toy
+model (:class:`HamiltonianModel`) is affine in P, with its one definition
+the frame refresh :meth:`HamiltonianModel.frame_hamiltonian`, so the
+derivative J of F comes
 from the eigendecomposition each evaluation of F already makes (divided
 differences of the Fermi factor; in the canonical ensemble a d mu term
 keeps Tr[J dP] = 0).  The SCF takes Newton steps (1 - J) delta = F(P) - P
@@ -37,12 +40,12 @@ operations.  An overlap that is exactly the identity has an
 the plain unweighted numpy call and forms no Y or Z, so that no other code
 tests how S = 1 is represented.  One evaluation,
 F(Q) = C diag(N f) C^T from the levels G = C diag(lambda) C^T, serves the
-SCF and the linear oracles :func:`exact_grand_fd`, :func:`exact_canonical_fd`
-and :func:`exact_canonical_mu` alike, and its N f are the state's
-occupations, the eigenvalues of S^-1 P (:attr:`ScfResult.occupations`), so
-that no oracle reads them back from P; a linear model's levels are those of
-G_core, decomposed once per system (:attr:`SystemSpec.levels`), and a
-nonlinear model refreshes G in the frame
+SCF, its walk :func:`scf_mu_trace` and the linear oracles
+:func:`exact_grand_fd` and :func:`exact_canonical_fd` alike, and its N f
+are the state's occupations, the eigenvalues of S^-1 P
+(:attr:`ScfResult.occupations`), so that no oracle reads them back from P;
+a linear model's levels are those of G_core, decomposed once per system
+(:attr:`SystemSpec.levels`), and a nonlinear model refreshes G in the frame
 (:meth:`HamiltonianModel.frame_hamiltonian`) in O(n^2), as the cooling flow does.
 At beta = 0 every model's state is (N/2) S, where H = H_core, and the
 canonical mu is Tr[H_core] / Tr[S] (:func:`infinite_temperature_mu`).
@@ -405,9 +408,9 @@ def exact_canonical_fd(system: SystemSpec, n_electrons: float, beta: float):
     :data:`~fermicool.matcore.MU_TOL`, in at most
     :data:`~fermicool.matcore.MU_MAX_ITER` occupation evaluations, on the
     system's cached :attr:`~SystemSpec.levels`; the search starts at its
-    bracket midpoint.  A search that starts from a guess, such as the mu of
-    a nearby temperature, is :func:`exact_canonical_mu`'s or
-    :func:`scf_fixed_point`'s ``mu_guess``.  At beta = 0 the state is
+    bracket midpoint.  The searches that :func:`scf_mu_trace` makes along a
+    list of temperatures start from the mu extrapolated from the previous
+    ones, on the same levels for a linear model.  At beta = 0 the state is
     (N/2) S exactly and the reported mu is the analytic limit Tr[H] / Tr[S];
     a trace that overflows raises InfeasibleEnsembleError.
 
@@ -418,21 +421,6 @@ def exact_canonical_fd(system: SystemSpec, n_electrons: float, beta: float):
     """
     norm = canonical_normalization(n_electrons, system.s.mat)
     return _exact_state(system, beta, Canonical(n_electrons), norm)
-
-
-def exact_canonical_mu(system: SystemSpec, n_electrons: float, beta: float,
-                       mu_guess=None) -> float:
-    """The chemical potential of :func:`exact_canonical_fd`'s state, without the state.
-
-    The mu search runs on the system's cached :attr:`~SystemSpec.levels` and
-    starts from ``mu_guess`` (the bracket midpoint when it is None or outside
-    the bracket); at beta = 0 mu is the limit Tr[H] / Tr[S].  The errors are
-    those of :func:`exact_canonical_fd`.
-    """
-    norm = canonical_normalization(n_electrons, system.s.mat)
-    if beta == 0.0:
-        return infinite_temperature_mu(system.h_core, system.s)
-    return _levels_mu(system, system.levels, beta, n_electrons, norm, mu_guess)
 
 
 def _exact_state(system: SystemSpec, beta: float, ensemble: Ensemble, norm: float):
@@ -475,14 +463,16 @@ def _frame_state(model: HamiltonianModel, q, beta: float, ensemble: Ensemble, no
     :func:`~fermicool.matcore.generalized_eigh`.  F = C diag(N f) C^T with
     f = fermi(beta (lambda - mu)); the occupations are N f sorted ascending,
     the eigenvalues of F and of S^-1 P for P = Y F Y^T.  A canonical
-    ensemble solves mu from ``mu_guess`` on the levels (:func:`_levels_mu`).
+    ensemble solves mu from ``mu_guess`` on the levels (:func:`_levels_mu`):
+    the SCF loop passes the previous iterate's mu, and the first search of
+    each SCF of :func:`scf_mu_trace` the mu extrapolated from the previous
+    temperatures.
     At beta = 0, F = (N/2) 1 whatever Q is, so the fixed point is
     P = (N/2) S, where H = H_core by construction: the canonical mu of every
     model is the limit Tr[H_core] / Tr[S] (:func:`infinite_temperature_mu`),
-    as in :func:`~fermicool.solvers.cool` and :func:`exact_canonical_mu`; no
-    H is formed, and no eigenpairs (None is returned for them), and every
-    occupation is N/2.  Non-finite levels raise BracketError, a G(Q) that is
-    not finite LinAlgError.
+    as in :func:`~fermicool.solvers.cool`; no H is formed, and no eigenpairs
+    (None is returned for them), and every occupation is N/2.  Non-finite
+    levels raise BracketError, a G(Q) that is not finite LinAlgError.
     """
     system = model.system
     grand = isinstance(ensemble, GrandCanonical)
@@ -581,30 +571,26 @@ def scf_fixed_point(
     tol: float = 1e-10,
     max_iter: int = 200,
     use_aitken: bool = True,
-    start=None,
-    mu_guess=None,
 ) -> ScfResult:
     """Fixed point of P -> F(P) = ExactFermiDirac(H(P)) for density-dependent Hamiltonians.
 
-    Starts from ``start`` when given, an n x n density such as an estimate
-    extrapolated from fixed points at nearby beta, and otherwise from the
-    infinite-temperature value (S/2 grand canonical, N S/2 canonical).  Each
-    iteration evaluates F once and stops when the max-abs change
-    ``R = F(P) - P`` drops below ``tol``, returning F(P).
+    Starts from the infinite-temperature value (S/2 grand canonical, N S/2
+    canonical).  Each iteration evaluates F once and stops when the max-abs
+    change ``R = F(P) - P`` drops below ``tol``, returning F(P).
 
     The iteration runs in the overlap's frame
     (:attr:`~fermicool.matcore.OverlapMatrix.frame`) on
-    Q = Z^T P Z, where F(P) = Y F(Q) Y^T: the evaluation at Q refreshes
-    G(Q) = G_core + dG(Q - N/2) in O(n^2) through the model's
+    Q = Z^T P Z, where F(P) = Y F(Q) Y^T (:func:`_frame_scf`, the loop that
+    :func:`scf_mu_trace` continues from beta to beta): the evaluation at Q
+    refreshes G(Q) = G_core + dG(Q - N/2) in O(n^2) through the model's
     :meth:`~HamiltonianModel.frame_hamiltonian`, decomposes it with one
     :func:`~fermicool.matcore.generalized_eigh` as C diag(lambda) C^T and
     forms F(Q) = C diag(N f) C^T (:func:`_frame_state`).  The residual is
     still taken in the S frame, max |Y (F(Q) - Q) Y^T|, and P = Y F(Q) Y^T
     is formed once, on return, as every exact state is: (N/2) S exactly at
-    beta = 0.  A ``start`` enters as Z^T P Z.  At beta = 0 the fixed point
-    is (N/2) S for every model and start, where H = H_core, so the
-    canonical mu is Tr[H_core] / Tr[S] (:func:`infinite_temperature_mu`)
-    bit for bit, whatever the coupling.
+    beta = 0.  At beta = 0 the fixed point is (N/2) S for every model,
+    whatever the start, where H = H_core, so the canonical mu is Tr[H_core] / Tr[S]
+    (:func:`infinite_temperature_mu`) bit for bit, whatever the coupling.
 
     With ``use_aitken`` (the name is kept from an earlier Aitken-extrapolated
     variant) the next iterate is the Newton step Q + delta on R(Q) = 0:
@@ -632,24 +618,20 @@ def scf_fixed_point(
     ScfConvergenceError naming the cause, with no numpy warning; at the
     start density the failure raises its own error.
 
-    In the canonical ensemble each iteration's mu search starts from the
-    previous iteration's mu; the first one starts from ``mu_guess``, such as
-    the mu of a fixed point at a nearby beta, or from the bracket midpoint
-    when it is None or outside the bracket
-    (:func:`~fermicool.matcore.find_mu_for_occupation`).
+    In the canonical ensemble the first mu search starts at the bracket
+    midpoint (:func:`~fermicool.matcore.find_mu_for_occupation`) and each
+    later one from the previous iteration's mu.
 
     Linear models (coupling_u == 0) are their own fixed point after the
     first evaluation, which reads the system's cached
     :attr:`~SystemSpec.levels` in place of G(Q) and is the evaluation
     :func:`exact_grand_fd` and :func:`exact_canonical_fd` make; they are
-    accepted with ``iterations = 1``, and their state does not depend on
-    ``start``.
+    accepted with ``iterations = 1``.
 
     Raises
     ------
     ValueError
-        When ``tol`` is not finite and positive, ``max_iter`` is below 1, or
-        ``start`` does not match the system dimension.
+        When ``tol`` is not finite and positive or ``max_iter`` is below 1.
     ScfConvergenceError
         When ``max_iter`` is exhausted, or when the residual has not decreased
         for ten consecutive iterations, or for ten iterations in all with
@@ -661,34 +643,85 @@ def scf_fixed_point(
     if max_iter < 1:
         raise ValueError(f"SCF iteration limit must be at least 1, got {max_iter}")
     system = model.system
-    n = system.dim
     canonical = isinstance(ensemble, Canonical)
     norm = canonical_normalization(ensemble.n_electrons, system.s.mat) if canonical else 1.0
-    if start is not None:
-        start = np.asarray(start, dtype=float)
-        if start.shape != (n, n):
-            raise ValueError(
-                f"start density has shape {start.shape}, system dimension is {n}"
-            )
+    f, mu, iterations, occ = _frame_scf(model, ensemble, beta, norm, None, None, tol, max_iter,
+                                        use_aitken)
+    return ScfResult(_density(system, f, beta, norm), mu, iterations, occ)
+
+
+def scf_mu_trace(model: HamiltonianModel, ensemble: Canonical, betas, tol: float = 1e-10,
+                 max_iter: int = 200, use_aitken: bool = True):
+    """The canonical oracle's mu at each of the ascending ``betas``, and the SCF iterations in all.
+
+    Each beta's mu is that of :func:`scf_fixed_point` with the same controls,
+    found by the same loop (:func:`_frame_scf`) continued along the walk:
+    the SCF at a beta starts from the Lagrange extrapolation in beta
+    (:func:`_lagrange`) of the last three frame fixed points F(Q), and its
+    first mu search from that of the last three mu; the first beta starts
+    cold.  A linear model's SCF is its one evaluation on the cached
+    :attr:`~SystemSpec.levels`, which reads no start.  No S-frame density is
+    formed.  The errors are those of :func:`scf_fixed_point`; a failure at an
+    extrapolated start raises its own error.
+
+    Returns
+    -------
+    (list of float, int)
+        The mu at each beta and the SCF iterations summed over the walk.
+    """
+    norm = canonical_normalization(ensemble.n_electrons, model.system.s.mat)
+    points, mus, total = [], [], 0
+    for beta in map(float, betas):
+        q = _lagrange([(b, f) for b, f, _ in points], beta)
+        guess = _lagrange([(b, mu) for b, _, mu in points], beta)
+        f, mu, iterations, _ = _frame_scf(model, ensemble, beta, norm, q, guess, tol, max_iter,
+                                          use_aitken)
+        points = [*points[-2:], (beta, f, mu)]
+        mus.append(mu)
+        total += iterations
+    return mus, total
+
+
+def _lagrange(points, beta: float):
+    """The Lagrange polynomial in beta through ``points`` (beta_i, x_i), at ``beta``.
+
+    With three points this is the quadratic extrapolation, with two the
+    secant, and with one the last point itself; None when there are none
+    (a cold start).  The x_i are frame fixed points F_i or chemical
+    potentials mu_i.
+    """
+    if not points:
+        return None
+    weights = [math.prod((beta - b_j) / (b_i - b_j) for j, (b_j, _) in enumerate(points) if j != i)
+               for i, (b_i, _) in enumerate(points)]
+    return sum(w * x for w, (_, x) in zip(weights, points))
+
+
+def _frame_scf(model: HamiltonianModel, ensemble: Ensemble, beta: float, norm: float, q, mu,
+               tol: float, max_iter: int, use_aitken: bool):
+    """The SCF of :func:`scf_fixed_point` on frame states: (F, mu, iterations, occupations).
+
+    It starts at the frame state ``q`` ((N/2) 1, the cold start, when None)
+    and its first mu search at ``mu`` (the bracket midpoint when None or
+    outside the bracket), and returns the fixed point F(Q) in the frame; a
+    linear model returns its first evaluation.
+    """
+    system = model.system
     frame = system.s.frame
-    q = np.eye(n) * (0.5 * norm) if start is None else frame.to_frame(start)
-
-    def evaluate(q, mu):
-        # F(Q), its mu, the eigenpairs of G(Q) and the occupations; the mu
-        # search starts at ``mu``
-        return _frame_state(model, q, beta, ensemble, norm, mu)
-
+    canonical = isinstance(ensemble, Canonical)
+    if q is None:
+        q = np.eye(system.dim) * (0.5 * norm)
     # failures at the start density keep their own errors
-    f, mu, eig, occ = evaluate(q, mu_guess)
+    f, mu, eig, occ = _frame_state(model, q, beta, ensemble, norm, mu)
     if model.is_linear:  # F does not depend on Q: F(start) is the fixed point
-        return ScfResult(_density(system, f, beta, norm), mu, 1, occ)
+        return f, mu, 1, occ
     prev_residual = np.inf
     stalled = 0
     for it in range(1, max_iter + 1):
         r = f - q
         residual = float(np.abs(frame.from_frame(r)).max())
         if residual < tol:
-            return ScfResult(_density(system, f, beta, norm), mu, it, occ)
+            return f, mu, it, occ
         if residual >= prev_residual:
             stalled += 1
         elif not use_aitken:
@@ -710,13 +743,13 @@ def scf_fixed_point(
                 trial = q + _newton_step(_fd_jacobian(model, eig, beta, mu, norm, canonical),
                                          eig, r)
                 try:
-                    state, q = evaluate(trial, mu), trial
+                    state, q = _frame_state(model, trial, beta, ensemble, norm, mu), trial
                 except _FAILED_ITERATE:
                     stalled += 1
             if state is None:
                 q = f
                 try:
-                    state = evaluate(q, mu)
+                    state = _frame_state(model, q, beta, ensemble, norm, mu)
                 except _FAILED_ITERATE as exc:
                     cause = ("the pencil of H(P) cannot be decomposed"
                              if isinstance(exc, np.linalg.LinAlgError) else exc)

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fermicool import HermitianMatrix, matcore
+from fermicool import Canonical, HermitianMatrix, canonical_normalization, matcore, models
 
 try:
     from hypothesis import settings
@@ -98,3 +98,15 @@ def search_occupation(values, weights, beta, mu, normalization=1.0):
     """Electron count N sum_k w_k f(beta (lambda_k - mu)) through the evaluator the mu search uses."""
     with np.errstate(over="ignore"):  # as in the search
         return matcore._occupation_and_slope(weights, values, beta, mu, normalization)[0]
+
+
+def frame_scf(model, ensemble, beta, start=None, mu_guess=None, tol=1e-10, max_iter=200,
+              use_aitken=True):
+    """The SCF loop that scf_fixed_point and scf_mu_trace share, from the frame
+    state ``start`` with the first mu search at ``mu_guess`` (None: the cold
+    start and the bracket midpoint); returns (F, mu, iterations, occupations)."""
+    s = model.system.s.mat
+    norm = (canonical_normalization(ensemble.n_electrons, s) if isinstance(ensemble, Canonical)
+            else 1.0)
+    return models._frame_scf(model, ensemble, beta, norm, start, mu_guess, tol, max_iter,
+                             use_aitken)

@@ -250,15 +250,16 @@ class TestRun:
         ("nonlinear", ["--nonlinear", "0.05", "--scheme", "kraus2"], "generalized_eigh"),
     ])
     def test_mu_trace_makes_only_what_it_reads(self, tmp_path, monkeypatch, case, extra, seam):
-        # a linear trace solves for mu alone on the system's cached levels
-        # and makes no frame evaluation, which forms every exact density (one
-        # per record after beta = 0 would be 100); a nonlinear trace iterates
-        # in the overlap frame and makes one decomposition per SCF evaluation
-        # after beta = 0 (a second one per evaluation would double the count)
-        from fermicool import cli, models, write_matrix
+        # the walk continues each SCF in the overlap frame and forms no S-frame
+        # state: no HermitianMatrix, no ScfResult and no Frame.to_frame.  A
+        # linear trace makes one frame evaluation per record beta on the
+        # system's cached levels and no decomposition; a nonlinear one makes
+        # one decomposition per SCF evaluation after beta = 0 (a second one per
+        # evaluation would double the count)
+        from fermicool import cli, matcore, models, write_matrix
 
-        calls, iterations, tracing = [], [], []
-        trace, scf = cli._mu_trace, cli.scf_fixed_point
+        counts, iterations, tracing = {}, [], []
+        trace, loop = cli._mu_trace, models._frame_scf
 
         def trace_spy(*args):
             tracing.append(True)
@@ -267,21 +268,27 @@ class TestRun:
             finally:
                 tracing.clear()
 
-        def scf_spy(model, ensemble, beta, *args, **kwargs):
-            res = scf(model, ensemble, beta, *args, **kwargs)
+        def loop_spy(model, ensemble, beta, *args):
+            result = loop(model, ensemble, beta, *args)
             if tracing and beta > 0.0:
-                iterations.append(res.iterations)
-            return res
+                iterations.append(result[2])
+            return result
 
-        assert hasattr(models, seam), f"no {seam} to spy on"
+        def count(owner, name):
+            assert hasattr(owner, name), f"no {name} to spy on"
 
-        def spy(*args, _inner=getattr(models, seam), **kwargs):
-            if tracing:
-                calls.append(1)
-            return _inner(*args, **kwargs)
+            def spy(*args, _inner=getattr(owner, name), **kwargs):
+                if tracing:
+                    counts[name] = counts.get(name, 0) + 1
+                return _inner(*args, **kwargs)
 
-        monkeypatch.setattr(models, seam, spy)
-        monkeypatch.setattr(cli, "scf_fixed_point", scf_spy)
+            monkeypatch.setattr(owner, name, spy)
+
+        for name in {seam, "generalized_eigh", "HermitianMatrix", "ScfResult"}:
+            count(models, name)
+        for frame in (matcore.Frame, matcore.IdentityFrame):
+            count(frame, "to_frame")
+        monkeypatch.setattr(models, "_frame_scf", loop_spy)
         monkeypatch.setattr(cli, "_mu_trace", trace_spy)
         h, s = gaussian_chain()
         write_matrix(tmp_path / "h.mat", h)
@@ -292,9 +299,14 @@ class TestRun:
             "--out", str(tmp_path / f"{case}.csv"),
         ]) == 0
         assert len(read_csv(tmp_path / f"{case}.mu.csv")) == 102
-        # the linear trace runs no SCF; the nonlinear one runs 100 after beta = 0
-        assert len(iterations) == (0 if case == "linear" else 100)
-        assert len(calls) == sum(iterations)
+        # one SCF per record beta, 100 after beta = 0
+        assert len(iterations) == 100
+        if case == "linear":
+            assert iterations == [1] * 100
+            assert counts.pop("_frame_state") == 101
+        else:
+            assert counts.pop("generalized_eigh") == sum(iterations)
+        assert counts == {}
 
     def test_subnormal_entries_do_not_change_outputs(self, tmp_path):
         # the Gaussian tails of a 60-site chain hold subnormal entries;
@@ -343,17 +355,18 @@ class TestRun:
 
 
 def test_continuation_start_extrapolates_by_lagrange(rng):
-    from fermicool.cli import _continuation_start
+    # the mu trace's SCF and mu search start from this extrapolation
+    from fermicool.models import _lagrange
 
     a, b, c = (rng.normal(size=(3, 3)) for _ in range(3))
     points = [(x, a + x * b + x * x * c) for x in (0.1, 0.2, 0.35)]
     # exact on a quadratic from three points, on a line from two
-    np.testing.assert_allclose(_continuation_start(points, 0.5), a + 0.5 * b + 0.25 * c,
+    np.testing.assert_allclose(_lagrange(points, 0.5), a + 0.5 * b + 0.25 * c,
                                atol=1e-12)
-    np.testing.assert_allclose(_continuation_start([(0.1, a + 0.1 * b), (0.2, a + 0.2 * b)], 0.5),
+    np.testing.assert_allclose(_lagrange([(0.1, a + 0.1 * b), (0.2, a + 0.2 * b)], 0.5),
                                a + 0.5 * b, atol=1e-12)
-    np.testing.assert_array_equal(_continuation_start(points[:1], 0.5), points[0][1])
-    assert _continuation_start([], 0.5) is None
+    np.testing.assert_array_equal(_lagrange(points[:1], 0.5), points[0][1])
+    assert _lagrange([], 0.5) is None
 
 
 class TestOracle:

@@ -24,8 +24,8 @@ from fermicool import (
     scf_fixed_point,
     symmetrize,
 )
-from fermicool.models import _frame_state, exact_canonical_mu, infinite_temperature_mu
-from conftest import (explicit_frame, pencil_levels, random_spd, random_symmetric,
+from fermicool.models import _frame_state, infinite_temperature_mu, scf_mu_trace
+from conftest import (explicit_frame, frame_scf, pencil_levels, random_spd, random_symmetric,
                       s_frame_hamiltonian)
 
 
@@ -224,13 +224,14 @@ class TestExactCanonicalFd:
     def test_mu_guess_moves_only_the_search_start(self, data_dir):
         system = load_system(data_dir / "sample_hcore.mat", data_dir / "sample_overlap.mat")
         p, mu = exact_canonical_fd(system, 4.0, 3.0)
-        # the guess enters through the SCF, one evaluation for a linear model
+        # the guess enters through the SCF loop, one evaluation for a linear model
         model = HamiltonianModel(system)
         for guess in (mu + 1e-3, mu - 0.5, float("nan"), 1e9):
-            res = scf_fixed_point(model, Canonical(4.0), 3.0, mu_guess=guess)
-            assert res.mu == pytest.approx(mu, abs=1e-9)
-            assert np.trace(res.density.mat) == pytest.approx(4.0, abs=1e-10)
-            np.testing.assert_allclose(res.density.mat, p.mat, atol=1e-9)
+            f, res_mu, _, _ = frame_scf(model, Canonical(4.0), 3.0, mu_guess=guess)
+            density = system.s.frame.from_frame(f)
+            assert res_mu == pytest.approx(mu, abs=1e-9)
+            assert np.trace(density) == pytest.approx(4.0, abs=1e-10)
+            np.testing.assert_allclose(density, p.mat, atol=1e-9)
 
     def test_trace_pinned_over_beta_sweep(self, rng):
         s = OverlapMatrix(random_spd(rng, 6))
@@ -288,9 +289,9 @@ class TestCachedLevels:
         for beta in (0.5, 4.0):
             exact_grand_fd(system, 0.1, beta)
             exact_canonical_fd(system, 2.5, beta)
-            exact_canonical_mu(system, 2.5, beta, mu_guess=0.1)
             scf_fixed_point(model, GrandCanonical(0.1), beta)
-            scf_fixed_point(model, Canonical(2.5), beta, mu_guess=0.1)
+            frame_scf(model, Canonical(2.5), beta, mu_guess=0.1)
+        scf_mu_trace(model, Canonical(2.5), (0.0, 0.5, 1.0, 4.0))
         default_chemical_potential(system, use_pencil=True)
         assert len(decomposed) == 1 and decomposed[0] is g_core
         monkeypatch.undo()
@@ -348,11 +349,14 @@ class TestScfFixedPoint:
         exact = (exact_canonical_fd(system, 4.0, 0.0)[0] if canonical
                  else exact_grand_fd(system, -1.0, 0.0))
         assert np.array_equal(exact.mat, expected)
+        model = HamiltonianModel(system, coupling_u=0.05)
+        assert np.array_equal(scf_fixed_point(model, ensemble, 0.0).density.mat, expected)
+        # from any start the loop's frame state is (N/2) 1 itself
         rng = np.random.default_rng(7)
-        for start in (None, expected + 0.01 * random_symmetric(rng, system.dim)):
-            res = scf_fixed_point(HamiltonianModel(system, coupling_u=0.05), ensemble, 0.0,
-                                  start=start)
-            assert np.array_equal(res.density.mat, expected)
+        near = expected + 0.01 * random_symmetric(rng, system.dim)
+        for start in (None, system.s.frame.to_frame(near)):
+            f = frame_scf(model, ensemble, 0.0, start)[0]
+            assert np.array_equal(f, 0.5 * norm * np.eye(system.dim))
 
     @pytest.mark.parametrize("u", [0.05, 1e10, 1e200])
     @pytest.mark.parametrize("overlap", ["sample", "random"])
@@ -369,10 +373,10 @@ class TestScfFixedPoint:
         expected = infinite_temperature_mu(system.h_core, system.s)
         near = (0.5 * canonical_normalization(4.0, system.s.mat) * system.s.mat
                 + 0.01 * random_symmetric(np.random.default_rng(5), system.dim))
-        for start in (None, near):
-            res = scf_fixed_point(HamiltonianModel(system, coupling_u=u), Canonical(4.0), 0.0,
-                                  start=start)
-            assert res.mu == expected
+        model = HamiltonianModel(system, coupling_u=u)
+        assert scf_fixed_point(model, Canonical(4.0), 0.0).mu == expected
+        for start in (None, system.s.frame.to_frame(near)):
+            assert frame_scf(model, Canonical(4.0), 0.0, start)[1] == expected
 
     def test_self_consistency_residual(self):
         system = build_huckel(6, 0.569, 0.066)
@@ -402,11 +406,12 @@ class TestScfFixedPoint:
     def test_start_at_fixed_point_converges_at_once(self):
         system = build_huckel(8, 0.3, 0.2)
         model = HamiltonianModel(system, coupling_u=0.1)
-        cold = scf_fixed_point(model, Canonical(4.0), 2.0, tol=1e-12)
-        warm = scf_fixed_point(model, Canonical(4.0), 2.0, tol=1e-12, start=cold.density)
-        assert warm.iterations == 1 < cold.iterations
-        assert np.abs(warm.density.mat - cold.density.mat).max() < 1e-11
-        assert warm.mu == pytest.approx(cold.mu, abs=1e-10)
+        cold_f, cold_mu, cold_iterations, _ = frame_scf(model, Canonical(4.0), 2.0, tol=1e-12)
+        warm_f, warm_mu, warm_iterations, _ = frame_scf(model, Canonical(4.0), 2.0, cold_f,
+                                                        tol=1e-12)
+        assert warm_iterations == 1 < cold_iterations
+        assert np.abs(warm_f - cold_f).max() < 1e-11
+        assert warm_mu == pytest.approx(cold_mu, abs=1e-10)
 
     def test_each_mu_search_starts_at_the_previous_mu(self, monkeypatch):
         from fermicool import models
@@ -428,15 +433,10 @@ class TestScfFixedPoint:
         # a linear model's single evaluation starts at the given guess too
         searches.clear()
         guess = res.mu
-        res = scf_fixed_point(HamiltonianModel(model.system), Canonical(4.0), 2.0,
-                              mu_guess=guess)
-        assert res.iterations == 1
-        assert searches == [(guess, res.mu)]
-
-    def test_start_shape_checked(self):
-        model = HamiltonianModel(build_huckel(6, 0.569, 0.066), coupling_u=0.1)
-        with pytest.raises(ValueError, match="start density"):
-            scf_fixed_point(model, GrandCanonical(0.5), 1.0, start=np.eye(5))
+        _, mu, iterations, _ = frame_scf(HamiltonianModel(model.system), Canonical(4.0), 2.0,
+                                         mu_guess=guess)
+        assert iterations == 1
+        assert searches == [(guess, mu)]
 
     @pytest.mark.parametrize("kwargs", [
         {"tol": float("nan")}, {"tol": 0.0}, {"tol": -1.0}, {"tol": float("inf")},

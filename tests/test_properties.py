@@ -67,8 +67,8 @@ from fermicool import (  # noqa: E402
 )
 from fermicool import matcore, models, solvers  # noqa: E402
 from fermicool.cli import EXITS, main  # noqa: E402
-from fermicool.models import _fd_jacobian, _frame_state  # noqa: E402
-from conftest import (DATA_DIR, cholesky_occupations, explicit_frame,  # noqa: E402
+from fermicool.models import _fd_jacobian, _frame_state, scf_mu_trace  # noqa: E402
+from conftest import (DATA_DIR, cholesky_occupations, explicit_frame, frame_scf,  # noqa: E402
                       pencil_levels, random_spd, random_symmetric, s_frame_hamiltonian,
                       s_frame_response, search_occupation)
 
@@ -588,7 +588,9 @@ def ref_scf(model, ensemble, beta, use_aitken, start, mu_guess, tol=1e-10, max_i
        use_aitken=st.booleans(), warm=st.booleans())
 def test_frame_scf_is_the_s_frame_scf(data, coupling, log_beta, use_aitken, warm):
     # scf_fixed_point iterates on Q = Z^T P Z with one eigh of G(Q) per
-    # evaluation; it takes the same steps as the S-frame loop, to rounding
+    # evaluation; it takes the same steps as the S-frame loop, to rounding.
+    # A warm start, as the mu trace makes, enters the shared loop as the
+    # frame state Z^T P Z
     system, ensemble, norm = data.draw(affine_systems())
     beta = 0.0 if data.draw(st.integers(0, 9)) == 0 else 10.0 ** log_beta
     model = HamiltonianModel(system, coupling_u=coupling)
@@ -597,20 +599,28 @@ def test_frame_scf_is_the_s_frame_scf(data, coupling, log_beta, use_aitken, warm
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         start = 0.5 * norm * system.s.mat + 0.05 * random_symmetric(rng, system.dim)
         mu_guess = data.draw(st.floats(-1.0, 1.0))
+
+    def solve():
+        # (P, mu, iterations) of the library's SCF
+        if not warm:
+            res = scf_fixed_point(model, ensemble, beta, use_aitken=use_aitken)
+            return res.density.mat, res.mu, res.iterations
+        f, mu, iterations, _ = frame_scf(model, ensemble, beta, system.s.frame.to_frame(start),
+                                         mu_guess, use_aitken=use_aitken)
+        return models._density(system, f, beta, norm).mat, mu, iterations
+
     try:
         p_ref, mu_ref, iterations = ref_scf(model, ensemble, beta, use_aitken, start, mu_guess)
     except ScfConvergenceError as exc:
         with pytest.raises(ScfConvergenceError) as err:
-            scf_fixed_point(model, ensemble, beta, use_aitken=use_aitken, start=start,
-                            mu_guess=mu_guess)
+            solve()
         assert err.value.iterations == exc.iterations
         return
-    res = scf_fixed_point(model, ensemble, beta, use_aitken=use_aitken, start=start,
-                          mu_guess=mu_guess)
-    assert res.iterations == iterations
+    p, mu, its = solve()
+    assert its == iterations
     scale = norm * np.linalg.norm(system.s.mat, 2)
-    assert np.abs(res.density.mat - p_ref).max() <= 1e-12 * scale
-    assert abs(res.mu - mu_ref) <= 1e-12
+    assert np.abs(p - p_ref).max() <= 1e-12 * scale
+    assert abs(mu - mu_ref) <= 1e-12
 
 
 @given(data=st.data(), coupling=st.floats(-1.0, 1.0))
@@ -816,9 +826,9 @@ def test_exact_states_are_the_pencil_formula(data, system, log_beta):
         p_warm, mu_warm = pencil_state(system, beta, ensemble, norm, guess)
         p, mu = exact_canonical_fd(system, ne, beta)
         states.append((p.mat, mu, p_ref, mu_ref))
-        states.append((None, models.exact_canonical_mu(system, ne, beta, guess), None, mu_warm))
-        res = scf_fixed_point(model, ensemble, beta, mu_guess=guess)
-        states.append((res.density.mat, res.mu, p_warm, mu_warm))
+        states.append((None, scf_mu_trace(model, ensemble, [beta])[0][0], None, mu_ref))
+        f, mu, _, _ = frame_scf(model, ensemble, beta, mu_guess=guess)
+        states.append((models._density(system, f, beta, norm).mat, mu, p_warm, mu_warm))
     exact = beta == 0.0 or np.array_equal(s, np.eye(system.dim))
     bound = PENCIL_GAP * system.dim * np.finfo(float).eps * norm * np.linalg.norm(s, 2)
     for p, mu, p_ref, mu_ref in states:
@@ -931,11 +941,14 @@ def test_recorded_spectrum_and_trace_are_those_of_p(data, dim, s_min, scheme, co
 # --- exact symmetries ---------------------------------------------------------
 
 #: Largest relative move of the final P, occupations (over N) and canonical
-#: mu under the shift law, fixed before the comparison: 1.3e-15 was measured
-#: on 30 systems of dimension 2-9 at beta 3, and 2.2e-15 over 3000 random
-#: runs drawn as below (dimension 1-6, every scheme, ensemble and coupling,
-#: c in [-2, 2]).
-SHIFT_RTOL = 1e-13
+#: mu under the shift and relabel laws and the mu trace's scale law, fixed
+#: before the comparison.  Measured: under the shift law 1.3e-15 on 30
+#: systems of dimension 2-9 at beta 3, and 2.2e-15 over 3000 random runs
+#: drawn as below (dimension 1-6, every scheme, ensemble and coupling, c in
+#: [-2, 2]); under the relabel law 2.1e-15 on the 30 systems; under the
+#: oracle's shift law 3.2e-14 over about 3000 SCF pairs of dimension 1-8 at
+#: beta 0.5 and 5.
+SYMMETRY_RTOL = 1e-13
 
 
 #: Every (scheme, grand, coupling) that the symmetry laws run, each on S = 1
@@ -944,27 +957,42 @@ SYMMETRY_CASES = [(scheme, grand, coupling) for scheme in solvers.SCHEMES
                   for grand in (True, False) for coupling in (0.0, 0.3)]
 
 
-def symmetry_runs(draw, scheme, grand):
-    """Runs of one random H of dimension 1-6 with S = 1 and with a random SPD
-    S, as (system, ensemble, config): a grand mu in [-1, 1] or an Ne that
-    fills 0.2-0.8 of Tr[S], and 1-8 steps of db in [0.01, 0.3]."""
+def symmetry_systems(draw, grand):
+    """One random H of dimension 1-6 with S = 1 and with a random SPD S, as a
+    list of (system, ensemble): a grand mu in [-1, 1] or an Ne that fills
+    0.2-0.8 of Tr[S]."""
     n = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     h = HermitianMatrix(random_symmetric(rng, n))
     mu, fill = draw(st.floats(-1.0, 1.0)), draw(st.floats(0.2, 0.8))
-    db = draw(st.floats(0.01, 0.3))
-    config = SolverConfig(scheme, draw(st.integers(1, 8)) * db, db)
+    systems = []
     for s in (OverlapMatrix(np.eye(n)), OverlapMatrix(random_spd(rng, n))):
         ensemble = GrandCanonical(mu) if grand else Canonical(fill * float(np.trace(s.mat)))
-        yield SystemSpec(h, s), ensemble, config
+        systems.append((SystemSpec(h, s), ensemble))
+    return systems
+
+
+def symmetry_runs(draw, scheme, grand):
+    """:func:`symmetry_systems` as (system, ensemble, config), each run with
+    1-8 steps of db in [0.01, 0.3]."""
+    systems = symmetry_systems(draw, grand)
+    db = draw(st.floats(0.01, 0.3))
+    config = SolverConfig(scheme, draw(st.integers(1, 8)) * db, db)
+    return [(system, ensemble, config) for system, ensemble in systems]
+
+
+def transformed_model(system, coupling, ensemble, h, scale=1.0, shift=0.0):
+    """The model on the core Hamiltonian ``h`` with the coupling times
+    ``scale``, and the ensemble with a grand mu times ``scale`` plus ``shift``."""
+    if isinstance(ensemble, GrandCanonical):
+        ensemble = GrandCanonical(scale * ensemble.mu + shift)
+    return HamiltonianModel(SystemSpec(HermitianMatrix(h), system.s), scale * coupling), ensemble
 
 
 def transformed_cool(system, coupling, ensemble, config, h, scale=1.0, shift=0.0):
-    """cool() on the core Hamiltonian ``h`` with the coupling times ``scale``,
-    a grand mu times ``scale`` plus ``shift``, and beta and db over ``scale``."""
-    if isinstance(ensemble, GrandCanonical):
-        ensemble = GrandCanonical(scale * ensemble.mu + shift)
-    model = HamiltonianModel(SystemSpec(HermitianMatrix(h), system.s), scale * coupling)
+    """cool() on :func:`transformed_model`'s model and ensemble, with beta and
+    db over ``scale``."""
+    model, ensemble = transformed_model(system, coupling, ensemble, h, scale, shift)
     return cool(model, ensemble, SolverConfig(config.scheme, config.beta_final / scale,
                                               config.delta_beta / scale))
 
@@ -1001,13 +1029,140 @@ def test_cool_is_equivariant_under_shift(data, scheme, grand, coupling, c):
         shifted = transformed_cool(system, coupling, ensemble, config,
                                    system.h_core.mat + c * system.s.mat, shift=c)
         p = traj.final_density.mat
-        assert np.abs(shifted.final_density.mat - p).max() <= SHIFT_RTOL * np.abs(p).max()
+        assert np.abs(shifted.final_density.mat - p).max() <= SYMMETRY_RTOL * np.abs(p).max()
         norm = 1.0 if grand else canonical_normalization(ensemble.n_electrons, system.s.mat)
         gap = np.abs(shifted.final_occupations - traj.final_occupations).max()
-        assert gap <= SHIFT_RTOL * norm
+        assert gap <= SYMMETRY_RTOL * norm
         if not grand:
             mu = traj.final_mu
-            assert abs(shifted.final_mu - (mu + c)) <= SHIFT_RTOL * max(1.0, abs(mu), abs(c))
+            assert abs(shifted.final_mu - (mu + c)) <= SYMMETRY_RTOL * max(1.0, abs(mu), abs(c))
+
+
+def relabeling(draw, n, coupling):
+    """A permutation of n sites; one that maps even sites to even sites when
+    ``coupling`` is nonzero, so that it keeps the model's J = diag(+1, -1, ...)."""
+    if not coupling:
+        return np.array(draw(st.permutations(range(n))), dtype=int)
+    perm = np.arange(n)
+    for parity in (0, 1):
+        perm[parity::2] = draw(st.permutations(range(parity, n, 2)))
+    return perm
+
+
+@pytest.mark.parametrize("scheme, grand, coupling", SYMMETRY_CASES)
+@settings(max_examples=5)
+@given(data=st.data())
+def test_cool_is_equivariant_under_relabel(data, scheme, grand, coupling):
+    # (H, S) -> (Pi H Pi^T, Pi S Pi^T) gives P -> Pi P Pi^T, the same
+    # occupations and the same canonical mu; the toy model's phi, an entry
+    # sum, is invariant, and its J is kept by a parity-keeping Pi
+    for system, ensemble, config in symmetry_runs(data.draw, scheme, grand):
+        perm = relabeling(data.draw, system.dim, coupling)
+        moved = SystemSpec(HermitianMatrix(system.h_core.mat[np.ix_(perm, perm)]),
+                           OverlapMatrix(system.s.mat[np.ix_(perm, perm)]))
+        traj = cool(HamiltonianModel(system, coupling), ensemble, config)
+        relabeled = cool(HamiltonianModel(moved, coupling), ensemble, config)
+        p = traj.final_density.mat
+        gap = np.abs(relabeled.final_density.mat - p[np.ix_(perm, perm)]).max()
+        assert gap <= SYMMETRY_RTOL * np.abs(p).max()
+        norm = 1.0 if grand else canonical_normalization(ensemble.n_electrons, system.s.mat)
+        gap = np.abs(relabeled.final_occupations - traj.final_occupations).max()
+        assert gap <= SYMMETRY_RTOL * norm
+        if not grand:
+            mu = traj.final_mu
+            assert abs(relabeled.final_mu - mu) <= SYMMETRY_RTOL * max(1.0, abs(mu))
+
+
+#: The (grand, coupling) cases of the oracle's symmetry laws.
+ORACLE_SYMMETRY_CASES = [(grand, coupling) for grand in (True, False) for coupling in (0.0, 0.3)]
+
+
+@pytest.mark.parametrize("grand, coupling", ORACLE_SYMMETRY_CASES)
+@settings(max_examples=5)
+@given(data=st.data(), beta=st.floats(1.0, 5.0), k=st.integers(-4, 4))
+def test_scf_fixed_point_is_invariant_under_scale(data, grand, coupling, beta, k):
+    # (H, u, mu, beta) -> (aH, au, a mu, beta/a) with a = 2^k <= beta: every
+    # evaluation scales exactly, and so does the mu bracket, whose margin
+    # 10 / max(beta, 1) is 10 / beta on both sides when beta and beta/a are
+    # at least 1.  The SCF takes the same steps: P, its occupations and the
+    # iteration count hold bit for bit, and mu is a times the unscaled one
+    a = 2.0 ** min(k, math.floor(math.log2(beta)))
+    for system, ensemble in symmetry_systems(data.draw, grand):
+        try:
+            res = scf_fixed_point(HamiltonianModel(system, coupling), ensemble, beta)
+        except ScfConvergenceError:
+            continue
+        model, scaled_ensemble = transformed_model(system, coupling, ensemble,
+                                                   a * system.h_core.mat, scale=a)
+        scaled = scf_fixed_point(model, scaled_ensemble, beta / a)
+        assert scaled.density.mat.tobytes() == res.density.mat.tobytes()
+        assert scaled.occupations.tobytes() == res.occupations.tobytes()
+        assert scaled.iterations == res.iterations
+        assert scaled.mu == a * res.mu
+
+
+def check_scf_shift(system, coupling, ensemble, beta, c):
+    """The shift law over scf_fixed_point at ``beta``: H -> H + cS (and a grand
+    mu -> mu + c) keeps P and the occupations and moves the canonical mu by
+    c, within :data:`SYMMETRY_RTOL`.  An SCF that does not converge is skipped."""
+    try:
+        res = scf_fixed_point(HamiltonianModel(system, coupling), ensemble, beta)
+    except ScfConvergenceError:
+        return
+    model, shifted_ensemble = transformed_model(system, coupling, ensemble,
+                                                system.h_core.mat + c * system.s.mat, shift=c)
+    shifted = scf_fixed_point(model, shifted_ensemble, beta)
+    p = res.density.mat
+    assert np.abs(shifted.density.mat - p).max() <= SYMMETRY_RTOL * np.abs(p).max()
+    grand = isinstance(ensemble, GrandCanonical)
+    norm = 1.0 if grand else canonical_normalization(ensemble.n_electrons, system.s.mat)
+    assert np.abs(shifted.occupations - res.occupations).max() <= SYMMETRY_RTOL * norm
+    if not grand:
+        assert abs(shifted.mu - (res.mu + c)) <= SYMMETRY_RTOL * max(1.0, abs(res.mu), abs(c))
+
+
+@pytest.mark.parametrize("grand, coupling", ORACLE_SYMMETRY_CASES)
+@settings(max_examples=5)
+@given(data=st.data(), beta=st.floats(0.1, 5.0), c=st.floats(-2.0, 2.0))
+def test_scf_fixed_point_is_equivariant_under_shift(data, grand, coupling, beta, c):
+    # G -> G + c 1 in the frame: F(Q) = C diag(N f) C^T and every SCF step
+    # are unchanged, to the rounding of G + c 1
+    for system, ensemble in symmetry_systems(data.draw, grand):
+        check_scf_shift(system, coupling, ensemble, beta, c)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "at beta 40 the Fermi level of this canonical system lies in a gap where the "
+    "occupation is flat in mu; the mu search stops on its electron-count tolerance "
+    "with the shifted mu 2.6e-7 off mu + c, while P holds to 7e-16 (up to 3.1e-7 "
+    "and 3.7e-15 on 40 random systems), until canonical cooling into the ground state "
+    "lands"))
+def test_scf_shift_law_holds_at_beta_40():
+    rng = np.random.default_rng(3)
+    n = int(rng.integers(2, 7))
+    system = SystemSpec(HermitianMatrix(random_symmetric(rng, n)), OverlapMatrix(np.eye(n)))
+    fill, c = float(rng.uniform(0.2, 0.8)), float(rng.uniform(-2.0, 2.0))
+    check_scf_shift(system, 0.0, Canonical(fill * n), 40.0, c)
+
+
+@pytest.mark.parametrize("coupling", [0.0, 0.3])
+@settings(max_examples=5)
+@given(data=st.data(), beta=st.floats(0.5, 5.0), k=st.integers(-4, 4))
+def test_scf_mu_trace_is_invariant_under_scale(data, coupling, beta, k):
+    # the oracle's walk over the record betas 0, beta/4, ..., beta: (H, u, betas)
+    # -> (aH, au, betas/a) scales every mu by a.  Not bit for bit: below
+    # beta = 1 the mu bracket does not scale
+    a = 2.0 ** k
+    betas = np.linspace(0.0, beta, 5)
+    for system, ensemble in symmetry_systems(data.draw, False):
+        try:
+            mus, _ = scf_mu_trace(HamiltonianModel(system, coupling), ensemble, betas)
+        except ScfConvergenceError:
+            continue
+        model, _ = transformed_model(system, coupling, ensemble, a * system.h_core.mat, scale=a)
+        scaled, _ = scf_mu_trace(model, ensemble, betas / a)
+        for mu, mu_scaled in zip(mus, scaled):
+            assert abs(mu_scaled - a * mu) <= SYMMETRY_RTOL * a * max(1.0, abs(mu))
 
 
 # --- input matrices ------------------------------------------------------------
@@ -1193,6 +1348,10 @@ def run_cli(argv, outdir, warns=None):
 @example(command="convergence", beta="1", dbeta="0.1", canonical=None, mu=None,
          nonlinear=None, scf_tol=None, scf_max_iter=None, record_every=None,
          positivity_tol=None, out="x.csv")
+# a name that differs from x.csv only before a second dot keeps its own side files
+@example(command="run", beta="1", dbeta="0.1", canonical="3", mu=None, nonlinear=None,
+         scf_tol=None, scf_max_iter=None, record_every=None, positivity_tol=None,
+         out="x.5.csv")
 def test_cli_on_malformed_arguments(tmp_path_factory, command, beta, dbeta, canonical, mu,
                                     nonlinear, scf_tol, scf_max_iter, record_every,
                                     positivity_tol, out):
@@ -1268,6 +1427,12 @@ def _overlap_file(path, overlap):
 @example(h=(1.0, 1, "symmetric"), overlap="near-singular",
          command=["oracle", "--canonical", "1"], out="x.csv")
 @example(h=(1.0, 1, "larger"), overlap="sample", command=["oracle", "--grand"], out="x.csv")
+# two middle levels whose sum passes the largest float (--mu auto halves each
+# first), and a top level past it, 1.7e308 + 1.7e308, under finite middle ones
+@example(h="2 2\n1.5e308 0\n0 1.6e308\n", overlap=None, command=["oracle", "--grand"],
+         out="x.csv")
+@example(h="3 3\n1.7e308 1.7e308 0\n1.7e308 1.7e308 0\n0 0 0\n", overlap=None,
+         command=["oracle", "--grand"], out="x.csv")
 def test_cli_on_arbitrary_matrix_text(tmp_path_factory, h, overlap, command, out):
     inputs, outdir = tmp_path_factory.mktemp("cli_files"), tmp_path_factory.mktemp("cli_out")
     path, files, n = inputs / "h.mat", [], 3
@@ -1287,7 +1452,21 @@ def test_cli_on_arbitrary_matrix_text(tmp_path_factory, h, overlap, command, out
     code, err = run_cli([command[0], "--files", str(path), *files, *command[1:], "--beta", "1",
                          "--out", str(outdir / out)], outdir, warns)
     try:
-        read_matrix(path)
+        h_mat = read_matrix(path)
     except MatrixParseError:
         # an --out under a missing directory ends the call before H is read
         assert out.startswith("missing/") or (code == 3 and "error[parse]" in err)
+    else:
+        # a pencil level past the largest float has no Fermi-Dirac state
+        assert code != 0 or levels_are_finite(h_mat, read_matrix(files[0]) if files else None)
+
+
+def levels_are_finite(h, s):
+    """Whether G = Z^T H Z, with H symmetrized and the explicit frame of S
+    (H itself when S is None), and every eigenvalue of G are finite."""
+    with np.errstate(all="ignore"):
+        g = 0.5 * h + 0.5 * h.T
+        if s is not None:
+            z = explicit_frame(s)[2]
+            g = z.T @ g @ z
+        return bool(np.isfinite(g).all() and np.isfinite(np.linalg.eigvalsh(g)).all())

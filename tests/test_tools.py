@@ -35,10 +35,14 @@ def test_compare_reports_identity_and_moves(tmp_path, capsys):
         (root / "a.csv").write_text("index,x\n0,1\n")
         (root / "a.meta").write_text(f"command: run\nelapsed_seconds: {seconds}\n")
         (root / "b.csv").write_text(f"index,x\n0,{value}\n")
+        # the scale is the largest |x| outside an index column: 0.5 here, not 7
+        (root / "c.csv").write_text(f"index,x,y\n7,{value},-0.25\n")
     assert tool.compare(old, new) == 1
     out = capsys.readouterr().out
     assert "identical a.csv" in out and "identical a.meta" in out
-    assert "moved     b.csv: x 1.11e-16" in out and "2 of 3 files identical" in out
+    assert "moved     b.csv: x 1.11e-16 (2.22e-16 of scale)" in out
+    assert "moved     c.csv: x 1.11e-16 (2.22e-16 of scale)" in out
+    assert "2 of 4 files identical" in out
     assert tool.compare(old, old) == 0
 
 

@@ -16,7 +16,9 @@ code and time, and exits 1 if any case exits non-zero.
 The second form compares every file of two output directories.  A file is
 identical when its bytes are, a ``.meta`` with its ``elapsed_seconds`` line
 dropped; for any other file it prints the largest absolute move of each
-numeric column (each ``.meta`` key).  It exits 1 unless every file is
+numeric column (each ``.meta`` key), and in parentheses that move over the
+file's scale in the old directory, the rule by which :func:`fingerprint_moves`
+bounds a move (``rel`` 1e-12).  It exits 1 unless every file is
 identical.  Run both trees into fresh directories, then compare them:
 
     git archive HEAD~1 | tar -x -C /tmp/parent
@@ -195,6 +197,7 @@ def _largest_move(old_cells, new_cells):
 
 def compare(old: Path, new: Path) -> int:
     names = sorted({p.name for p in old.iterdir()} | {p.name for p in new.iterdir()})
+    scales = _scales(*_parse_fingerprint(fingerprint(old, {}))[1:])
     same = 0
     for name in names:
         a, b = old / name, new / name
@@ -208,8 +211,10 @@ def compare(old: Path, new: Path) -> int:
             continue
         ca, cb = _columns(a, ta), _columns(b, tb)
         moves = {col: _largest_move(ca.get(col, []), cb.get(col, [])) for col in {*ca, *cb}}
-        print(f"moved     {name}: " + ", ".join(f"{col} {move:.3g}"
-                                              for col, move in sorted(moves.items()) if move))
+        scale = scales.get(name, 0.0)
+        print(f"moved     {name}: " + ", ".join(
+            f"{col} {move:.3g} ({move / scale if scale else math.inf:.3g} of scale)"
+            for col, move in sorted(moves.items()) if move))
     print(f"{same} of {len(names)} files identical")
     return 0 if same == len(names) else 1
 
