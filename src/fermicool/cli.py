@@ -24,7 +24,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -111,18 +111,6 @@ a final .csv from PATH):
 """
 
 
-@dataclass
-class RunRequest:
-    """Everything one invocation needs, assembled from parsed arguments."""
-
-    ensemble: object
-    model: HamiltonianModel
-    output_path: Path
-    scf_tol: float
-    scf_max_iter: int
-    use_aitken: bool
-
-
 def _fmt(x) -> str:
     return format(float(x), ".17g")
 
@@ -183,7 +171,9 @@ def _resolve_mu(args, system) -> float:
     return mu
 
 
-def _build_request(args) -> RunRequest:
+def _build_request(args):
+    """The checked (model, ensemble, --out path) of a command; the other
+    controls are read from ``args``."""
     out = Path(args.out)
     if not out.name:
         raise ArgumentSemanticsError(f"--out expects a file path, got {args.out!r}")
@@ -210,14 +200,7 @@ def _build_request(args) -> RunRequest:
         )
     if args.scf_max_iter < 1:
         raise ArgumentSemanticsError(f"--scf-max-iter must be at least 1, got {args.scf_max_iter}")
-    return RunRequest(
-        ensemble=ensemble,
-        model=HamiltonianModel(system, coupling_u=args.nonlinear),
-        output_path=out,
-        scf_tol=args.scf_tol,
-        scf_max_iter=args.scf_max_iter,
-        use_aitken=args.aitken,
-    )
+    return HamiltonianModel(system, coupling_u=args.nonlinear), ensemble, out
 
 
 def _run_config(args) -> SolverConfig:
@@ -236,39 +219,37 @@ def _run_config(args) -> SolverConfig:
         raise ArgumentSemanticsError(str(exc)) from None
 
 
-def _oracle_state(req: RunRequest, beta: float) -> ScfResult:
-    """Exact reference state: the fixed point of :func:`scf_fixed_point`, which
-    takes one evaluation for a linear model."""
-    return scf_fixed_point(
-        req.model, req.ensemble, beta,
-        tol=req.scf_tol, max_iter=req.scf_max_iter, use_aitken=req.use_aitken,
-    )
+def _oracle_state(model, ensemble, args, beta: float) -> ScfResult:
+    """Exact reference state: the fixed point of :func:`scf_fixed_point` under
+    the SCF controls of ``args``, which takes one evaluation for a linear model."""
+    return scf_fixed_point(model, ensemble, beta, args.scf_tol, args.scf_max_iter, args.aitken)
 
 
-def _scf_count(req: RunRequest, iterations) -> str:
+def _scf_count(model, iterations) -> str:
     """SCF iterations for the .meta: n/a for linear models, which run no SCF."""
-    return "n/a" if iterations is None or req.model.is_linear else str(iterations)
+    return "n/a" if iterations is None or model.is_linear else str(iterations)
 
 
-def _mu_trace(req: RunRequest, betas, mu_integrated):
+def _mu_trace(model, ensemble, args, betas, mu_integrated):
     """Rows of the mu CSV of a canonical run and the total SCF iterations.
 
     The oracle's mu comes from one walk over the record betas that continues
-    each SCF from the previous ones (:func:`~fermicool.models.scf_mu_trace`).
+    each SCF from the previous ones (:func:`~fermicool.models.scf_mu_trace`),
+    under the SCF controls of ``args``.
     """
-    mus, total = scf_mu_trace(req.model, req.ensemble, betas, req.scf_tol, req.scf_max_iter,
-                              req.use_aitken)
+    mus, total = scf_mu_trace(model, ensemble, betas, args.scf_tol, args.scf_max_iter,
+                              args.aitken)
     return [tuple(map(_fmt, row)) for row in zip(betas, mu_integrated, mus)], total
 
 
 def cmd_run(args) -> int:
-    req = _build_request(args)
+    model, ensemble, out = _build_request(args)
     config = _run_config(args)
-    paths = _out_paths(req.output_path)
+    paths = _out_paths(out)
     started = time.time()
 
-    traj = cool(req.model, req.ensemble, config)
-    oracle = _oracle_state(req, config.beta_final)
+    traj = cool(model, ensemble, config)
+    oracle = _oracle_state(model, ensemble, args, config.beta_final)
 
     occ_run, occ_exact = traj.final_occupations, oracle.occupations
     rows = [(i, _fmt(a), _fmt(b), _fmt(abs(a - b)))
@@ -277,14 +258,14 @@ def cmd_run(args) -> int:
 
     diag = traj.diagnostics
     # a linear model's state stays a function of H: its commutator norm is 0
-    width = 3 if req.model.is_linear else 4
+    width = 3 if model.is_linear else 4
     _write_csv(paths["diag"], ["beta", "min_eig", "trace", "commutator_norm"][:width],
                [tuple(map(_fmt, row[:width])) for row in zip(
                    traj.betas, diag.min_eigenvalue, diag.trace, diag.commutator_norm)])
 
     trace_iters = None
     if traj.mu_trace is not None:
-        mu_rows, trace_iters = _mu_trace(req, traj.betas, traj.mu_trace)
+        mu_rows, trace_iters = _mu_trace(model, ensemble, args, traj.betas, traj.mu_trace)
         _write_csv(paths["mu"], ["beta", "mu_integrated", "mu_oracle"], mu_rows)
 
     meta = [
@@ -293,12 +274,12 @@ def cmd_run(args) -> int:
         ("scheme", traj.scheme),
         ("beta_final", _fmt(traj.beta_final)),
         ("delta_beta_snapped", _fmt(traj.delta_beta)),
-        ("mu_used", _fmt(req.ensemble.mu) if isinstance(req.ensemble, GrandCanonical) else "canonical"),
+        ("mu_used", _fmt(ensemble.mu) if isinstance(ensemble, GrandCanonical) else "canonical"),
         ("max_abs_error", _fmt(float(np.abs(occ_run - occ_exact).max()))),
         ("positivity_violations", str(len(traj.positivity_violations))),
-        ("scf_iterations", _scf_count(req, oracle.iterations)),
-        ("mu_trace_scf_iterations", _scf_count(req, trace_iters)),
-        ("aitken", str(req.use_aitken)),
+        ("scf_iterations", _scf_count(model, oracle.iterations)),
+        ("mu_trace_scf_iterations", _scf_count(model, trace_iters)),
+        ("aitken", str(args.aitken)),
         ("elapsed_seconds", f"{time.time() - started:.3f}"),
     ]
     _write_meta(paths["meta"], meta)
@@ -306,11 +287,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    req = _build_request(args)
-    paths = _out_paths(req.output_path)
+    model, ensemble, out = _build_request(args)
+    paths = _out_paths(out)
     beta = args.beta
 
-    oracle = _oracle_state(req, beta)
+    oracle = _oracle_state(model, ensemble, args, beta)
     _write_csv(paths["spectra"], ["index", "exact_eigenvalue"],
                [(i, _fmt(v)) for i, v in enumerate(oracle.occupations)])
     meta = [
@@ -318,19 +299,19 @@ def cmd_oracle(args) -> int:
         ("version", __version__),
         ("beta", _fmt(beta)),
         ("mu_oracle", _fmt(oracle.mu)),
-        ("scf_iterations", _scf_count(req, oracle.iterations)),
-        ("aitken", str(req.use_aitken)),
+        ("scf_iterations", _scf_count(model, oracle.iterations)),
+        ("aitken", str(args.aitken)),
     ]
     _write_meta(paths["meta"], meta)
-    if isinstance(req.ensemble, Canonical):
+    if isinstance(ensemble, Canonical):
         print(f"oracle mu at beta={beta:g}: {oracle.mu:.12g}")
-    if not req.model.is_linear:
-        print(f"scf converged in {oracle.iterations} iterations (aitken={req.use_aitken})")
+    if not model.is_linear:
+        print(f"scf converged in {oracle.iterations} iterations (aitken={args.aitken})")
     return 0
 
 
 def cmd_convergence(args) -> int:
-    req = _build_request(args)
+    model, ensemble, out = _build_request(args)
     beta = args.beta
     if beta == 0.0:
         raise ArgumentSemanticsError("--beta must be positive to integrate a flow, got 0")
@@ -350,13 +331,13 @@ def cmd_convergence(args) -> int:
             raise ArgumentSemanticsError(
                 f"--dbeta-list must halve at each entry, got {a} -> {b}"
             )
-    paths = _out_paths(req.output_path)
+    paths = _out_paths(out)
 
-    occ_exact = _oracle_state(req, beta).occupations
+    occ_exact = _oracle_state(model, ensemble, args, beta).occupations
 
     errors = []
     for config in configs:
-        occ = cool(req.model, req.ensemble, config).final_occupations
+        occ = cool(model, ensemble, config).final_occupations
         errors.append(float(np.abs(occ - occ_exact).max()))
 
     rows = []

@@ -1,11 +1,11 @@
 """Dense real-symmetric linear algebra for the cooling solvers.
 
-Provides validated matrix carriers (symmetric matrices, and positive-definite
-overlap metrics), the orthogonalizing frame that each overlap owns and that
-reduces a pencil (H, S) to a standard symmetric problem (a :class:`Frame`,
-or an :class:`IdentityFrame` with no frame change when S is exactly the
-identity; its operations are plain linear algebra, and no model enters this
-module), the decomposition of that problem, the overflow-safe Fermi factor,
+Provides validated matrix carriers (symmetric matrices, and the
+positive-definite overlap metrics among them), the orthogonalizing frame
+that each overlap owns and that reduces a pencil (H, S) to a standard
+symmetric problem (a :class:`Frame`, or an :class:`IdentityFrame` with no
+frame change when S is exactly the identity; its operations are plain
+linear algebra, and no model enters this module), the decomposition of that problem, the overflow-safe Fermi factor,
 and a safeguarded Newton search for the chemical potential at fixed
 electron count on a set of levels and their weights, which can start from a
 guess.
@@ -335,9 +335,10 @@ class IdentityFrame(Frame):
     norm_yy = norm_zy
 
 
-class OverlapMatrix:
+class OverlapMatrix(HermitianMatrix):
     """Symmetric positive-definite overlap metric of a (possibly non-orthonormal) basis.
 
+    It is a :class:`HermitianMatrix`, symmetrized and checked as one.
     Positive definiteness is checked at construction, by the smallest
     eigenvalue of one ``eigh``, which also gives the orthogonalizing
     :attr:`frame`.  So is the trace Tr[S]: one past the largest float
@@ -345,29 +346,20 @@ class OverlapMatrix:
     """
 
     def __init__(self, entries):
-        base = entries if isinstance(entries, HermitianMatrix) else HermitianMatrix(entries)
-        diagonal = np.diagonal(base.mat)
+        super().__init__(entries)
+        s = self.mat
+        diagonal = np.diagonal(s)
         with np.errstate(over="ignore"):
             if not math.isfinite(diagonal.sum()):
                 raise OverlapTraceError(diagonal.max())
-        vals, vecs = np.linalg.eigh(base.mat)
+        vals, vecs = np.linalg.eigh(s)
         if vals[0] <= 0.0:
             raise NotPositiveDefiniteError(vals[0])
         vals.flags.writeable = False
-        self.base = base
-        s = base.mat
-        if np.count_nonzero(s) == base.dim and (np.diagonal(s) == 1.0).all():
-            self._frame = IdentityFrame(base.dim)  # the identity's eigenvectors are not kept
+        if np.count_nonzero(s) == self.dim and (diagonal == 1.0).all():
+            self._frame = IdentityFrame(self.dim)  # the identity's eigenvectors are not kept
         else:
             self._frame = Frame(vals, vecs)
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.base.mat
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
 
     @property
     def frame(self) -> Frame:
@@ -378,9 +370,6 @@ class OverlapMatrix:
         and no Y or Z is formed.
         """
         return self._frame
-
-    def __array__(self, dtype=None, copy=None):
-        return self.base.__array__(dtype, copy)
 
     def __repr__(self):
         return f"OverlapMatrix(dim={self.dim}, min_eig={self.frame.s[0]:.3g})"

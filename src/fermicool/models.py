@@ -151,9 +151,14 @@ class SystemSpec:
 
 @dataclass(frozen=True)
 class GrandCanonical:
-    """Fixed chemical potential; the electron count floats."""
+    """Fixed chemical potential; the electron count floats.  A mu that is not
+    finite raises ValueError."""
 
     mu: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.mu):
+            raise ValueError(f"chemical potential mu must be finite, got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -223,10 +228,15 @@ class HamiltonianModel:
     (:meth:`~fermicool.matcore.Frame.total`,
     :meth:`~fermicool.matcore.Frame.trace`), so each refresh costs O(n^2).
     In an :class:`~fermicool.matcore.IdentityFrame` K is J itself and c = 1.
+    A ``coupling_u`` that is not finite raises ValueError.
     """
 
     system: SystemSpec
     coupling_u: float = 0.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.coupling_u):
+            raise ValueError(f"coupling_u must be finite, got {self.coupling_u}")
 
     @property
     def is_linear(self) -> bool:
@@ -396,7 +406,8 @@ def exact_grand_fd(system: SystemSpec, mu: float, beta: float) -> HermitianMatri
 
     Computed from the system's cached :attr:`~SystemSpec.levels`, the
     eigendecomposition of (H, S) in the overlap frame.  At beta = 0 this is
-    S / 2 exactly.  A level past the largest float raises BracketError.
+    S / 2 exactly.  A level past the largest float raises BracketError, and
+    a beta that is not finite and non-negative ValueError.
     """
     return _exact_state(system, beta, GrandCanonical(mu), 1.0)[0]
 
@@ -412,7 +423,8 @@ def exact_canonical_fd(system: SystemSpec, n_electrons: float, beta: float):
     list of temperatures start from the mu extrapolated from the previous
     ones, on the same levels for a linear model.  At beta = 0 the state is
     (N/2) S exactly and the reported mu is the analytic limit Tr[H] / Tr[S];
-    a trace that overflows raises InfeasibleEnsembleError.
+    a trace that overflows raises InfeasibleEnsembleError, and a beta that is
+    not finite and non-negative ValueError.
 
     Returns
     -------
@@ -471,9 +483,13 @@ def _frame_state(model: HamiltonianModel, q, beta: float, ensemble: Ensemble, no
     P = (N/2) S, where H = H_core by construction: the canonical mu of every
     model is the limit Tr[H_core] / Tr[S] (:func:`infinite_temperature_mu`),
     as in :func:`~fermicool.solvers.cool`; no H is formed, and no eigenpairs
-    (None is returned for them), and every occupation is N/2.  Non-finite
-    levels raise BracketError, a G(Q) that is not finite LinAlgError.
+    (None is returned for them), and every occupation is N/2.  Every oracle
+    evaluates here first, so a beta that is not finite and non-negative
+    raises ValueError here for all of them.  Non-finite levels raise
+    BracketError, a G(Q) that is not finite LinAlgError.
     """
+    if not (math.isfinite(beta) and beta >= 0.0):
+        raise ValueError(f"beta must be a finite non-negative inverse temperature, got {beta}")
     system = model.system
     grand = isinstance(ensemble, GrandCanonical)
     if beta == 0.0:
@@ -631,17 +647,14 @@ def scf_fixed_point(
     Raises
     ------
     ValueError
-        When ``tol`` is not finite and positive or ``max_iter`` is below 1.
+        When ``beta`` is not finite and non-negative, ``tol`` is not finite
+        and positive or ``max_iter`` is below 1.
     ScfConvergenceError
         When ``max_iter`` is exhausted, or when the residual has not decreased
         for ten consecutive iterations, or for ten iterations in all with
         ``use_aitken`` (oscillation), or when F cannot be evaluated at a
         Picard iterate after the start density.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"SCF tolerance must be finite and positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"SCF iteration limit must be at least 1, got {max_iter}")
     system = model.system
     canonical = isinstance(ensemble, Canonical)
     norm = canonical_normalization(ensemble.n_electrons, system.s.mat) if canonical else 1.0
@@ -687,10 +700,11 @@ def _lagrange(points, beta: float):
 
     With three points this is the quadratic extrapolation, with two the
     secant, and with one the last point itself; None when there are none
-    (a cold start).  The x_i are frame fixed points F_i or chemical
-    potentials mu_i.
+    (a cold start), or when ``beta`` is not finite, which the evaluation
+    then rejects (:func:`_frame_state`).  The x_i are frame fixed points F_i
+    or chemical potentials mu_i.
     """
-    if not points:
+    if not (points and math.isfinite(beta)):
         return None
     weights = [math.prod((beta - b_j) / (b_i - b_j) for j, (b_j, _) in enumerate(points) if j != i)
                for i, (b_i, _) in enumerate(points)]
@@ -704,8 +718,13 @@ def _frame_scf(model: HamiltonianModel, ensemble: Ensemble, beta: float, norm: f
     It starts at the frame state ``q`` ((N/2) 1, the cold start, when None)
     and its first mu search at ``mu`` (the bracket midpoint when None or
     outside the bracket), and returns the fixed point F(Q) in the frame; a
-    linear model returns its first evaluation.
+    linear model returns its first evaluation.  The SCF controls are checked
+    here, for :func:`scf_fixed_point` and :func:`scf_mu_trace` alike.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"SCF tolerance must be finite and positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"SCF iteration limit must be at least 1, got {max_iter}")
     system = model.system
     frame = system.s.frame
     canonical = isinstance(ensemble, Canonical)

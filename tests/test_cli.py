@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fermicool import build_huckel, default_chemical_potential, load_system, write_matrix
+from fermicool import (build_huckel, default_chemical_potential, load_system, read_matrix,
+                       write_matrix)
 from fermicool.cli import build_parser, main
 from fermicool.models import infinite_temperature_mu
-from conftest import DATA_DIR
+from conftest import DATA_DIR, SYMMETRY_RTOL
 
 
 def gaussian_chain(n=60):
@@ -519,6 +520,67 @@ class TestConvergence:
         ])
         assert code == 2
         assert "halve" in capsys.readouterr().err
+
+
+def run_columns(tmp_path, name, argv):
+    """``run`` with ``argv`` into ``tmp_path``: each of its CSVs ('' for the
+    spectra, '.mu', '.diag') as a dict of numeric columns."""
+    assert main(["run", *argv, "--out", str(tmp_path / f"{name}.csv")]) == 0
+    files = {}
+    for ext in ("", ".mu", ".diag"):
+        header, *rows = read_csv(tmp_path / f"{name}{ext}.csv")
+        files[ext] = {key: np.array([float(row[i]) for row in rows])
+                      for i, key in enumerate(header)}
+    return files
+
+
+class TestSymmetryLaws:
+    """One run per exact symmetry of the problem (scale, shift, relabel)
+    through ``main``, against its untransformed twin: every column of every
+    CSV.  A shift or relabel law
+    holds within SYMMETRY_RTOL of its file's largest |x| (9.8e-15 measured)."""
+
+    SAMPLE = ["--canonical", "4", "--nonlinear", "0.05", "--beta", "3", "--dbeta", "0.01"]
+
+    def test_scale_by_8_is_bit_for_bit(self, tmp_path):
+        # (H, u, beta, db) -> (8 H, 8 u, beta / 8, db / 8) scales every
+        # floating-point operation exactly: the same occupations, and mu and
+        # the commutator with H times 8
+        argv = ["--canonical", "3", "--scheme", "kraus2", "--huckel", "6"]
+        base = run_columns(tmp_path, "base", [*argv, "0.569", "0.066", "--nonlinear", "0.1",
+                                               "--beta", "4", "--dbeta", "0.1"])
+        scaled = run_columns(tmp_path, "scaled", [*argv, "4.552", "0.528", "--nonlinear", "0.8",
+                                                   "--beta", "0.5", "--dbeta", "0.0125"])
+        factors = {".mu": {"beta": 1 / 8, "mu_integrated": 8, "mu_oracle": 8},
+                   ".diag": {"beta": 1 / 8, "commutator_norm": 8}}
+        for ext in base:
+            for key, column in base[ext].items():
+                factor = factors.get(ext, {}).get(key, 1)
+                assert (factor * column).tobytes() == scaled[ext][key].tobytes(), (ext, key)
+        assert len(base[".mu"]["beta"]) == 41
+
+    @pytest.mark.parametrize("scheme", ["kraus1", "kraus2", "rk4"])
+    @pytest.mark.parametrize("law", ["shift", "relabel"])
+    def test_shift_and_relabel(self, tmp_path, law, scheme):
+        # H -> H + 0.7 S moves each mu by 0.7 and nothing else; a relabeling
+        # (H, S) -> (Pi H Pi^T, Pi S Pi^T) that keeps the model's J (even
+        # sites to even sites) moves nothing
+        sample_h = DATA_DIR / "sample_hcore.mat"
+        h, s = read_matrix(sample_h), read_matrix(SAMPLE_S)
+        if law == "shift":
+            c, moved = 0.7, input_files(tmp_path, h + 0.7 * s, SAMPLE_S)
+        else:
+            perm = np.array([2, 7, 4, 1, 6, 3, 0, 5])
+            c, moved = 0.0, input_files(tmp_path, h[np.ix_(perm, perm)], s[np.ix_(perm, perm)])
+        argv = [*self.SAMPLE, "--scheme", scheme]
+        base = run_columns(tmp_path, "base", ["--files", str(sample_h), str(SAMPLE_S), *argv])
+        other = run_columns(tmp_path, law, ["--files", *moved, *argv])
+        for ext, columns in base.items():
+            scale = max(np.abs(column).max() for key, column in columns.items() if key != "index")
+            for key, column in columns.items():
+                shift = c if key.startswith("mu_") else 0.0
+                gap = np.abs(other[ext][key] - shift - column).max()
+                assert gap <= SYMMETRY_RTOL * scale, (ext, key, gap / scale)
 
 
 def test_every_option_has_help_text():

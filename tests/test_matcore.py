@@ -80,6 +80,14 @@ class TestOverlapMatrix:
                 OverlapMatrix(1e308 * np.eye(8))
             assert OverlapMatrix(1e307 * np.eye(8)).frame.s[0] == pytest.approx(1e307)
 
+    def test_is_the_hermitian_matrix_it_was_given(self, rng):
+        # an overlap is a HermitianMatrix: one built from a HermitianMatrix
+        # symmetrizes it again, which keeps a symmetric matrix's bits
+        h = HermitianMatrix(random_spd(rng, 5))
+        s = OverlapMatrix(h)
+        assert isinstance(s, HermitianMatrix) and s.dim == 5
+        assert s.mat.tobytes() == h.mat.tobytes() and not s.mat.flags.writeable
+
     def test_frame_factors_the_overlap(self, rng):
         s = OverlapMatrix(random_spd(rng, 5))
         vals, y, z = s.frame.s, s.frame.y, s.frame.z

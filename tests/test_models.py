@@ -79,6 +79,15 @@ class TestEnsembles:
         assert canonical_normalization(25.0, system.s.mat) == pytest.approx(1.0)
         assert canonical_normalization(10.0, system.s.mat) == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_mu_and_coupling_must_be_finite(self, value):
+        # each object checks its own field: a non-finite mu or coupling would
+        # otherwise reach cool() and end only in a solver abort at beta 0
+        with pytest.raises(ValueError, match="chemical potential mu must be finite"):
+            GrandCanonical(value)
+        with pytest.raises(ValueError, match="coupling_u must be finite"):
+            HamiltonianModel(build_huckel(6, 0.0, 1.0), coupling_u=value)
+
     @pytest.mark.parametrize("of_trace, plus", [(0, -1.0), (0, 0.0), (1, 0.0), (1, 1.0)],
                              ids=["-1", "0", "trace", "trace+1"])
     def test_normalization_rejects_counts_outside_filling(self, rng, of_trace, plus):
@@ -242,6 +251,27 @@ class TestExactCanonicalFd:
             assert np.trace(p.mat) == pytest.approx(ne, abs=1e-8)
 
 
+#: Every entry point of the exact oracles, each called as f(model, beta).
+ORACLES = {
+    "exact_grand_fd": lambda model, beta: exact_grand_fd(model.system, 0.1, beta),
+    "exact_canonical_fd": lambda model, beta: exact_canonical_fd(model.system, 3.0, beta),
+    "scf_grand": lambda model, beta: scf_fixed_point(model, GrandCanonical(0.1), beta),
+    "scf_canonical": lambda model, beta: scf_fixed_point(model, Canonical(3.0), beta),
+    "scf_mu_trace": lambda model, beta: scf_mu_trace(model, Canonical(3.0), (0.0, 1.0, beta)),
+}
+
+
+@pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("u", [0.0, 0.1], ids=["linear", "nonlinear"])
+@pytest.mark.parametrize("oracle", ORACLES)
+def test_every_oracle_rejects_a_beta_that_is_not_a_temperature(oracle, u, beta):
+    # a negative beta is no state, and inf and nan have no Fermi factor: each
+    # oracle says so by name, with no numpy warning, before any evaluation
+    model = HamiltonianModel(build_huckel(6, 0.0, 1.0), coupling_u=u)
+    with pytest.raises(ValueError, match="beta must be a finite non-negative inverse temperature"):
+        ORACLES[oracle](model, beta)
+
+
 class TestDefaultChemicalPotential:
     def test_huckel_band_center(self):
         system = build_huckel(50, 0.569, 0.066)
@@ -325,6 +355,13 @@ class TestCachedLevels:
             p_ref, mu_ref = exact_canonical_fd(fresh, 2.5, beta)
             np.testing.assert_allclose(p.mat, p_ref.mat, atol=1e-13)
             assert mu == pytest.approx(mu_ref, abs=1e-12)
+
+
+#: SCF controls that name no stopping rule.
+SCF_CONTROLS = [
+    {"tol": float("nan")}, {"tol": 0.0}, {"tol": -1.0}, {"tol": float("inf")},
+    {"max_iter": 0}, {"max_iter": -3},
+]
 
 
 class TestScfFixedPoint:
@@ -438,14 +475,19 @@ class TestScfFixedPoint:
         assert iterations == 1
         assert searches == [(guess, mu)]
 
-    @pytest.mark.parametrize("kwargs", [
-        {"tol": float("nan")}, {"tol": 0.0}, {"tol": -1.0}, {"tol": float("inf")},
-        {"max_iter": 0}, {"max_iter": -3},
-    ])
+    @pytest.mark.parametrize("kwargs", SCF_CONTROLS)
     def test_rejects_meaningless_controls(self, kwargs):
         model = HamiltonianModel(build_huckel(6, 0.569, 0.066), coupling_u=0.1)
         with pytest.raises(ValueError, match="SCF"):
             scf_fixed_point(model, GrandCanonical(0.5), 1.0, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", SCF_CONTROLS)
+    @pytest.mark.parametrize("u", [0.0, 0.1], ids=["linear", "nonlinear"])
+    def test_mu_trace_rejects_meaningless_controls(self, kwargs, u):
+        # the walk runs the same SCF loop, which checks its own controls
+        model = HamiltonianModel(build_huckel(6, 0.569, 0.066), coupling_u=u)
+        with pytest.raises(ValueError, match="SCF"):
+            scf_mu_trace(model, Canonical(3.0), (0.0, 1.0, 2.0), **kwargs)
 
     def test_strong_coupling_falls_back_to_picard_steps(self, monkeypatch):
         # at u = 1 a Newton step from Richardson sweeps can raise the

@@ -68,9 +68,9 @@ from fermicool import (  # noqa: E402
 from fermicool import matcore, models, solvers  # noqa: E402
 from fermicool.cli import EXITS, main  # noqa: E402
 from fermicool.models import _fd_jacobian, _frame_state, scf_mu_trace  # noqa: E402
-from conftest import (DATA_DIR, cholesky_occupations, explicit_frame, frame_scf,  # noqa: E402
-                      pencil_levels, random_spd, random_symmetric, s_frame_hamiltonian,
-                      s_frame_response, search_occupation)
+from conftest import (DATA_DIR, SYMMETRY_RTOL, cholesky_occupations, explicit_frame,  # noqa: E402
+                      frame_scf, pencil_levels, random_spd, random_symmetric,
+                      s_frame_hamiltonian, s_frame_response, search_occupation)
 
 #: Largest relative gap between cool() and the S-frame reference, fixed
 #: before the comparison is run.
@@ -939,17 +939,6 @@ def test_recorded_spectrum_and_trace_are_those_of_p(data, dim, s_min, scheme, co
 
 
 # --- exact symmetries ---------------------------------------------------------
-
-#: Largest relative move of the final P, occupations (over N) and canonical
-#: mu under the shift and relabel laws and the mu trace's scale law, fixed
-#: before the comparison.  Measured: under the shift law 1.3e-15 on 30
-#: systems of dimension 2-9 at beta 3, and 2.2e-15 over 3000 random runs
-#: drawn as below (dimension 1-6, every scheme, ensemble and coupling, c in
-#: [-2, 2]); under the relabel law 2.1e-15 on the 30 systems; under the
-#: oracle's shift law 3.2e-14 over about 3000 SCF pairs of dimension 1-8 at
-#: beta 0.5 and 5.
-SYMMETRY_RTOL = 1e-13
-
 
 #: Every (scheme, grand, coupling) that the symmetry laws run, each on S = 1
 #: and on a random SPD S.

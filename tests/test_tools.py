@@ -215,3 +215,15 @@ def test_fingerprint_bounds_each_number_by_its_file_scale(tmp_path):
     moves = tool.fingerprint_moves(old, tool.fingerprint(tmp_path, {"case": 2}), rel=1e-12)
     assert [move.split(":")[0] for move in moves] == [
         "exit case", "column a.csv x", "meta a.meta command"]
+
+
+def test_step_bytecodes_are_whole_counts_per_step():
+    # two short runs read the same whole count of each event per step, for
+    # every scheme and ensemble; no count is pinned, as they depend on the
+    # Python and numpy versions
+    tool = load_tool("step_bytecodes")
+    for ensemble in tool.ENSEMBLES:
+        for scheme in tool.SCHEMES:
+            counts = tool.per_step(scheme, ensemble, 10, 20)
+            assert tool.per_step(scheme, ensemble, 20, 40) == counts
+            assert all(count > 0 and count.is_integer() for count in counts.values()), counts
